@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -212,9 +213,26 @@ def resolve_model(name: str, nu: int, sigma: float) -> experiments.Model:
 # --------------------------------------------------------------------- #
 
 
+#: Statistics that apply to each model's data layout.
+_MODEL_STATS = {
+    **dict.fromkeys(("normal", "poisson", "bernoulli", "logistic"),
+                    ("chisq", "variance", "np", "quadratic")),
+    "neyman_scott": ("anova_f",),
+    "spacings": ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings"),
+}
+
+
 def run_power(cfg: dict) -> list[dict]:
     model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
     alt = parse_alternative(cfg["alt"])
+    allowed = _MODEL_STATS[cfg["model"]]
+    if cfg["stat"] not in allowed:
+        raise ConfigError(f"--stat {cfg['stat']} does not apply to --model {cfg['model']}: use {', '.join(allowed)}")
+    try:
+        for n in cfg["n_grid"]:
+            model.alternative_audit(n, alt, cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"--alt {cfg['alt']} does not apply to --model {cfg['model']}: {exc}") from exc
     rows = []
     for n in cfg["n_grid"]:
         stat = experiments.make_statistic(cfg["stat"], n, alt=alt, seed=cfg["seed"])
@@ -244,135 +262,43 @@ def run_power(cfg: dict) -> list[dict]:
     return rows
 
 
+def _sweep_table(rows: list, cfg: dict) -> list[dict]:
+    """Sweep rows as table rows: the row's fields, then reps, seed and config hash."""
+    run = {"reps": cfg["reps"], "seed": cfg["seed"], "config_hash": config_hash(cfg)}
+    return [dataclasses.asdict(row) | run for row in rows]
+
+
+def _run_sweep(sweep, cfg: dict, *args, **kwargs) -> list[dict]:
+    """Table of ``sweep(*args, reps, seed, level=, workers=, **kwargs)``."""
+    rows = sweep(*args, cfg["reps"], cfg["seed"], level=cfg["level"], workers=cfg["workers"], **kwargs)
+    return _sweep_table(rows, cfg)
+
+
 def run_theorem1(cfg: dict) -> list[dict]:
-    rows = experiments.theorem1_sweep(
-        cfg["delta"],
-        cfg["n_grid"],
-        cfg["reps"],
-        cfg["seed"],
-        level=cfg["level"],
-        lbar_reps=cfg["lbar_reps"],
-        workers=cfg["workers"],
+    return _run_sweep(
+        experiments.theorem1_sweep, cfg, cfg["delta"], cfg["n_grid"], lbar_reps=cfg["lbar_reps"]
     )
-    return [
-        {
-            "n": r.n,
-            "chisq_gap": r.chisq_gap,
-            "chisq_gap_se": r.chisq_gap_se,
-            "np_power": r.np_power,
-            "np_power_se": r.np_power_se,
-            "lbar_bound": r.lbar_bound,
-            "lbar_bound_se": r.lbar_bound_se,
-            "m_norm": r.m_norm,
-            "reps": cfg["reps"],
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-        }
-        for r in rows
-    ]
 
 
 def run_theorem2(cfg: dict) -> list[dict]:
     family = models.family_by_name(cfg["model"])
-    rows = experiments.theorem2_sweep(
-        family,
-        cfg["delta"],
-        cfg["n_grid"],
-        cfg["reps"],
-        cfg["seed"],
-        level=cfg["level"],
-        workers=cfg["workers"],
-    )
-    return [
-        {
-            "n": r.n,
-            "invariant_gap": r.invariant_gap,
-            "invariant_gap_se": r.invariant_gap_se,
-            "quadratic_gap": r.quadratic_gap,
-            "quadratic_gap_se": r.quadratic_gap_se,
-            "centered_norm": r.centered_norm,
-            "max_dev": r.max_dev,
-            "reps": cfg["reps"],
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-        }
-        for r in rows
-    ]
+    return _run_sweep(experiments.theorem2_sweep, cfg, family, cfg["delta"], cfg["n_grid"])
 
 
 def run_neyman_scott(cfg: dict) -> list[dict]:
     if cfg["matrix"]:
-        mrows = experiments.matrix_variate_sweep(
-            cfg["n_grid"], cfg["delta"], cfg["reps"], cfg["seed"],
-            level=cfg["level"], workers=cfg["workers"],
-        )
-        return [
-            {
-                "n": r.n,
-                "wilks_gap": r.wilks_gap,
-                "wilks_gap_se": r.wilks_gap_se,
-                "reps": cfg["reps"],
-                "seed": cfg["seed"],
-                "config_hash": config_hash(cfg),
-            }
-            for r in mrows
-        ]
-    rows = experiments.neyman_scott_sweep(
-        cfg["n_grid"],
-        cfg["nu"],
-        cfg["delta"],
-        cfg["reps"],
-        cfg["seed"],
-        sigma=cfg["sigma"],
-        level=cfg["level"],
-        profile=cfg["profile"],
-        workers=cfg["workers"],
+        return _run_sweep(experiments.matrix_variate_sweep, cfg, cfg["n_grid"], cfg["delta"])
+    return _run_sweep(
+        experiments.neyman_scott_sweep, cfg, cfg["n_grid"], cfg["nu"], cfg["delta"],
+        sigma=cfg["sigma"], profile=cfg["profile"],
     )
-    return [
-        {
-            "n": r.n,
-            "nu": r.nu,
-            "f_gap": r.f_gap,
-            "f_gap_se": r.f_gap_se,
-            "cellmean_chisq_gap": r.cellmean_chisq_gap,
-            "cellmean_chisq_gap_se": r.cellmean_chisq_gap_se,
-            "centered_norm": r.centered_norm,
-            "max_dev": r.max_dev,
-            "reps": cfg["reps"],
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-        }
-        for r in rows
-    ]
 
 
 def run_spacings(cfg: dict) -> list[dict]:
     alt = parse_alternative(cfg["alt"])
     if alt.profile is None:
         raise ConfigError("sweep-spacings requires an h:... alternative")
-    rows = experiments.spacings_sweep(
-        alt.profile, cfg["n_grid"], cfg["reps"], cfg["seed"],
-        level=cfg["level"], workers=cfg["workers"],
-    )
-    return [
-        {
-            "n": r.n,
-            "greenwood_gap": r.greenwood_gap,
-            "greenwood_gap_se": r.greenwood_gap_se,
-            "moran_gap": r.moran_gap,
-            "moran_gap_se": r.moran_gap_se,
-            "two_spacings_gap": r.two_spacings_gap,
-            "two_spacings_gap_se": r.two_spacings_gap_se,
-            "quadratic_gap": r.quadratic_gap,
-            "quadratic_gap_se": r.quadratic_gap_se,
-            "llr_gap_p95": r.llr_gap_p95,
-            "llr_gap_p95_se": r.llr_gap_p95_se,
-            "reps": cfg["reps"],
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-        }
-        for r in rows
-    ]
+    return _run_sweep(experiments.spacings_sweep, cfg, alt.profile, cfg["n_grid"])
 
 
 def run_lbar(cfg: dict) -> list[dict]:
@@ -386,13 +312,12 @@ def run_lbar(cfg: dict) -> list[dict]:
         if isinstance(family, models.GeneralFamilySpec):
             raise ConfigError("lbar supports exponential families only")
         entries = alt.mean_entries(n, 0.0, cfg["seed"])
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
         design = None
         if group is orbit.Group.ORTHOGONAL_FIXING_DESIGN:
             design = spawn_generator(cfg["seed"], TAG_MODEL, 777).normal(size=(n, cfg["design_p"]))
             q, _ = np.linalg.qr(design)
             entries = entries - q @ (q.T @ entries)
-            m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        m = MeanVector(entries, compact_lo=None, compact_hi=None)
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
         vals = orbit.null_lbar_samples(
             family, m, spec, cfg["reps"], cfg["seed"], workers=cfg["workers"]
@@ -438,22 +363,7 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
     rows = permclt.theorem_convergence_sweep(
         null_sampler, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )
-    return [
-        {
-            "n": r.n,
-            "rho2_perm_boot": r.rho2_perm_boot,
-            "se_rho2_perm_boot": r.se_rho2_perm_boot,
-            "rho2_boot_iid": r.rho2_boot_iid,
-            "se_rho2_boot_iid": r.se_rho2_boot_iid,
-            "rho2_perm_iid": r.rho2_perm_iid,
-            "se_rho2_perm_iid": r.se_rho2_perm_iid,
-            "diag_nmx": r.diag_nmx,
-            "reps": cfg["reps"],
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-        }
-        for r in rows
-    ]
+    return _sweep_table(rows, cfg)
 
 
 def run_coupling(cfg: dict) -> list[dict]:

@@ -10,7 +10,7 @@ conditions are auditable from the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,10 +100,6 @@ class AlternativeSpec:
         return mbar + dev * (self.scale / norm)
 
 
-def null_alternative() -> AlternativeSpec:
-    return AlternativeSpec(kind="single_spike", scale=0.0)
-
-
 # --------------------------------------------------------------------- #
 # Models (null/alternative batch samplers)
 # --------------------------------------------------------------------- #
@@ -127,7 +123,10 @@ class Model:
         raise NotImplementedError
 
     def alternative_audit(self, n: int, alt: AlternativeSpec, seed: int) -> dict:
-        """Exact centered norm and max centered deviation of the alternative."""
+        """Exact centered norm and max centered deviation of the alternative.
+
+        Raises ``ValueError`` when the alternative does not apply to the model.
+        """
         return {}
 
 
@@ -201,8 +200,14 @@ class SpacingsModel(Model):
     def sample_null(self, n, reps, rng):
         return models.sample_spacings_null_batch(n, reps, rng)
 
+    def alternative_audit(self, n, alt, seed):
+        if alt.kind != "spacings_h" and alt.scale != 0.0:
+            raise ValueError(f"the spacings model takes a density perturbation h, not {alt.kind}")
+        return {}
+
     def sample_alt(self, n, alt, reps, rng, seed):
-        if alt.scale == 0.0 or alt.profile is None:
+        self.alternative_audit(n, alt, seed)
+        if alt.scale == 0.0:
             return self.sample_null(n, reps, rng)
         prof = alt.profile
         if alt.scale != 1.0:
@@ -294,10 +299,6 @@ def _wilks_generalized_variance(x: np.ndarray) -> np.ndarray:
     return logdet
 
 
-#: Statistics whose rejection direction is the lower tail before negation.
-#: (moran is negated in make_statistic so every rule is "statistic > critical".)
-
-
 # --------------------------------------------------------------------- #
 # Calibration and power
 # --------------------------------------------------------------------- #
@@ -328,42 +329,52 @@ class PowerReport:
         return float(np.hypot(self.level_se, self.power_se))
 
 
-def _null_statistics(
-    model: Model,
-    statistic: NamedStatistic,
-    n: int,
+def _statistic_values(
+    draw: Callable[[int, np.random.Generator], np.ndarray],
+    statistics: Sequence[NamedStatistic],
     reps: int,
     seed: int,
     tag: int,
-    workers: int = 1,
-) -> np.ndarray:
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, tag, b)
-        return statistic(model.sample_null(n, count, rng))
+    workers: int,
+) -> list[np.ndarray]:
+    """Every statistic on the same ``reps`` draws of the stream ``(seed, tag)``.
 
-    return np.concatenate(map_blocks(block, reps, workers=workers))
+    ``draw(count, rng)`` returns one block.  The block is drawn once, made
+    read-only and evaluated by each statistic in turn, so the values of one
+    statistic do not depend on which others share the pass.
+    """
+
+    def block(b: int, count: int) -> list[np.ndarray]:
+        data = draw(count, as_generator(seed, tag, b))
+        data.flags.writeable = False
+        return [statistic(data) for statistic in statistics]
+
+    return [np.concatenate(vals) for vals in zip(*map_blocks(block, reps, workers=workers))]
 
 
 def calibrate_critical(
     model: Model,
-    statistic: NamedStatistic,
+    statistics: Sequence[NamedStatistic],
     level: float,
     n: int,
     reps: int,
     seed: int,
     workers: int = 1,
-) -> float:
-    """Empirical upper-``level`` critical value from a null Monte Carlo run.
+) -> list[float]:
+    """Empirical upper-``level`` critical values from one null Monte Carlo run.
 
-    The rejection rule is ``statistic > critical``; two-sided statistics
-    must be pre-transformed to one-sided form by the caller.
+    All statistics are evaluated on the same null draws; one critical value
+    is returned per statistic.  The rejection rule is ``statistic >
+    critical``; two-sided statistics must be pre-transformed to one-sided
+    form by the caller.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if reps * level < 20:
         raise ValueError("too few replicates for the requested quantile (need reps*level >= 20)")
-    vals = _null_statistics(model, statistic, n, reps, seed, TAG_CALIBRATE, workers)
-    return float(np.quantile(vals, 1.0 - level, method="higher"))
+    draw = lambda count, rng: model.sample_null(n, count, rng)
+    values = _statistic_values(draw, statistics, reps, seed, TAG_CALIBRATE, workers)
+    return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
 
 
 def _rejection_rate(values: np.ndarray, critical: float) -> tuple[float, float]:
@@ -374,6 +385,57 @@ def _rejection_rate(values: np.ndarray, critical: float) -> tuple[float, float]:
     p_tilde = (k + 0.5) / (reps + 1.0)
     se = float(np.sqrt(p_tilde * (1.0 - p_tilde) / reps))
     return float(p), se
+
+
+def estimate_power_many(
+    model: Model,
+    tests: Sequence[tuple[NamedStatistic, AlternativeSpec]],
+    level: float,
+    n: int,
+    reps: int,
+    seed: int,
+    calib_reps: int | None = None,
+    workers: int = 1,
+) -> list[PowerReport]:
+    """Calibrate under the null, then estimate level and power of each test.
+
+    A test is a statistic and the alternative it is run against.  The null
+    is drawn once for calibration and once for the level, and each distinct
+    alternative once for power; every statistic reads the same blocks, so
+    each report equals the one :func:`estimate_power` gives for its test.
+    """
+    calib_reps = calib_reps if calib_reps is not None else max(2 * reps, 1000)
+    statistics = [statistic for statistic, _ in tests]
+    criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers)
+    draw_null = lambda count, rng: model.sample_null(n, count, rng)
+    null_vals = _statistic_values(draw_null, statistics, reps, seed, TAG_LEVEL, workers)
+    alt_vals: dict[int, np.ndarray] = {}
+    for alt in dict.fromkeys(a for _, a in tests):
+        sharing = [i for i, (_, a) in enumerate(tests) if a == alt]
+        draw_alt = lambda count, rng: model.sample_alt(n, alt, count, rng, seed)
+        sharing_stats = [statistics[i] for i in sharing]
+        vals = _statistic_values(draw_alt, sharing_stats, reps, seed, TAG_POWER, workers)
+        alt_vals.update(zip(sharing, vals))
+    reports = []
+    for i, ((statistic, alt), critical) in enumerate(zip(tests, criticals)):
+        level_hat, level_se = _rejection_rate(null_vals[i], critical)
+        power_hat, power_se = _rejection_rate(alt_vals[i], critical)
+        reports.append(
+            PowerReport(
+                statistic_name=statistic.name,
+                n=n,
+                alternative=alt.describe(),
+                level_target=level,
+                critical_value=critical,
+                level_hat=level_hat,
+                level_se=level_se,
+                power_hat=power_hat,
+                power_se=power_se,
+                reps=reps,
+                seed=seed,
+            )
+        )
+    return reports
 
 
 def estimate_power(
@@ -388,35 +450,40 @@ def estimate_power(
     workers: int = 1,
 ) -> PowerReport:
     """Calibrate under the null, then estimate level and power by fresh runs."""
-    calib_reps = calib_reps if calib_reps is not None else max(2 * reps, 1000)
-    critical = calibrate_critical(model, statistic, level, n, calib_reps, seed, workers)
-    null_vals = _null_statistics(model, statistic, n, reps, seed, TAG_LEVEL, workers)
-    level_hat, level_se = _rejection_rate(null_vals, critical)
-
-    def alt_block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_POWER, b)
-        return statistic(model.sample_alt(n, alt, count, rng, seed))
-
-    alt_vals = np.concatenate(map_blocks(alt_block, reps, workers=workers))
-    power_hat, power_se = _rejection_rate(alt_vals, critical)
-    return PowerReport(
-        statistic_name=statistic.name,
-        n=n,
-        alternative=alt.describe(),
-        level_target=level,
-        critical_value=critical,
-        level_hat=level_hat,
-        level_se=level_se,
-        power_hat=power_hat,
-        power_se=power_se,
-        reps=reps,
-        seed=seed,
-    )
+    tests = [(statistic, alt)]
+    return estimate_power_many(model, tests, level, n, reps, seed, calib_reps, workers)[0]
 
 
 # --------------------------------------------------------------------- #
 # Theorem sweeps
+#
+# Each sweep row's fields are its CSV columns, in order.  A grid point is one
+# cell: its tests run on shared draws through estimate_power_many, and their
+# gaps fill the row as (gap, gap_se) pairs in test order.
 # --------------------------------------------------------------------- #
+
+
+def _sweep_cells(
+    model: Model,
+    tests: Callable[[int, int], list[tuple[NamedStatistic, AlternativeSpec]]],
+    n_grid: Sequence[int],
+    reps: int,
+    seed: int,
+    level: float,
+    workers: int,
+) -> Iterator[tuple[int, int, list[PowerReport]]]:
+    """Per grid point, ``(n, run_seed, reports)`` for the tests ``tests(n, run_seed)``."""
+    for gi, n in enumerate(n_grid):
+        n, run_seed = int(n), _grid_seed(seed, gi)
+        reports = estimate_power_many(
+            model, tests(n, run_seed), level, n, reps, run_seed, workers=workers
+        )
+        yield n, run_seed, reports
+
+
+def _gaps(reports: Sequence[PowerReport]) -> list[float]:
+    """``gap, gap_se`` of each report, in order."""
+    return [v for rep in reports for v in (rep.gap, rep.gap_se)]
 
 
 @dataclass(frozen=True)
@@ -449,18 +516,16 @@ def theorem1_sweep(
     model = normal_means_model()
     lbar_reps = lbar_reps if lbar_reps is not None else reps
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
-    rows = []
-    for gi, n in enumerate(n_grid):
-        n = int(n)
-        run_seed = _grid_seed(seed, gi)
-        chisq = estimate_power(
-            model, make_statistic("chisq", n), alt, level, n, reps, run_seed, workers=workers
-        )
-        # At delta = 0 the projection direction is degenerate; any fixed unit
-        # direction serves (power equals level either way).
-        np_alt = alt if delta > 0 else AlternativeSpec("single_spike", 1.0, centered=False)
+    # At delta = 0 the projection direction is degenerate; any fixed unit
+    # direction serves (power equals level either way).
+    np_alt = alt if delta > 0 else AlternativeSpec("single_spike", 1.0, centered=False)
+
+    def tests(n, run_seed):
         np_stat = make_statistic("np", n, alt=np_alt, seed=run_seed)
-        np_rep = estimate_power(model, np_stat, alt, level, n, reps, run_seed, workers=workers)
+        return [(make_statistic("chisq", n), alt), (np_stat, alt)]
+
+    rows = []
+    for n, run_seed, (chisq, np_rep) in _sweep_cells(model, tests, n_grid, reps, seed, level, workers):
         m_entries = alt.mean_entries(n, 0.0, run_seed)
         bound, bound_se = _orthogonal_bound(m_entries, n, lbar_reps, run_seed, workers)
         rows.append(
@@ -523,29 +588,14 @@ def theorem2_sweep(
         profile = lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * x)
     spike = AlternativeSpec(kind="single_spike", scale=delta)
     smooth = AlternativeSpec(kind="smooth_profile", scale=delta, profile=profile)
-    rows = []
-    for gi, n in enumerate(n_grid):
-        n = int(n)
-        run_seed = _grid_seed(seed, gi)
-        inv = estimate_power(
-            model, make_statistic("variance", n), spike, level, n, reps, run_seed, workers=workers
-        )
-        quad = estimate_power(
-            model, make_statistic("quadratic", n), smooth, level, n, reps, run_seed, workers=workers
-        )
-        audit = model.alternative_audit(n, spike, run_seed)
-        rows.append(
-            Theorem2Row(
-                n=n,
-                invariant_gap=inv.gap,
-                invariant_gap_se=inv.gap_se,
-                quadratic_gap=quad.gap,
-                quadratic_gap_se=quad.gap_se,
-                centered_norm=audit.get("centered_norm", delta),
-                max_dev=audit.get("max_dev", delta),
-            )
-        )
-    return rows
+    tests = lambda n, _: [
+        (make_statistic("variance", n), spike),
+        (make_statistic("quadratic", n), smooth),
+    ]
+    return [
+        Theorem2Row(n, *_gaps(reports), **model.alternative_audit(n, spike, run_seed))
+        for n, run_seed, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+    ]
 
 
 @dataclass(frozen=True)
@@ -578,43 +628,20 @@ def neyman_scott_sweep(
     """
     model = NeymanScottModel(nu=nu, sigma=sigma)
     alt = AlternativeSpec(kind=profile, scale=delta)
-    rows = []
 
     def cellmean_chisq(data: np.ndarray) -> np.ndarray:
         means = np.asarray(data, dtype=float).mean(axis=-1)
         centered = means - means.mean(axis=-1, keepdims=True)
         return np.sum(centered**2, axis=-1) * nu / sigma**2
 
-    for gi, n in enumerate(n_grid):
-        n = int(n)
-        run_seed = _grid_seed(seed, gi)
-        f_rep = estimate_power(
-            model, make_statistic("anova_f", n), alt, level, n, reps, run_seed, workers=workers
-        )
-        cm_rep = estimate_power(
-            model,
-            NamedStatistic("cellmean_chisq", cellmean_chisq),
-            alt,
-            level,
-            n,
-            reps,
-            run_seed,
-            workers=workers,
-        )
-        audit = model.alternative_audit(n, alt, run_seed)
-        rows.append(
-            NeymanScottRow(
-                n=n,
-                nu=nu,
-                f_gap=f_rep.gap,
-                f_gap_se=f_rep.gap_se,
-                cellmean_chisq_gap=cm_rep.gap,
-                cellmean_chisq_gap_se=cm_rep.gap_se,
-                centered_norm=audit.get("centered_norm", delta),
-                max_dev=audit.get("max_dev", delta),
-            )
-        )
-    return rows
+    tests = lambda n, _: [
+        (make_statistic("anova_f", n), alt),
+        (NamedStatistic("cellmean_chisq", cellmean_chisq), alt),
+    ]
+    return [
+        NeymanScottRow(n, nu, *_gaps(reports), **model.alternative_audit(n, alt, run_seed))
+        for n, run_seed, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+    ]
 
 
 @dataclass(frozen=True)
@@ -654,15 +681,11 @@ def matrix_variate_sweep(
 
     model = _MatrixModel()
     alt = AlternativeSpec(kind="matrix_variate", scale=delta)
-    rows = []
-    for gi, n in enumerate(n_grid):
-        n = int(n)
-        run_seed = _grid_seed(seed, gi)
-        rep = estimate_power(
-            model, make_statistic("wilks", n), alt, level, n, reps, run_seed, workers=workers
-        )
-        rows.append(MatrixSweepRow(n=n, wilks_gap=rep.gap, wilks_gap_se=rep.gap_se))
-    return rows
+    tests = lambda n, _: [(make_statistic("wilks", n), alt)]
+    return [
+        MatrixSweepRow(n, *_gaps(reports))
+        for n, _, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+    ]
 
 
 @dataclass(frozen=True)
@@ -697,33 +720,12 @@ def spacings_sweep(
     """
     model = SpacingsModel()
     alt = AlternativeSpec(kind="spacings_h", scale=1.0, profile=h)
-    rows = []
-    for gi, n in enumerate(n_grid):
-        n = int(n)
-        run_seed = _grid_seed(seed, gi)
-        reports = {
-            name: estimate_power(
-                model, make_statistic(name, n), alt, level, n, reps, run_seed, workers=workers
-            )
-            for name in ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
-        }
-        p95, p95_se = _llr_gap_p95(h, n, min(reps, 4000), run_seed, workers)
-        rows.append(
-            SpacingsRow(
-                n=n,
-                greenwood_gap=reports["greenwood"].gap,
-                greenwood_gap_se=reports["greenwood"].gap_se,
-                moran_gap=reports["moran"].gap,
-                moran_gap_se=reports["moran"].gap_se,
-                two_spacings_gap=reports["two_spacings_sq"].gap,
-                two_spacings_gap_se=reports["two_spacings_sq"].gap_se,
-                quadratic_gap=reports["quadratic_spacings"].gap,
-                quadratic_gap_se=reports["quadratic_spacings"].gap_se,
-                llr_gap_p95=p95,
-                llr_gap_p95_se=p95_se,
-            )
-        )
-    return rows
+    names = ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
+    tests = lambda n, _: [(make_statistic(name, n), alt) for name in names]
+    return [
+        SpacingsRow(n, *_gaps(reports), *_llr_gap_p95(h, n, min(reps, 4000), run_seed, workers))
+        for n, run_seed, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+    ]
 
 
 def _llr_gap_p95(

@@ -476,19 +476,13 @@ def _as_profile(h: Profile | Callable[[np.ndarray], np.ndarray]) -> Profile:
     return h if isinstance(h, Profile) else profile_from_callable(h)
 
 
-def sample_spacings_alternative(
-    n: int, h: Profile | Callable, seed: int | np.random.Generator
-) -> SpacingsSample:
-    """Spacings of ``n`` ordered draws from the density ``1 + h(x) / sqrt(n)``."""
-    return SpacingsSample(sample_spacings_alternative_batch(n, h, 1, seed)[0])
-
-
 def sample_spacings_alternative_batch(
     n: int, h: Profile | Callable, reps: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Batch version of :func:`sample_spacings_alternative`; shape ``(reps, n + 1)``.
+    """Spacings of ``n`` ordered draws from the density ``1 + h(x) / sqrt(n)``.
 
-    Rejection sampling with the constant envelope ``1 + sup|h| / sqrt(n)``.
+    Returns shape ``(reps, n + 1)``.  Rejection sampling with the constant
+    envelope ``1 + sup|h| / sqrt(n)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -538,13 +532,13 @@ def spacings_loglik_approx(
 ) -> float | np.ndarray:
     """Linear spacings approximation to the log-likelihood ratio.
 
-    ``sum_i h(i/(n+1)) (d_i - 1/(n+1)) - integral(h^2)/2``, with the profile
-    evaluated at the expected order-statistic positions.
+    ``-(n+1)/sqrt(n) * sum_i h(i/(n+1)) (d_i - 1/(n+1)) - integral(h^2)/2``,
+    with the profile evaluated at the expected order-statistic positions.
     """
     dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
     hi = profile_at_grid(h, n)
-    out = (dv - 1.0 / (n + 1)) @ hi - 0.5 * profile_l2_norm_sq(h)
+    out = -(n + 1) / np.sqrt(n) * ((dv - 1.0 / (n + 1)) @ hi) - 0.5 * profile_l2_norm_sq(h)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -379,6 +380,35 @@ def power_level_bound(lbar_samples: np.ndarray) -> tuple[float, float]:
     return float(dev.mean()), se
 
 
+def _null_orbit_draw(
+    family: ExpFamilySpec, m: MeanVector, spec: OrbitSpec, seed: int
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Block sampler of null data ``x`` and its orbit average ``Lbar(x)``.
+
+    The null point is the group's own: the origin for the full orthogonal
+    group, the projection of ``m`` on the design's column space for the
+    group fixing the design, and ``mean(m) * 1`` for the permutation groups.
+    The returned ``draw(b, count)`` samples block ``b`` of the null stream.
+    """
+    if spec.group is Group.FULL_ORTHOGONAL:
+        null = np.zeros(m.n)
+        average = lambda x, b: lbar_orthogonal(m, x)
+    elif spec.group is Group.ORTHOGONAL_FIXING_DESIGN:
+        q, _, _ = _residual_projector(spec.design)
+        null = q @ (q.T @ m.entries)
+        average = lambda x, b: lbar_design_orthogonal(m, spec.design, x)
+    else:  # the permutation groups
+        null = np.full(m.n, m.mean)
+        average = lambda x, b: lbar_permutation(family, m, x, spec, as_generator(seed, TAG_LBAR, b))
+    null_m = MeanVector(null, compact_lo=m.compact_lo, compact_hi=m.compact_hi)
+
+    def draw(b: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        x = sample_model(family, null_m, as_generator(seed, TAG_MODEL, b), reps=count)
+        return x, np.asarray(average(x, b))
+
+    return draw
+
+
 def null_lbar_samples(
     family: ExpFamilySpec,
     m: MeanVector,
@@ -388,24 +418,8 @@ def null_lbar_samples(
     workers: int = 1,
 ) -> np.ndarray:
     """Null-draw samples of the orbit average for the configured group."""
-    mbar = m.mean
-    null_m = MeanVector(
-        np.full(m.n, mbar), compact_lo=m.compact_lo, compact_hi=m.compact_hi
-    )
-
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_MODEL, b)
-        x = sample_model(family, null_m, rng, reps=count)
-        if spec.group is Group.FULL_ORTHOGONAL:
-            return np.asarray(lbar_orthogonal(m, x))
-        if spec.group in (Group.PERMUTATION, Group.PERMUTATION_EXHAUSTIVE):
-            lbar_rng = as_generator(seed, TAG_LBAR, b)
-            return np.asarray(lbar_permutation(family, m, x, spec, lbar_rng))
-        if spec.group is Group.ORTHOGONAL_FIXING_DESIGN:
-            return np.asarray(lbar_design_orthogonal(m, spec.design, x))
-        raise ValueError(f"unsupported group {spec.group}")
-
-    return np.concatenate(map_blocks(block, reps, workers=workers))
+    draw = _null_orbit_draw(family, m, spec, seed)
+    return np.concatenate(map_blocks(lambda b, count: draw(b, count)[1], reps, workers=workers))
 
 
 @dataclass(frozen=True)
@@ -457,20 +471,11 @@ def identity_check(
         x = sample_model(family, m, rng, reps=count)
         return np.asarray(statistic(x), dtype=float)
 
+    draw_null = _null_orbit_draw(family, m, spec, seed)
+
     def rhs_block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_MODEL, b)
-        null_m = MeanVector(
-            np.full(m.n, m.mean), compact_lo=m.compact_lo, compact_hi=m.compact_hi
-        )
-        x = sample_model(family, null_m, rng, reps=count)
-        t = np.asarray(statistic(x), dtype=float)
-        if spec.group is Group.FULL_ORTHOGONAL:
-            lbar = np.asarray(lbar_orthogonal(m, x))
-        elif spec.group in (Group.PERMUTATION, Group.PERMUTATION_EXHAUSTIVE):
-            lbar = np.asarray(lbar_permutation(family, m, x, spec, as_generator(seed, TAG_LBAR, b)))
-        else:
-            lbar = np.asarray(lbar_design_orthogonal(m, spec.design, x))
-        return t * lbar
+        x, lbar = draw_null(b, count)
+        return np.asarray(statistic(x), dtype=float) * lbar
 
     lhs = np.concatenate(map_blocks(lhs_block, reps, workers=workers))
     rhs = np.concatenate(map_blocks(rhs_block, reps, workers=workers))

@@ -222,15 +222,6 @@ def _block_rng(
 
 
 @dataclass(frozen=True)
-class CouplingDraw:
-    """One joint draw of the without- and with-replacement weighted sums."""
-
-    without_repl: float
-    with_repl: float
-    matched: int
-
-
-@dataclass(frozen=True)
 class CouplingResult:
     """Coupled draws plus the empirical second-moment bound check."""
 
@@ -245,12 +236,6 @@ class CouplingResult:
     @property
     def bound_holds(self) -> bool:
         return self.gap_sq_mean <= self.bound + 4.0 * self.gap_sq_se
-
-    def draws(self) -> list[CouplingDraw]:
-        return [
-            CouplingDraw(float(w), float(wp), int(k))
-            for w, wp, k in zip(self.without_repl, self.with_repl, self.matched)
-        ]
 
 
 def _coupled_block_rank(

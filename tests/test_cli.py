@@ -188,6 +188,30 @@ class TestConfigHandling:
         assert code == 3
 
 
+class TestIncompatibleConfigurations:
+    """Model, statistic and alternative mismatches exit 2 before any sampling."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "spacings", "--stat", "greenwood", "--alt", "spike:3"],
+            ["--model", "normal", "--stat", "greenwood", "--alt", "spike:3"],
+            ["--model", "poisson", "--stat", "variance", "--alt", "spike:3"],
+        ],
+        ids=["spacings-spike", "normal-greenwood", "poisson-outside-box"],
+    )
+    def test_exit_2_before_sampling(self, tmp_path, monkeypatch, args):
+        from invlab import experiments
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(experiments, "estimate_power", no_sampling)
+        code, out = run(tmp_path, "power", *args, "--n", "100", "--reps", "500", "--seed", "1")
+        assert code == 2
+        assert not out.exists()
+
+
 class TestAlternativeParsing:
     def test_kinds(self):
         assert parse_alternative("spike:3").scale == 3.0

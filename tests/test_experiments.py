@@ -1,16 +1,23 @@
 """Tests for the power harness and theorem sweeps."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from invlab import experiments, models
 from invlab.expectations import load_expectations, recalibrate
 from invlab.experiments import (
     AlternativeSpec,
+    NamedStatistic,
     NeymanScottModel,
+    SpacingsModel,
     calibrate_critical,
     estimate_power,
+    estimate_power_many,
     make_statistic,
     matrix_variate_sweep,
     neyman_scott_sweep,
@@ -61,8 +68,8 @@ class TestAlternatives:
 class TestCalibration:
     def test_chisq_critical_matches_quantile_oracle(self):
         model = normal_means_model()
-        crit = calibrate_critical(
-            model, make_statistic("chisq", 20), 0.05, n=20, reps=20_000, seed=0
+        [crit] = calibrate_critical(
+            model, [make_statistic("chisq", 20)], 0.05, n=20, reps=20_000, seed=0
         )
         oracle = sps.chi2.ppf(0.95, 20)
         # MC quantile error at 2e4 reps
@@ -72,13 +79,13 @@ class TestCalibration:
     def test_median_at_half_level(self):
         model = normal_means_model()
         stat = make_statistic("np", 30, alt=AlternativeSpec("single_spike", 1.0))
-        crit = calibrate_critical(model, stat, 0.5, n=30, reps=20_000, seed=1)
+        [crit] = calibrate_critical(model, [stat], 0.5, n=30, reps=20_000, seed=1)
         assert abs(crit) < 4 * np.sqrt(np.pi / 2 / 20_000) + 0.02
 
     def test_f_critical_matches_oracle(self):
         model = NeymanScottModel(nu=5)
-        crit = calibrate_critical(
-            model, make_statistic("anova_f", 10), 0.05, n=10, reps=20_000, seed=2
+        [crit] = calibrate_critical(
+            model, [make_statistic("anova_f", 10)], 0.05, n=10, reps=20_000, seed=2
         )
         oracle = sps.f.ppf(0.95, 9, 40)
         se = np.sqrt(0.05 * 0.95 / 20_000) / sps.f.pdf(oracle, 9, 40)
@@ -87,7 +94,7 @@ class TestCalibration:
     def test_too_few_reps_rejected(self):
         model = normal_means_model()
         with pytest.raises(ValueError, match="reps"):
-            calibrate_critical(model, make_statistic("chisq", 5), 0.01, n=5, reps=100, seed=0)
+            calibrate_critical(model, [make_statistic("chisq", 5)], 0.01, n=5, reps=100, seed=0)
 
 
 class TestEstimatePower:
@@ -170,6 +177,71 @@ class TestEstimatePower:
             model, make_statistic("chisq", 25), alt, 0.05, 25, 3000, 8, workers=8
         )
         assert a == b
+
+
+_N, _REPS, _SEED = 30, 300, 40
+_H = AlternativeSpec("spacings_h", 1.0, profile=models.cosine_profile({1: 2.0}))
+_SPIKE = AlternativeSpec("single_spike", 2.0)
+_SMOOTH = AlternativeSpec("smooth_profile", 2.0, profile=models.cosine_profile({1: 1.0}))
+#: Four tests per model; the normal case has two alternatives, each shared
+#: by two statistics.
+_ENGINE_CASES = {
+    "spacings": (
+        SpacingsModel(),
+        [(name, _H) for name in ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")],
+    ),
+    "normal": (
+        normal_means_model(),
+        [("chisq", _SPIKE), ("np", _SPIKE), ("variance", _SMOOTH), ("quadratic", _SMOOTH)],
+    ),
+}
+
+
+def _engine_tests(case):
+    model, specs = _ENGINE_CASES[case]
+    return model, [(make_statistic(name, _N, alt=alt, seed=_SEED), alt) for name, alt in specs]
+
+
+@functools.cache
+def _alone(case):
+    model, tests = _engine_tests(case)
+    return [estimate_power(model, stat, alt, 0.1, _N, _REPS, _SEED) for stat, alt in tests]
+
+
+class TestSharedDrawEngine:
+    """A test's report does not depend on the tests that share its draws."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(_ENGINE_CASES)),
+        order=st.permutations(range(4)),
+        size=st.integers(1, 4),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_report_independent_of_company_order_and_workers(self, case, order, size, workers):
+        model, tests = _engine_tests(case)
+        chosen = list(order[:size])
+        reports = estimate_power_many(
+            model, [tests[i] for i in chosen], 0.1, _N, _REPS, _SEED, workers=workers
+        )
+        assert reports == [_alone(case)[i] for i in chosen]
+
+    def test_statistic_cannot_mutate_shared_block(self):
+        model, tests = _engine_tests("normal")
+
+        def doubling(x):
+            x *= 2.0
+            return x.sum(axis=-1)
+
+        with pytest.raises(ValueError, match="read-only"):
+            estimate_power_many(
+                model, [(NamedStatistic("doubling", doubling), _SPIKE), tests[0]],
+                0.1, _N, _REPS, _SEED,
+            )
+
+    def test_spacings_model_rejects_mean_alternative(self):
+        with pytest.raises(ValueError, match="spacings model"):
+            SpacingsModel().sample_alt(10, _SPIKE, 5, np.random.default_rng(0), 0)
 
 
 class TestTheorem1Sweep:

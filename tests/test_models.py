@@ -313,6 +313,20 @@ class TestSpacingsLoglik:
         val = (d.d - 1.0 / (n + 1)) @ np.ones(n + 1) - 0.5
         assert val == pytest.approx(-0.5, abs=1e-12)
 
+    def test_approx_tracks_exact_and_gap_shrinks(self):
+        # The gap to the exact log-likelihood ratio is O_p(n^(-1/2)).
+        h = cosine_profile({1: 2.0})
+        grid = (100, 400, 1600)
+        gaps = []
+        for n in grid:
+            d = models.sample_spacings_null_batch(n, 2000, spawn_generator(33, n))
+            approx = spacings_loglik_approx(h, d)
+            exact = spacings_loglik_exact(h, d)
+            assert np.corrcoef(approx, exact)[0, 1] > 0.9
+            gaps.append(np.quantile(np.abs(approx - exact), 0.95))
+        slope = np.polyfit(np.log(grid), np.log(gaps), 1)[0]
+        assert -0.75 < slope < -0.35, gaps
+
     def test_exact_loglik_matches_direct_sum(self):
         prof = cosine_profile({1: 1.0})
         d = sample_spacings_null(50, 10)

@@ -262,6 +262,46 @@ class TestPowerLevelBound:
         assert out[10_000][0] < out[100][0]
 
 
+class TestNullPointPerGroup:
+    """E_0 Lbar = 1 at an uncentered m, with each group's own null point."""
+
+    @staticmethod
+    def _case(group):
+        if group == "full_orthogonal":
+            m = MeanVector(np.full(20, 0.5), compact_lo=None, compact_hi=None)
+            return normal_family(), m, OrbitSpec(group=group)
+        if group == "orthogonal_fixing_design":
+            rng = spawn_generator(30, 1)
+            design = rng.normal(size=(20, 2))
+            q, _ = np.linalg.qr(design)
+            entries = 0.5 + 0.2 * rng.normal(size=20)
+            entries -= q @ (q.T @ entries)
+            assert abs(entries.mean()) > 0.3  # mean(m) * 1 is not a null point
+            m = MeanVector(entries, compact_lo=None, compact_hi=None)
+            return normal_family(), m, OrbitSpec(group=group, design=design)
+        if group == "permutation_exhaustive":
+            entries = np.array([0.9, 0.1, 0.5, 0.3, 0.6, 0.2])
+        else:
+            entries = np.linspace(0.0, 1.0, 12)
+        return poisson_family(), MeanVector(entries), OrbitSpec(group=group, mc_reps=500)
+
+    @pytest.mark.parametrize(
+        "group", ["full_orthogonal", "orthogonal_fixing_design", "permutation_exhaustive", "permutation"]
+    )
+    def test_null_mean_one(self, group):
+        family, m, spec = self._case(group)
+        vals = null_lbar_samples(family, m, spec, reps=4000, seed=31)
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - 1.0) < 4 * se, (vals.mean(), se)
+
+    def test_identity_at_uncentered_m(self):
+        family, m, spec = self._case("full_orthogonal")
+        crit = sps.chi2.ppf(0.95, df=20)
+        stat = lambda x: (chisq_statistic(x) > crit).astype(float)
+        res = identity_check(family, m, stat, spec, reps=20_000, seed=32)
+        assert res.agrees, res
+
+
 class TestIdentityCheck:
     def test_constant_statistic(self):
         fam = normal_family()

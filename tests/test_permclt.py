@@ -235,14 +235,6 @@ class TestCoupling:
         with pytest.raises(ValueError, match="centered"):
             hajek_coupling(np.array([1.0, 1.0]), np.array([0.0, 1.0]), 10, seed=0)
 
-    def test_draws_view(self):
-        m = np.array([1.0, -1.0])
-        x = np.array([0.0, 1.0])
-        res = hajek_coupling(m, x, 5, seed=19)
-        draws = res.draws()
-        assert len(draws) == 5
-        assert draws[0].without_repl == pytest.approx(res.without_repl[0])
-
 
 class TestEmpiricalLaw:
     def test_sorted_and_finite(self):
