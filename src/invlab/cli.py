@@ -222,17 +222,22 @@ _MODEL_STATS = {
 }
 
 
+def _check_alternative(model: experiments.Model, alt: experiments.AlternativeSpec, cfg: dict) -> None:
+    """Reject, before any sampling, an alternative the model refuses at some ``n``."""
+    try:
+        for n in cfg["n_grid"]:
+            model.alternative_audit(n, alt, cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"--alt {cfg['alt']} does not apply to the {model.name} model: {exc}") from exc
+
+
 def run_power(cfg: dict) -> list[dict]:
     model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
     alt = parse_alternative(cfg["alt"])
     allowed = _MODEL_STATS[cfg["model"]]
     if cfg["stat"] not in allowed:
         raise ConfigError(f"--stat {cfg['stat']} does not apply to --model {cfg['model']}: use {', '.join(allowed)}")
-    try:
-        for n in cfg["n_grid"]:
-            model.alternative_audit(n, alt, cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"--alt {cfg['alt']} does not apply to --model {cfg['model']}: {exc}") from exc
+    _check_alternative(model, alt, cfg)
     rows = []
     for n in cfg["n_grid"]:
         stat = experiments.make_statistic(cfg["stat"], n, alt=alt, seed=cfg["seed"])
@@ -298,6 +303,7 @@ def run_spacings(cfg: dict) -> list[dict]:
     alt = parse_alternative(cfg["alt"])
     if alt.profile is None:
         raise ConfigError("sweep-spacings requires an h:... alternative")
+    _check_alternative(experiments.SpacingsModel(), alt, cfg)
     return _run_sweep(experiments.spacings_sweep, cfg, alt.profile, cfg["n_grid"])
 
 
@@ -586,6 +592,8 @@ def build_config(args: argparse.Namespace) -> dict:
     cfg["subcommand"] = args.subcommand
     if not 0.0 < cfg["level"] < 1.0:
         raise ConfigError("level must lie strictly between 0 and 1")
+    if cfg["nu"] < 2:
+        raise ConfigError(f"nu must be >= 2 replicates per group, got {cfg['nu']}")
     return cfg
 
 

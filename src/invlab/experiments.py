@@ -9,7 +9,7 @@ conditions are auditable from the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -200,25 +200,32 @@ class SpacingsModel(Model):
     def sample_null(self, n, reps, rng):
         return models.sample_spacings_null_batch(n, reps, rng)
 
+    @staticmethod
+    def _profile(alt: AlternativeSpec) -> Profile:
+        """The density perturbation ``h`` of the alternative, times its scale."""
+        base = models._as_profile(alt.profile)
+        if alt.scale == 1.0:
+            return base
+        return Profile(
+            fn=lambda x: alt.scale * base.fn(x),
+            sup=alt.scale * base.sup,
+            l2_norm_sq=alt.scale**2 * base.l2_norm_sq,
+            label=f"{alt.scale:g}*{base.label}",
+        )
+
     def alternative_audit(self, n, alt, seed):
-        if alt.kind != "spacings_h" and alt.scale != 0.0:
+        if alt.scale == 0.0:
+            return {}
+        if alt.kind != "spacings_h":
             raise ValueError(f"the spacings model takes a density perturbation h, not {alt.kind}")
+        models.check_spacings_profile(n, self._profile(alt))
         return {}
 
     def sample_alt(self, n, alt, reps, rng, seed):
         self.alternative_audit(n, alt, seed)
         if alt.scale == 0.0:
             return self.sample_null(n, reps, rng)
-        prof = alt.profile
-        if alt.scale != 1.0:
-            base = models._as_profile(prof)
-            prof = Profile(
-                fn=lambda x: alt.scale * base.fn(x),
-                sup=alt.scale * base.sup,
-                l2_norm_sq=alt.scale**2 * base.l2_norm_sq,
-                label=f"{alt.scale:g}*{base.label}",
-            )
-        return models.sample_spacings_alternative_batch(n, prof, reps, rng)
+        return models.sample_spacings_alternative_batch(n, self._profile(alt), reps, rng)
 
 
 # --------------------------------------------------------------------- #
@@ -258,7 +265,10 @@ def make_statistic(
     if name == "np":
         if alt is None:
             raise ValueError("np statistic needs the alternative direction")
-        direction = alt.mean_entries(n, mbar, seed) - mbar
+        # At scale 0 the projection direction is degenerate; the unit-scale
+        # alternative's direction serves (power equals level either way).
+        unit = alt if alt.scale > 0 else replace(alt, scale=1.0)
+        direction = unit.mean_entries(n, mbar, seed) - mbar
         return NamedStatistic("np", lambda x: stats.np_statistic(direction, x))
     if name == "anova_f":
         return NamedStatistic("anova_f", stats.anova_f)
@@ -516,12 +526,9 @@ def theorem1_sweep(
     model = normal_means_model()
     lbar_reps = lbar_reps if lbar_reps is not None else reps
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
-    # At delta = 0 the projection direction is degenerate; any fixed unit
-    # direction serves (power equals level either way).
-    np_alt = alt if delta > 0 else AlternativeSpec("single_spike", 1.0, centered=False)
 
     def tests(n, run_seed):
-        np_stat = make_statistic("np", n, alt=np_alt, seed=run_seed)
+        np_stat = make_statistic("np", n, alt=alt, seed=run_seed)
         return [(make_statistic("chisq", n), alt), (np_stat, alt)]
 
     rows = []
@@ -548,7 +555,7 @@ def _orthogonal_bound(
 ) -> tuple[float, float]:
     def block(b: int, count: int) -> np.ndarray:
         rng = as_generator(seed, TAG_ORBIT, b)
-        x = rng.normal(size=(count, n))
+        x = rng.standard_normal((count, n))
         return np.asarray(orbit.lbar_orthogonal(m_entries, x))
 
     samples = np.concatenate(map_blocks(block, reps, workers=workers))

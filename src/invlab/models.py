@@ -180,7 +180,7 @@ def normal_family() -> ExpFamilySpec:
         beta=lambda m: np.square(m) / 2.0,
         beta1=lambda m: np.asarray(m, dtype=float),
         beta2=lambda m: np.ones_like(np.asarray(m, dtype=float)),
-        carrier_sampler=lambda rng, m, size: rng.normal(loc=m, scale=1.0, size=size),
+        carrier_sampler=lambda rng, m, size: rng.standard_normal(size) + m,
     )
 
 
@@ -396,7 +396,7 @@ def sample_neyman_scott(
         raise ValueError("mean vector length must match the number of groups")
     rng = as_generator(seed, TAG_MODEL)
     size = (layout.n, layout.nu) if reps is None else (reps, layout.n, layout.nu)
-    return rng.normal(loc=m.entries[..., :, None], scale=layout.sigma, size=size)
+    return layout.sigma * rng.standard_normal(size) + m.entries[..., :, None]
 
 
 # --------------------------------------------------------------------- #
@@ -476,6 +476,15 @@ def _as_profile(h: Profile | Callable[[np.ndarray], np.ndarray]) -> Profile:
     return h if isinstance(h, Profile) else profile_from_callable(h)
 
 
+def check_spacings_profile(n: int, prof: Profile) -> None:
+    """Raise ``ValueError`` unless ``1 + h / sqrt(n)`` is a positive density."""
+    if prof.sup > 0.99 * np.sqrt(n):
+        raise ValueError(
+            f"sup|h| = {prof.sup:g} must be <= 0.99 * sqrt(n) = {0.99 * np.sqrt(n):g} "
+            f"at n = {n} to keep the density positive"
+        )
+
+
 def sample_spacings_alternative_batch(
     n: int, h: Profile | Callable, reps: int, seed: int | np.random.Generator
 ) -> np.ndarray:
@@ -487,9 +496,8 @@ def sample_spacings_alternative_batch(
     if n < 1:
         raise ValueError("n must be >= 1")
     prof = _as_profile(h)
+    check_spacings_profile(n, prof)
     root_n = np.sqrt(n)
-    if prof.sup > 0.99 * root_n:
-        raise ValueError("sup|h| must be <= 0.99 * sqrt(n) to keep the density positive")
     xs = np.linspace(0.0, 1.0, _PROFILE_GRID)
     if abs(simpson(np.asarray(prof(xs), float), x=xs)) > 1e-6:
         raise ValueError("h must integrate to 0 within 1e-6")

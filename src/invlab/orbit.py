@@ -1,13 +1,17 @@
 """Orbit-averaged likelihood ratios.
 
 For the full orthogonal group the average has a closed radial form
-through the kernel ``H(t) = integral_0^pi exp(t cos u) sin^(n-2) u du``,
-evaluated here by adaptive composite quadrature on the log integrand
-with log-sum-exp accumulation (exact at every scale in scope, no
-asymptotic regime switching).  For the permutation group the average is
-taken exhaustively (n <= 8) or by Monte Carlo with streaming log-sum-exp.
-For the subgroup fixing a design matrix the orthogonal computation is
-carried out in the residual space.
+through the kernel ``H(t) = integral_0^pi exp(t cos u) sin^(n-2) u du``.
+Its reference is adaptive composite quadrature on the log integrand with
+log-sum-exp accumulation (exact at every scale in scope, no asymptotic
+regime switching).  Since ``log H`` is analytic in ``t``, arguments are
+evaluated from a Chebyshev interpolant of that quadrature on
+``[0, t_cap]``, cached per ``(n, t_cap)``, whose degree doubles until it
+matches the quadrature to ``1e-11``; where no degree up to 256 does, the
+quadrature is used for every argument.  For the permutation group the
+average is taken exhaustively (n <= 8) or by Monte Carlo with streaming
+log-sum-exp.  For the subgroup fixing a design matrix the orthogonal
+computation is carried out in the residual space.
 
 The averaged ratio pins down every invariant test at once: the mean
 absolute deviation of the average from 1 under the null bounds
@@ -24,6 +28,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
+from scipy.fft import dct
 from scipy.special import logsumexp
 
 from .models import ExpFamilySpec, MeanVector, sample_model
@@ -36,6 +42,10 @@ EXHAUSTIVE_LIMIT = 8
 _QUAD_START = 4096
 _QUAD_CAP = 2**21
 _QUAD_TOL = 5e-10
+
+_CHEB_START = 32
+_CHEB_CAP = 256
+_CHEB_TOL = 1e-11
 
 #: Stream tag local to this module (alternative-draw side of the identity).
 TAG_POWER_LHS = 14
@@ -156,6 +166,40 @@ def _quad_intervals(n: int, t_max: float) -> int:
     return _QUAD_CAP
 
 
+@lru_cache(maxsize=128)
+def _log_h_chebyshev(n: int, t_cap: float) -> np.ndarray | None:
+    """Chebyshev coefficients of ``log H`` in ``u = 2 t / t_cap - 1`` on ``[0, t_cap]``.
+
+    Interpolates the converged quadrature at the extrema ``u = cos(k pi / d)``
+    and doubles ``d`` until the interpolant matches the quadrature within
+    ``_CHEB_TOL`` at the interleaved points ``cos((2k + 1) pi / 2d)``.  Those
+    are the extra extrema of degree ``2d``, so each quadrature value is
+    computed once.  Returns ``None`` when degree ``_CHEB_CAP`` does not match
+    (small ``n`` with large ``t_cap``, where zeros of ``H`` near the imaginary
+    axis slow the convergence).
+    """
+    num = _quad_intervals(n, t_cap)
+
+    def log_h(u: np.ndarray) -> np.ndarray:
+        return _log_h_values(0.5 * t_cap * (1.0 + u), n, num)
+
+    deg = _CHEB_START
+    values = log_h(np.cos(np.pi * np.arange(deg + 1) / deg))
+    while True:
+        coef = dct(values, type=1) / deg
+        coef[[0, -1]] *= 0.5
+        mid = np.cos(np.pi * (np.arange(deg) + 0.5) / deg)
+        mid_values = log_h(mid)
+        if np.max(np.abs(chebval(mid, coef) - mid_values)) <= _CHEB_TOL:
+            coef.flags.writeable = False
+            return coef
+        if deg >= _CHEB_CAP:
+            return None
+        merged = np.empty(2 * deg + 1)
+        merged[0::2], merged[1::2] = values, mid_values
+        values, deg = merged, 2 * deg
+
+
 def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
     """``log H(t)`` for an array of arguments ``t >= 0`` at dimension ``n >= 3``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -165,11 +209,13 @@ def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("t must be finite and >= 0")
     if ts.size == 0:
         return np.empty(0)
-    # Round the probe range up to a power of two so the converged grid size
-    # is cached across calls with nearby maxima.
+    # Round the range up to a power of two so the converged grid size and
+    # the interpolant are cached across calls with nearby maxima.
     t_cap = float(2.0 ** np.ceil(np.log2(max(float(ts.max()), 1.0))))
-    num = _quad_intervals(n, t_cap)
-    return _log_h_values(ts, n, num)
+    coef = _log_h_chebyshev(n, t_cap)
+    if coef is None:
+        return _log_h_values(ts, n, _quad_intervals(n, t_cap))
+    return chebval(2.0 * ts / t_cap - 1.0, coef)
 
 
 def h_integral_log(t: float, n: int) -> float:
@@ -210,9 +256,9 @@ def lbar_orthogonal_from_norms(
 ) -> np.ndarray:
     """Radial form of :func:`lbar_orthogonal` on precomputed norms."""
     x_norms = np.atleast_1d(np.asarray(x_norms, dtype=float))
-    log_h0 = h_integral_log(0.0, n)
-    log_ht = h_integral_log_many(norm_m * x_norms, n)
-    return np.exp(log_ht - log_h0 - 0.5 * norm_m**2)
+    # One call for H(||m|| ||x||) and H(0), so both come from one cached fit.
+    log_h = h_integral_log_many(np.append(norm_m * x_norms, 0.0), n)
+    return np.exp(log_h[:-1] - log_h[-1] - 0.5 * norm_m**2)
 
 
 @lru_cache(maxsize=8)

@@ -50,6 +50,18 @@ class TestPower:
         captured = capsys.readouterr()
         assert captured.out.startswith("n,stat,critical")
 
+    def test_np_at_null_has_power_equal_to_level(self, tmp_path):
+        code, out = run(
+            tmp_path,
+            "power", "--model", "normal", "--stat", "np", "--alt", "null",
+            "--n", "50", "--reps", "4000", "--seed", "2",
+        )
+        assert code == 0
+        with out.open(newline="") as fh:
+            row = next(csv.DictReader(fh))
+        gap = float(row["power_hat"]) - float(row["level_hat"])
+        assert abs(gap) <= 4 * np.hypot(float(row["level_se"]), float(row["power_se"]))
+
 
 class TestDeterminism:
     ARGS = [
@@ -197,8 +209,11 @@ class TestIncompatibleConfigurations:
             ["--model", "spacings", "--stat", "greenwood", "--alt", "spike:3"],
             ["--model", "normal", "--stat", "greenwood", "--alt", "spike:3"],
             ["--model", "poisson", "--stat", "variance", "--alt", "spike:3"],
+            ["--model", "spacings", "--stat", "greenwood", "--alt", "h:cos1:10"],
+            ["--model", "neyman_scott", "--stat", "anova_f", "--nu", "1"],
         ],
-        ids=["spacings-spike", "normal-greenwood", "poisson-outside-box"],
+        ids=["spacings-spike", "normal-greenwood", "poisson-outside-box",
+             "spacings-sup-h", "neyman-scott-nu-1"],
     )
     def test_exit_2_before_sampling(self, tmp_path, monkeypatch, args):
         from invlab import experiments
@@ -208,6 +223,26 @@ class TestIncompatibleConfigurations:
 
         monkeypatch.setattr(experiments, "estimate_power", no_sampling)
         code, out = run(tmp_path, "power", *args, "--n", "100", "--reps", "500", "--seed", "1")
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-spacings", "--alt", "h:cos1:20", "--n-grid", "50"],
+            ["sweep-spacings", "--alt", "h:cos1:2", "--n-grid", "400,2"],
+            ["sweep-neyman-scott", "--nu", "1", "--n-grid", "30"],
+        ],
+        ids=["spacings-sup-h", "spacings-sup-h-late-n", "neyman-scott-nu-1"],
+    )
+    def test_sweeps_exit_2_before_sampling(self, tmp_path, monkeypatch, args):
+        from invlab import experiments
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(experiments, "_sweep_cells", no_sampling)
+        code, out = run(tmp_path, *args, "--reps", "500", "--seed", "1")
         assert code == 2
         assert not out.exists()
 

@@ -110,6 +110,22 @@ class TestSampleModel:
         with pytest.raises(ValueError):
             sample_model(normal_family(), mv(2.5), 0)
 
+    def test_normal_draws_bit_identical_to_location_sampler(self):
+        # standard_normal() + m must reproduce Generator.normal(loc=m) bit for bit.
+        m = MeanVector(np.linspace(-3.0, 3.0, 37), compact_lo=None, compact_hi=None)
+        draws = sample_model(normal_family(), m, spawn_generator(8, 1), reps=500)
+        ref = spawn_generator(8, 1).normal(loc=m.entries, scale=1.0, size=(500, 37))
+        assert draws.tobytes() == ref.tobytes()
+
+    def test_neyman_scott_draws_bit_identical_to_location_scale_sampler(self):
+        layout = models.NeymanScottLayout(n=23, nu=4, sigma=1.7)
+        m = MeanVector(np.linspace(-1.0, 2.0, 23), compact_lo=None, compact_hi=None)
+        draws = models.sample_neyman_scott(layout, m, spawn_generator(9, 1), reps=300)
+        ref = spawn_generator(9, 1).normal(
+            loc=m.entries[:, None], scale=1.7, size=(300, 23, 4)
+        )
+        assert draws.tobytes() == ref.tobytes()
+
 
 class TestLoglikRatio:
     def test_zero_at_null(self):

@@ -92,6 +92,22 @@ class TestHIntegral:
             oracle = 0.5 * np.log(np.pi) + gammaln((n - 1) / 2.0) - gammaln(n / 2.0)
             assert h_integral_log(0.0, n) == pytest.approx(oracle, abs=1e-8)
 
+    def test_chebyshev_matches_direct_quadrature(self):
+        # The grid includes small n with large t_cap, where the degree has to
+        # double past 32 and, at the largest t_cap, falls back to quadrature.
+        degrees = set()
+        for n in (3, 5, 20, 100, 1000, 10_000, 100_000):
+            for t_cap in (1.0, 8.0, 64.0, 512.0, 4096.0):
+                ts = np.concatenate([
+                    np.linspace(0.0, t_cap, 513),
+                    spawn_generator(n, int(t_cap)).uniform(0.0, t_cap, 256),
+                ])
+                direct = orbit._log_h_values(ts, n, orbit._quad_intervals(n, t_cap))
+                assert np.max(np.abs(h_integral_log_many(ts, n) - direct)) <= 1e-10
+                coef = orbit._log_h_chebyshev(n, t_cap)
+                degrees.add(None if coef is None else coef.size - 1)
+        assert None in degrees and max(d for d in degrees if d is not None) > 32
+
     def test_monotone_in_t(self):
         ts = np.linspace(0.0, 50.0, 101)
         vals = h_integral_log_many(ts, 40)
