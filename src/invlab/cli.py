@@ -150,17 +150,25 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean {text!r}")
 
 
-def _positive(kind, name):
+def _number(kind, name, positive=False):
+    """Parser of a finite ``kind`` value (``> 0`` if ``positive``) that raises :class:`ConfigError`."""
+
     def parse(text):
         try:
             v = kind(text)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {name} {text!r}") from exc
-        if v <= 0:
+        if not np.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {text!r}")
+        if positive and v <= 0:
             raise ConfigError(f"{name} must be positive, got {text!r}")
         return v
 
     return parse
+
+
+def _positive(kind, name):
+    return _number(kind, name, positive=True)
 
 
 def parse_alternative(text: str) -> experiments.AlternativeSpec:
@@ -460,14 +468,19 @@ _DEFAULTS = {
     "method": "rank",
 }
 
+#: Subcommands that calibrate critical values (power itself honours calib_reps).
+_CALIBRATED = ("power", "sweep-theorem1", "sweep-theorem2", "sweep-neyman-scott", "sweep-spacings")
+
 _SPACINGS_DEFAULTS = {"n_grid": (100, 400, 1600), "alt": "h:cos1:2"}
 _CLT_DEFAULTS = {"n_grid": (50, 500, 5000), "alt": "spike:1"}
 _LBAR_DEFAULTS = {"n_grid": (6,), "alt": "spike:1", "reps": 10_000}
 _COUPLING_DEFAULTS = {"n_grid": (100, 1000, 10_000), "reps": 2000}
 _RECAL_DEFAULTS = {"reps": 4000}
 
+#: Parsers of the typed keys.  Flags and config-file values are both raw
+#: strings until :func:`build_config` passes them through these.
 _TYPES = {
-    "seed": int,
+    "seed": _number(int, "seed"),
     "workers": _positive(int, "workers"),
     "level": _positive(float, "level"),
     "reps": _positive(int, "reps"),
@@ -475,7 +488,7 @@ _TYPES = {
     "n_grid": _parse_grid,
     "nu": _positive(int, "nu"),
     "sigma": _positive(float, "sigma"),
-    "delta": float,
+    "delta": _number(float, "delta"),
     "matrix": _parse_bool,
     "lbar_reps": _positive(int, "lbar_reps"),
     "mc_reps": _positive(int, "mc_reps"),
@@ -493,67 +506,67 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int, help=f"64-bit RNG seed (default ${ENV_SEED} or 0)")
-        p.add_argument("--workers", type=int, help="worker threads (results are worker-count independent)")
+        p.add_argument("--seed", help=f"64-bit RNG seed (default ${ENV_SEED} or 0)")
+        p.add_argument("--workers", help="worker threads (results are worker-count independent)")
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--reps", type=int, help="Monte Carlo replicates per estimate")
-        p.add_argument("--level", type=float, help="target test level (default 0.05)")
+        p.add_argument("--reps", help="Monte Carlo replicates per estimate")
+        p.add_argument("--level", help="target test level (default 0.05)")
 
     p = sub.add_parser("power", help="calibrate a statistic and estimate level and power")
     add_common(p)
     p.add_argument("--model", choices=_MODELS)
     p.add_argument("--stat", help="chisq | variance | np | anova_f | greenwood | moran | two_spacings_sq | quadratic | quadratic_spacings | wilks")
     p.add_argument("--alt", help="alternative, e.g. spike:3, smooth:1.5, signs:2, h:cos1:2, null")
-    p.add_argument("--n", dest="n_grid", type=_parse_grid, help="sample size(s), comma separated")
-    p.add_argument("--calib-reps", dest="calib_reps", type=int)
-    p.add_argument("--nu", type=int, help="replicates per group (neyman_scott)")
-    p.add_argument("--sigma", type=float, help="noise scale (neyman_scott)")
+    p.add_argument("--n", dest="n_grid", help="sample size(s), comma separated")
+    p.add_argument("--calib-reps", dest="calib_reps")
+    p.add_argument("--nu", help="replicates per group (neyman_scott)")
+    p.add_argument("--sigma", help="noise scale (neyman_scott)")
 
     p = sub.add_parser("sweep-theorem1", help="normal-model invariant collapse vs the averaged-ratio bound")
     add_common(p)
-    p.add_argument("--delta", type=float, help="alternative norm (default 3)")
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
-    p.add_argument("--lbar-reps", dest="lbar_reps", type=int)
+    p.add_argument("--delta", help="alternative norm (default 3)")
+    p.add_argument("--n-grid", dest="n_grid")
+    p.add_argument("--lbar-reps", dest="lbar_reps")
 
     p = sub.add_parser("sweep-theorem2", help="exponential-family permutation-invariant collapse")
     add_common(p)
     p.add_argument("--model", choices=("normal", "poisson", "bernoulli", "logistic"))
-    p.add_argument("--delta", type=float, help="centered alternative norm (default 1.5 via config)")
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
+    p.add_argument("--delta", help="centered alternative norm (default 1.5 via config)")
+    p.add_argument("--n-grid", dest="n_grid")
 
     p = sub.add_parser("sweep-neyman-scott", help="ANOVA-F collapse in the replicated layout")
     add_common(p)
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
-    p.add_argument("--nu", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--n-grid", dest="n_grid")
+    p.add_argument("--nu")
+    p.add_argument("--sigma")
+    p.add_argument("--delta")
     p.add_argument("--profile", choices=("single_spike", "random_signs"))
     p.add_argument("--matrix", action="store_const", const=True, help="bivariate generalized-variance sweep")
 
     p = sub.add_parser("sweep-spacings", help="spacings statistics under 1 + h/sqrt(n)")
     add_common(p)
     p.add_argument("--alt", help="h:cosK:SCALE profile (default h:cos1:2)")
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
+    p.add_argument("--n-grid", dest="n_grid")
 
     p = sub.add_parser("lbar", help="null Monte Carlo of the orbit-averaged ratio")
     add_common(p)
     p.add_argument("--group", choices=[g.value for g in orbit.Group])
     p.add_argument("--model", choices=("normal", "poisson", "bernoulli"))
     p.add_argument("--alt", help="alternative shape, e.g. spike:1")
-    p.add_argument("--n", dest="n_grid", type=_parse_grid)
-    p.add_argument("--mc-reps", dest="mc_reps", type=int, help="permutations per Monte Carlo average")
-    p.add_argument("--design-p", dest="design_p", type=int, help="design columns for the fixing group")
+    p.add_argument("--n", dest="n_grid")
+    p.add_argument("--mc-reps", dest="mc_reps", help="permutations per Monte Carlo average")
+    p.add_argument("--design-p", dest="design_p", help="design columns for the fixing group")
 
     p = sub.add_parser("clt-sweep", help="rho2 distances between permutation, bootstrap, and iid laws")
     add_common(p)
     p.add_argument("--model", choices=("normal", "poisson", "bernoulli"))
     p.add_argument("--alt", help="contrast shape (default spike:1)")
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
+    p.add_argument("--n-grid", dest="n_grid")
 
     p = sub.add_parser("coupling", help="with/without-replacement coupling and the second-moment bound")
     add_common(p)
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
+    p.add_argument("--n-grid", dest="n_grid")
     p.add_argument("--method", choices=("rank", "first_occurrence"))
 
     p = sub.add_parser("recalibrate", help="regenerate the pilot-threshold expectations file")
@@ -575,14 +588,14 @@ def build_config(args: argparse.Namespace) -> dict:
             "recalibrate": _RECAL_DEFAULTS,
         }.get(args.subcommand, {})
     )
-    for key, raw in file_cfg.items():
+    for key in file_cfg:
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
+    flags = {
+        k: v for k, v in vars(args).items() if k not in ("config", "subcommand") and v is not None
+    }
+    for key, raw in (file_cfg | flags).items():
         cfg[key] = _TYPES.get(key, str)(raw)
-    for key, value in vars(args).items():
-        if key in ("config", "subcommand") or value is None:
-            continue
-        cfg[key] = value
     if cfg["seed"] is None:
         env = os.environ.get(ENV_SEED)
         try:
@@ -594,6 +607,14 @@ def build_config(args: argparse.Namespace) -> dict:
         raise ConfigError("level must lie strictly between 0 and 1")
     if cfg["nu"] < 2:
         raise ConfigError(f"nu must be >= 2 replicates per group, got {cfg['nu']}")
+    if args.subcommand in _CALIBRATED:
+        given = cfg["calib_reps"] if args.subcommand == "power" else None
+        calib_reps = experiments.calibration_reps(cfg["reps"], given)
+        if calib_reps * cfg["level"] < experiments.MIN_TAIL_REPS:
+            raise ConfigError(
+                f"calibration needs calib_reps * level >= {experiments.MIN_TAIL_REPS}, "
+                f"got {calib_reps} * {cfg['level']:g}"
+            )
     return cfg
 
 

@@ -36,7 +36,8 @@ from .rng import (
 
 DEFAULT_LEVEL = 0.05
 DEFAULT_REPS = 10_000
-DEFAULT_CALIB_REPS = 20_000
+#: Fewest null replicates calibration needs beyond the critical value (``reps * level``).
+MIN_TAIL_REPS = 20
 
 
 # --------------------------------------------------------------------- #
@@ -362,6 +363,11 @@ def _statistic_values(
     return [np.concatenate(vals) for vals in zip(*map_blocks(block, reps, workers=workers))]
 
 
+def calibration_reps(reps: int, calib_reps: int | None = None) -> int:
+    """Null replicates used for calibration: ``calib_reps``, else ``max(2 reps, 1000)``."""
+    return calib_reps if calib_reps is not None else max(2 * reps, 1000)
+
+
 def calibrate_critical(
     model: Model,
     statistics: Sequence[NamedStatistic],
@@ -380,8 +386,10 @@ def calibrate_critical(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if reps * level < 20:
-        raise ValueError("too few replicates for the requested quantile (need reps*level >= 20)")
+    if reps * level < MIN_TAIL_REPS:
+        raise ValueError(
+            f"too few replicates for the requested quantile (need reps*level >= {MIN_TAIL_REPS})"
+        )
     draw = lambda count, rng: model.sample_null(n, count, rng)
     values = _statistic_values(draw, statistics, reps, seed, TAG_CALIBRATE, workers)
     return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
@@ -414,7 +422,7 @@ def estimate_power_many(
     alternative once for power; every statistic reads the same blocks, so
     each report equals the one :func:`estimate_power` gives for its test.
     """
-    calib_reps = calib_reps if calib_reps is not None else max(2 * reps, 1000)
+    calib_reps = calibration_reps(reps, calib_reps)
     statistics = [statistic for statistic, _ in tests]
     criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers)
     draw_null = lambda count, rng: model.sample_null(n, count, rng)

@@ -33,7 +33,7 @@ from scipy.fft import dct
 from scipy.special import logsumexp
 
 from .models import ExpFamilySpec, MeanVector, sample_model
-from .rng import TAG_LBAR, TAG_MODEL, as_generator, map_blocks
+from .rng import TAG_LBAR, TAG_MODEL, as_generator, map_blocks, uniform_permutations
 from .stats import verify_invariance
 
 #: Largest dimension for exhaustive permutation averaging (8! = 40320).
@@ -283,7 +283,12 @@ def _perm_log_avg_exhaustive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _perm_log_avg_mc(
     w: np.ndarray, x: np.ndarray, mc_reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Streaming Monte Carlo version of the permutation log average."""
+    """Streaming Monte Carlo version of the permutation log average.
+
+    Each block of permutations ``P`` becomes a matrix whose rows are the
+    permuted weights (``w' P x = (P' w)' x``), so the block's exponents are
+    one matrix product with ``x`` instead of a gather of ``x`` per permutation.
+    """
     n = w.size
     x = np.atleast_2d(x)
     parts = []
@@ -291,8 +296,9 @@ def _perm_log_avg_mc(
     done = 0
     while done < mc_reps:
         b = min(block, mc_reps - done)
-        perm_block = np.argsort(rng.random((b, n)), axis=1)
-        dots = x[:, perm_block] @ w  # (reps, b)
+        wp = np.empty((b, n))
+        np.put_along_axis(wp, uniform_permutations(rng, b, n), w, axis=1)
+        dots = x @ wp.T  # (reps, b)
         parts.append(logsumexp(dots, axis=-1))
         done += b
     return logsumexp(np.stack(parts, axis=-1), axis=-1) - math.log(mc_reps)

@@ -33,6 +33,7 @@ from .rng import (
     TAG_PERM_LAW,
     as_generator,
     map_blocks,
+    uniform_permutations,
 )
 
 #: Quantile-grid size for rho2 between unequal-size samples.
@@ -178,8 +179,7 @@ def sample_perm_law(
 
     def block(b: int, count: int) -> np.ndarray:
         rng = _block_rng(seed, TAG_PERM_LAW, stream, b)
-        idx = np.argsort(rng.random((count, m.size)), axis=1)
-        return x[idx] @ m
+        return x[uniform_permutations(rng, count, m.size)] @ m
 
     wk = 1 if isinstance(seed, np.random.Generator) else workers
     return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=wk)))
@@ -244,7 +244,9 @@ def _coupled_block_rank(
     n = m.size
     u = rng.random((count, n))
     star = np.minimum((n * u).astype(np.intp), n - 1)
-    ranks = np.argsort(np.argsort(u, axis=1), axis=1)
+    # Ranks invert the sorting order: one sort, then a scatter.
+    ranks = np.empty((count, n), dtype=np.intp)
+    np.put_along_axis(ranks, np.argsort(u, axis=1), np.arange(n), axis=1)
     without = sorted_x[ranks] @ m
     with_r = sorted_x[star] @ m
     matched = np.sum(ranks == star, axis=1)
@@ -459,7 +461,7 @@ def theorem_convergence_sweep_matrix(
 
         def perm_block(b: int, count: int) -> np.ndarray:
             rng = as_generator(seed, TAG_PERM_LAW, gi, b)
-            idx = np.argsort(rng.random((count, mm.shape[0])), axis=1)
+            idx = uniform_permutations(rng, count, mm.shape[0])
             return np.einsum("rnj,nj->rj", x[idx], mm)
 
         def boot_block(b: int, count: int) -> np.ndarray:

@@ -57,6 +57,15 @@ def as_generator(seed: int | np.random.Generator, *tags: int) -> np.random.Gener
     return spawn_generator(int(seed), *tags)
 
 
+def uniform_permutations(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` uniform permutations of ``range(n)``, one per row.
+
+    Row ``i`` is the argsort of row ``i`` of one ``rng.random((count, n))``
+    draw.  Every permutation the package samples comes from here.
+    """
+    return np.argsort(rng.random((count, n)), axis=1)
+
+
 def blocks(total: int, block_reps: int = BLOCK_REPS) -> list[tuple[int, int]]:
     """Split ``total`` replicates into ``(block_index, block_count)`` pairs."""
     if total < 0:

@@ -26,7 +26,10 @@ _ORTHO_GRID = 2049
 
 
 def np_statistic(m: np.ndarray, x: np.ndarray) -> float | np.ndarray:
-    """Neyman-Pearson projection ``m'x / ||m||`` for a known direction ``m``."""
+    """Neyman-Pearson projection ``m'x / ||m||`` for a known direction ``m``.
+
+    Invariant under the orthogonal maps that fix ``m``, not under permutations.
+    """
     m = np.asarray(m, dtype=float)
     norm = np.linalg.norm(m)
     if norm == 0.0:
@@ -36,14 +39,14 @@ def np_statistic(m: np.ndarray, x: np.ndarray) -> float | np.ndarray:
 
 
 def chisq_statistic(x: np.ndarray) -> float | np.ndarray:
-    """Squared Euclidean norm ``||x||^2``."""
+    """Squared Euclidean norm ``||x||^2``, invariant under the orthogonal group."""
     x = np.asarray(x, dtype=float)
     out = np.sum(x * x, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def sample_variance_statistic(x: np.ndarray) -> float | np.ndarray:
-    """Sample variance ``sum (x_i - xbar)^2 / n``, a permutation-invariant statistic."""
+    """Sample variance ``sum (x_i - xbar)^2 / n``, invariant under permutations and shifts."""
     x = np.asarray(x, dtype=float)
     out = x.var(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
@@ -53,7 +56,8 @@ def anova_f(x: np.ndarray) -> float | np.ndarray:
     """One-way ANOVA F statistic for an ``n x nu`` table (rows are groups).
 
     Accepts batches shaped ``(..., n, nu)``.  Raises on zero within-group
-    variance.
+    variance.  Invariant under permutations of the groups, permutations
+    within each group and affine maps ``a x + b`` (``a != 0``).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
@@ -72,7 +76,10 @@ def anova_f(x: np.ndarray) -> float | np.ndarray:
 
 
 def moran(d: SpacingsSample | np.ndarray) -> float | np.ndarray:
-    """Moran's statistic ``sum log d_i``; requires strictly positive spacings."""
+    """Moran's statistic ``sum log d_i``; requires strictly positive spacings.
+
+    Invariant under permutations of the spacings.
+    """
     dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
     if np.any(dv <= 0.0):
         raise ValueError("moran requires strictly positive spacings")
@@ -81,7 +88,7 @@ def moran(d: SpacingsSample | np.ndarray) -> float | np.ndarray:
 
 
 def greenwood(d: SpacingsSample | np.ndarray) -> float | np.ndarray:
-    """Greenwood's statistic ``sum d_i^2``."""
+    """Greenwood's statistic ``sum d_i^2``, invariant under permutations of the spacings."""
     dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
     out = np.sum(dv * dv, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
@@ -94,7 +101,8 @@ def two_spacings_statistic(
 
     ``u`` holds the ordered sample on [0, 1] (shape ``(..., n)``); the
     endpoints 0 and 1 are appended internally.  Built-in ``f``: ``"square"``
-    and ``"log"``.
+    and ``"log"``.  Invariant under the reflection ``u -> 1 - u`` (the
+    spacings reversed), not under permutations of the spacings.
     """
     u = np.asarray(u, dtype=float)
     fn = _TWO_SPACING_FNS.get(f, f) if isinstance(f, str) else f
@@ -193,7 +201,11 @@ def default_quadratic_spec(num_terms: int = 8, squared: bool = True) -> Quadrati
 
 
 def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> float | np.ndarray:
-    """Weighted (optionally squared) standardized basis projections of ``x``."""
+    """Weighted (optionally squared) standardized basis projections of ``x``.
+
+    Invariant under the orthogonal maps that fix every basis vector on the
+    grid, not under permutations.
+    """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if n < spec.num_terms:

@@ -247,6 +247,58 @@ class TestIncompatibleConfigurations:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "--reps", "0", "--n", "10"],
+            ["power", "--model", "neyman_scott", "--stat", "anova_f", "--sigma", "-1"],
+            ["lbar", "--group", "permutation", "--n", "20", "--reps", "100", "--mc-reps", "0"],
+            ["power", "--workers", "0", "--n", "10", "--reps", "100"],
+            ["power", "--calib-reps", "3", "--n", "10", "--reps", "100"],
+            ["power", "--level", "0.001", "--n", "10", "--reps", "100"],
+            ["sweep-theorem1", "--level", "0.001", "--n-grid", "10", "--reps", "100"],
+            ["power", "--n", "0"],
+            ["power", "--seed", "abc"],
+            ["power", "--model", "neyman_scott", "--stat", "anova_f", "--sigma", "nan"],
+        ],
+        ids=["reps-0", "sigma-negative", "mc-reps-0", "workers-0", "calib-reps-3",
+             "default-calib-reps-tiny-level", "sweep-tiny-level", "n-0", "seed-not-int",
+             "sigma-nan"],
+    )
+    def test_bad_flag_values_exit_2_before_running(self, tmp_path, monkeypatch, argv):
+        from invlab import cli
+
+        def not_reached(_cfg):
+            raise RuntimeError("ran a subcommand on an invalid configuration")
+
+        monkeypatch.setitem(cli._RUNNERS, argv[0], not_reached)
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["reps = 0", "workers = 0", "sigma = -1", "calib_reps = 3", "seed = abc"]
+    )
+    def test_config_file_values_take_the_flag_path(self, tmp_path, monkeypatch, line):
+        from invlab import cli
+
+        def not_reached(_cfg):
+            raise RuntimeError("ran a subcommand on an invalid configuration")
+
+        monkeypatch.setitem(cli._RUNNERS, "power", not_reached)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        key, _, value = line.partition(" = ")
+        flag = "--" + key.replace("_", "-")
+        for argv in (["--config", str(cfg)], [flag, value]):
+            with pytest.raises(ConfigError) as exc:
+                cli.build_config(cli._build_parser().parse_args(["power", *argv]))
+            assert key in str(exc.value)
+            code, out = run(tmp_path, "power", *argv)
+            assert code == 2
+            assert not out.exists()
+
+
 class TestAlternativeParsing:
     def test_kinds(self):
         assert parse_alternative("spike:3").scale == 3.0

@@ -1,9 +1,11 @@
 """Tests for orbit-averaged likelihood ratios and the radial kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.special import gammaln, ive
+from scipy.special import gammaln, ive, logsumexp
 
 from invlab import orbit
 from invlab.models import MeanVector, normal_family, poisson_family
@@ -212,6 +214,45 @@ class TestLbarPermutation:
         vals = null_lbar_samples(fam, m, spec, reps=10_000, seed=11)
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se
+
+
+class TestPermLogAvgMcKernel:
+    """The blockwise GEMM against scattered weights equals the gather it replaces."""
+
+    @staticmethod
+    def gather_reference(w, x, mc_reps, rng):
+        # The direct formulation: gather x at every permutation, then dot with w.
+        n = w.size
+        x = np.atleast_2d(x)
+        block = max(1, 2**22 // max(n * x.shape[0], 1))
+        parts, done = [], 0
+        while done < mc_reps:
+            b = min(block, mc_reps - done)
+            perm = np.argsort(rng.random((b, n)), axis=1)
+            parts.append(logsumexp(x[:, perm] @ w, axis=-1))
+            done += b
+        return logsumexp(np.stack(parts, axis=-1), axis=-1) - math.log(mc_reps)
+
+    @pytest.mark.parametrize("n", [9, 50])
+    @pytest.mark.parametrize("reps", [1, 300])
+    def test_matches_gather_reference(self, n, reps):
+        gen = spawn_generator(31, n, reps)
+        w = gen.normal(size=n)
+        w -= w.mean()
+        x = w[None, :] if reps == 1 else gen.poisson(1.0, (reps, n)).astype(float)
+        block = max(1, 2**22 // (n * reps))
+        mc_reps = 2 * block + 7  # a partial final block
+        got = orbit._perm_log_avg_mc(w, x, mc_reps, spawn_generator(32, n))
+        want = self.gather_reference(w, x, mc_reps, spawn_generator(32, n))
+        assert got.shape == (reps,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_consumes_the_same_stream(self):
+        w = np.linspace(-1.0, 1.0, 9)
+        a, b = spawn_generator(33, 1), spawn_generator(33, 1)
+        orbit._perm_log_avg_mc(w, w[None, :], 1000, a)
+        self.gather_reference(w, w[None, :], 1000, b)
+        assert a.random() == b.random()
 
 
 class TestLbarDesign:

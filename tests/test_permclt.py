@@ -236,6 +236,24 @@ class TestCoupling:
             hajek_coupling(np.array([1.0, 1.0]), np.array([0.0, 1.0]), 10, seed=0)
 
 
+class TestCoupledRankKernel:
+    @pytest.mark.parametrize("n", [2, 100, 1000])
+    def test_matches_double_argsort_reference(self, n):
+        gen = spawn_generator(41, n)
+        sorted_x = np.sort(gen.normal(size=n))
+        m = gen.normal(size=n)
+        m -= m.mean()
+        count = 257
+        got = permclt._coupled_block_rank(sorted_x, m, count, spawn_generator(42, n))
+        # The direct formulation: ranks as the argsort of the argsort.
+        u = spawn_generator(42, n).random((count, n))
+        star = np.minimum((n * u).astype(np.intp), n - 1)
+        ranks = np.argsort(np.argsort(u, axis=1), axis=1)
+        want = (sorted_x[ranks] @ m, sorted_x[star] @ m, np.sum(ranks == star, axis=1))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 class TestEmpiricalLaw:
     def test_sorted_and_finite(self):
         law = EmpiricalLaw(np.array([3.0, 1.0, 2.0]))

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from invlab import stats
 from invlab.models import sample_spacings_null_batch
-from invlab.orbit import haar_orthogonal
+from invlab.orbit import haar_orthogonal, haar_orthogonal_fixing_design
 from invlab.rng import spawn_generator
 from invlab.stats import (
     QuadraticTestSpec,
@@ -215,3 +217,108 @@ class TestVerifyInvariance:
             seed=5,
         )
         assert ok
+
+
+def _shift(rng):
+    c = rng.normal()
+    return lambda v: v + c
+
+
+def _affine(rng):
+    a, b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), rng.normal()
+    return lambda v: a * v + b
+
+
+def _permute_within_table(rng):
+    def act(v):
+        rows = v[rng.permutation(v.shape[0])]
+        return np.take_along_axis(rows, rng.permuted(np.indices(rows.shape)[1], axis=1), axis=1)
+
+    return act
+
+
+def _permute_whole_table(rng):
+    return lambda v: v.ravel()[rng.permutation(v.size)].reshape(v.shape)
+
+
+def _tilt(rng):
+    # d -> d exp(v) / sum(d exp(v)): the additive group acting on the open simplex.
+    def act(d):
+        e = d * np.exp(rng.normal(size=d.shape))
+        return e / e.sum()
+
+    return act
+
+
+def _two_spacings_of(d):
+    return two_spacings_statistic(points_from_spacings(d))
+
+
+def _np_case(n, gen):
+    m = gen.normal(size=n)
+    return (
+        lambda v: np_statistic(m, v),
+        gen.normal(size=n),
+        lambda r: haar_orthogonal_fixing_design(m[:, None], r),
+        permutation_sampler(n),
+    )
+
+
+def _quadratic_case(n, gen):
+    spec = default_quadratic_spec()
+    return (
+        lambda v: quadratic_statistic(spec, v),
+        gen.normal(size=n),
+        lambda r: haar_orthogonal_fixing_design(spec.grid_matrix(n).T, r),
+        permutation_sampler(n),
+    )
+
+
+def _spacings_case(statistic, group, other):
+    return lambda n, gen: (statistic, sample_spacings_null_batch(n, 1, gen)[0], group(n), other(n))
+
+
+#: name -> case(n, gen) giving (statistic, data, its documented group, a group
+#: it is not invariant under); a group is a sampler ``rng -> element``.
+_INVARIANCE_CASES = {
+    "np": _np_case,
+    "chisq": lambda n, gen: (
+        chisq_statistic, gen.normal(size=n), lambda r: haar_orthogonal(n, r), _shift,
+    ),
+    "variance": lambda n, gen: (
+        stats.sample_variance_statistic,
+        gen.normal(size=n),
+        lambda r: (lambda v, p=r.permutation(n), c=r.normal(): v[p] + c),
+        lambda r: haar_orthogonal(n, r),
+    ),
+    "anova_f": lambda n, gen: (
+        anova_f,
+        gen.normal(size=(n, 3)),
+        lambda r: (lambda v, p=_permute_within_table(r), a=_affine(r): a(p(v))),
+        _permute_whole_table,
+    ),
+    "greenwood": _spacings_case(greenwood, lambda n: permutation_sampler(n + 1), lambda n: _tilt),
+    "moran": _spacings_case(moran, lambda n: permutation_sampler(n + 1), lambda n: _tilt),
+    "two_spacings_sq": _spacings_case(
+        _two_spacings_of, lambda n: (lambda r: np.arange(n + 1)[::-1]),
+        lambda n: permutation_sampler(n + 1),
+    ),
+    "quadratic": _quadratic_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVARIANCE_CASES))
+class TestInvarianceProperties:
+    """``verify_invariance`` agrees with each statistic's documented group."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(20, 40), seed=st.integers(0, 2**32 - 1))
+    def test_documented_group_passes(self, name, n, seed):
+        t, x, group, _ = _INVARIANCE_CASES[name](n, np.random.default_rng(seed))
+        assert verify_invariance(t, group, x, reps=16, seed=seed)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(20, 40), seed=st.integers(0, 2**32 - 1))
+    def test_other_group_fails(self, name, n, seed):
+        t, x, _, other = _INVARIANCE_CASES[name](n, np.random.default_rng(seed))
+        assert not verify_invariance(t, other, x, reps=16, seed=seed)
