@@ -82,9 +82,13 @@ def render_table(rows: list[dict], fmt: str) -> str:
 #: Keys that affect execution but not the computed values.
 _NON_SEMANTIC_KEYS = ("workers", "out")
 
+#: Removed options, hashed at the one value every run now has, so that a
+#: table keeps the hash it had when the option existed.
+_RETIRED_KEYS = {"method": "rank"}
+
 
 def config_hash(config: dict) -> str:
-    semantic = {k: v for k, v in config.items() if k not in _NON_SEMANTIC_KEYS}
+    semantic = _RETIRED_KEYS | {k: v for k, v in config.items() if k not in _NON_SEMANTIC_KEYS}
     canon = json.dumps(semantic, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -230,25 +234,16 @@ _MODEL_STATS = {
 }
 
 
-def _check_alternative(model: experiments.Model, alt: experiments.AlternativeSpec, cfg: dict) -> None:
-    """Reject, before any sampling, an alternative the model refuses at some ``n``."""
-    try:
-        for n in cfg["n_grid"]:
-            model.alternative_audit(n, alt, cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"--alt {cfg['alt']} does not apply to the {model.name} model: {exc}") from exc
-
-
 def run_power(cfg: dict) -> list[dict]:
     model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
     alt = parse_alternative(cfg["alt"])
     allowed = _MODEL_STATS[cfg["model"]]
     if cfg["stat"] not in allowed:
         raise ConfigError(f"--stat {cfg['stat']} does not apply to --model {cfg['model']}: use {', '.join(allowed)}")
-    _check_alternative(model, alt, cfg)
+    tests = lambda n, seed: [(experiments.make_statistic(cfg["stat"], n, alt=alt, seed=seed), alt)]
+    cells = [(n, experiments.audited_tests(model, tests, n, cfg["seed"])) for n in cfg["n_grid"]]
     rows = []
-    for n in cfg["n_grid"]:
-        stat = experiments.make_statistic(cfg["stat"], n, alt=alt, seed=cfg["seed"])
+    for n, [(stat, _)] in cells:
         rep = experiments.estimate_power(
             model,
             stat,
@@ -282,8 +277,11 @@ def _sweep_table(rows: list, cfg: dict) -> list[dict]:
 
 
 def _run_sweep(sweep, cfg: dict, *args, **kwargs) -> list[dict]:
-    """Table of ``sweep(*args, reps, seed, level=, workers=, **kwargs)``."""
-    rows = sweep(*args, cfg["reps"], cfg["seed"], level=cfg["level"], workers=cfg["workers"], **kwargs)
+    """Table of ``sweep(*args, reps, seed, level=, calib_reps=, workers=, **kwargs)``."""
+    rows = sweep(
+        *args, cfg["reps"], cfg["seed"], level=cfg["level"], calib_reps=cfg["calib_reps"],
+        workers=cfg["workers"], **kwargs,
+    )
     return _sweep_table(rows, cfg)
 
 
@@ -311,28 +309,44 @@ def run_spacings(cfg: dict) -> list[dict]:
     alt = parse_alternative(cfg["alt"])
     if alt.profile is None:
         raise ConfigError("sweep-spacings requires an h:... alternative")
-    _check_alternative(experiments.SpacingsModel(), alt, cfg)
     return _run_sweep(experiments.spacings_sweep, cfg, alt.profile, cfg["n_grid"])
+
+
+def _per_n(cfg: dict, setup) -> list:
+    """``setup(n)`` for every ``n`` of the grid, before anything is sampled.
+
+    A ``ValueError`` (an alternative without a mean vector at ``n``, a group
+    undefined at ``n``) is a configuration error.
+    """
+    out = []
+    for n in cfg["n_grid"]:
+        try:
+            out.append(setup(n))
+        except ValueError as exc:
+            raise ConfigError(f"{cfg['subcommand']} at n = {n}: {exc}") from exc
+    return out
 
 
 def run_lbar(cfg: dict) -> list[dict]:
     group = orbit.Group(cfg["group"])
     alt = parse_alternative(cfg["alt"])
-    rows = []
-    for n in cfg["n_grid"]:
-        if group is orbit.Group.PERMUTATION_EXHAUSTIVE and n > orbit.EXHAUSTIVE_LIMIT:
-            raise ConfigError(f"exhaustive group needs n <= {orbit.EXHAUSTIVE_LIMIT}")
-        family = models.family_by_name(cfg["model"])
-        if isinstance(family, models.GeneralFamilySpec):
-            raise ConfigError("lbar supports exponential families only")
+    family = models.family_by_name(cfg["model"])
+    if isinstance(family, models.GeneralFamilySpec):
+        raise ConfigError("lbar supports exponential families only")
+
+    def setup(n):
         entries = alt.mean_entries(n, 0.0, cfg["seed"])
         design = None
         if group is orbit.Group.ORTHOGONAL_FIXING_DESIGN:
             design = spawn_generator(cfg["seed"], TAG_MODEL, 777).normal(size=(n, cfg["design_p"]))
             q, _ = np.linalg.qr(design)
             entries = entries - q @ (q.T @ entries)
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
+        spec.check_dimension(n)
+        return n, MeanVector(entries, compact_lo=None, compact_hi=None), spec
+
+    rows = []
+    for n, m, spec in _per_n(cfg, setup):
         vals = orbit.null_lbar_samples(
             family, m, spec, cfg["reps"], cfg["seed"], workers=cfg["workers"]
         )
@@ -366,6 +380,7 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
     if isinstance(family, models.GeneralFamilySpec):
         raise ConfigError("clt-sweep supports exponential families only")
     alt = parse_alternative(cfg["alt"])
+    _per_n(cfg, lambda n: alt.mean_entries(n, 0.0, cfg["seed"]))
 
     def null_sampler(n, reps, rng):
         m = MeanVector(np.zeros(n))
@@ -381,6 +396,8 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
 
 
 def run_coupling(cfg: dict) -> list[dict]:
+    if min(cfg["n_grid"]) < 2:
+        raise ConfigError("coupling needs n >= 2")
     rows = []
     t_grid = (0.5, 1.0, 2.0)
     for gi, n in enumerate(cfg["n_grid"]):
@@ -389,9 +406,7 @@ def run_coupling(cfg: dict) -> list[dict]:
         m = rng.normal(size=n)
         m -= m.mean()
         m /= np.linalg.norm(m)
-        res = permclt.hajek_coupling(
-            m, x, cfg["reps"], cfg["seed"], method=cfg["method"], workers=cfg["workers"]
-        )
+        res = permclt.hajek_coupling(m, x, cfg["reps"], cfg["seed"], workers=cfg["workers"])
         row = {
             "n": n,
             "gap_sq_mean": res.gap_sq_mean,
@@ -465,12 +480,12 @@ _DEFAULTS = {
     "mc_reps": 10_000,
     "group": "permutation_exhaustive",
     "design_p": 3,
-    "method": "rank",
 }
 
-#: Subcommands that calibrate critical values (power itself honours calib_reps).
+#: Subcommands that calibrate critical values; each honours calib_reps.
 _CALIBRATED = ("power", "sweep-theorem1", "sweep-theorem2", "sweep-neyman-scott", "sweep-spacings")
 
+_THEOREM2_DEFAULTS = {"delta": 1.5}
 _SPACINGS_DEFAULTS = {"n_grid": (100, 400, 1600), "alt": "h:cos1:2"}
 _CLT_DEFAULTS = {"n_grid": (50, 500, 5000), "alt": "spike:1"}
 _LBAR_DEFAULTS = {"n_grid": (6,), "alt": "spike:1", "reps": 10_000}
@@ -532,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-theorem2", help="exponential-family permutation-invariant collapse")
     add_common(p)
     p.add_argument("--model", choices=("normal", "poisson", "bernoulli", "logistic"))
-    p.add_argument("--delta", help="centered alternative norm (default 1.5 via config)")
+    p.add_argument("--delta", help="centered alternative norm (default 1.5)")
     p.add_argument("--n-grid", dest="n_grid")
 
     p = sub.add_parser("sweep-neyman-scott", help="ANOVA-F collapse in the replicated layout")
@@ -567,7 +582,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coupling", help="with/without-replacement coupling and the second-moment bound")
     add_common(p)
     p.add_argument("--n-grid", dest="n_grid")
-    p.add_argument("--method", choices=("rank", "first_occurrence"))
 
     p = sub.add_parser("recalibrate", help="regenerate the pilot-threshold expectations file")
     add_common(p)
@@ -581,6 +595,7 @@ def build_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(
         {
+            "sweep-theorem2": _THEOREM2_DEFAULTS,
             "sweep-spacings": _SPACINGS_DEFAULTS,
             "clt-sweep": _CLT_DEFAULTS,
             "lbar": _LBAR_DEFAULTS,
@@ -608,8 +623,7 @@ def build_config(args: argparse.Namespace) -> dict:
     if cfg["nu"] < 2:
         raise ConfigError(f"nu must be >= 2 replicates per group, got {cfg['nu']}")
     if args.subcommand in _CALIBRATED:
-        given = cfg["calib_reps"] if args.subcommand == "power" else None
-        calib_reps = experiments.calibration_reps(cfg["reps"], given)
+        calib_reps = experiments.calibration_reps(cfg["reps"], cfg["calib_reps"])
         if calib_reps * cfg["level"] < experiments.MIN_TAIL_REPS:
             raise ConfigError(
                 f"calibration needs calib_reps * level >= {experiments.MIN_TAIL_REPS}, "
@@ -629,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
         rows = _RUNNERS[cfg["subcommand"]](cfg)
         write_output(rows, cfg, started)
-    except ConfigError as exc:
+    except (ConfigError, experiments.IncompatibleConfiguration) as exc:
         print(f"invlab: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numeric or I/O failure

@@ -40,6 +40,10 @@ DEFAULT_REPS = 10_000
 MIN_TAIL_REPS = 20
 
 
+class IncompatibleConfiguration(ValueError):
+    """A test, alternative or sample size the harness refuses, found before any sampling."""
+
+
 # --------------------------------------------------------------------- #
 # Alternatives
 # --------------------------------------------------------------------- #
@@ -188,6 +192,7 @@ class NeymanScottModel(Model):
         return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
 
     def alternative_audit(self, n, alt, seed):
+        self._layout(n)
         m = MeanVector(alt.mean_entries(n, self.mbar, seed), compact_lo=None, compact_hi=None)
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
@@ -282,11 +287,14 @@ def make_statistic(
             "two_spacings_sq",
             lambda d: stats.two_spacings_statistic(stats.points_from_spacings(d), "square"),
         )
-    if name == "quadratic":
+    if name in ("quadratic", "quadratic_spacings"):
         spec = quadratic_spec or stats.default_quadratic_spec()
+        size = n if name == "quadratic" else n + 1
+        if size < spec.num_terms:
+            raise ValueError(f"{name} needs at least {spec.num_terms} observations, got {size}")
+    if name == "quadratic":
         return NamedStatistic("quadratic", lambda x: stats.quadratic_statistic(spec, x))
     if name == "quadratic_spacings":
-        spec = quadratic_spec or stats.default_quadratic_spec()
         return NamedStatistic(
             "quadratic_spacings",
             lambda d: stats.quadratic_statistic(
@@ -294,6 +302,8 @@ def make_statistic(
             ),
         )
     if name == "wilks":
+        if n < 3:
+            raise ValueError(f"wilks needs n >= 3 bivariate rows, got {n}")
         return NamedStatistic("wilks", _wilks_generalized_variance)
     raise ValueError(f"unknown statistic {name!r}")
 
@@ -481,21 +491,49 @@ def estimate_power(
 # --------------------------------------------------------------------- #
 
 
-def _sweep_cells(
-    model: Model,
-    tests: Callable[[int, int], list[tuple[NamedStatistic, AlternativeSpec]]],
-    n_grid: Sequence[int],
-    reps: int,
-    seed: int,
-    level: float,
-    workers: int,
-) -> Iterator[tuple[int, int, list[PowerReport]]]:
-    """Per grid point, ``(n, run_seed, reports)`` for the tests ``tests(n, run_seed)``."""
+Tests = list[tuple[NamedStatistic, AlternativeSpec]]
+Cell = tuple[int, int, Tests]
+
+
+def audited_tests(
+    model: Model, tests: Callable[[int, int], Tests], n: int, seed: int
+) -> Tests:
+    """``tests(n, seed)``, with every alternative audited by the model at ``n``.
+
+    A ``ValueError`` from either is re-raised as :class:`IncompatibleConfiguration`,
+    so a cell that cannot run is refused before anything is sampled.
+    """
+    try:
+        cell_tests = tests(n, seed)
+        for alt in dict.fromkeys(a for _, a in cell_tests):
+            model.alternative_audit(n, alt, seed)
+    except ValueError as exc:
+        raise IncompatibleConfiguration(f"the {model.name} model at n = {n}: {exc}") from exc
+    return cell_tests
+
+
+def _audited_cells(
+    model: Model, tests: Callable[[int, int], Tests], n_grid: Sequence[int], seed: int
+) -> list[Cell]:
+    """Per grid point, ``(n, run_seed, audited tests)``; every cell is audited before any is run."""
+    cells = []
     for gi, n in enumerate(n_grid):
         n, run_seed = int(n), _grid_seed(seed, gi)
-        reports = estimate_power_many(
-            model, tests(n, run_seed), level, n, reps, run_seed, workers=workers
-        )
+        cells.append((n, run_seed, audited_tests(model, tests, n, run_seed)))
+    return cells
+
+
+def _sweep_cells(
+    model: Model,
+    cells: Sequence[Cell],
+    reps: int,
+    level: float,
+    calib_reps: int | None,
+    workers: int,
+) -> Iterator[tuple[int, int, list[PowerReport]]]:
+    """Per cell, ``(n, run_seed, reports)`` of its tests on shared draws."""
+    for n, run_seed, tests in cells:
+        reports = estimate_power_many(model, tests, level, n, reps, run_seed, calib_reps, workers)
         yield n, run_seed, reports
 
 
@@ -523,6 +561,7 @@ def theorem1_sweep(
     seed: int,
     level: float = DEFAULT_LEVEL,
     lbar_reps: int | None = None,
+    calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[Theorem1Row]:
     """Normal model, orthogonal group: invariant-test collapse against the bound.
@@ -534,13 +573,16 @@ def theorem1_sweep(
     model = normal_means_model()
     lbar_reps = lbar_reps if lbar_reps is not None else reps
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
+    orthogonal = orbit.OrbitSpec(orbit.Group.FULL_ORTHOGONAL)
 
     def tests(n, run_seed):
+        orthogonal.check_dimension(n)  # the bound's orbit average
         np_stat = make_statistic("np", n, alt=alt, seed=run_seed)
         return [(make_statistic("chisq", n), alt), (np_stat, alt)]
 
+    cells = _audited_cells(model, tests, n_grid, seed)
     rows = []
-    for n, run_seed, (chisq, np_rep) in _sweep_cells(model, tests, n_grid, reps, seed, level, workers):
+    for n, run_seed, (chisq, np_rep) in _sweep_cells(model, cells, reps, level, calib_reps, workers):
         m_entries = alt.mean_entries(n, 0.0, run_seed)
         bound, bound_se = _orthogonal_bound(m_entries, n, lbar_reps, run_seed, workers)
         rows.append(
@@ -590,6 +632,7 @@ def theorem2_sweep(
     level: float = DEFAULT_LEVEL,
     mbar: float = 0.0,
     profile: Callable[[np.ndarray], np.ndarray] | None = None,
+    calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[Theorem2Row]:
     """Exponential-family collapse of a permutation-invariant statistic.
@@ -607,9 +650,10 @@ def theorem2_sweep(
         (make_statistic("variance", n), spike),
         (make_statistic("quadratic", n), smooth),
     ]
+    cells = _audited_cells(model, tests, n_grid, seed)
     return [
         Theorem2Row(n, *_gaps(reports), **model.alternative_audit(n, spike, run_seed))
-        for n, run_seed, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+        for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -634,6 +678,7 @@ def neyman_scott_sweep(
     sigma: float = 1.0,
     level: float = DEFAULT_LEVEL,
     profile: str = "single_spike",
+    calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[NeymanScottRow]:
     """ANOVA-F collapse in the replicated many-means problem.
@@ -653,9 +698,10 @@ def neyman_scott_sweep(
         (make_statistic("anova_f", n), alt),
         (NamedStatistic("cellmean_chisq", cellmean_chisq), alt),
     ]
+    cells = _audited_cells(model, tests, n_grid, seed)
     return [
         NeymanScottRow(n, nu, *_gaps(reports), **model.alternative_audit(n, alt, run_seed))
-        for n, run_seed, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+        for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -672,6 +718,7 @@ def matrix_variate_sweep(
     reps: int,
     seed: int,
     level: float = DEFAULT_LEVEL,
+    calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[MatrixSweepRow]:
     """Bivariate-normal rows, equality of the first coordinate of the mean.
@@ -697,9 +744,10 @@ def matrix_variate_sweep(
     model = _MatrixModel()
     alt = AlternativeSpec(kind="matrix_variate", scale=delta)
     tests = lambda n, _: [(make_statistic("wilks", n), alt)]
+    cells = _audited_cells(model, tests, n_grid, seed)
     return [
         MatrixSweepRow(n, *_gaps(reports))
-        for n, _, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+        for n, _, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -724,6 +772,7 @@ def spacings_sweep(
     reps: int,
     seed: int,
     level: float = DEFAULT_LEVEL,
+    calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[SpacingsRow]:
     """Spacings tests under the contiguous density ``1 + h/sqrt(n)``.
@@ -737,9 +786,10 @@ def spacings_sweep(
     alt = AlternativeSpec(kind="spacings_h", scale=1.0, profile=h)
     names = ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
     tests = lambda n, _: [(make_statistic(name, n), alt) for name in names]
+    cells = _audited_cells(model, tests, n_grid, seed)
     return [
         SpacingsRow(n, *_gaps(reports), *_llr_gap_p95(h, n, min(reps, 4000), run_seed, workers))
-        for n, run_seed, reports in _sweep_cells(model, tests, n_grid, reps, seed, level, workers)
+        for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 

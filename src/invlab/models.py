@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._num import simpson
 from .rng import TAG_MODEL, TAG_SPACINGS, as_generator
 
 #: Default compact parameter box, safely interior to every built-in family's
@@ -404,14 +404,10 @@ def sample_neyman_scott(
 # --------------------------------------------------------------------- #
 
 
-def sample_spacings_null(n: int, seed: int | np.random.Generator) -> SpacingsSample:
-    """Null spacings: ``n + 1`` iid standard exponentials divided by their sum."""
-    return SpacingsSample(sample_spacings_null_batch(n, 1, seed)[0])
-
-
 def sample_spacings_null_batch(
     n: int, reps: int, seed: int | np.random.Generator
 ) -> np.ndarray:
+    """Null spacings, shape ``(reps, n + 1)``: iid standard exponentials divided by their sum."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed, TAG_SPACINGS)

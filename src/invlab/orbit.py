@@ -29,15 +29,17 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.fft import dct
-from scipy.special import logsumexp
 
+from ._num import dct1, logsumexp, simpson_weights
 from .models import ExpFamilySpec, MeanVector, sample_model
 from .rng import TAG_LBAR, TAG_MODEL, as_generator, map_blocks, uniform_permutations
 from .stats import verify_invariance
 
 #: Largest dimension for exhaustive permutation averaging (8! = 40320).
 EXHAUSTIVE_LIMIT = 8
+
+#: Smallest dimension of the radial kernel ``H`` (the ``sin^(n-2)`` weight).
+MIN_RADIAL_DIM = 3
 
 _QUAD_START = 4096
 _QUAD_CAP = 2**21
@@ -80,6 +82,15 @@ class OrbitSpec:
             raise ValueError("orthogonal_fixing_design requires a design matrix")
         if self.mc_reps < 1:
             raise ValueError("mc_reps must be positive")
+
+    def check_dimension(self, n: int) -> None:
+        """Raise ``ValueError`` unless the group's orbit average is computed at dimension ``n``."""
+        if self.group is Group.PERMUTATION_EXHAUSTIVE and n > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}, got {n}")
+        if self.group is Group.FULL_ORTHOGONAL and n < MIN_RADIAL_DIM:
+            raise ValueError(f"the orthogonal average requires n >= {MIN_RADIAL_DIM}, got {n}")
+        if self.group is Group.ORTHOGONAL_FIXING_DESIGN and n - self.design.shape[1] < MIN_RADIAL_DIM:
+            raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
 
 
 # --------------------------------------------------------------------- #
@@ -125,19 +136,12 @@ def haar_orthogonal_fixing_design(
 # --------------------------------------------------------------------- #
 
 
-def _simpson_log_weights(num: int, h: float) -> np.ndarray:
-    w = np.full(num + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return np.log(w * (h / 3.0))
-
-
 def _log_h_values(ts: np.ndarray, n: int, num: int) -> np.ndarray:
     theta = np.linspace(0.0, np.pi, num + 1)
     with np.errstate(divide="ignore"):
         log_sin = np.log(np.sin(theta))
     log_sin[0] = log_sin[-1] = -np.inf
-    base = (n - 2) * log_sin + _simpson_log_weights(num, np.pi / num)
+    base = (n - 2) * log_sin + np.log(simpson_weights(num, np.pi / num))
     cos_t = np.cos(theta)
     out = np.empty(ts.size)
     chunk = max(1, 2**24 // (num + 1))
@@ -186,7 +190,7 @@ def _log_h_chebyshev(n: int, t_cap: float) -> np.ndarray | None:
     deg = _CHEB_START
     values = log_h(np.cos(np.pi * np.arange(deg + 1) / deg))
     while True:
-        coef = dct(values, type=1) / deg
+        coef = dct1(values) / deg
         coef[[0, -1]] *= 0.5
         mid = np.cos(np.pi * (np.arange(deg) + 0.5) / deg)
         mid_values = log_h(mid)
@@ -203,8 +207,8 @@ def _log_h_chebyshev(n: int, t_cap: float) -> np.ndarray | None:
 def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
     """``log H(t)`` for an array of arguments ``t >= 0`` at dimension ``n >= 3``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    if n < MIN_RADIAL_DIM:
+        raise ValueError(f"n must be >= {MIN_RADIAL_DIM}")
     if np.any(ts < 0) or not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite and >= 0")
     if ts.size == 0:
@@ -363,8 +367,8 @@ def lbar_design_orthogonal(
     """
     mv = _entries(m)
     q, n, p = _residual_projector(x_design)
-    if n - p < 3:
-        raise ValueError("need n - p >= 3 for the residual-space average")
+    if n - p < MIN_RADIAL_DIM:
+        raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
     scale = float(np.linalg.norm(mv))
     if float(np.linalg.norm(q.T @ mv)) > 1e-8 * max(1.0, scale):
         raise ValueError("m violates identifiability (X'm != 0)")
@@ -442,6 +446,7 @@ def _null_orbit_draw(
     group fixing the design, and ``mean(m) * 1`` for the permutation groups.
     The returned ``draw(b, count)`` samples block ``b`` of the null stream.
     """
+    spec.check_dimension(m.n)
     if spec.group is Group.FULL_ORTHOGONAL:
         null = np.zeros(m.n)
         average = lambda x, b: lbar_orthogonal(m, x)

@@ -12,10 +12,7 @@ iid uniforms U_i on the values of ``x`` sorted in increasing order.  The
 without-replacement sample reads the value at the rank of U_i; the
 with-replacement sample reads the value at position ``ceil(n U_i)``.
 Ranks track ``n U_i`` within an empirical-process fluctuation, which is
-what makes the weighted sums close for centered weights.  The spec'd
-"maximal-prefix" fill (first occurrences kept, leftovers permuted) is
-retained as ``method="first_occurrence"`` for comparison; it has correct
-marginals but its gap second moment does not vanish with n.
+what makes the weighted sums close for centered weights.
 """
 
 from __future__ import annotations
@@ -253,35 +250,11 @@ def _coupled_block_rank(
     return without, with_r, matched
 
 
-def _coupled_block_first_occurrence(
-    x: np.ndarray, m: np.ndarray, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = m.size
-    without = np.empty(count)
-    with_r = np.empty(count)
-    matched = np.empty(count, dtype=np.intp)
-    all_idx = np.arange(n)
-    for r in range(count):
-        star = rng.integers(0, n, size=n)
-        uniq, first = np.unique(star, return_index=True)
-        keep = np.zeros(n, dtype=bool)
-        keep[first] = True
-        j = np.empty(n, dtype=np.intp)
-        j[keep] = star[keep]
-        unused = np.setdiff1d(all_idx, uniq, assume_unique=True)
-        j[~keep] = rng.permutation(unused)
-        without[r] = x[j] @ m
-        with_r[r] = x[star] @ m
-        matched[r] = int(np.sum(j == star))
-    return without, with_r, matched
-
-
 def hajek_coupling(
     m: np.ndarray,
     x: np.ndarray,
     reps: int,
     seed: int | np.random.Generator,
-    method: str = "rank",
     workers: int = 1,
 ) -> CouplingResult:
     """Coupled draws of the contrast under sampling without and with replacement.
@@ -289,10 +262,8 @@ def hajek_coupling(
     Requires centered weights (``mean(m) = 0``).  The result records whether
     the empirical ``E (W - W')^2`` satisfies the theoretical bound
     ``3 s max|x_i - xbar| / sqrt(n - 1)`` up to 4 Monte Carlo standard errors.
-
-    ``method="rank"`` (default) drives both samples by shared uniforms as
-    described in the module docstring; ``method="first_occurrence"``
-    implements the prefix-keeping fill, whose gap does not vanish.
+    Both samples are driven by shared uniforms as described in the module
+    docstring.
     """
     m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -301,15 +272,10 @@ def hajek_coupling(
         raise ValueError("need matching vectors of length >= 2")
     if abs(m.mean()) > 1e-10:
         raise ValueError("weights must be centered (mean zero)")
-    if method not in ("rank", "first_occurrence"):
-        raise ValueError(f"unknown coupling method {method!r}")
     sorted_x = np.sort(x)
 
     def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rng = _block_rng(seed, TAG_COUPLING, (), b)
-        if method == "rank":
-            return _coupled_block_rank(sorted_x, m, count, rng)
-        return _coupled_block_first_occurrence(x, m, count, rng)
+        return _coupled_block_rank(sorted_x, m, count, _block_rng(seed, TAG_COUPLING, (), b))
 
     wk = 1 if isinstance(seed, np.random.Generator) else workers
     parts = map_blocks(block, reps, workers=wk)

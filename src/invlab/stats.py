@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._num import simpson
 from .models import SpacingsSample
 from .rng import as_generator
 

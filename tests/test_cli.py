@@ -1,10 +1,16 @@
 """Tests for the command-line front end."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab.cli import (
     ConfigError,
@@ -232,8 +238,11 @@ class TestIncompatibleConfigurations:
             ["sweep-spacings", "--alt", "h:cos1:20", "--n-grid", "50"],
             ["sweep-spacings", "--alt", "h:cos1:2", "--n-grid", "400,2"],
             ["sweep-neyman-scott", "--nu", "1", "--n-grid", "30"],
+            ["sweep-theorem2", "--delta", "3", "--n-grid", "50"],
+            ["sweep-theorem2", "--delta", "2.05", "--n-grid", "2,50"],
         ],
-        ids=["spacings-sup-h", "spacings-sup-h-late-n", "neyman-scott-nu-1"],
+        ids=["spacings-sup-h", "spacings-sup-h-late-n", "neyman-scott-nu-1",
+             "theorem2-outside-box", "theorem2-outside-box-late-n"],
     )
     def test_sweeps_exit_2_before_sampling(self, tmp_path, monkeypatch, args):
         from invlab import experiments
@@ -246,6 +255,32 @@ class TestIncompatibleConfigurations:
         assert code == 2
         assert not out.exists()
 
+    def test_theorem2_runs_at_its_default_delta(self, tmp_path):
+        from invlab import cli
+
+        cfg = cli.build_config(cli._build_parser().parse_args(["sweep-theorem2"]))
+        assert cfg["delta"] == 1.5
+        code, out = run(tmp_path, "sweep-theorem2", "--n-grid", "50", "--reps", "100", "--seed", "1")
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert float(rows[0]["centered_norm"]) == pytest.approx(1.5)
+
+    def test_sweeps_honour_calib_reps(self, tmp_path):
+        def table(*config_lines):
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text("".join(line + "\n" for line in config_lines))
+            code, out = run(tmp_path, "sweep-theorem2", "--n-grid", "30", "--reps", "200",
+                            "--seed", "3", "--config", str(cfg))
+            assert code == 0
+            return [{k: v for k, v in row.items() if k != "config_hash"}
+                    for row in csv.DictReader(out.open())]
+
+        unset = table()
+        assert table("calib_reps = 1000") == unset  # max(2 reps, 1000), the default
+        assert table("calib_reps = 400") != unset
+        (tmp_path / "sweep.cfg").write_text("calib_reps = 100\n")  # 100 * 0.05 < 20
+        code, out = run(tmp_path, "sweep-theorem2", "--config", str(tmp_path / "sweep.cfg"))
+        assert code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -297,6 +332,73 @@ class TestIncompatibleConfigurations:
             code, out = run(tmp_path, "power", *argv)
             assert code == 2
             assert not out.exists()
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    from invlab import cli
+
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_SCALES = st.sampled_from(["0", "0.5", "1", "2", "3", "8"])
+_GRIDS = st.lists(st.integers(1, 40), min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+#: Values of the flags without ``choices``; ``--stat`` takes the names its help lists.
+_FLAG_VALUES = {
+    "seed": st.integers(0, 2**32).map(str),
+    "workers": st.sampled_from(["1", "2"]),
+    "reps": st.integers(1, 64).map(str),
+    "level": st.sampled_from(["0.001", "0.01", "0.05", "0.2", "0.5", "0.9", "0.999"]),
+    "n_grid": _GRIDS,
+    "alt": st.one_of(
+        st.just("null"),
+        st.tuples(st.sampled_from(["spike", "spike_uncentered", "signs", "smooth"]), _SCALES).map(":".join),
+        st.tuples(st.integers(1, 4), _SCALES).map(lambda t: f"h:cos{t[0]}:{t[1]}"),
+    ),
+    "calib_reps": st.integers(1, 2000).map(str),
+    "nu": st.integers(1, 6).map(str),
+    "sigma": st.sampled_from(["0.1", "1", "3"]),
+    "delta": st.sampled_from(["0", "0.5", "1.5", "3", "10"]),
+    "lbar_reps": st.integers(1, 64).map(str),
+    "mc_reps": st.integers(1, 64).map(str),
+    "design_p": st.integers(1, 6).map(str),
+}
+
+
+@st.composite
+def _cli_argvs(draw):
+    """A subcommand with a random subset of its flags, at ``reps <= 64`` and ``n <= 40``."""
+    name = draw(st.sampled_from(sorted(_subparsers())))
+    argv, dests = [name], set()
+    for action in _subparsers()[name]._actions:
+        if not action.option_strings or action.dest in ("help", "config", "out"):
+            continue
+        dests.add(action.dest)
+        if action.dest not in ("reps", "n_grid") and not draw(st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices is not None:
+            argv += [flag, draw(st.sampled_from(list(action.choices)))]
+        elif action.dest == "stat":
+            argv += [flag, draw(st.sampled_from(action.help.split(" | ")))]
+        else:
+            argv += [flag, draw(_FLAG_VALUES[action.dest])]
+    return argv
+
+
+class TestExitCodes:
+    """Every configuration the parser accepts runs (exit 0) or is refused up front (exit 2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_cli_argvs())
+    def test_never_a_numeric_failure(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", f"{tmp}/table.csv"])
+        assert code in (0, 2), (argv, err.getvalue())
 
 
 class TestAlternativeParsing:

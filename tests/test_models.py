@@ -18,7 +18,6 @@ from invlab.models import (
     poisson_family,
     sample_model,
     sample_spacings_alternative_batch,
-    sample_spacings_null,
     sample_spacings_null_batch,
     spacings_loglik_approx,
     spacings_loglik_exact,
@@ -225,12 +224,12 @@ class TestContiguityDiagnostics:
 
 class TestSpacings:
     def test_null_sums_to_one(self):
-        d = sample_spacings_null(64, 0)
+        d = SpacingsSample(sample_spacings_null_batch(64, 1, 0)[0])
         assert abs(d.d.sum() - 1.0) <= 1e-12
 
     def test_scaled_first_spacing_mean(self):
         n = 100_000
-        d = sample_spacings_null(n, 1)
+        d = SpacingsSample(sample_spacings_null_batch(n, 1, 1)[0])
         # each spacing has mean 1/(n+1); average over all for a tight check
         scaled = (n + 1) * d.d
         assert abs(scaled.mean() - 1.0) < 1e-12  # exact by normalization
@@ -312,7 +311,7 @@ class TestSpacingsAlternative:
 
 class TestSpacingsLoglik:
     def test_zero_profile(self):
-        d = sample_spacings_null(30, 8)
+        d = SpacingsSample(sample_spacings_null_batch(30, 1, 8)[0])
         zero = models.profile_from_callable(lambda x: np.zeros_like(x), label="0")
         assert spacings_loglik_approx(zero, d) == pytest.approx(0.0)
 
@@ -325,7 +324,7 @@ class TestSpacingsLoglik:
     def test_constant_one_profile(self):
         # sum(d_i) - 1 = 0 exactly, so only the -1/2 integral survives.
         n = 20
-        d = sample_spacings_null(n, 9)
+        d = SpacingsSample(sample_spacings_null_batch(n, 1, 9)[0])
         val = (d.d - 1.0 / (n + 1)) @ np.ones(n + 1) - 0.5
         assert val == pytest.approx(-0.5, abs=1e-12)
 
@@ -345,7 +344,7 @@ class TestSpacingsLoglik:
 
     def test_exact_loglik_matches_direct_sum(self):
         prof = cosine_profile({1: 1.0})
-        d = sample_spacings_null(50, 10)
+        d = SpacingsSample(sample_spacings_null_batch(50, 1, 10)[0])
         pts = d.points
         oracle = np.sum(np.log1p(prof(pts) / np.sqrt(50)))
         assert spacings_loglik_exact(prof, d) == pytest.approx(oracle, rel=1e-12)

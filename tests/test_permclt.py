@@ -196,12 +196,11 @@ class TestCoupling:
         assert res.gap_sq_mean == pytest.approx(0.0, abs=1e-20)
         assert np.all(res.without_repl == res.with_repl)
 
-    @pytest.mark.parametrize("method", ["rank", "first_occurrence"])
-    def test_n2_hand_enumeration(self, method):
-        # For m=(1,-1), x=(0,1): E[(W - W')^2] = 1/2 for both constructions.
+    def test_n2_hand_enumeration(self):
+        # For m=(1,-1), x=(0,1): E[(W - W')^2] = 1/2.
         m = np.array([1.0, -1.0])
         x = np.array([0.0, 1.0])
-        res = hajek_coupling(m, x, 40_000, seed=12, method=method)
+        res = hajek_coupling(m, x, 40_000, seed=12)
         se = res.gap_sq_se
         assert abs(res.gap_sq_mean - 0.5) < 4 * se
 
