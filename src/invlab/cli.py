@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +155,8 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean {text!r}")
 
 
-def _number(kind, name, positive=False):
-    """Parser of a finite ``kind`` value (``> 0`` if ``positive``) that raises :class:`ConfigError`."""
+def _number(kind, name, valid=None, want=""):
+    """Parser of a finite ``kind`` value (one that ``valid`` accepts) that raises :class:`ConfigError`."""
 
     def parse(text):
         try:
@@ -164,15 +165,15 @@ def _number(kind, name, positive=False):
             raise ConfigError(f"bad {name} {text!r}") from exc
         if not np.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {text!r}")
-        if positive and v <= 0:
-            raise ConfigError(f"{name} must be positive, got {text!r}")
+        if valid is not None and not valid(v):
+            raise ConfigError(f"{name} must be {want}, got {text!r}")
         return v
 
     return parse
 
 
-def _positive(kind, name):
-    return _number(kind, name, positive=True)
+def _count(name, least=1):
+    return _number(int, name, lambda v: v >= least, f">= {least}")
 
 
 def parse_alternative(text: str) -> experiments.AlternativeSpec:
@@ -205,19 +206,14 @@ def parse_alternative(text: str) -> experiments.AlternativeSpec:
     raise ConfigError(f"unknown alternative kind {kind!r}")
 
 
-_MODELS = ("normal", "poisson", "bernoulli", "logistic", "neyman_scott", "spacings")
-
-
 def resolve_model(name: str, nu: int, sigma: float) -> experiments.Model:
     if name == "normal":
         return experiments.normal_means_model()
-    if name in ("poisson", "bernoulli", "logistic"):
-        return experiments.FamilyModel(models.family_by_name(name))
     if name == "neyman_scott":
         return experiments.NeymanScottModel(nu=nu, sigma=sigma)
     if name == "spacings":
         return experiments.SpacingsModel()
-    raise ConfigError(f"unknown model {name!r} (choose from {', '.join(_MODELS)})")
+    return experiments.FamilyModel(models.family_by_name(name))
 
 
 # --------------------------------------------------------------------- #
@@ -331,8 +327,6 @@ def run_lbar(cfg: dict) -> list[dict]:
     group = orbit.Group(cfg["group"])
     alt = parse_alternative(cfg["alt"])
     family = models.family_by_name(cfg["model"])
-    if isinstance(family, models.GeneralFamilySpec):
-        raise ConfigError("lbar supports exponential families only")
 
     def setup(n):
         entries = alt.mean_entries(n, 0.0, cfg["seed"])
@@ -377,18 +371,16 @@ def run_lbar(cfg: dict) -> list[dict]:
 
 def run_clt_sweep(cfg: dict) -> list[dict]:
     family = models.family_by_name(cfg["model"])
-    if isinstance(family, models.GeneralFamilySpec):
-        raise ConfigError("clt-sweep supports exponential families only")
     alt = parse_alternative(cfg["alt"])
-    _per_n(cfg, lambda n: alt.mean_entries(n, 0.0, cfg["seed"]))
+
+    def m_builder(n):
+        return alt.mean_entries(n, 0.0, cfg["seed"])
 
     def null_sampler(n, reps, rng):
         m = MeanVector(np.zeros(n))
         return models.sample_model(family, m, rng, reps=max(reps, 1))
 
-    def m_builder(n):
-        return alt.mean_entries(n, 0.0, cfg["seed"])
-
+    _per_n(cfg, m_builder)
     rows = permclt.theorem_convergence_sweep(
         null_sampler, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )
@@ -443,72 +435,123 @@ def run_recalibrate(cfg: dict) -> list[dict]:
 
 
 # --------------------------------------------------------------------- #
-# Argument parsing
+# Configuration: one declaration of every key and every subcommand
 # --------------------------------------------------------------------- #
 
-_RUNNERS = {
-    "power": run_power,
-    "sweep-theorem1": run_theorem1,
-    "sweep-theorem2": run_theorem2,
-    "sweep-neyman-scott": run_neyman_scott,
-    "sweep-spacings": run_spacings,
-    "lbar": run_lbar,
-    "clt-sweep": run_clt_sweep,
-    "coupling": run_coupling,
-    "recalibrate": run_recalibrate,
+
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """A config key: global default (``None`` is resolved at run time), value parser, help, choices."""
+
+    default: object
+    parse: Callable[[str], object]
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_EXP_FAMILIES = ("normal", "poisson", "bernoulli")
+_STATS = tuple(dict.fromkeys(s for names in _MODEL_STATS.values() for s in names))
+
+#: Every key a run's config holds, at its global default.  A key's flag is
+#: ``--`` and its name with dashes for underscores, unless a subcommand respells it.
+_KEYS = {
+    "seed": Key(0, _number(int, "seed"), f"64-bit RNG seed, ${ENV_SEED} when set"),
+    "workers": Key(1, _count("workers"), "worker threads (results are worker-count independent)"),
+    "out": Key(None, str, "output file (default stdout)"),
+    "format": Key("csv", str, "output format", ("csv", "json")),
+    "reps": Key(experiments.DEFAULT_REPS, _count("reps", 2), "Monte Carlo replicates per estimate"),
+    "level": Key(
+        experiments.DEFAULT_LEVEL,
+        _number(float, "level", lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+        "target test level",
+    ),
+    "calib_reps": Key(
+        None, _count("calib_reps"), "null replicates for the critical value (default max(2 reps, 1000))"
+    ),
+    "n_grid": Key((100, 1000, 10_000), _parse_grid, "sample size(s), comma separated"),
+    "model": Key("normal", str, "data model", tuple(_MODEL_STATS)),
+    "stat": Key("chisq", str, " | ".join(_STATS), _STATS),
+    "alt": Key("spike:3", str, "alternative, e.g. spike:3, smooth:1.5, signs:2, h:cos1:2, null"),
+    "nu": Key(5, _count("nu", 2), "replicates per group (neyman_scott)"),
+    "sigma": Key(1.0, _number(float, "sigma", lambda v: v > 0, "positive"), "noise scale (neyman_scott)"),
+    "delta": Key(3.0, _number(float, "delta"), "alternative norm"),
+    "profile": Key("single_spike", str, "alternative profile", ("single_spike", "random_signs")),
+    "matrix": Key(False, _parse_bool, "bivariate generalized-variance sweep"),
+    "lbar_reps": Key(None, _count("lbar_reps", 2), "replicates of the averaged-ratio bound (default --reps)"),
+    "mc_reps": Key(10_000, _count("mc_reps"), "permutations per Monte Carlo average"),
+    "group": Key("permutation_exhaustive", str, "orbit group", tuple(g.value for g in orbit.Group)),
+    "design_p": Key(3, _count("design_p"), "design columns for the fixing group"),
 }
 
-# Hard defaults, applied after flags and the config file.
-_DEFAULTS = {
-    "seed": None,  # resolved from INVLAB_SEED, else 0
-    "workers": 1,
-    "format": "csv",
-    "out": None,
-    "level": experiments.DEFAULT_LEVEL,
-    "reps": experiments.DEFAULT_REPS,
-    "calib_reps": None,
-    "n_grid": (100, 1000, 10_000),
-    "model": "normal",
-    "stat": "chisq",
-    "alt": "spike:3",
-    "nu": 5,
-    "sigma": 1.0,
-    "delta": 3.0,
-    "profile": "single_spike",
-    "matrix": False,
-    "lbar_reps": None,
-    "mc_reps": 10_000,
-    "group": "permutation_exhaustive",
-    "design_p": 3,
+#: Keys every subcommand takes.
+_COMMON_KEYS = ("seed", "workers", "out", "format", "reps")
+#: Keys of the subcommands that calibrate critical values.
+_CALIBRATION_KEYS = ("level", "calib_reps")
+
+
+@dataclasses.dataclass(frozen=True)
+class Subcommand:
+    """A runner, the keys it reads beyond the common ones, and its overrides of their declaration."""
+
+    run: Callable[[dict], list[dict]]
+    help: str
+    own_keys: tuple[str, ...] = ()
+    defaults: dict = dataclasses.field(default_factory=dict)
+    choices: dict = dataclasses.field(default_factory=dict)
+    flags: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return _COMMON_KEYS + self.own_keys
+
+
+_SUBCOMMANDS = {
+    "power": Subcommand(
+        run_power, "calibrate a statistic and estimate level and power",
+        ("model", "stat", "alt", "n_grid", "nu", "sigma", *_CALIBRATION_KEYS), flags={"n_grid": "--n"},
+    ),
+    "sweep-theorem1": Subcommand(
+        run_theorem1, "normal-model invariant collapse vs the averaged-ratio bound",
+        ("delta", "n_grid", "lbar_reps", *_CALIBRATION_KEYS),
+    ),
+    "sweep-theorem2": Subcommand(
+        run_theorem2, "exponential-family permutation-invariant collapse",
+        ("model", "delta", "n_grid", *_CALIBRATION_KEYS),
+        defaults={"delta": 1.5}, choices={"model": (*_EXP_FAMILIES, "logistic")},
+    ),
+    "sweep-neyman-scott": Subcommand(
+        run_neyman_scott, "ANOVA-F collapse in the replicated layout",
+        ("n_grid", "nu", "sigma", "delta", "profile", "matrix", *_CALIBRATION_KEYS),
+    ),
+    "sweep-spacings": Subcommand(
+        run_spacings, "spacings statistics under 1 + h/sqrt(n)", ("alt", "n_grid", *_CALIBRATION_KEYS),
+        defaults={"n_grid": (100, 400, 1600), "alt": "h:cos1:2"},
+    ),
+    "lbar": Subcommand(
+        run_lbar, "null Monte Carlo of the orbit-averaged ratio",
+        ("group", "model", "alt", "n_grid", "mc_reps", "design_p"),
+        defaults={"n_grid": (6,), "alt": "spike:1"},
+        choices={"model": _EXP_FAMILIES}, flags={"n_grid": "--n"},
+    ),
+    "clt-sweep": Subcommand(
+        run_clt_sweep, "rho2 distances between permutation, bootstrap, and iid laws", ("model", "alt", "n_grid"),
+        defaults={"n_grid": (50, 500, 5000), "alt": "spike:1"}, choices={"model": _EXP_FAMILIES},
+    ),
+    "coupling": Subcommand(
+        run_coupling, "with/without-replacement coupling and the second-moment bound", ("n_grid",),
+        defaults={"reps": 2000},
+    ),
+    "recalibrate": Subcommand(
+        run_recalibrate, "regenerate the pilot-threshold expectations file", defaults={"reps": 4000}
+    ),
 }
 
-#: Subcommands that calibrate critical values; each honours calib_reps.
-_CALIBRATED = ("power", "sweep-theorem1", "sweep-theorem2", "sweep-neyman-scott", "sweep-spacings")
+#: Runner of each subcommand, looked up here by :func:`main`.
+_RUNNERS = {name: spec.run for name, spec in _SUBCOMMANDS.items()}
 
-_THEOREM2_DEFAULTS = {"delta": 1.5}
-_SPACINGS_DEFAULTS = {"n_grid": (100, 400, 1600), "alt": "h:cos1:2"}
-_CLT_DEFAULTS = {"n_grid": (50, 500, 5000), "alt": "spike:1"}
-_LBAR_DEFAULTS = {"n_grid": (6,), "alt": "spike:1", "reps": 10_000}
-_COUPLING_DEFAULTS = {"n_grid": (100, 1000, 10_000), "reps": 2000}
-_RECAL_DEFAULTS = {"reps": 4000}
 
-#: Parsers of the typed keys.  Flags and config-file values are both raw
-#: strings until :func:`build_config` passes them through these.
-_TYPES = {
-    "seed": _number(int, "seed"),
-    "workers": _positive(int, "workers"),
-    "level": _positive(float, "level"),
-    "reps": _positive(int, "reps"),
-    "calib_reps": _positive(int, "calib_reps"),
-    "n_grid": _parse_grid,
-    "nu": _positive(int, "nu"),
-    "sigma": _positive(float, "sigma"),
-    "delta": _number(float, "delta"),
-    "matrix": _parse_bool,
-    "lbar_reps": _positive(int, "lbar_reps"),
-    "mc_reps": _positive(int, "mc_reps"),
-    "design_p": _positive(int, "design_p"),
-}
+def _shown(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else _fmt_cell(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -518,117 +561,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"invlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", help=f"64-bit RNG seed (default ${ENV_SEED} or 0)")
-        p.add_argument("--workers", help="worker threads (results are worker-count independent)")
-        p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--reps", help="Monte Carlo replicates per estimate")
-        p.add_argument("--level", help="target test level (default 0.05)")
-
-    p = sub.add_parser("power", help="calibrate a statistic and estimate level and power")
-    add_common(p)
-    p.add_argument("--model", choices=_MODELS)
-    p.add_argument("--stat", help="chisq | variance | np | anova_f | greenwood | moran | two_spacings_sq | quadratic | quadratic_spacings | wilks")
-    p.add_argument("--alt", help="alternative, e.g. spike:3, smooth:1.5, signs:2, h:cos1:2, null")
-    p.add_argument("--n", dest="n_grid", help="sample size(s), comma separated")
-    p.add_argument("--calib-reps", dest="calib_reps")
-    p.add_argument("--nu", help="replicates per group (neyman_scott)")
-    p.add_argument("--sigma", help="noise scale (neyman_scott)")
-
-    p = sub.add_parser("sweep-theorem1", help="normal-model invariant collapse vs the averaged-ratio bound")
-    add_common(p)
-    p.add_argument("--delta", help="alternative norm (default 3)")
-    p.add_argument("--n-grid", dest="n_grid")
-    p.add_argument("--lbar-reps", dest="lbar_reps")
-
-    p = sub.add_parser("sweep-theorem2", help="exponential-family permutation-invariant collapse")
-    add_common(p)
-    p.add_argument("--model", choices=("normal", "poisson", "bernoulli", "logistic"))
-    p.add_argument("--delta", help="centered alternative norm (default 1.5)")
-    p.add_argument("--n-grid", dest="n_grid")
-
-    p = sub.add_parser("sweep-neyman-scott", help="ANOVA-F collapse in the replicated layout")
-    add_common(p)
-    p.add_argument("--n-grid", dest="n_grid")
-    p.add_argument("--nu")
-    p.add_argument("--sigma")
-    p.add_argument("--delta")
-    p.add_argument("--profile", choices=("single_spike", "random_signs"))
-    p.add_argument("--matrix", action="store_const", const=True, help="bivariate generalized-variance sweep")
-
-    p = sub.add_parser("sweep-spacings", help="spacings statistics under 1 + h/sqrt(n)")
-    add_common(p)
-    p.add_argument("--alt", help="h:cosK:SCALE profile (default h:cos1:2)")
-    p.add_argument("--n-grid", dest="n_grid")
-
-    p = sub.add_parser("lbar", help="null Monte Carlo of the orbit-averaged ratio")
-    add_common(p)
-    p.add_argument("--group", choices=[g.value for g in orbit.Group])
-    p.add_argument("--model", choices=("normal", "poisson", "bernoulli"))
-    p.add_argument("--alt", help="alternative shape, e.g. spike:1")
-    p.add_argument("--n", dest="n_grid")
-    p.add_argument("--mc-reps", dest="mc_reps", help="permutations per Monte Carlo average")
-    p.add_argument("--design-p", dest="design_p", help="design columns for the fixing group")
-
-    p = sub.add_parser("clt-sweep", help="rho2 distances between permutation, bootstrap, and iid laws")
-    add_common(p)
-    p.add_argument("--model", choices=("normal", "poisson", "bernoulli"))
-    p.add_argument("--alt", help="contrast shape (default spike:1)")
-    p.add_argument("--n-grid", dest="n_grid")
-
-    p = sub.add_parser("coupling", help="with/without-replacement coupling and the second-moment bound")
-    add_common(p)
-    p.add_argument("--n-grid", dest="n_grid")
-
-    p = sub.add_parser("recalibrate", help="regenerate the pilot-threshold expectations file")
-    add_common(p)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        p.add_argument("--config", help="flat key=value config file of the keys below; flags override it")
+        for key in spec.keys:
+            flag = spec.flags.get(key, "--" + key.replace("_", "-"))
+            default, text = spec.defaults.get(key, _KEYS[key].default), _KEYS[key].help
+            if default is not None:
+                text += f" (default {_shown(default)})"
+            if _KEYS[key].parse is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const="true", help=text)
+            else:
+                p.add_argument(flag, dest=key, choices=spec.choices.get(key, _KEYS[key].choices), help=text)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    """Merge flags over the config file over hard defaults."""
+    """Merge flags over the config file over ``$INVLAB_SEED`` over the subcommand's defaults.
+
+    The result holds every key of :data:`_KEYS`; a key the subcommand does
+    not take stays at its global default.  Flags and file values go through
+    the same parser and choices.
+    """
+    name = args.subcommand
+    spec = _SUBCOMMANDS[name]
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = dict(_DEFAULTS)
-    cfg.update(
-        {
-            "sweep-theorem2": _THEOREM2_DEFAULTS,
-            "sweep-spacings": _SPACINGS_DEFAULTS,
-            "clt-sweep": _CLT_DEFAULTS,
-            "lbar": _LBAR_DEFAULTS,
-            "coupling": _COUPLING_DEFAULTS,
-            "recalibrate": _RECAL_DEFAULTS,
-        }.get(args.subcommand, {})
-    )
     for key in file_cfg:
-        if key not in cfg:
-            raise ConfigError(f"unknown config key {key!r}")
-    flags = {
-        k: v for k, v in vars(args).items() if k not in ("config", "subcommand") and v is not None
-    }
-    for key, raw in (file_cfg | flags).items():
-        cfg[key] = _TYPES.get(key, str)(raw)
-    if cfg["seed"] is None:
-        env = os.environ.get(ENV_SEED)
-        try:
-            cfg["seed"] = int(env) if env else 0
-        except ValueError as exc:
-            raise ConfigError(f"bad {ENV_SEED} value {env!r}") from exc
-    cfg["subcommand"] = args.subcommand
-    if not 0.0 < cfg["level"] < 1.0:
-        raise ConfigError("level must lie strictly between 0 and 1")
-    if cfg["nu"] < 2:
-        raise ConfigError(f"nu must be >= 2 replicates per group, got {cfg['nu']}")
-    if args.subcommand in _CALIBRATED:
+        if key not in spec.keys:
+            raise ConfigError(f"{name} takes no config key {key!r} (it takes {', '.join(spec.keys)})")
+    flags = {k: v for k, v in vars(args).items() if k in spec.keys and v is not None}
+    cfg = {key: decl.default for key, decl in _KEYS.items()} | spec.defaults
+    env = {"seed": os.environ[ENV_SEED]} if os.environ.get(ENV_SEED) else {}
+    for key, raw in (env | file_cfg | flags).items():
+        cfg[key] = _KEYS[key].parse(raw)
+        choices = spec.choices.get(key, _KEYS[key].choices)
+        if choices is not None and cfg[key] not in choices:
+            raise ConfigError(f"{name} takes {key} in {', '.join(choices)}, got {raw!r}")
+    cfg["subcommand"] = name
+    if "calib_reps" in spec.keys:
         calib_reps = experiments.calibration_reps(cfg["reps"], cfg["calib_reps"])
         if calib_reps * cfg["level"] < experiments.MIN_TAIL_REPS:
             raise ConfigError(
                 f"calibration needs calib_reps * level >= {experiments.MIN_TAIL_REPS}, "
                 f"got {calib_reps} * {cfg['level']:g}"
             )
+    if name == "clt-sweep" and cfg["reps"] < 4:  # two batches of two for the standard errors
+        raise ConfigError("clt-sweep needs reps >= 4 for its standard errors")
     return cfg
 
 

@@ -266,6 +266,8 @@ def make_statistic(
     """
     if name == "chisq":
         return NamedStatistic("chisq", stats.chisq_statistic)
+    if name in ("variance", "two_spacings_sq") and n < 2:
+        raise ValueError(f"{name} is constant below n = 2, got n = {n}")
     if name == "variance":
         return NamedStatistic("variance", stats.sample_variance_statistic)
     if name == "np":

@@ -164,7 +164,7 @@ def sample_perm_law(
     m: np.ndarray,
     x: np.ndarray,
     reps: int,
-    seed: int | np.random.Generator,
+    seed: int,
     workers: int = 1,
     stream: tuple[int, ...] = (),
 ) -> EmpiricalLaw:
@@ -175,18 +175,17 @@ def sample_perm_law(
         raise ValueError("m and x must have the same length")
 
     def block(b: int, count: int) -> np.ndarray:
-        rng = _block_rng(seed, TAG_PERM_LAW, stream, b)
+        rng = as_generator(seed, TAG_PERM_LAW, *stream, b)
         return x[uniform_permutations(rng, count, m.size)] @ m
 
-    wk = 1 if isinstance(seed, np.random.Generator) else workers
-    return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=wk)))
+    return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=workers)))
 
 
 def sample_boot_law(
     m: np.ndarray,
     x: np.ndarray,
     reps: int,
-    seed: int | np.random.Generator,
+    seed: int,
     workers: int = 1,
     stream: tuple[int, ...] = (),
 ) -> EmpiricalLaw:
@@ -197,20 +196,11 @@ def sample_boot_law(
         raise ValueError("m and x must have the same length")
 
     def block(b: int, count: int) -> np.ndarray:
-        rng = _block_rng(seed, TAG_BOOT_LAW, stream, b)
+        rng = as_generator(seed, TAG_BOOT_LAW, *stream, b)
         idx = rng.integers(0, m.size, size=(count, m.size))
         return x[idx] @ m
 
-    wk = 1 if isinstance(seed, np.random.Generator) else workers
-    return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=wk)))
-
-
-def _block_rng(
-    seed: int | np.random.Generator, tag: int, stream: tuple[int, ...], b: int
-) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return as_generator(seed, tag, *stream, b)
+    return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=workers)))
 
 
 # --------------------------------------------------------------------- #
@@ -254,7 +244,7 @@ def hajek_coupling(
     m: np.ndarray,
     x: np.ndarray,
     reps: int,
-    seed: int | np.random.Generator,
+    seed: int,
     workers: int = 1,
 ) -> CouplingResult:
     """Coupled draws of the contrast under sampling without and with replacement.
@@ -275,10 +265,9 @@ def hajek_coupling(
     sorted_x = np.sort(x)
 
     def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _coupled_block_rank(sorted_x, m, count, _block_rng(seed, TAG_COUPLING, (), b))
+        return _coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
 
-    wk = 1 if isinstance(seed, np.random.Generator) else workers
-    parts = map_blocks(block, reps, workers=wk)
+    parts = map_blocks(block, reps, workers=workers)
     without = np.concatenate([p[0] for p in parts])
     with_r = np.concatenate([p[1] for p in parts])
     matched = np.concatenate([p[2] for p in parts])

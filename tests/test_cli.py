@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,9 +218,11 @@ class TestIncompatibleConfigurations:
             ["--model", "poisson", "--stat", "variance", "--alt", "spike:3"],
             ["--model", "spacings", "--stat", "greenwood", "--alt", "h:cos1:10"],
             ["--model", "neyman_scott", "--stat", "anova_f", "--nu", "1"],
+            ["--model", "normal", "--stat", "variance", "--alt", "null", "--n", "1"],
+            ["--model", "spacings", "--stat", "two_spacings_sq", "--alt", "null", "--n", "1"],
         ],
         ids=["spacings-spike", "normal-greenwood", "poisson-outside-box",
-             "spacings-sup-h", "neyman-scott-nu-1"],
+             "spacings-sup-h", "neyman-scott-nu-1", "variance-n-1", "two-spacings-n-1"],
     )
     def test_exit_2_before_sampling(self, tmp_path, monkeypatch, args):
         from invlab import experiments
@@ -228,7 +231,7 @@ class TestIncompatibleConfigurations:
             raise RuntimeError("sampled an incompatible configuration")
 
         monkeypatch.setattr(experiments, "estimate_power", no_sampling)
-        code, out = run(tmp_path, "power", *args, "--n", "100", "--reps", "500", "--seed", "1")
+        code, out = run(tmp_path, "power", "--n", "100", *args, "--reps", "500", "--seed", "1")
         assert code == 2
         assert not out.exists()
 
@@ -277,7 +280,13 @@ class TestIncompatibleConfigurations:
 
         unset = table()
         assert table("calib_reps = 1000") == unset  # max(2 reps, 1000), the default
-        assert table("calib_reps = 400") != unset
+        from_file = table("calib_reps = 400")
+        assert from_file != unset
+        code, out = run(tmp_path, "sweep-theorem2", "--n-grid", "30", "--reps", "200",
+                        "--seed", "3", "--calib-reps", "400")
+        assert code == 0
+        assert [{k: v for k, v in row.items() if k != "config_hash"}
+                for row in csv.DictReader(out.open())] == from_file
         (tmp_path / "sweep.cfg").write_text("calib_reps = 100\n")  # 100 * 0.05 < 20
         code, out = run(tmp_path, "sweep-theorem2", "--config", str(tmp_path / "sweep.cfg"))
         assert code == 2
@@ -295,10 +304,17 @@ class TestIncompatibleConfigurations:
             ["power", "--n", "0"],
             ["power", "--seed", "abc"],
             ["power", "--model", "neyman_scott", "--stat", "anova_f", "--sigma", "nan"],
+            ["recalibrate", "--reps", "64", "--level", "0.3"],
+            ["lbar", "--level", "0.3"],
+            ["lbar", "--group", "permutation", "--n", "10", "--reps", "1", "--mc-reps", "10"],
+            ["coupling", "--n-grid", "10", "--reps", "1"],
+            ["sweep-theorem1", "--n-grid", "10", "--reps", "100", "--lbar-reps", "1"],
+            ["clt-sweep", "--n-grid", "20", "--reps", "3"],
         ],
         ids=["reps-0", "sigma-negative", "mc-reps-0", "workers-0", "calib-reps-3",
              "default-calib-reps-tiny-level", "sweep-tiny-level", "n-0", "seed-not-int",
-             "sigma-nan"],
+             "sigma-nan", "recalibrate-level", "lbar-level", "lbar-reps-1", "coupling-reps-1",
+             "theorem1-lbar-reps-1", "clt-sweep-reps-3"],
     )
     def test_bad_flag_values_exit_2_before_running(self, tmp_path, monkeypatch, argv):
         from invlab import cli
@@ -367,38 +383,125 @@ _FLAG_VALUES = {
 
 @st.composite
 def _cli_argvs(draw):
-    """A subcommand with a random subset of its flags, at ``reps <= 64`` and ``n <= 40``."""
+    """A subcommand with a random subset of its flags, at ``reps <= 64`` and ``n <= 40``.
+
+    Returns the argv and the config-file lines that set a random half of the
+    drawn keys in place of their flags.
+    """
     name = draw(st.sampled_from(sorted(_subparsers())))
-    argv, dests = [name], set()
+    argv, lines = [name], []
     for action in _subparsers()[name]._actions:
         if not action.option_strings or action.dest in ("help", "config", "out"):
             continue
-        dests.add(action.dest)
         if action.dest not in ("reps", "n_grid") and not draw(st.booleans()):
             continue
         flag = action.option_strings[0]
         if action.nargs == 0:
-            argv.append(flag)
+            value = "true"
         elif action.choices is not None:
-            argv += [flag, draw(st.sampled_from(list(action.choices)))]
+            value = draw(st.sampled_from(list(action.choices)))
         elif action.dest == "stat":
-            argv += [flag, draw(st.sampled_from(action.help.split(" | ")))]
+            value = draw(st.sampled_from(action.help.split(" | ")))
         else:
-            argv += [flag, draw(_FLAG_VALUES[action.dest])]
-    return argv
+            value = draw(_FLAG_VALUES[action.dest])
+        if draw(st.booleans()):
+            lines.append(f"{action.dest} = {value}")
+        else:
+            argv += [flag] if action.nargs == 0 else [flag, value]
+    return argv, lines
 
 
 class TestExitCodes:
     """Every configuration the parser accepts runs (exit 0) or is refused up front (exit 2)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(argv=_cli_argvs())
-    def test_never_a_numeric_failure(self, argv):
+    @given(drawn=_cli_argvs())
+    def test_never_a_numeric_failure(self, drawn):
+        argv, lines = drawn
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
+            if lines:
+                Path(tmp, "run.cfg").write_text("".join(line + "\n" for line in lines))
+                argv = [*argv, "--config", f"{tmp}/run.cfg"]
             code = main([*argv, "--out", f"{tmp}/table.csv"])
-        assert code in (0, 2), (argv, err.getvalue())
+        assert code in (0, 2), (argv, lines, err.getvalue())
+
+
+#: Every key a run's config holds, each at a value its parser accepts.
+_KEY_VALUES = {
+    "seed": "1", "workers": "1", "out": "table.csv", "format": "json", "reps": "100",
+    "level": "0.05", "calib_reps": "1000", "n_grid": "10", "model": "normal", "stat": "chisq",
+    "alt": "spike:1", "nu": "3", "sigma": "1", "delta": "1", "profile": "single_spike",
+    "matrix": "false", "lbar_reps": "100", "mc_reps": "100", "group": "permutation",
+    "design_p": "2",
+}
+
+
+def _flag_dests(parser: argparse.ArgumentParser) -> set[str]:
+    return {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _refused_config_lines() -> list[tuple[str, str]]:
+    """``(subcommand, line)``: a key the subcommand has no flag for, or a value off its flag's choices.
+
+    Off-choice values are the ones another subcommand offers for the key, and ``bogus``.
+    """
+    subs = _subparsers()
+    offered: dict[str, set] = {}
+    for parser in subs.values():
+        for a in parser._actions:
+            if a.option_strings and a.choices is not None:
+                offered.setdefault(a.dest, set()).update(a.choices)
+    cases = []
+    for name, parser in sorted(subs.items()):
+        cases += [(name, f"{k} = {v}") for k, v in _KEY_VALUES.items() if k not in _flag_dests(parser)]
+        for a in parser._actions:
+            if a.option_strings and a.choices is not None:
+                off = sorted(offered[a.dest] - set(a.choices)) + ["bogus"]
+                cases += [(name, f"{a.dest} = {v}") for v in off]
+    return cases
+
+
+class TestConfigKeys:
+    """A config file sets exactly the keys a subcommand has flags for, with the flags' choices."""
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_file_keys_are_the_flag_dests(self, tmp_path, name):
+        from invlab import cli
+
+        accepted = set()
+        for key, value in _KEY_VALUES.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            try:
+                cli.build_config(cli._build_parser().parse_args([name, "--config", str(cfg)]))
+            except ConfigError:
+                continue
+            accepted.add(key)
+        assert accepted == _flag_dests(_subparsers()[name])
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_help_shows_every_default(self, name):
+        for a in _subparsers()[name]._actions:
+            if a.option_strings and a.dest not in ("help", "config"):
+                assert "(default " in a.help, (name, a.dest, a.help)
+
+    @pytest.mark.parametrize(
+        "name,line", _refused_config_lines(), ids=[f"{n}:{l}" for n, l in _refused_config_lines()]
+    )
+    def test_refused_file_values_exit_2_before_running(self, tmp_path, monkeypatch, name, line):
+        from invlab import cli
+
+        def not_reached(_cfg):
+            raise RuntimeError("ran a subcommand on a refused configuration")
+
+        monkeypatch.setitem(cli._RUNNERS, name, not_reached)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out = run(tmp_path, name, "--config", str(cfg))
+        assert code == 2
+        assert not out.exists()
 
 
 class TestAlternativeParsing:
