@@ -336,6 +336,7 @@ def run_lbar(cfg: dict) -> list[dict]:
             q, _ = np.linalg.qr(design)
             entries = entries - q @ (q.T @ entries)
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
+        spec.check_family(family)
         spec.check_dimension(n)
         return n, MeanVector(entries, compact_lo=None, compact_hi=None), spec
 
@@ -418,8 +419,7 @@ def run_coupling(cfg: dict) -> list[dict]:
 
 def run_recalibrate(cfg: dict) -> list[dict]:
     vals = expectations.recalibrate(seed=cfg["seed"], reps=cfg["reps"], workers=cfg["workers"])
-    out_path = cfg.get("out") or "expectations.json"
-    expectations.write_expectations(vals, out_path)
+    expectations.write_expectations(vals, cfg["out"])
     cfg["out"] = None  # the summary table goes to stdout; --out held the JSON
     return [
         {
@@ -441,12 +441,13 @@ def run_recalibrate(cfg: dict) -> list[dict]:
 
 @dataclasses.dataclass(frozen=True)
 class Key:
-    """A config key: global default (``None`` is resolved at run time), value parser, help, choices."""
+    """A config key: global default, value parser, help, choices, and what a ``None`` default becomes at run time."""
 
     default: object
     parse: Callable[[str], object]
     help: str
     choices: tuple[str, ...] | None = None
+    unset: str | None = None
 
 
 _EXP_FAMILIES = ("normal", "poisson", "bernoulli")
@@ -457,7 +458,7 @@ _STATS = tuple(dict.fromkeys(s for names in _MODEL_STATS.values() for s in names
 _KEYS = {
     "seed": Key(0, _number(int, "seed"), f"64-bit RNG seed, ${ENV_SEED} when set"),
     "workers": Key(1, _count("workers"), "worker threads (results are worker-count independent)"),
-    "out": Key(None, str, "output file (default stdout)"),
+    "out": Key(None, str, "output file", unset="stdout"),
     "format": Key("csv", str, "output format", ("csv", "json")),
     "reps": Key(experiments.DEFAULT_REPS, _count("reps", 2), "Monte Carlo replicates per estimate"),
     "level": Key(
@@ -466,7 +467,7 @@ _KEYS = {
         "target test level",
     ),
     "calib_reps": Key(
-        None, _count("calib_reps"), "null replicates for the critical value (default max(2 reps, 1000))"
+        None, _count("calib_reps"), "null replicates for the critical value", unset="max(2 reps, 1000)"
     ),
     "n_grid": Key((100, 1000, 10_000), _parse_grid, "sample size(s), comma separated"),
     "model": Key("normal", str, "data model", tuple(_MODEL_STATS)),
@@ -477,7 +478,7 @@ _KEYS = {
     "delta": Key(3.0, _number(float, "delta"), "alternative norm"),
     "profile": Key("single_spike", str, "alternative profile", ("single_spike", "random_signs")),
     "matrix": Key(False, _parse_bool, "bivariate generalized-variance sweep"),
-    "lbar_reps": Key(None, _count("lbar_reps", 2), "replicates of the averaged-ratio bound (default --reps)"),
+    "lbar_reps": Key(None, _count("lbar_reps", 2), "replicates of the averaged-ratio bound", unset="--reps"),
     "mc_reps": Key(10_000, _count("mc_reps"), "permutations per Monte Carlo average"),
     "group": Key("permutation_exhaustive", str, "orbit group", tuple(g.value for g in orbit.Group)),
     "design_p": Key(3, _count("design_p"), "design columns for the fixing group"),
@@ -542,7 +543,8 @@ _SUBCOMMANDS = {
         defaults={"reps": 2000},
     ),
     "recalibrate": Subcommand(
-        run_recalibrate, "regenerate the pilot-threshold expectations file", defaults={"reps": 4000}
+        run_recalibrate, "regenerate the pilot-threshold expectations file",
+        defaults={"reps": 4000, "out": "expectations.json"},
     ),
 }
 
@@ -566,9 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file of the keys below; flags override it")
         for key in spec.keys:
             flag = spec.flags.get(key, "--" + key.replace("_", "-"))
-            default, text = spec.defaults.get(key, _KEYS[key].default), _KEYS[key].help
-            if default is not None:
-                text += f" (default {_shown(default)})"
+            default = spec.defaults.get(key, _KEYS[key].default)
+            text = f"{_KEYS[key].help} (default {_KEYS[key].unset if default is None else _shown(default)})"
             if _KEYS[key].parse is _parse_bool:
                 p.add_argument(flag, dest=key, action="store_const", const="true", help=text)
             else:

@@ -27,7 +27,6 @@ from .rng import (
     TAG_CALIBRATE,
     TAG_LEVEL,
     TAG_MODEL,
-    TAG_ORBIT,
     TAG_POWER,
     as_generator,
     map_blocks,
@@ -586,7 +585,9 @@ def theorem1_sweep(
     rows = []
     for n, run_seed, (chisq, np_rep) in _sweep_cells(model, cells, reps, level, calib_reps, workers):
         m_entries = alt.mean_entries(n, 0.0, run_seed)
-        bound, bound_se = _orthogonal_bound(m_entries, n, lbar_reps, run_seed, workers)
+        m = MeanVector(m_entries, compact_lo=None, compact_hi=None)
+        lbars = orbit.null_lbar_samples(model.family, m, orthogonal, lbar_reps, run_seed, workers)
+        bound, bound_se = orbit.power_level_bound(lbars)
         rows.append(
             Theorem1Row(
                 n=n,
@@ -600,18 +601,6 @@ def theorem1_sweep(
             )
         )
     return rows
-
-
-def _orthogonal_bound(
-    m_entries: np.ndarray, n: int, reps: int, seed: int, workers: int
-) -> tuple[float, float]:
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_ORBIT, b)
-        x = rng.standard_normal((count, n))
-        return np.asarray(orbit.lbar_orthogonal(m_entries, x))
-
-    samples = np.concatenate(map_blocks(block, reps, workers=workers))
-    return orbit.power_level_bound(samples)
 
 
 @dataclass(frozen=True)

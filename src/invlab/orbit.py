@@ -11,7 +11,10 @@ matches the quadrature to ``1e-11``; where no degree up to 256 does, the
 quadrature is used for every argument.  For the permutation group the
 average is taken exhaustively (n <= 8) or by Monte Carlo with streaming
 log-sum-exp.  For the subgroup fixing a design matrix the orthogonal
-computation is carried out in the residual space.
+computation is carried out in the residual space.  Both orthogonal
+averages depend on the data only through a norm that is chi-distributed
+under the null, so their null samples are drawn radially, one chi-square
+variate per replicate.
 
 The averaged ratio pins down every invariant test at once: the mean
 absolute deviation of the average from 1 under the null bounds
@@ -32,7 +35,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from ._num import dct1, logsumexp, simpson_weights
 from .models import ExpFamilySpec, MeanVector, sample_model
-from .rng import TAG_LBAR, TAG_MODEL, as_generator, map_blocks, uniform_permutations
+from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, as_generator, map_blocks, uniform_permutations
 from .stats import verify_invariance
 
 #: Largest dimension for exhaustive permutation averaging (8! = 40320).
@@ -91,6 +94,15 @@ class OrbitSpec:
             raise ValueError(f"the orthogonal average requires n >= {MIN_RADIAL_DIM}, got {n}")
         if self.group is Group.ORTHOGONAL_FIXING_DESIGN and n - self.design.shape[1] < MIN_RADIAL_DIM:
             raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
+
+    def check_family(self, family: ExpFamilySpec) -> None:
+        """Raise ``ValueError`` unless the group's orbit average applies to data from ``family``.
+
+        The orthogonal averages are the closed form of the normal model's ratio.
+        """
+        orthogonal = self.group in (Group.FULL_ORTHOGONAL, Group.ORTHOGONAL_FIXING_DESIGN)
+        if orthogonal and family.name != "normal":
+            raise ValueError(f"the {self.group.value} average needs the normal model, got {family.name}")
 
 
 # --------------------------------------------------------------------- #
@@ -345,13 +357,25 @@ def lbar_permutation(
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _residual_projector(design: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Orthonormal basis ``q`` of the design columns, ``||m_r||`` and the residual dimension ``n - p``.
+
+    ``m_r`` is the part of ``m`` off the design columns.  Raises unless the
+    design has full column rank, ``n - p >= 3`` and ``X'm = 0`` (the testing
+    problem is identifiable only for such ``m``).
+    """
+    mv = _entries(m)
     design = np.atleast_2d(np.asarray(design, dtype=float))
     n, p = design.shape
     q, r = np.linalg.qr(design)
     if np.min(np.abs(np.diag(r))) <= 1e-12 * max(n, p) * np.max(np.abs(r)):
         raise ValueError("design must have full column rank")
-    return q, n, p
+    if n - p < MIN_RADIAL_DIM:
+        raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
+    scale = float(np.linalg.norm(mv))
+    if float(np.linalg.norm(q.T @ mv)) > 1e-8 * max(1.0, scale):
+        raise ValueError("m violates identifiability (X'm != 0)")
+    return q, float(np.linalg.norm(mv - q @ (q.T @ mv))), n - p
 
 
 def lbar_design_orthogonal(
@@ -362,21 +386,13 @@ def lbar_design_orthogonal(
     The computation reduces to the radial form in the ``(n - p)``-dimensional
     residual space: with ``r`` the projection of ``y`` off the design columns,
     returns ``exp(-||m_r||^2/2) H_{n-p}(||m_r|| ||r||) / H_{n-p}(0)`` where
-    ``m_r`` is the residual part of ``m``.  Requires ``X'm = 0`` (the testing
-    problem is identifiable only for such ``m``).
+    ``m_r`` is the residual part of ``m``.  Requires ``X'm = 0``.
     """
-    mv = _entries(m)
-    q, n, p = _residual_projector(x_design)
-    if n - p < MIN_RADIAL_DIM:
-        raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
-    scale = float(np.linalg.norm(mv))
-    if float(np.linalg.norm(q.T @ mv)) > 1e-8 * max(1.0, scale):
-        raise ValueError("m violates identifiability (X'm != 0)")
+    q, norm_m_res, dim = _design_reduction(m, x_design)
     y = np.asarray(y, dtype=float)
-    m_res = mv - q @ (q.T @ mv)
     r = y - (y @ q) @ q.T
     r_norms = np.sqrt(np.sum(r * r, axis=-1))
-    out = lbar_orthogonal_from_norms(float(np.linalg.norm(m_res)), r_norms, n - p)
+    out = lbar_orthogonal_from_norms(norm_m_res, r_norms, dim)
     return float(out[0]) if np.ndim(r_norms) == 0 else out
 
 
@@ -446,12 +462,11 @@ def _null_orbit_draw(
     group fixing the design, and ``mean(m) * 1`` for the permutation groups.
     The returned ``draw(b, count)`` samples block ``b`` of the null stream.
     """
-    spec.check_dimension(m.n)
     if spec.group is Group.FULL_ORTHOGONAL:
         null = np.zeros(m.n)
         average = lambda x, b: lbar_orthogonal(m, x)
     elif spec.group is Group.ORTHOGONAL_FIXING_DESIGN:
-        q, _, _ = _residual_projector(spec.design)
+        q, _, _ = _design_reduction(m, spec.design)
         null = q @ (q.T @ m.entries)
         average = lambda x, b: lbar_design_orthogonal(m, spec.design, x)
     else:  # the permutation groups
@@ -474,9 +489,30 @@ def null_lbar_samples(
     seed: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """Null-draw samples of the orbit average for the configured group."""
-    draw = _null_orbit_draw(family, m, spec, seed)
-    return np.concatenate(map_blocks(lambda b, count: draw(b, count)[1], reps, workers=workers))
+    """Null-draw samples of the orbit average for the configured group.
+
+    The orthogonal averages (normal model only) depend on null data only
+    through the norm of its part off the group's fixed subspace, the square
+    root of a chi-square with ``n`` degrees of freedom for the full group and
+    ``n - p`` for the group fixing a ``p``-column design.  Each replicate is
+    one such chi-square draw from stream ``(seed, TAG_ORBIT, block)``.  The
+    permutation averages need the whole null vector.
+    """
+    spec.check_family(family)
+    spec.check_dimension(m.n)
+    if spec.group is Group.FULL_ORTHOGONAL:
+        norm_m, dof = float(np.linalg.norm(m.entries)), m.n
+    elif spec.group is Group.ORTHOGONAL_FIXING_DESIGN:
+        _, norm_m, dof = _design_reduction(m, spec.design)
+    else:
+        draw = _null_orbit_draw(family, m, spec, seed)
+        return np.concatenate(map_blocks(lambda b, count: draw(b, count)[1], reps, workers=workers))
+
+    def block(b: int, count: int) -> np.ndarray:
+        radii = np.sqrt(as_generator(seed, TAG_ORBIT, b).chisquare(dof, count))
+        return lbar_orthogonal_from_norms(norm_m, radii, dof)
+
+    return np.concatenate(map_blocks(block, reps, workers=workers))
 
 
 @dataclass(frozen=True)
@@ -512,8 +548,11 @@ def identity_check(
 
     ``statistic`` must accept a batch ``(reps, n)``.  When an
     ``invariance_sampler`` is supplied the statistic is first checked to be
-    invariant under the group (the identity need not hold otherwise).
+    invariant under the group (the identity need not hold otherwise).  The
+    null side draws whole vectors for every group, since ``T`` reads all of ``x``.
     """
+    spec.check_family(family)
+    spec.check_dimension(m.n)
     if invariance_sampler is not None:
         probe = (
             invariance_probe

@@ -155,6 +155,13 @@ class TestSubcommands:
         payload = json.loads(out.read_text())
         assert "theorem2_quadratic_gap_floor" in payload
 
+    def test_recalibrate_writes_expectations_json_by_default(self, tmp_path, monkeypatch):
+        out_help = next(a.help for a in _subparsers()["recalibrate"]._actions if a.dest == "out")
+        assert out_help.endswith("(default expectations.json)")
+        monkeypatch.chdir(tmp_path)
+        assert main(["recalibrate", "--reps", "300", "--seed", "1"]) == 0
+        assert "theorem2_quadratic_gap_floor" in json.loads((tmp_path / "expectations.json").read_text())
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, tmp_path):
@@ -255,6 +262,20 @@ class TestIncompatibleConfigurations:
 
         monkeypatch.setattr(experiments, "_sweep_cells", no_sampling)
         code, out = run(tmp_path, *args, "--reps", "500", "--seed", "1")
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("group", ["full_orthogonal", "orthogonal_fixing_design"])
+    def test_lbar_orthogonal_groups_need_the_normal_model(self, tmp_path, monkeypatch, group):
+        from invlab import orbit
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(orbit, "null_lbar_samples", no_sampling)
+        code, out = run(
+            tmp_path, "lbar", "--group", group, "--model", "poisson", "--n", "50", "--reps", "200", "--seed", "1"
+        )
         assert code == 2
         assert not out.exists()
 

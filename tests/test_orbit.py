@@ -24,7 +24,7 @@ from invlab.orbit import (
     perm_variance_diagnostic,
     power_level_bound,
 )
-from invlab.rng import spawn_generator
+from invlab.rng import BLOCK_REPS, TAG_ORBIT, spawn_generator
 from invlab.stats import chisq_statistic
 
 
@@ -357,6 +357,67 @@ class TestNullPointPerGroup:
         stat = lambda x: (chisq_statistic(x) > crit).astype(float)
         res = identity_check(family, m, stat, spec, reps=20_000, seed=32)
         assert res.agrees, res
+
+
+ORTHOGONAL_GROUPS = ["full_orthogonal", "orthogonal_fixing_design"]
+
+
+class TestRadialNullDraw:
+    """Orthogonal-group null samples from one chi-square radius per replicate.
+
+    The reference is the vector path: whole null vectors through
+    ``lbar_orthogonal`` and ``lbar_design_orthogonal``.
+    """
+
+    N, P, NORM_M = 50, 3, 3.0
+
+    @classmethod
+    def _case(cls, group):
+        entries = np.zeros(cls.N)
+        entries[0] = cls.NORM_M
+        if group == "full_orthogonal":
+            spec = OrbitSpec(group=group)
+            vector = lambda x: lbar_orthogonal(entries, x)
+        else:
+            design = spawn_generator(40, 1).normal(size=(cls.N, cls.P))
+            q, _ = np.linalg.qr(design)
+            entries -= q @ (q.T @ entries)
+            entries *= cls.NORM_M / np.linalg.norm(entries)
+            spec = OrbitSpec(group=group, design=design)
+            vector = lambda x: lbar_design_orthogonal(entries, design, x)
+        return MeanVector(entries, compact_lo=None, compact_hi=None), spec, vector
+
+    @pytest.mark.parametrize("group", ORTHOGONAL_GROUPS)
+    def test_matches_vector_path_in_distribution(self, group):
+        m, spec, vector = self._case(group)
+        reps = 20_000
+        radial = null_lbar_samples(normal_family(), m, spec, reps, seed=41)
+        reference = vector(spawn_generator(42, 1).standard_normal((reps, self.N)))
+        assert sps.ks_2samp(radial, reference).pvalue > 1e-3
+        se = radial.std(ddof=1) / np.sqrt(reps)
+        assert abs(radial.mean() - 1.0) < 4 * se, (radial.mean(), se)
+
+    @pytest.mark.parametrize("group", ORTHOGONAL_GROUPS)
+    def test_one_chi_square_stream_per_block(self, group):
+        m, spec, _ = self._case(group)
+        one = null_lbar_samples(normal_family(), m, spec, reps=3000, seed=43, workers=1)
+        two = null_lbar_samples(normal_family(), m, spec, reps=3000, seed=43, workers=2)
+        np.testing.assert_array_equal(one, two)
+        dof = self.N if group == "full_orthogonal" else self.N - self.P
+        radii = np.sqrt(spawn_generator(43, TAG_ORBIT, 1).chisquare(dof, BLOCK_REPS))
+        np.testing.assert_allclose(
+            one[BLOCK_REPS : 2 * BLOCK_REPS],
+            orbit.lbar_orthogonal_from_norms(self.NORM_M, radii, dof),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("group", ORTHOGONAL_GROUPS)
+    def test_refuses_other_models(self, group):
+        m, spec, _ = self._case(group)
+        with pytest.raises(ValueError, match="normal model"):
+            null_lbar_samples(poisson_family(), m, spec, reps=10, seed=0)
+        with pytest.raises(ValueError, match="normal model"):
+            identity_check(poisson_family(), m, chisq_statistic, spec, reps=10, seed=0)
 
 
 class TestIdentityCheck:
