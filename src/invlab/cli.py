@@ -236,10 +236,14 @@ def run_power(cfg: dict) -> list[dict]:
     allowed = _MODEL_STATS[cfg["model"]]
     if cfg["stat"] not in allowed:
         raise ConfigError(f"--stat {cfg['stat']} does not apply to --model {cfg['model']}: use {', '.join(allowed)}")
-    tests = lambda n, seed: [(experiments.make_statistic(cfg["stat"], n, alt=alt, seed=seed), alt)]
-    cells = [(n, experiments.audited_tests(model, tests, n, cfg["seed"])) for n in cfg["n_grid"]]
+
+    def setup(n, _):
+        stat = experiments.make_statistic(cfg["stat"], n, alt=alt, seed=cfg["seed"])
+        model.alternative_audit(n, alt, cfg["seed"])
+        return n, stat
+
     rows = []
-    for n, [(stat, _)] in cells:
+    for n, stat in experiments.per_n(f"the {model.name} model", cfg["n_grid"], setup):
         rep = experiments.estimate_power(
             model,
             stat,
@@ -308,27 +312,12 @@ def run_spacings(cfg: dict) -> list[dict]:
     return _run_sweep(experiments.spacings_sweep, cfg, alt.profile, cfg["n_grid"])
 
 
-def _per_n(cfg: dict, setup) -> list:
-    """``setup(n)`` for every ``n`` of the grid, before anything is sampled.
-
-    A ``ValueError`` (an alternative without a mean vector at ``n``, a group
-    undefined at ``n``) is a configuration error.
-    """
-    out = []
-    for n in cfg["n_grid"]:
-        try:
-            out.append(setup(n))
-        except ValueError as exc:
-            raise ConfigError(f"{cfg['subcommand']} at n = {n}: {exc}") from exc
-    return out
-
-
 def run_lbar(cfg: dict) -> list[dict]:
     group = orbit.Group(cfg["group"])
     alt = parse_alternative(cfg["alt"])
     family = models.family_by_name(cfg["model"])
 
-    def setup(n):
+    def setup(n, _):
         entries = alt.mean_entries(n, 0.0, cfg["seed"])
         design = None
         if group is orbit.Group.ORTHOGONAL_FIXING_DESIGN:
@@ -336,20 +325,18 @@ def run_lbar(cfg: dict) -> list[dict]:
             q, _ = np.linalg.qr(design)
             entries = entries - q @ (q.T @ entries)
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
-        spec.check_family(family)
-        spec.check_dimension(n)
-        return n, MeanVector(entries, compact_lo=None, compact_hi=None), spec
+        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        return n, m, spec, spec.null_orbit(family, m, cfg["seed"]).radial is None
 
     rows = []
-    for n, m, spec in _per_n(cfg, setup):
+    for n, m, spec, permutation in experiments.per_n(cfg["subcommand"], cfg["n_grid"], setup):
         vals = orbit.null_lbar_samples(
             family, m, spec, cfg["reps"], cfg["seed"], workers=cfg["workers"]
         )
         bound, bound_se = orbit.power_level_bound(vals)
         var_diag = (
             orbit.perm_variance_diagnostic(m.entries, mc_reps=cfg["mc_reps"], seed=cfg["seed"])
-            if group in (orbit.Group.PERMUTATION, orbit.Group.PERMUTATION_EXHAUSTIVE)
-            else float("nan")
+            if permutation else float("nan")
         )
         rows.append(
             {
@@ -378,10 +365,9 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
         return alt.mean_entries(n, 0.0, cfg["seed"])
 
     def null_sampler(n, reps, rng):
-        m = MeanVector(np.zeros(n))
-        return models.sample_model(family, m, rng, reps=max(reps, 1))
+        return models.sample_model(family, MeanVector(np.zeros(n)), rng, reps=reps)
 
-    _per_n(cfg, m_builder)
+    experiments.per_n(cfg["subcommand"], cfg["n_grid"], lambda n, _: m_builder(n))
     rows = permclt.theorem_convergence_sweep(
         null_sampler, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )

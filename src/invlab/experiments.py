@@ -10,7 +10,7 @@ conditions are auditable from the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +37,8 @@ DEFAULT_LEVEL = 0.05
 DEFAULT_REPS = 10_000
 #: Fewest null replicates calibration needs beyond the critical value (``reps * level``).
 MIN_TAIL_REPS = 20
+
+T = TypeVar("T")
 
 
 class IncompatibleConfiguration(ValueError):
@@ -496,32 +498,36 @@ Tests = list[tuple[NamedStatistic, AlternativeSpec]]
 Cell = tuple[int, int, Tests]
 
 
-def audited_tests(
-    model: Model, tests: Callable[[int, int], Tests], n: int, seed: int
-) -> Tests:
-    """``tests(n, seed)``, with every alternative audited by the model at ``n``.
+def per_n(label: str, n_grid: Sequence[int], setup: Callable[[int, int], T]) -> list[T]:
+    """``setup(n, grid_index)`` for every grid point, all before anything is sampled.
 
-    A ``ValueError`` from either is re-raised as :class:`IncompatibleConfiguration`,
-    so a cell that cannot run is refused before anything is sampled.
+    A ``ValueError`` from any of them (a statistic, alternative or orbit group
+    undefined at ``n``) is re-raised as :class:`IncompatibleConfiguration`
+    with the message ``<label> at n = N: ...``, so a run that cannot finish
+    is refused up front.
     """
-    try:
-        cell_tests = tests(n, seed)
-        for alt in dict.fromkeys(a for _, a in cell_tests):
-            model.alternative_audit(n, alt, seed)
-    except ValueError as exc:
-        raise IncompatibleConfiguration(f"the {model.name} model at n = {n}: {exc}") from exc
-    return cell_tests
+    out = []
+    for gi, n in enumerate(n_grid):
+        try:
+            out.append(setup(int(n), gi))
+        except ValueError as exc:
+            raise IncompatibleConfiguration(f"{label} at n = {n}: {exc}") from exc
+    return out
 
 
-def _audited_cells(
+def _grid_cells(
     model: Model, tests: Callable[[int, int], Tests], n_grid: Sequence[int], seed: int
 ) -> list[Cell]:
-    """Per grid point, ``(n, run_seed, audited tests)``; every cell is audited before any is run."""
-    cells = []
-    for gi, n in enumerate(n_grid):
-        n, run_seed = int(n), _grid_seed(seed, gi)
-        cells.append((n, run_seed, audited_tests(model, tests, n, run_seed)))
-    return cells
+    """Per grid point ``(n, run_seed, tests(n, run_seed))``, every alternative audited by the model."""
+
+    def cell(n: int, gi: int) -> Cell:
+        run_seed = _grid_seed(seed, gi)
+        cell_tests = tests(n, run_seed)
+        for alt in dict.fromkeys(a for _, a in cell_tests):
+            model.alternative_audit(n, alt, run_seed)
+        return n, run_seed, cell_tests
+
+    return per_n(f"the {model.name} model", n_grid, cell)
 
 
 def _sweep_cells(
@@ -576,16 +582,18 @@ def theorem1_sweep(
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
     orthogonal = orbit.OrbitSpec(orbit.Group.FULL_ORTHOGONAL)
 
+    def spike(n: int, run_seed: int) -> MeanVector:
+        return MeanVector(alt.mean_entries(n, 0.0, run_seed), compact_lo=None, compact_hi=None)
+
     def tests(n, run_seed):
-        orthogonal.check_dimension(n)  # the bound's orbit average
+        orthogonal.null_orbit(model.family, spike(n, run_seed), run_seed)  # the bound's orbit average
         np_stat = make_statistic("np", n, alt=alt, seed=run_seed)
         return [(make_statistic("chisq", n), alt), (np_stat, alt)]
 
-    cells = _audited_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, tests, n_grid, seed)
     rows = []
     for n, run_seed, (chisq, np_rep) in _sweep_cells(model, cells, reps, level, calib_reps, workers):
-        m_entries = alt.mean_entries(n, 0.0, run_seed)
-        m = MeanVector(m_entries, compact_lo=None, compact_hi=None)
+        m = spike(n, run_seed)
         lbars = orbit.null_lbar_samples(model.family, m, orthogonal, lbar_reps, run_seed, workers)
         bound, bound_se = orbit.power_level_bound(lbars)
         rows.append(
@@ -597,7 +605,7 @@ def theorem1_sweep(
                 np_power_se=np_rep.power_se,
                 lbar_bound=bound,
                 lbar_bound_se=bound_se,
-                m_norm=float(np.linalg.norm(m_entries)),
+                m_norm=float(np.linalg.norm(m.entries)),
             )
         )
     return rows
@@ -641,7 +649,7 @@ def theorem2_sweep(
         (make_statistic("variance", n), spike),
         (make_statistic("quadratic", n), smooth),
     ]
-    cells = _audited_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, tests, n_grid, seed)
     return [
         Theorem2Row(n, *_gaps(reports), **model.alternative_audit(n, spike, run_seed))
         for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
@@ -689,7 +697,7 @@ def neyman_scott_sweep(
         (make_statistic("anova_f", n), alt),
         (NamedStatistic("cellmean_chisq", cellmean_chisq), alt),
     ]
-    cells = _audited_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, tests, n_grid, seed)
     return [
         NeymanScottRow(n, nu, *_gaps(reports), **model.alternative_audit(n, alt, run_seed))
         for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
@@ -735,7 +743,7 @@ def matrix_variate_sweep(
     model = _MatrixModel()
     alt = AlternativeSpec(kind="matrix_variate", scale=delta)
     tests = lambda n, _: [(make_statistic("wilks", n), alt)]
-    cells = _audited_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, tests, n_grid, seed)
     return [
         MatrixSweepRow(n, *_gaps(reports))
         for n, _, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
@@ -777,7 +785,7 @@ def spacings_sweep(
     alt = AlternativeSpec(kind="spacings_h", scale=1.0, profile=h)
     names = ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
     tests = lambda n, _: [(make_statistic(name, n), alt) for name in names]
-    cells = _audited_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, tests, n_grid, seed)
     return [
         SpacingsRow(n, *_gaps(reports), *_llr_gap_p95(h, n, min(reps, 4000), run_seed, workers))
         for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)

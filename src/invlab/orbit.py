@@ -86,23 +86,64 @@ class OrbitSpec:
         if self.mc_reps < 1:
             raise ValueError("mc_reps must be positive")
 
-    def check_dimension(self, n: int) -> None:
-        """Raise ``ValueError`` unless the group's orbit average is computed at dimension ``n``."""
-        if self.group is Group.PERMUTATION_EXHAUSTIVE and n > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}, got {n}")
-        if self.group is Group.FULL_ORTHOGONAL and n < MIN_RADIAL_DIM:
-            raise ValueError(f"the orthogonal average requires n >= {MIN_RADIAL_DIM}, got {n}")
-        if self.group is Group.ORTHOGONAL_FIXING_DESIGN and n - self.design.shape[1] < MIN_RADIAL_DIM:
-            raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
+    def null_orbit(self, family: ExpFamilySpec, m: MeanVector, seed: int) -> NullOrbit:
+        """The group's null point and orbit average for the alternative ``m``.
 
-    def check_family(self, family: ExpFamilySpec) -> None:
-        """Raise ``ValueError`` unless the group's orbit average applies to data from ``family``.
-
-        The orthogonal averages are the closed form of the normal model's ratio.
+        The null point is the group's own: ``mean(m) * 1`` for the permutation
+        groups, the projection of ``m`` on the design's column space for the
+        group fixing a design, and the origin for the full orthogonal group,
+        which is the case of a design with no columns.  Raises ``ValueError``
+        where the average is undefined: exhaustive averaging above
+        ``n = 8``, an orthogonal group outside the normal model (its average
+        is the closed form of the normal model's ratio), ``n - p < 3`` or
+        ``X'm != 0``.
         """
-        orthogonal = self.group in (Group.FULL_ORTHOGONAL, Group.ORTHOGONAL_FIXING_DESIGN)
-        if orthogonal and family.name != "normal":
-            raise ValueError(f"the {self.group.value} average needs the normal model, got {family.name}")
+        if self.group in (Group.PERMUTATION, Group.PERMUTATION_EXHAUSTIVE):
+            if self.group is Group.PERMUTATION_EXHAUSTIVE and m.n > EXHAUSTIVE_LIMIT:
+                raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}, got {m.n}")
+            null, radial = np.full(m.n, m.mean), None
+            average = lambda x, b: lbar_permutation(family, m, x, self, as_generator(seed, TAG_LBAR, b))
+        else:
+            if family.name != "normal":
+                group = self.group.value
+                raise ValueError(f"the {group} average needs the normal model, got {family.name}")
+            design = self.design if self.design is not None else np.empty((m.n, 0))
+            q, norm_m, dof = _design_reduction(m, design)
+            null, radial = q @ (q.T @ m.entries), (norm_m, dof)
+            average = lambda x, b: lbar_design_orthogonal(m, design, x)
+        null_m = MeanVector(null, compact_lo=m.compact_lo, compact_hi=m.compact_hi)
+        return NullOrbit(family, null_m, average, seed, radial)
+
+
+@dataclass(frozen=True)
+class NullOrbit:
+    """A group's null point and orbit average, from :meth:`OrbitSpec.null_orbit`.
+
+    ``average(x, block)`` is ``Lbar`` on a batch ``x`` of null data drawn for
+    block ``block``.  ``radial`` is ``(||m_r||, dof)`` for the orthogonal
+    groups, whose average depends on null data only through the norm of its
+    part off the group's fixed subspace, the square root of a chi-square with
+    ``dof`` degrees of freedom; it is ``None`` for the permutation groups.
+    """
+
+    family: ExpFamilySpec
+    null: MeanVector
+    average: Callable[[np.ndarray, int], np.ndarray]
+    seed: int
+    radial: tuple[float, int] | None = None
+
+    def draw(self, b: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``b`` of null data ``x`` (stream ``(seed, TAG_MODEL, b)``) and ``Lbar(x)``."""
+        x = sample_model(self.family, self.null, as_generator(self.seed, TAG_MODEL, b), reps=count)
+        return x, np.asarray(self.average(x, b))
+
+    def lbar(self, b: int, count: int) -> np.ndarray:
+        """Block ``b`` of null samples of ``Lbar``, one chi-square radius per replicate where radial."""
+        if self.radial is None:
+            return self.draw(b, count)[1]
+        norm_m, dof = self.radial
+        radii = np.sqrt(as_generator(self.seed, TAG_ORBIT, b).chisquare(dof, count))
+        return lbar_orthogonal_from_norms(norm_m, radii, dof)
 
 
 # --------------------------------------------------------------------- #
@@ -360,18 +401,23 @@ def lbar_permutation(
 def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Orthonormal basis ``q`` of the design columns, ``||m_r||`` and the residual dimension ``n - p``.
 
-    ``m_r`` is the part of ``m`` off the design columns.  Raises unless the
-    design has full column rank, ``n - p >= 3`` and ``X'm = 0`` (the testing
-    problem is identifiable only for such ``m``).
+    ``m_r`` is the part of ``m`` off the design columns; a design with no
+    columns leaves ``m_r = m`` in dimension ``n``.  Raises unless
+    ``n - p >= 3``, the design has full column rank and ``X'm = 0`` (the
+    testing problem is identifiable only for such ``m``).
     """
     mv = _entries(m)
     design = np.atleast_2d(np.asarray(design, dtype=float))
     n, p = design.shape
-    q, r = np.linalg.qr(design)
-    if np.min(np.abs(np.diag(r))) <= 1e-12 * max(n, p) * np.max(np.abs(r)):
-        raise ValueError("design must have full column rank")
     if n - p < MIN_RADIAL_DIM:
+        if p == 0:
+            raise ValueError(f"the orthogonal average requires n >= {MIN_RADIAL_DIM}, got {n}")
         raise ValueError(f"need n - p >= {MIN_RADIAL_DIM} for the residual-space average")
+    q = design  # with no columns, the empty basis
+    if p:
+        q, r = np.linalg.qr(design)
+        if np.min(np.abs(np.diag(r))) <= 1e-12 * max(n, p) * np.max(np.abs(r)):
+            raise ValueError("design must have full column rank")
     scale = float(np.linalg.norm(mv))
     if float(np.linalg.norm(q.T @ mv)) > 1e-8 * max(1.0, scale):
         raise ValueError("m violates identifiability (X'm != 0)")
@@ -445,40 +491,10 @@ def power_level_bound(lbar_samples: np.ndarray) -> tuple[float, float]:
     level gap of every test invariant under the averaging group.
     """
     samples = np.asarray(lbar_samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
+    if samples.size < 2:
+        raise ValueError("need at least two samples for a standard error")
     dev = np.abs(samples - 1.0)
-    se = float(dev.std(ddof=1) / np.sqrt(dev.size)) if dev.size > 1 else 0.0
-    return float(dev.mean()), se
-
-
-def _null_orbit_draw(
-    family: ExpFamilySpec, m: MeanVector, spec: OrbitSpec, seed: int
-) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Block sampler of null data ``x`` and its orbit average ``Lbar(x)``.
-
-    The null point is the group's own: the origin for the full orthogonal
-    group, the projection of ``m`` on the design's column space for the
-    group fixing the design, and ``mean(m) * 1`` for the permutation groups.
-    The returned ``draw(b, count)`` samples block ``b`` of the null stream.
-    """
-    if spec.group is Group.FULL_ORTHOGONAL:
-        null = np.zeros(m.n)
-        average = lambda x, b: lbar_orthogonal(m, x)
-    elif spec.group is Group.ORTHOGONAL_FIXING_DESIGN:
-        q, _, _ = _design_reduction(m, spec.design)
-        null = q @ (q.T @ m.entries)
-        average = lambda x, b: lbar_design_orthogonal(m, spec.design, x)
-    else:  # the permutation groups
-        null = np.full(m.n, m.mean)
-        average = lambda x, b: lbar_permutation(family, m, x, spec, as_generator(seed, TAG_LBAR, b))
-    null_m = MeanVector(null, compact_lo=m.compact_lo, compact_hi=m.compact_hi)
-
-    def draw(b: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        x = sample_model(family, null_m, as_generator(seed, TAG_MODEL, b), reps=count)
-        return x, np.asarray(average(x, b))
-
-    return draw
+    return float(dev.mean()), float(dev.std(ddof=1) / np.sqrt(dev.size))
 
 
 def null_lbar_samples(
@@ -498,21 +514,7 @@ def null_lbar_samples(
     one such chi-square draw from stream ``(seed, TAG_ORBIT, block)``.  The
     permutation averages need the whole null vector.
     """
-    spec.check_family(family)
-    spec.check_dimension(m.n)
-    if spec.group is Group.FULL_ORTHOGONAL:
-        norm_m, dof = float(np.linalg.norm(m.entries)), m.n
-    elif spec.group is Group.ORTHOGONAL_FIXING_DESIGN:
-        _, norm_m, dof = _design_reduction(m, spec.design)
-    else:
-        draw = _null_orbit_draw(family, m, spec, seed)
-        return np.concatenate(map_blocks(lambda b, count: draw(b, count)[1], reps, workers=workers))
-
-    def block(b: int, count: int) -> np.ndarray:
-        radii = np.sqrt(as_generator(seed, TAG_ORBIT, b).chisquare(dof, count))
-        return lbar_orthogonal_from_norms(norm_m, radii, dof)
-
-    return np.concatenate(map_blocks(block, reps, workers=workers))
+    return np.concatenate(map_blocks(spec.null_orbit(family, m, seed).lbar, reps, workers=workers))
 
 
 @dataclass(frozen=True)
@@ -542,7 +544,6 @@ def identity_check(
     seed: int,
     workers: int = 1,
     invariance_sampler=None,
-    invariance_probe: np.ndarray | None = None,
 ) -> IdentityCheck:
     """Monte Carlo check of ``E_m T(X) = E_0 T(X) Lbar(X)``.
 
@@ -551,14 +552,9 @@ def identity_check(
     invariant under the group (the identity need not hold otherwise).  The
     null side draws whole vectors for every group, since ``T`` reads all of ``x``.
     """
-    spec.check_family(family)
-    spec.check_dimension(m.n)
+    null_orbit = spec.null_orbit(family, m, seed)
     if invariance_sampler is not None:
-        probe = (
-            invariance_probe
-            if invariance_probe is not None
-            else sample_model(family, m, as_generator(seed, TAG_MODEL, 1_000_003))
-        )
+        probe = sample_model(family, m, as_generator(seed, TAG_MODEL, 1_000_003))
         if not verify_invariance(statistic, invariance_sampler, probe, seed=seed):
             raise ValueError("statistic is not invariant under the requested group")
 
@@ -567,10 +563,8 @@ def identity_check(
         x = sample_model(family, m, rng, reps=count)
         return np.asarray(statistic(x), dtype=float)
 
-    draw_null = _null_orbit_draw(family, m, spec, seed)
-
     def rhs_block(b: int, count: int) -> np.ndarray:
-        x, lbar = draw_null(b, count)
+        x, lbar = null_orbit.draw(b, count)
         return np.asarray(statistic(x), dtype=float) * lbar
 
     lhs = np.concatenate(map_blocks(lhs_block, reps, workers=workers))

@@ -80,20 +80,16 @@ def _law_values(a: EmpiricalLaw | np.ndarray) -> np.ndarray:
     return v
 
 
-def rho2(
-    a: EmpiricalLaw | np.ndarray,
-    b: EmpiricalLaw | np.ndarray,
-    quantiles: int = RHO2_QUANTILES,
-) -> float:
+def rho2(a: EmpiricalLaw | np.ndarray, b: EmpiricalLaw | np.ndarray) -> float:
     """Order-2 Wasserstein distance between two one-dimensional samples.
 
     Equal sizes use the exact sorted pairing; otherwise both laws are read
-    at a common grid of ``quantiles`` midpoint quantile levels.
+    at a common grid of ``RHO2_QUANTILES`` midpoint quantile levels.
     """
     av, bv = _law_values(a), _law_values(b)
     if av.size == bv.size:
         return float(np.sqrt(np.mean((av - bv) ** 2)))
-    q = (np.arange(quantiles) + 0.5) / quantiles
+    q = (np.arange(RHO2_QUANTILES) + 0.5) / RHO2_QUANTILES
     aq = np.quantile(av, q)
     bq = np.quantile(bv, q)
     return float(np.sqrt(np.mean((aq - bq) ** 2)))
@@ -262,6 +258,8 @@ def hajek_coupling(
         raise ValueError("need matching vectors of length >= 2")
     if abs(m.mean()) > 1e-10:
         raise ValueError("weights must be centered (mean zero)")
+    if reps < 2:
+        raise ValueError("need reps >= 2 for the standard error of the squared gap")
     sorted_x = np.sort(x)
 
     def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,7 +280,7 @@ def hajek_coupling(
         s=s,
         bound=bound,
         gap_sq_mean=float(gap_sq.mean()),
-        gap_sq_se=float(gap_sq.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+        gap_sq_se=float(gap_sq.std(ddof=1) / np.sqrt(reps)),
     )
 
 
@@ -292,20 +290,21 @@ def hajek_coupling(
 
 
 def _batched(values: np.ndarray, batches: int = SWEEP_BATCHES) -> list[np.ndarray]:
-    batches = max(2, min(batches, values.size // 2))
-    size = values.size // batches
+    """Contiguous slices of the rows of ``values``: ``batches`` of them, fewer below ``2 batches`` rows."""
+    batches = max(2, min(batches, len(values) // 2))
+    size = len(values) // batches
     return [values[i * size : (i + 1) * size] for i in range(batches)]
 
 
 def _distance_with_se(
     a: np.ndarray, b: np.ndarray, dist: Callable[[np.ndarray, np.ndarray], float]
 ) -> tuple[float, float]:
-    full = dist(a, b)
-    if a.size < 4:
-        return float(full), 0.0
+    """``dist(a, b)`` and the standard error of ``dist`` over the batches of :func:`_batched`."""
+    if len(a) < 4:
+        raise ValueError("need at least 4 replicates for two batches of two")
     batch_vals = [dist(ab, bb) for ab, bb in zip(_batched(a), _batched(b))]
     se = float(np.std(batch_vals, ddof=1) / np.sqrt(len(batch_vals)))
-    return float(full), se
+    return float(dist(a, b)), se
 
 
 @dataclass(frozen=True)
@@ -332,10 +331,11 @@ def theorem_convergence_sweep(
 ) -> list[CltSweepRow]:
     """Distances between the permutation, bootstrap, and fresh-draw laws.
 
-    ``null_sampler(n, reps, rng)`` draws null data (``reps=0`` returns a
-    single vector as shape ``(1, n)``); ``m_builder(n)`` yields the centered
-    contrast weights.  Per grid point: rho2 between each pair of laws, with
-    batched standard errors, plus the diagnostic ``|n mbar xbar|``.
+    ``null_sampler(n, reps, rng)`` draws a ``(reps, n)`` batch of null data
+    (the conditioning vector ``x`` is the one row of a ``reps = 1`` draw);
+    ``m_builder(n)`` yields the centered contrast weights.  Per grid point:
+    rho2 between each pair of laws, with batched standard errors, plus the
+    diagnostic ``|n mbar xbar|``.
     """
     rows = []
     for gi, n in enumerate(n_grid):
@@ -350,8 +350,9 @@ def theorem_convergence_sweep(
             return draws @ _m
 
         iid = np.concatenate(map_blocks(iid_block, reps, workers=workers))
-        # Distances are computed on the unsorted replicate streams so the
-        # batch split is over independent replicates.
+        # EmpiricalLaw sorts its values, so each of the SE batches of perm
+        # and boot is a quantile slice, not a random subset of replicates:
+        # the se_* columns are the spread of rho2 over those slices.
         pb, pb_se = _distance_with_se(perm, boot, rho2)
         bi, bi_se = _distance_with_se(boot, iid, rho2)
         pi, pi_se = _distance_with_se(perm, iid, rho2)
@@ -432,9 +433,9 @@ def theorem_convergence_sweep_matrix(
         perm = np.concatenate(map_blocks(perm_block, reps, workers=workers))
         boot = np.concatenate(map_blocks(boot_block, reps, workers=workers))
         iid = np.concatenate(map_blocks(iid_block, reps, workers=workers))
-        pb, pb_se = _distance_with_se_rows(perm, boot)
-        bi, bi_se = _distance_with_se_rows(boot, iid)
-        pi, pi_se = _distance_with_se_rows(perm, iid)
+        pb, pb_se = _distance_with_se(perm, boot, rho2_multivariate)
+        bi, bi_se = _distance_with_se(boot, iid, rho2_multivariate)
+        pi, pi_se = _distance_with_se(perm, iid, rho2_multivariate)
         rows.append(
             CltMatrixSweepRow(
                 n=int(n),
@@ -447,14 +448,3 @@ def theorem_convergence_sweep_matrix(
             )
         )
     return rows
-
-
-def _distance_with_se_rows(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    full = rho2_multivariate(a, b)
-    size = a.shape[0] // SWEEP_BATCHES
-    batch_vals = [
-        rho2_multivariate(a[i * size : (i + 1) * size], b[i * size : (i + 1) * size])
-        for i in range(SWEEP_BATCHES)
-    ]
-    se = float(np.std(batch_vals, ddof=1) / np.sqrt(len(batch_vals)))
-    return full, se

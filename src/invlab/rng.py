@@ -66,34 +66,21 @@ def uniform_permutations(rng: np.random.Generator, count: int, n: int) -> np.nda
     return np.argsort(rng.random((count, n)), axis=1)
 
 
-def blocks(total: int, block_reps: int = BLOCK_REPS) -> list[tuple[int, int]]:
+def blocks(total: int) -> list[tuple[int, int]]:
     """Split ``total`` replicates into ``(block_index, block_count)`` pairs."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-    out = []
-    start = 0
-    b = 0
-    while start < total:
-        count = min(block_reps, total - start)
-        out.append((b, count))
-        start += count
-        b += 1
-    return out
+    return [(b, min(BLOCK_REPS, total - start)) for b, start in enumerate(range(0, total, BLOCK_REPS))]
 
 
-def map_blocks(
-    fn: Callable[[int, int], T],
-    total: int,
-    workers: int = 1,
-    block_reps: int = BLOCK_REPS,
-) -> list[T]:
+def map_blocks(fn: Callable[[int, int], T], total: int, workers: int = 1) -> list[T]:
     """Evaluate ``fn(block_index, block_count)`` for every block, in block order.
 
     With ``workers > 1`` the blocks run on a thread pool; results are
     still returned in block order, so any order-sensitive reduction by the
     caller is independent of the worker count.
     """
-    plan = blocks(total, block_reps)
+    plan = blocks(total)
     if workers <= 1 or len(plan) <= 1:
         return [fn(b, c) for b, c in plan]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -307,6 +307,10 @@ class TestPowerLevelBound:
         bound, _ = power_level_bound(np.array([0.5, 1.5]))
         assert bound == pytest.approx(0.5)
 
+    def test_one_sample_has_no_standard_error(self):
+        with pytest.raises(ValueError, match="two samples"):
+            power_level_bound(np.array([0.3]))
+
     def test_monotone_decrease_in_n(self):
         fam = normal_family()
         out = {}
@@ -449,6 +453,40 @@ class TestIdentityCheck:
         oracle = sps.ncx2.sf(crit, df=n, nc=4.0)
         assert abs(res.lhs - oracle) <= 4 * res.lhs_se
         assert res.agrees
+
+    def test_residual_norm_threshold_matches_noncentral_oracle(self):
+        # ||(I - QQ')x||^2 is noncentral chi-square(n - p, ||m_r||^2) under m.
+        n, p = 20, 3
+        design = spawn_generator(44, 1).normal(size=(n, p))
+        q, _ = np.linalg.qr(design)
+        entries = np.zeros(n)
+        entries[0] = 1.0
+        entries -= q @ (q.T @ entries)
+        entries *= 2.0 / np.linalg.norm(entries)
+        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        crit = sps.chi2.ppf(0.95, df=n - p)
+
+        def stat(x):
+            r = x - (x @ q) @ q.T
+            return (np.sum(r * r, axis=-1) > crit).astype(float)
+
+        spec = OrbitSpec(group="orthogonal_fixing_design", design=design)
+        res = identity_check(normal_family(), m, stat, spec, reps=20_000, seed=45)
+        oracle = sps.ncx2.sf(crit, df=n - p, nc=4.0)
+        assert abs(res.lhs - oracle) <= 4 * res.lhs_se
+        assert res.agrees, res
+
+    def test_monte_carlo_permutation_average(self):
+        # Above n = 8 the permutation average is a Monte Carlo one; it is
+        # unbiased for the exact average, so the identity holds in mean.
+        fam = poisson_family()
+        m = MeanVector(np.linspace(0.2, 1.0, 12))
+        stat = lambda x: (np.asarray(x).var(axis=-1) > 0.8).astype(float)
+        spec = OrbitSpec(group="permutation", mc_reps=500)
+        res = identity_check(fam, m, stat, spec, reps=20_000, seed=46)
+        assert res.agrees, res
+        x, _ = spec.null_orbit(fam, m, seed=46).draw(0, 20_000)
+        assert abs(res.lhs - stat(x).mean()) > 4 * res.se  # Lbar carries the whole gap
 
     def test_poisson_variance_threshold_exhaustive(self):
         fam = poisson_family()

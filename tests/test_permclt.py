@@ -234,6 +234,11 @@ class TestCoupling:
         with pytest.raises(ValueError, match="centered"):
             hajek_coupling(np.array([1.0, 1.0]), np.array([0.0, 1.0]), 10, seed=0)
 
+    def test_one_replicate_has_no_standard_error(self):
+        m = np.array([1.0, -1.0, 0.5, -0.5])
+        with pytest.raises(ValueError, match="reps >= 2"):
+            hajek_coupling(m, np.arange(4.0), 1, seed=0)
+
 
 class TestCoupledRankKernel:
     @pytest.mark.parametrize("n", [2, 100, 1000])
@@ -288,6 +293,22 @@ class TestConvergenceSweep:
                 drop = getattr(prev, col) - getattr(cur, col)
                 tol = 2 * (getattr(prev, se_col) + getattr(cur, se_col))
                 assert drop >= -tol
+
+    def test_batched_se_needs_two_batches_of_two(self):
+        a = np.arange(3.0)
+        with pytest.raises(ValueError, match="at least 4"):
+            permclt._distance_with_se(a, a + 1.0, rho2)
+        b = np.array([1.0, 2.0, 4.0, 5.0])
+        dist, se = permclt._distance_with_se(np.arange(4.0), b, rho2)
+        assert dist == pytest.approx(np.sqrt(2.5)) and se == pytest.approx(0.5)
+
+    def test_batched_se_of_rows_is_over_contiguous_row_slices(self):
+        rng = spawn_generator(27, 1)
+        a, b = rng.normal(size=(2, 45, 2))
+        dist, se = permclt._distance_with_se(a, b, rho2_multivariate)
+        vals = [rho2_multivariate(a[i * 2 : i * 2 + 2], b[i * 2 : i * 2 + 2]) for i in range(20)]
+        assert dist == rho2_multivariate(a, b)
+        assert se == np.std(vals, ddof=1) / np.sqrt(20)
 
     def test_zero_weights_give_zero_distances(self):
         rows = theorem_convergence_sweep(
