@@ -186,7 +186,7 @@ def parse_alternative(text: str) -> experiments.AlternativeSpec:
     kind = parts[0]
     try:
         if kind == "null":
-            return experiments.AlternativeSpec("single_spike", 0.0)
+            return experiments.NULL
         if kind == "spike":
             return experiments.AlternativeSpec("single_spike", float(parts[1]))
         if kind == "spike_uncentered":
@@ -358,14 +358,14 @@ def run_lbar(cfg: dict) -> list[dict]:
 
 
 def run_clt_sweep(cfg: dict) -> list[dict]:
-    family = models.family_by_name(cfg["model"])
+    model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
     alt = parse_alternative(cfg["alt"])
 
     def m_builder(n):
         return alt.mean_entries(n, 0.0, cfg["seed"])
 
     def null_sampler(n, reps, rng):
-        return models.sample_model(family, MeanVector(np.zeros(n)), rng, reps=reps)
+        return model.sample(n, experiments.NULL, reps, rng, cfg["seed"])
 
     experiments.per_n(cfg["subcommand"], cfg["n_grid"], lambda n, _: m_builder(n))
     rows = permclt.theorem_convergence_sweep(
@@ -461,7 +461,7 @@ _KEYS = {
     "alt": Key("spike:3", str, "alternative, e.g. spike:3, smooth:1.5, signs:2, h:cos1:2, null"),
     "nu": Key(5, _count("nu", 2), "replicates per group (neyman_scott)"),
     "sigma": Key(1.0, _number(float, "sigma", lambda v: v > 0, "positive"), "noise scale (neyman_scott)"),
-    "delta": Key(3.0, _number(float, "delta"), "alternative norm"),
+    "delta": Key(3.0, _number(float, "delta", lambda v: v >= 0, "nonnegative"), "alternative norm"),
     "profile": Key("single_spike", str, "alternative profile", ("single_spike", "random_signs")),
     "matrix": Key(False, _parse_bool, "bivariate generalized-variance sweep"),
     "lbar_reps": Key(None, _count("lbar_reps", 2), "replicates of the averaged-ratio bound", unset="--reps"),

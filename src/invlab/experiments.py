@@ -106,24 +106,26 @@ class AlternativeSpec:
         return mbar + dev * (self.scale / norm)
 
 
+#: The null hypothesis as an alternative: every model's draw at scale 0 is its null draw.
+NULL = AlternativeSpec("single_spike", 0.0)
+
+
 # --------------------------------------------------------------------- #
-# Models (null/alternative batch samplers)
+# Models (batch samplers)
 # --------------------------------------------------------------------- #
 
 
 class Model:
-    """A named pair of null and alternative batch samplers.
+    """A named batch sampler of data of size ``n``.
 
-    ``sample_null(n, reps, rng)`` and ``sample_alt(n, alt, reps, rng, seed)``
-    return batches with replicates on the leading axis.
+    ``sample(n, alt, reps, rng, seed)`` draws ``reps`` replicates under the
+    alternative ``alt`` (its parameters derived from ``seed``), replicates on
+    the leading axis; ``alt=NULL`` draws under the null.
     """
 
     name: str = "model"
 
-    def sample_null(self, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_alt(
+    def sample(
         self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
     ) -> np.ndarray:
         raise NotImplementedError
@@ -138,10 +140,9 @@ class Model:
 
 @dataclass(frozen=True)
 class FamilyModel(Model):
-    """Coordinates independently drawn from a one-parameter family."""
+    """Coordinates independently drawn from a one-parameter family, null parameter 0."""
 
     family: ExpFamilySpec | GeneralFamilySpec
-    mbar: float = 0.0
     compact: tuple[float, float] | None = models.DEFAULT_COMPACT
 
     @property
@@ -153,48 +154,39 @@ class FamilyModel(Model):
             return MeanVector(entries, compact_lo=None, compact_hi=None)
         return MeanVector(entries, compact_lo=self.compact[0], compact_hi=self.compact[1])
 
-    def sample_null(self, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-        m = self._mean_vector(np.full(n, self.mbar))
-        return models.sample_model(self.family, m, rng, reps=reps)
-
-    def sample_alt(self, n, alt, reps, rng, seed):
-        m = self._mean_vector(alt.mean_entries(n, self.mbar, seed))
+    def sample(self, n, alt, reps, rng, seed):
+        m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
         return models.sample_model(self.family, m, rng, reps=reps)
 
     def alternative_audit(self, n, alt, seed):
-        m = self._mean_vector(alt.mean_entries(n, self.mbar, seed))
+        m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
 
-def normal_means_model(mbar: float = 0.0, compact: tuple[float, float] | None = None) -> FamilyModel:
-    """The unconstrained normal many-means model (no compact box by default)."""
-    return FamilyModel(models.normal_family(), mbar=mbar, compact=compact)
+def normal_means_model() -> FamilyModel:
+    """The unconstrained normal many-means model (no compact box)."""
+    return FamilyModel(models.normal_family(), compact=None)
 
 
 @dataclass(frozen=True)
 class NeymanScottModel(Model):
-    """Replicated normal groups; data are ``(reps, n, nu)`` tables."""
+    """Replicated normal groups, null mean 0; data are ``(reps, n, nu)`` tables."""
 
     nu: int
     sigma: float = 1.0
-    mbar: float = 0.0
 
     name = "neyman_scott"
 
     def _layout(self, n: int) -> NeymanScottLayout:
         return NeymanScottLayout(n=n, nu=self.nu, sigma=self.sigma)
 
-    def sample_null(self, n, reps, rng):
-        m = MeanVector(np.full(n, self.mbar), compact_lo=None, compact_hi=None)
-        return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
-
-    def sample_alt(self, n, alt, reps, rng, seed):
-        m = MeanVector(alt.mean_entries(n, self.mbar, seed), compact_lo=None, compact_hi=None)
+    def sample(self, n, alt, reps, rng, seed):
+        m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
         return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
 
     def alternative_audit(self, n, alt, seed):
         self._layout(n)
-        m = MeanVector(alt.mean_entries(n, self.mbar, seed), compact_lo=None, compact_hi=None)
+        m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
 
@@ -203,9 +195,6 @@ class SpacingsModel(Model):
     """Uniform spacings under the null, density ``1 + h/sqrt(n)`` otherwise."""
 
     name = "spacings"
-
-    def sample_null(self, n, reps, rng):
-        return models.sample_spacings_null_batch(n, reps, rng)
 
     @staticmethod
     def _profile(alt: AlternativeSpec) -> Profile:
@@ -228,10 +217,10 @@ class SpacingsModel(Model):
         models.check_spacings_profile(n, self._profile(alt))
         return {}
 
-    def sample_alt(self, n, alt, reps, rng, seed):
+    def sample(self, n, alt, reps, rng, seed):
         self.alternative_audit(n, alt, seed)
         if alt.scale == 0.0:
-            return self.sample_null(n, reps, rng)
+            return models.sample_spacings_null_batch(n, reps, rng)
         return models.sample_spacings_alternative_batch(n, self._profile(alt), reps, rng)
 
 
@@ -255,9 +244,7 @@ def make_statistic(
     name: str,
     n: int,
     alt: AlternativeSpec | None = None,
-    mbar: float = 0.0,
     seed: int = 0,
-    quadratic_spec: stats.QuadraticTestSpec | None = None,
 ) -> NamedStatistic:
     """Resolve a statistic by name for data of size ``n``.
 
@@ -277,7 +264,7 @@ def make_statistic(
         # At scale 0 the projection direction is degenerate; the unit-scale
         # alternative's direction serves (power equals level either way).
         unit = alt if alt.scale > 0 else replace(alt, scale=1.0)
-        direction = unit.mean_entries(n, mbar, seed) - mbar
+        direction = unit.mean_entries(n, 0.0, seed)
         return NamedStatistic("np", lambda x: stats.np_statistic(direction, x))
     if name == "anova_f":
         return NamedStatistic("anova_f", stats.anova_f)
@@ -291,7 +278,7 @@ def make_statistic(
             lambda d: stats.two_spacings_statistic(stats.points_from_spacings(d), "square"),
         )
     if name in ("quadratic", "quadratic_spacings"):
-        spec = quadratic_spec or stats.default_quadratic_spec()
+        spec = stats.default_quadratic_spec()
         size = n if name == "quadratic" else n + 1
         if size < spec.num_terms:
             raise ValueError(f"{name} needs at least {spec.num_terms} observations, got {size}")
@@ -403,7 +390,7 @@ def calibrate_critical(
         raise ValueError(
             f"too few replicates for the requested quantile (need reps*level >= {MIN_TAIL_REPS})"
         )
-    draw = lambda count, rng: model.sample_null(n, count, rng)
+    draw = lambda count, rng: model.sample(n, NULL, count, rng, seed)
     values = _statistic_values(draw, statistics, reps, seed, TAG_CALIBRATE, workers)
     return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
 
@@ -438,12 +425,12 @@ def estimate_power_many(
     calib_reps = calibration_reps(reps, calib_reps)
     statistics = [statistic for statistic, _ in tests]
     criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers)
-    draw_null = lambda count, rng: model.sample_null(n, count, rng)
+    draw_null = lambda count, rng: model.sample(n, NULL, count, rng, seed)
     null_vals = _statistic_values(draw_null, statistics, reps, seed, TAG_LEVEL, workers)
     alt_vals: dict[int, np.ndarray] = {}
     for alt in dict.fromkeys(a for _, a in tests):
         sharing = [i for i, (_, a) in enumerate(tests) if a == alt]
-        draw_alt = lambda count, rng: model.sample_alt(n, alt, count, rng, seed)
+        draw_alt = lambda count, rng: model.sample(n, alt, count, rng, seed)
         sharing_stats = [statistics[i] for i in sharing]
         vals = _statistic_values(draw_alt, sharing_stats, reps, seed, TAG_POWER, workers)
         alt_vals.update(zip(sharing, vals))
@@ -629,20 +616,17 @@ def theorem2_sweep(
     reps: int,
     seed: int,
     level: float = DEFAULT_LEVEL,
-    mbar: float = 0.0,
-    profile: Callable[[np.ndarray], np.ndarray] | None = None,
     calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[Theorem2Row]:
     """Exponential-family collapse of a permutation-invariant statistic.
 
     The invariant statistic (sample variance) is run at a centered spike of
-    norm ``delta``; the quadratic statistic is run at a smooth centered
-    profile of the same norm.
+    norm ``delta``; the quadratic statistic is run at the centered cosine
+    profile ``sqrt(2) cos(2 pi x)`` of the same norm.
     """
-    model = FamilyModel(family, mbar=mbar)
-    if profile is None:
-        profile = lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * x)
+    model = FamilyModel(family)
+    profile = lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * x)
     spike = AlternativeSpec(kind="single_spike", scale=delta)
     smooth = AlternativeSpec(kind="smooth_profile", scale=delta, profile=profile)
     tests = lambda n, _: [
@@ -729,10 +713,7 @@ def matrix_variate_sweep(
     class _MatrixModel(Model):
         name = "matrix_normal"
 
-        def sample_null(self, n, reps_, rng):
-            return rng.normal(size=(reps_, n, 2))
-
-        def sample_alt(self, n, alt_, reps_, rng, seed_):
+        def sample(self, n, alt_, reps_, rng, seed_):
             dev = np.zeros((n, 2))
             spike = np.zeros(n)
             spike[0] = 1.0

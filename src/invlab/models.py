@@ -8,8 +8,11 @@ exact log-likelihood ratios and contiguity diagnostics (null mean and
 variance of the log-likelihood ratio against the bound ``alpha *
 ||m - mbar||^2``).
 
-All samplers are pure functions of ``(spec, parameters, generator)``;
-types are immutable after construction.
+All samplers are pure functions of ``(spec, parameters, generator)`` that
+draw a batch with replicates on the leading axis; types are immutable after
+construction.  Functions of data read its last axis (the last two for a
+Neyman-Scott table) and treat any leading axes as replicates, so one vector
+gives a numpy scalar.
 """
 
 from __future__ import annotations
@@ -141,33 +144,6 @@ class NeymanScottLayout:
             raise ValueError("sigma must be positive")
 
 
-@dataclass(frozen=True)
-class SpacingsSample:
-    """Spacings of ordered points on [0, 1], padded with the endpoints."""
-
-    d: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or d.size < 2:
-            raise ValueError("d must be a 1-D vector of at least 2 spacings")
-        if d.min() < 0:
-            raise ValueError("spacings must be nonnegative")
-        if abs(d.sum() - 1.0) > 1e-12:
-            raise ValueError("spacings must sum to 1 within 1e-12")
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n(self) -> int:
-        """Number of sample points (one less than the number of spacings)."""
-        return self.d.size - 1
-
-    @property
-    def points(self) -> np.ndarray:
-        """The ordered sample points recovered from the spacings."""
-        return np.cumsum(self.d)[:-1]
-
-
 # --------------------------------------------------------------------- #
 # Built-in families
 # --------------------------------------------------------------------- #
@@ -269,16 +245,12 @@ def sample_model(
     family: ExpFamilySpec | GeneralFamilySpec,
     m: MeanVector,
     seed: int | np.random.Generator,
-    reps: int | None = None,
+    reps: int,
 ) -> np.ndarray:
-    """Draw independent coordinates, coordinate ``i`` under parameter ``m_i``.
-
-    Returns shape ``(n,)``, or ``(reps, n)`` when ``reps`` is given.
-    """
+    """``(reps, n)`` independent coordinates, coordinate ``i`` under parameter ``m_i``."""
     rng = as_generator(seed, TAG_MODEL)
-    size = (m.n,) if reps is None else (reps, m.n)
     sampler = family.carrier_sampler if isinstance(family, ExpFamilySpec) else family.sampler
-    return sampler(rng, m.entries, size)
+    return sampler(rng, m.entries, (reps, m.n))
 
 
 def loglik_ratio(
@@ -286,11 +258,8 @@ def loglik_ratio(
     m: MeanVector,
     mbar: float,
     x: np.ndarray,
-) -> float | np.ndarray:
-    """Exact log of ``prod f(x_i; m_i) / prod f(x_i; mbar)``.
-
-    ``x`` may be a single vector ``(n,)`` or a batch ``(reps, n)``.
-    """
+) -> np.ndarray:
+    """Exact log of ``prod f(x_i; m_i) / prod f(x_i; mbar)`` for each replicate of ``x``."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != m.n:
         raise ValueError("dimension mismatch between m and x")
@@ -304,7 +273,7 @@ def loglik_ratio(
         out = np.sum(
             family.log_density(x, m.entries) - family.log_density(x, mbar), axis=-1
         )
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,14 +358,13 @@ def sample_neyman_scott(
     layout: NeymanScottLayout,
     m: MeanVector,
     seed: int | np.random.Generator,
-    reps: int | None = None,
+    reps: int,
 ) -> np.ndarray:
-    """Draw the ``n x nu`` replicate table, row ``i`` centered at ``m_i``."""
+    """``reps`` draws of the ``n x nu`` replicate table, row ``i`` centered at ``m_i``."""
     if m.n != layout.n:
         raise ValueError("mean vector length must match the number of groups")
     rng = as_generator(seed, TAG_MODEL)
-    size = (layout.n, layout.nu) if reps is None else (reps, layout.n, layout.nu)
-    return layout.sigma * rng.standard_normal(size) + m.entries[..., :, None]
+    return layout.sigma * rng.standard_normal((reps, layout.n, layout.nu)) + m.entries[:, None]
 
 
 # --------------------------------------------------------------------- #
@@ -531,28 +499,22 @@ def profile_l2_norm_sq(h: Profile | Callable) -> float:
     return float(simpson(np.asarray(prof(xs), float) ** 2, x=xs))
 
 
-def spacings_loglik_approx(
-    h: Profile | Callable, d: SpacingsSample | np.ndarray
-) -> float | np.ndarray:
+def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
     """Linear spacings approximation to the log-likelihood ratio.
 
     ``-(n+1)/sqrt(n) * sum_i h(i/(n+1)) (d_i - 1/(n+1)) - integral(h^2)/2``,
     with the profile evaluated at the expected order-statistic positions.
     """
-    dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
     hi = profile_at_grid(h, n)
-    out = -(n + 1) / np.sqrt(n) * ((dv - 1.0 / (n + 1)) @ hi) - 0.5 * profile_l2_norm_sq(h)
-    return float(out) if np.ndim(out) == 0 else out
+    return -(n + 1) / np.sqrt(n) * ((dv - 1.0 / (n + 1)) @ hi) - 0.5 * profile_l2_norm_sq(h)
 
 
-def spacings_loglik_exact(
-    h: Profile | Callable, d: SpacingsSample | np.ndarray
-) -> float | np.ndarray:
+def spacings_loglik_exact(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
     """Exact log-likelihood ratio of the density ``1 + h/sqrt(n)`` to uniform."""
-    dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
     prof = _as_profile(h)
     points = np.cumsum(dv, axis=-1)[..., :-1]
-    out = np.sum(np.log1p(prof(points) / np.sqrt(n)), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(np.log1p(prof(points) / np.sqrt(n)), axis=-1)

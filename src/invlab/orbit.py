@@ -289,23 +289,16 @@ def _entries(m: MeanVector | np.ndarray) -> np.ndarray:
     return m.entries if isinstance(m, MeanVector) else np.asarray(m, dtype=float)
 
 
-def lbar_orthogonal(
-    m: MeanVector | np.ndarray, x: np.ndarray, dim: int | None = None
-) -> float | np.ndarray:
+def lbar_orthogonal(m: MeanVector | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Likelihood ratio of mean ``m`` to 0 averaged over the orthogonal group.
 
     Depends on the data only through its norm:
-    ``exp(-||m||^2 / 2) H(||m|| ||x||) / H(0)``.  ``x`` may be a batch
-    ``(reps, n)``.  ``dim`` overrides the ambient dimension (used by the
-    design-fixing reduction).
+    ``exp(-||m||^2 / 2) H(||m|| ||x||) / H(0)``.
     """
-    mv = _entries(m)
     x = np.asarray(x, dtype=float)
-    n = int(dim) if dim is not None else x.shape[-1]
-    norm_m = float(np.linalg.norm(mv))
+    norm_m = float(np.linalg.norm(_entries(m)))
     x_norms = np.sqrt(np.sum(x * x, axis=-1))
-    out = lbar_orthogonal_from_norms(norm_m, x_norms, n)
-    return float(out[0]) if np.ndim(x_norms) == 0 else out
+    return lbar_orthogonal_from_norms(norm_m, x_norms, x.shape[-1]).reshape(x.shape[:-1])[()]
 
 
 def lbar_orthogonal_from_norms(
@@ -324,17 +317,16 @@ def _all_permutations(n: int) -> np.ndarray:
 
 
 def _perm_log_avg_exhaustive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``log avg_P exp(w' P x)`` over all permutations; ``x`` batched ``(reps, n)``."""
+    """``log avg_P exp(w' P x)`` over all permutations, per replicate of ``x``."""
     n = w.size
     perms = _all_permutations(n)
-    if x.ndim == 1:
-        return logsumexp(x[perms] @ w) - math.lgamma(n + 1)
+    rows = x.reshape(-1, n)
     chunk = max(1, 2**24 // (perms.shape[0] * n))
     parts = [
-        logsumexp(x[lo : lo + chunk][:, perms] @ w, axis=-1)
-        for lo in range(0, x.shape[0], chunk)
+        logsumexp(rows[lo : lo + chunk][:, perms] @ w, axis=-1)
+        for lo in range(0, rows.shape[0], chunk)
     ]
-    return np.concatenate(parts) - math.lgamma(n + 1)
+    return (np.concatenate(parts) - math.lgamma(n + 1)).reshape(x.shape[:-1])
 
 
 def _perm_log_avg_mc(
@@ -367,13 +359,13 @@ def lbar_permutation(
     x: np.ndarray,
     spec: OrbitSpec,
     seed: int | np.random.Generator = 0,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Likelihood ratio averaged over permutations of the alternative vector.
 
     ``exp(-sum(beta(m_i) - beta(mbar))) * avg_P exp((m - mbar)' P x)``,
     exhaustively for ``group=permutation_exhaustive`` (``n <= 8``), else over
-    ``spec.mc_reps`` uniform permutations.  Accumulation is in log space.
-    ``x`` may be a batch ``(reps, n)``.
+    ``spec.mc_reps`` uniform permutations, the same ones for every replicate
+    of ``x``.  Accumulation is in log space.
     """
     mv = _entries(m)
     x = np.asarray(x, dtype=float)
@@ -390,12 +382,9 @@ def lbar_permutation(
     elif spec.group is Group.PERMUTATION:
         rng = as_generator(seed, TAG_LBAR)
         log_avg = _perm_log_avg_mc(w, x, spec.mc_reps, rng)
-        if x.ndim == 1:
-            log_avg = log_avg[0]
     else:
         raise ValueError("spec.group must be a permutation group")
-    out = np.exp(prefactor + log_avg)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.exp(prefactor + log_avg).reshape(x.shape[:-1])[()]
 
 
 def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -426,7 +415,7 @@ def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[n
 
 def lbar_design_orthogonal(
     m: MeanVector | np.ndarray, x_design: np.ndarray, y: np.ndarray
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Orbit average over the orthogonal subgroup fixing the design columns.
 
     The computation reduces to the radial form in the ``(n - p)``-dimensional
@@ -438,13 +427,12 @@ def lbar_design_orthogonal(
     y = np.asarray(y, dtype=float)
     r = y - (y @ q) @ q.T
     r_norms = np.sqrt(np.sum(r * r, axis=-1))
-    out = lbar_orthogonal_from_norms(norm_m_res, r_norms, dim)
-    return float(out[0]) if np.ndim(r_norms) == 0 else out
+    return lbar_orthogonal_from_norms(norm_m_res, r_norms, dim).reshape(y.shape[:-1])[()]
 
 
 def lbar_heuristic(
     family: ExpFamilySpec, m: MeanVector | np.ndarray, x: np.ndarray
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Second-order heuristic for the permutation average.
 
     ``exp(sum (m_i - mbar)^2 (S^2 - beta''(mbar)) / 2)`` with ``S^2`` the
@@ -454,10 +442,9 @@ def lbar_heuristic(
     x = np.asarray(x, dtype=float)
     mbar = float(mv.mean())
     s_sq = x.var(axis=-1)
-    out = np.exp(
+    return np.exp(
         0.5 * float(np.sum((mv - mbar) ** 2)) * (s_sq - float(family.beta2(np.float64(mbar))))
     )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def perm_variance_diagnostic(
@@ -554,7 +541,7 @@ def identity_check(
     """
     null_orbit = spec.null_orbit(family, m, seed)
     if invariance_sampler is not None:
-        probe = sample_model(family, m, as_generator(seed, TAG_MODEL, 1_000_003))
+        probe = sample_model(family, m, as_generator(seed, TAG_MODEL, 1_000_003), reps=1)[0]
         if not verify_invariance(statistic, invariance_sampler, probe, seed=seed):
             raise ValueError("statistic is not invariant under the requested group")
 

@@ -1,8 +1,9 @@
 """Test statistics: projections, quadratic norms, ANOVA F, spacings
 statistics, the quadratic-basis statistic, and an invariance checker.
 
-Every statistic accepts a single observation or a batch with replicates
-along the leading axis; the replicate axis is preserved in the output.
+Every statistic reads the last axis of its data (the last two for an ANOVA
+table) and treats any leading axes as replicates: a ``(reps, n)`` batch gives
+``reps`` values and one vector gives a numpy scalar.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from ._num import simpson
-from .models import SpacingsSample
 from .rng import as_generator
 
 #: Quadrature grid for checking basis orthogonality on [0, 1].
@@ -25,7 +25,7 @@ _ORTHO_GRID = 2049
 # --------------------------------------------------------------------- #
 
 
-def np_statistic(m: np.ndarray, x: np.ndarray) -> float | np.ndarray:
+def np_statistic(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Neyman-Pearson projection ``m'x / ||m||`` for a known direction ``m``.
 
     Invariant under the orthogonal maps that fix ``m``, not under permutations.
@@ -34,25 +34,22 @@ def np_statistic(m: np.ndarray, x: np.ndarray) -> float | np.ndarray:
     norm = np.linalg.norm(m)
     if norm == 0.0:
         raise ValueError("m must have positive norm")
-    out = np.asarray(x, dtype=float) @ m / norm
-    return float(out) if np.ndim(out) == 0 else out
+    return np.asarray(x, dtype=float) @ m / norm
 
 
-def chisq_statistic(x: np.ndarray) -> float | np.ndarray:
+def chisq_statistic(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm ``||x||^2``, invariant under the orthogonal group."""
     x = np.asarray(x, dtype=float)
-    out = np.sum(x * x, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(x * x, axis=-1)
 
 
-def sample_variance_statistic(x: np.ndarray) -> float | np.ndarray:
+def sample_variance_statistic(x: np.ndarray) -> np.ndarray:
     """Sample variance ``sum (x_i - xbar)^2 / n``, invariant under permutations and shifts."""
     x = np.asarray(x, dtype=float)
-    out = x.var(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return x.var(axis=-1)
 
 
-def anova_f(x: np.ndarray) -> float | np.ndarray:
+def anova_f(x: np.ndarray) -> np.ndarray:
     """One-way ANOVA F statistic for an ``n x nu`` table (rows are groups).
 
     Accepts batches shaped ``(..., n, nu)``.  Raises on zero within-group
@@ -71,32 +68,29 @@ def anova_f(x: np.ndarray) -> float | np.ndarray:
     within = np.sum((x - row_means[..., None]) ** 2, axis=(-2, -1)) / (n * (nu - 1))
     if np.any(within == 0.0):
         raise ZeroDivisionError("zero within-group variance")
-    out = between / within
-    return float(out) if np.ndim(out) == 0 else out
+    return between / within
 
 
-def moran(d: SpacingsSample | np.ndarray) -> float | np.ndarray:
+def moran(d: np.ndarray) -> np.ndarray:
     """Moran's statistic ``sum log d_i``; requires strictly positive spacings.
 
     Invariant under permutations of the spacings.
     """
-    dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     if np.any(dv <= 0.0):
         raise ValueError("moran requires strictly positive spacings")
-    out = np.sum(np.log(dv), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(np.log(dv), axis=-1)
 
 
-def greenwood(d: SpacingsSample | np.ndarray) -> float | np.ndarray:
+def greenwood(d: np.ndarray) -> np.ndarray:
     """Greenwood's statistic ``sum d_i^2``, invariant under permutations of the spacings."""
-    dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
-    out = np.sum(dv * dv, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    dv = np.asarray(d, dtype=float)
+    return np.sum(dv * dv, axis=-1)
 
 
 def two_spacings_statistic(
     u: np.ndarray, f: str | Callable[[np.ndarray], np.ndarray] = "square"
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Overlapping 2-spacings statistic ``sum_i f(U_{i+2} - U_i)``.
 
     ``u`` holds the ordered sample on [0, 1] (shape ``(..., n)``); the
@@ -111,8 +105,7 @@ def two_spacings_statistic(
     pad = [(0, 0)] * (u.ndim - 1) + [(1, 1)]
     padded = np.pad(u, pad, constant_values=(0.0, 1.0))
     gaps = padded[..., 2:] - padded[..., :-2]
-    out = np.sum(fn(gaps), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(fn(gaps), axis=-1)
 
 
 def _two_spacing_log(g: np.ndarray) -> np.ndarray:
@@ -129,7 +122,7 @@ _TWO_SPACING_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 def points_from_spacings(d: np.ndarray) -> np.ndarray:
     """Ordered sample points implied by a spacings vector (drops the final 1)."""
-    dv = d.d if isinstance(d, SpacingsSample) else np.asarray(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     return np.cumsum(dv, axis=-1)[..., :-1]
 
 
@@ -200,7 +193,7 @@ def default_quadratic_spec(num_terms: int = 8, squared: bool = True) -> Quadrati
     )
 
 
-def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> float | np.ndarray:
+def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> np.ndarray:
     """Weighted (optionally squared) standardized basis projections of ``x``.
 
     Invariant under the orthogonal maps that fix every basis vector on the
@@ -216,8 +209,7 @@ def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> float | np.nd
         raise ValueError("a basis function vanishes identically on the grid")
     z = x @ g.T / norms
     lam = np.asarray(spec.lambdas)
-    out = (z * z) @ lam if spec.squared else z @ lam
-    return float(out) if np.ndim(out) == 0 else out
+    return (z * z) @ lam if spec.squared else z @ lam
 
 
 # --------------------------------------------------------------------- #

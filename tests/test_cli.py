@@ -349,6 +349,17 @@ class TestIncompatibleConfigurations:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [["sweep-theorem1"], ["sweep-theorem2"], ["sweep-neyman-scott"], ["sweep-neyman-scott", "--matrix"]],
+        ids=["theorem1", "theorem2", "neyman-scott", "neyman-scott-matrix"],
+    )
+    def test_negative_delta_is_refused_by_the_parser(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv, "--delta", "-1", "--n-grid", "10", "--reps", "100")
+        assert code == 2
+        assert "config error: delta must be nonnegative, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line", ["reps = 0", "workers = 0", "sigma = -1", "calib_reps = 3", "seed = abc"]
     )
     def test_config_file_values_take_the_flag_path(self, tmp_path, monkeypatch, line):
@@ -378,11 +389,11 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-_SCALES = st.sampled_from(["0", "0.5", "1", "2", "3", "8"])
+_SCALES = st.sampled_from(["-1", "0", "0.5", "1", "2", "3", "8"])
 _GRIDS = st.lists(st.integers(1, 40), min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
 #: Values of the flags without ``choices``; ``--stat`` takes the names its help lists.
 _FLAG_VALUES = {
-    "seed": st.integers(0, 2**32).map(str),
+    "seed": st.integers(-(2**32), 2**32).map(str),
     "workers": st.sampled_from(["1", "2"]),
     "reps": st.integers(1, 64).map(str),
     "level": st.sampled_from(["0.001", "0.01", "0.05", "0.2", "0.5", "0.9", "0.999"]),
@@ -395,7 +406,7 @@ _FLAG_VALUES = {
     "calib_reps": st.integers(1, 2000).map(str),
     "nu": st.integers(1, 6).map(str),
     "sigma": st.sampled_from(["0.1", "1", "3"]),
-    "delta": st.sampled_from(["0", "0.5", "1.5", "3", "10"]),
+    "delta": st.sampled_from(["-1", "0", "0.5", "1.5", "3", "10"]),
     "lbar_reps": st.integers(1, 64).map(str),
     "mc_reps": st.integers(1, 64).map(str),
     "design_p": st.integers(1, 6).map(str),

@@ -241,7 +241,7 @@ class TestSharedDrawEngine:
 
     def test_spacings_model_rejects_mean_alternative(self):
         with pytest.raises(ValueError, match="spacings model"):
-            SpacingsModel().sample_alt(10, _SPIKE, 5, np.random.default_rng(0), 0)
+            SpacingsModel().sample(10, _SPIKE, 5, np.random.default_rng(0), 0)
 
 
 class TestTheorem1Sweep:
