@@ -28,6 +28,7 @@ from .rng import (
     TAG_LEVEL,
     TAG_MODEL,
     TAG_POWER,
+    TAG_SUFFICIENT,
     as_generator,
     map_blocks,
     spawn_generator,
@@ -109,6 +110,13 @@ class AlternativeSpec:
 #: The null hypothesis as an alternative: every model's draw at scale 0 is its null draw.
 NULL = AlternativeSpec("single_spike", 0.0)
 
+#: Sufficient blocks (see :class:`Reduced`): the normal model's
+#: ``(u'x, ||x||^2 - (u'x)^2)`` and the Neyman-Scott ANOVA mean squares.
+NORMAL_RADIAL = "normal_radial"
+ANOVA_MEAN_SQUARES = "anova_mean_squares"
+#: Largest entrywise difference of two unit vectors taken as one direction.
+_SAME_DIRECTION = 1e-12
+
 
 # --------------------------------------------------------------------- #
 # Models (batch samplers)
@@ -120,14 +128,27 @@ class Model:
 
     ``sample(n, alt, reps, rng, seed)`` draws ``reps`` replicates under the
     alternative ``alt`` (its parameters derived from ``seed``), replicates on
-    the leading axis; ``alt=NULL`` draws under the null.
+    the leading axis; ``alt=NULL`` draws under the null.  A model may also
+    name a ``sufficient`` block, a few numbers per replicate whose exact law
+    ``sample_sufficient`` draws, for the statistics that read only those.
     """
 
     name: str = "model"
+    sufficient: str | None = None
 
     def sample(
         self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
     ) -> np.ndarray:
+        raise NotImplementedError
+
+    def reduces(self, statistic: NamedStatistic, n: int, alt: AlternativeSpec, seed: int) -> bool:
+        """Whether ``statistic`` under ``alt`` is read exactly from the sufficient block."""
+        return statistic.reduced is not None and statistic.reduced.block == self.sufficient
+
+    def sample_sufficient(
+        self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
+    ) -> np.ndarray:
+        """``(reps, k)`` draws of the sufficient block under ``alt``."""
         raise NotImplementedError
 
     def alternative_audit(self, n: int, alt: AlternativeSpec, seed: int) -> dict:
@@ -140,7 +161,11 @@ class Model:
 
 @dataclass(frozen=True)
 class FamilyModel(Model):
-    """Coordinates independently drawn from a one-parameter family, null parameter 0."""
+    """Coordinates independently drawn from a one-parameter family, null parameter 0.
+
+    In the normal family the sufficient block is ``(u'x, ||x||^2 - (u'x)^2)``
+    with ``u`` the alternative's unit direction.
+    """
 
     family: ExpFamilySpec | GeneralFamilySpec
     compact: tuple[float, float] | None = models.DEFAULT_COMPACT
@@ -154,9 +179,27 @@ class FamilyModel(Model):
             return MeanVector(entries, compact_lo=None, compact_hi=None)
         return MeanVector(entries, compact_lo=self.compact[0], compact_hi=self.compact[1])
 
+    @property
+    def sufficient(self) -> str | None:
+        return NORMAL_RADIAL if self.family.name == "normal" else None
+
     def sample(self, n, alt, reps, rng, seed):
         m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
         return models.sample_model(self.family, m, rng, reps=reps)
+
+    def reduces(self, statistic, n, alt, seed):
+        if not super().reduces(statistic, n, alt, seed):
+            return False
+        direction = statistic.reduced.direction
+        if direction is None or alt.scale == 0.0:
+            return True
+        # The block projects on the alternative's own direction.
+        m = alt.mean_entries(n, 0.0, seed)
+        return bool(np.max(np.abs(m / np.linalg.norm(m) - direction)) <= _SAME_DIRECTION)
+
+    def sample_sufficient(self, n, alt, reps, rng, seed):
+        m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
+        return models.sample_normal_radial(float(np.linalg.norm(m.entries)), n, rng, reps)
 
     def alternative_audit(self, n, alt, seed):
         m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
@@ -170,12 +213,16 @@ def normal_means_model() -> FamilyModel:
 
 @dataclass(frozen=True)
 class NeymanScottModel(Model):
-    """Replicated normal groups, null mean 0; data are ``(reps, n, nu)`` tables."""
+    """Replicated normal groups, null mean 0; data are ``(reps, n, nu)`` tables.
+
+    Its sufficient block is the pair of ANOVA mean squares, between and within.
+    """
 
     nu: int
     sigma: float = 1.0
 
     name = "neyman_scott"
+    sufficient = ANOVA_MEAN_SQUARES
 
     def _layout(self, n: int) -> NeymanScottLayout:
         return NeymanScottLayout(n=n, nu=self.nu, sigma=self.sigma)
@@ -183,6 +230,10 @@ class NeymanScottModel(Model):
     def sample(self, n, alt, reps, rng, seed):
         m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
         return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
+
+    def sample_sufficient(self, n, alt, reps, rng, seed):
+        m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
+        return models.sample_neyman_scott_mean_squares(self._layout(n), m, rng, reps)
 
     def alternative_audit(self, n, alt, seed):
         self._layout(n)
@@ -229,12 +280,30 @@ class SpacingsModel(Model):
 # --------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True, eq=False)
+class Reduced:
+    """A statistic as a function ``fn`` of a model's sufficient block ``block``.
+
+    ``direction``, when set, is the unit vector the block's projection must
+    be taken on: the form then holds only where the model's block projects
+    on that direction (see :meth:`Model.reduces`).
+    """
+
+    block: str
+    fn: Callable[[np.ndarray], np.ndarray]
+    direction: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class NamedStatistic:
-    """A batch-aware statistic with a stable name for reports."""
+    """A batch-aware statistic with a stable name for reports.
+
+    ``reduced`` is the same statistic on a sufficient block, where it has one.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    reduced: Reduced | None = None
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(data), dtype=float)
@@ -251,9 +320,12 @@ def make_statistic(
     ``np`` projects on the true alternative direction (needs ``alt``);
     ``quadratic`` and ``quadratic_spacings`` use the cosine-basis quadratic
     statistic, the latter on centered spacings residuals ``(n+1) d_i - 1``.
+    ``chisq`` and ``np`` also read the normal model's radial block, and
+    ``anova_f`` the Neyman-Scott mean squares.
     """
     if name == "chisq":
-        return NamedStatistic("chisq", stats.chisq_statistic)
+        radial = Reduced(NORMAL_RADIAL, lambda s: s[:, 0] ** 2 + s[:, 1])
+        return NamedStatistic("chisq", stats.chisq_statistic, radial)
     if name in ("variance", "two_spacings_sq") and n < 2:
         raise ValueError(f"{name} is constant below n = 2, got n = {n}")
     if name == "variance":
@@ -265,9 +337,12 @@ def make_statistic(
         # alternative's direction serves (power equals level either way).
         unit = alt if alt.scale > 0 else replace(alt, scale=1.0)
         direction = unit.mean_entries(n, 0.0, seed)
-        return NamedStatistic("np", lambda x: stats.np_statistic(direction, x))
+        unit_direction = direction / np.linalg.norm(direction)
+        projection = Reduced(NORMAL_RADIAL, lambda s: s[:, 0], unit_direction)
+        return NamedStatistic("np", lambda x: stats.np_statistic(direction, x), projection)
     if name == "anova_f":
-        return NamedStatistic("anova_f", stats.anova_f)
+        ratio = Reduced(ANOVA_MEAN_SQUARES, lambda s: s[:, 0] / s[:, 1])
+        return NamedStatistic("anova_f", stats.anova_f, ratio)
     if name == "greenwood":
         return NamedStatistic("greenwood", stats.greenwood)
     if name == "moran":
@@ -296,6 +371,23 @@ def make_statistic(
             raise ValueError(f"wilks needs n >= 3 bivariate rows, got {n}")
         return NamedStatistic("wilks", _wilks_generalized_variance)
     raise ValueError(f"unknown statistic {name!r}")
+
+
+def cellmean_chisq_statistic(n: int, sigma: float) -> NamedStatistic:
+    """Known-``sigma`` test of ``n`` groups: ``nu ||ybar - mean(ybar)||^2 / sigma^2``.
+
+    ``ybar`` holds the cell means of an ``n x nu`` table; the reduced form
+    reads the Neyman-Scott between mean square ``nu B / (n - 1)``.
+    """
+
+    def cellmean_chisq(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        means = x.mean(axis=-1)
+        centered = means - means.mean(axis=-1, keepdims=True)
+        return np.sum(centered**2, axis=-1) * x.shape[-1] / sigma**2
+
+    between = Reduced(ANOVA_MEAN_SQUARES, lambda s: (n - 1) * s[:, 0] / sigma**2)
+    return NamedStatistic("cellmean_chisq", cellmean_chisq, between)
 
 
 def _wilks_generalized_variance(x: np.ndarray) -> np.ndarray:
@@ -341,26 +433,41 @@ class PowerReport:
 
 
 def _statistic_values(
-    draw: Callable[[int, np.random.Generator], np.ndarray],
+    model: Model,
     statistics: Sequence[NamedStatistic],
+    reduced: Sequence[bool],
+    n: int,
+    alt: AlternativeSpec,
     reps: int,
     seed: int,
     tag: int,
     workers: int,
 ) -> list[np.ndarray]:
-    """Every statistic on the same ``reps`` draws of the stream ``(seed, tag)``.
+    """Every statistic on ``reps`` draws of ``model`` under ``alt``.
 
-    ``draw(count, rng)`` returns one block.  The block is drawn once, made
-    read-only and evaluated by each statistic in turn, so the values of one
-    statistic do not depend on which others share the pass.
+    Statistic ``i`` reads the model's sufficient block, drawn on the stream
+    ``(seed, TAG_SUFFICIENT, tag)``, where ``reduced[i]`` holds, and data
+    drawn on ``(seed, tag)`` otherwise.  Each kind of block is drawn once when any statistic
+    reads it, made read-only and evaluated by its readers in turn, so the
+    values of one statistic do not depend on which others share the pass.
     """
+    out: list[np.ndarray] = [np.empty(0)] * len(statistics)
+    for route in (False, True):
+        readers = [i for i, r in enumerate(reduced) if r == route]
+        if not readers:
+            continue
+        sample = model.sample_sufficient if route else model.sample
+        tags = (TAG_SUFFICIENT, tag) if route else (tag,)
+        fns = [statistics[i].reduced.fn if route else statistics[i] for i in readers]
 
-    def block(b: int, count: int) -> list[np.ndarray]:
-        data = draw(count, as_generator(seed, tag, b))
-        data.flags.writeable = False
-        return [statistic(data) for statistic in statistics]
+        def block(b: int, count: int) -> list[np.ndarray]:
+            data = sample(n, alt, count, as_generator(seed, *tags, b), seed)
+            data.flags.writeable = False
+            return [np.asarray(fn(data), dtype=float) for fn in fns]
 
-    return [np.concatenate(vals) for vals in zip(*map_blocks(block, reps, workers=workers))]
+        for i, vals in zip(readers, zip(*map_blocks(block, reps, workers=workers))):
+            out[i] = np.concatenate(vals)
+    return out
 
 
 def calibration_reps(reps: int, calib_reps: int | None = None) -> int:
@@ -376,13 +483,16 @@ def calibrate_critical(
     reps: int,
     seed: int,
     workers: int = 1,
+    reduced: Sequence[bool] | None = None,
 ) -> list[float]:
     """Empirical upper-``level`` critical values from one null Monte Carlo run.
 
     All statistics are evaluated on the same null draws; one critical value
-    is returned per statistic.  The rejection rule is ``statistic >
-    critical``; two-sided statistics must be pre-transformed to one-sided
-    form by the caller.
+    is returned per statistic.  ``reduced[i]`` says whether statistic ``i``
+    reads the model's sufficient block (default: wherever the model reduces
+    it under the null).  The rejection rule is ``statistic > critical``;
+    two-sided statistics must be pre-transformed to one-sided form by the
+    caller.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -390,8 +500,9 @@ def calibrate_critical(
         raise ValueError(
             f"too few replicates for the requested quantile (need reps*level >= {MIN_TAIL_REPS})"
         )
-    draw = lambda count, rng: model.sample(n, NULL, count, rng, seed)
-    values = _statistic_values(draw, statistics, reps, seed, TAG_CALIBRATE, workers)
+    if reduced is None:
+        reduced = [model.reduces(statistic, n, NULL, seed) for statistic in statistics]
+    values = _statistic_values(model, statistics, reduced, n, NULL, reps, seed, TAG_CALIBRATE, workers)
     return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
 
 
@@ -417,22 +528,27 @@ def estimate_power_many(
 ) -> list[PowerReport]:
     """Calibrate under the null, then estimate level and power of each test.
 
-    A test is a statistic and the alternative it is run against.  The null
-    is drawn once for calibration and once for the level, and each distinct
-    alternative once for power; every statistic reads the same blocks, so
-    each report equals the one :func:`estimate_power` gives for its test.
+    A test is a statistic and the alternative it is run against.  It reads
+    the model's sufficient block when the model reduces the statistic at
+    that alternative (:meth:`Model.reduces`), and data otherwise; the route
+    follows from the test alone and holds for its calibration, level and
+    power.  The null is drawn once for calibration and once for the level,
+    and each distinct alternative once for power, per route; every statistic
+    of a route reads the same blocks, so each report equals the one
+    :func:`estimate_power` gives for its test.
     """
     calib_reps = calibration_reps(reps, calib_reps)
     statistics = [statistic for statistic, _ in tests]
-    criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers)
-    draw_null = lambda count, rng: model.sample(n, NULL, count, rng, seed)
-    null_vals = _statistic_values(draw_null, statistics, reps, seed, TAG_LEVEL, workers)
+    reduced = [model.reduces(statistic, n, alt, seed) for statistic, alt in tests]
+    criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers, reduced)
+    null_vals = _statistic_values(model, statistics, reduced, n, NULL, reps, seed, TAG_LEVEL, workers)
     alt_vals: dict[int, np.ndarray] = {}
     for alt in dict.fromkeys(a for _, a in tests):
         sharing = [i for i, (_, a) in enumerate(tests) if a == alt]
-        draw_alt = lambda count, rng: model.sample(n, alt, count, rng, seed)
-        sharing_stats = [statistics[i] for i in sharing]
-        vals = _statistic_values(draw_alt, sharing_stats, reps, seed, TAG_POWER, workers)
+        vals = _statistic_values(
+            model, [statistics[i] for i in sharing], [reduced[i] for i in sharing],
+            n, alt, reps, seed, TAG_POWER, workers,
+        )
         alt_vals.update(zip(sharing, vals))
     reports = []
     for i, ((statistic, alt), critical) in enumerate(zip(tests, criticals)):
@@ -672,14 +788,9 @@ def neyman_scott_sweep(
     model = NeymanScottModel(nu=nu, sigma=sigma)
     alt = AlternativeSpec(kind=profile, scale=delta)
 
-    def cellmean_chisq(data: np.ndarray) -> np.ndarray:
-        means = np.asarray(data, dtype=float).mean(axis=-1)
-        centered = means - means.mean(axis=-1, keepdims=True)
-        return np.sum(centered**2, axis=-1) * nu / sigma**2
-
     tests = lambda n, _: [
         (make_statistic("anova_f", n), alt),
-        (NamedStatistic("cellmean_chisq", cellmean_chisq), alt),
+        (cellmean_chisq_statistic(n, sigma), alt),
     ]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [

@@ -3,10 +3,11 @@
 Covers the many-means normal model, one-parameter exponential families
 (natural parametrisation, density ``exp(m*x - beta(m))`` against a fixed
 carrier), a non-exponential one-parameter family (logistic location),
-Neyman-Scott replicate layouts, and uniform spacings, together with
-exact log-likelihood ratios and contiguity diagnostics (null mean and
-variance of the log-likelihood ratio against the bound ``alpha *
-||m - mbar||^2``).
+Neyman-Scott replicate layouts, and uniform spacings, together with the
+exact laws of two sufficient blocks (a few numbers per replicate that
+invariant statistics read instead of the data), exact log-likelihood
+ratios and contiguity diagnostics (null mean and variance of the
+log-likelihood ratio against the bound ``alpha * ||m - mbar||^2``).
 
 All samplers are pure functions of ``(spec, parameters, generator)`` that
 draw a batch with replicates on the leading axis; types are immutable after
@@ -365,6 +366,42 @@ def sample_neyman_scott(
         raise ValueError("mean vector length must match the number of groups")
     rng = as_generator(seed, TAG_MODEL)
     return layout.sigma * rng.standard_normal((reps, layout.n, layout.nu)) + m.entries[:, None]
+
+
+# --------------------------------------------------------------------- #
+# Sufficient blocks: the few numbers per replicate an invariant test reads
+# --------------------------------------------------------------------- #
+
+
+def sample_normal_radial(norm_m: float, n: int, rng: np.random.Generator, reps: int) -> np.ndarray:
+    """``(reps, 2)`` draws of ``(u'x, ||x||^2 - (u'x)^2)`` for ``x ~ N(m, I_n)``.
+
+    ``u = m / ||m||`` (any unit vector when ``m = 0``).  The columns are
+    independent, ``N(||m||, 1)`` and a central ``chi^2(n - 1)`` whatever the
+    mean; at ``n = 1`` the residual is identically 0.
+    """
+    out = np.empty((reps, 2))
+    out[:, 0] = norm_m + rng.standard_normal(reps)
+    out[:, 1] = rng.chisquare(n - 1, reps) if n > 1 else 0.0
+    return out
+
+
+def sample_neyman_scott_mean_squares(
+    layout: NeymanScottLayout, m: MeanVector, rng: np.random.Generator, reps: int
+) -> np.ndarray:
+    """``(reps, 2)`` draws of the ANOVA mean squares ``(nu B / (n - 1), W / (n (nu - 1)))``.
+
+    ``B = sum (ybar_i - ybar)^2`` is ``sigma^2 / nu`` times a noncentral
+    ``chi^2(n - 1, nu ||m - mbar||^2 / sigma^2)`` and the within sum of
+    squares ``W`` is ``sigma^2`` times an independent ``chi^2(n (nu - 1))``.
+    """
+    n, nu, var = layout.n, layout.nu, layout.sigma**2
+    if m.n != n:
+        raise ValueError("mean vector length must match the number of groups")
+    out = np.empty((reps, 2))
+    out[:, 0] = var / (n - 1) * rng.noncentral_chisquare(n - 1, nu * m.centered_norm**2 / var, reps)
+    out[:, 1] = var / (n * (nu - 1)) * rng.chisquare(n * (nu - 1), reps)
+    return out
 
 
 # --------------------------------------------------------------------- #

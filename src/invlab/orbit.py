@@ -4,17 +4,18 @@ For the full orthogonal group the average has a closed radial form
 through the kernel ``H(t) = integral_0^pi exp(t cos u) sin^(n-2) u du``.
 Its reference is adaptive composite quadrature on the log integrand with
 log-sum-exp accumulation (exact at every scale in scope, no asymptotic
-regime switching).  Since ``log H`` is analytic in ``t``, arguments are
-evaluated from a Chebyshev interpolant of that quadrature on
-``[0, t_cap]``, cached per ``(n, t_cap)``, whose degree doubles until it
-matches the quadrature to ``1e-11``; where no degree up to 256 does, the
-quadrature is used for every argument.  For the permutation group the
-average is taken exhaustively (n <= 8) or by Monte Carlo with streaming
-log-sum-exp.  For the subgroup fixing a design matrix the orthogonal
-computation is carried out in the residual space.  Both orthogonal
-averages depend on the data only through a norm that is chi-distributed
-under the null, so their null samples are drawn radially, one chi-square
-variate per replicate.
+regime switching).  ``H(0)`` has a closed form.  Since ``log H`` is
+analytic in ``t``, other arguments are evaluated from a Chebyshev
+interpolant of that quadrature on ``[0, t_cap]``, with ``t_cap`` the
+argument's own dyadic cap (the power of two in ``[t, 2t)``, at least 1),
+cached per ``(n, t_cap)``, whose degree doubles until it matches the
+quadrature to ``1e-11``; where no degree up to 256 does, the quadrature
+is used under that cap.  For the permutation group the average is taken
+exhaustively (n <= 8) or by Monte Carlo with streaming log-sum-exp.  For
+the subgroup fixing a design matrix the orthogonal computation is carried
+out in the residual space.  Both orthogonal averages depend on the data
+only through a norm that is chi-distributed under the null, so their null
+samples are drawn radially, one chi-square variate per replicate.
 
 The averaged ratio pins down every invariant test at once: the mean
 absolute deviation of the average from 1 under the null bounds
@@ -264,15 +265,23 @@ def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"n must be >= {MIN_RADIAL_DIM}")
     if np.any(ts < 0) or not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite and >= 0")
-    if ts.size == 0:
-        return np.empty(0)
-    # Round the range up to a power of two so the converged grid size and
-    # the interpolant are cached across calls with nearby maxima.
-    t_cap = float(2.0 ** np.ceil(np.log2(max(float(ts.max()), 1.0))))
-    coef = _log_h_chebyshev(n, t_cap)
-    if coef is None:
-        return _log_h_values(ts, n, _quad_intervals(n, t_cap))
-    return chebval(2.0 * ts / t_cap - 1.0, coef)
+    # H(0) = sqrt(pi) Gamma((n - 1) / 2) / Gamma(n / 2).  Every other argument
+    # is read from the fit on its own dyadic range: t in (2^(k-1), 2^k] (or
+    # (0, 1]) uses the cap 2^k, so a value does not depend on the other
+    # arguments, and the fits are cached across calls.
+    log_h0 = 0.5 * math.log(math.pi) + math.lgamma((n - 1) / 2) - math.lgamma(n / 2)
+    out = np.full(ts.size, log_h0)
+    mantissa, exponent = np.frexp(ts)
+    exponent = np.where(ts > 0.0, np.maximum(exponent - (mantissa == 0.5), 0), -1)
+    for k in np.unique(exponent[exponent >= 0]):
+        sel = exponent == k
+        t_cap = float(2.0**k)
+        coef = _log_h_chebyshev(n, t_cap)
+        if coef is None:
+            out[sel] = _log_h_values(ts[sel], n, _quad_intervals(n, t_cap))
+        else:
+            out[sel] = chebval(2.0 * ts[sel] / t_cap - 1.0, coef)
+    return out
 
 
 def h_integral_log(t: float, n: int) -> float:
@@ -306,7 +315,7 @@ def lbar_orthogonal_from_norms(
 ) -> np.ndarray:
     """Radial form of :func:`lbar_orthogonal` on precomputed norms."""
     x_norms = np.atleast_1d(np.asarray(x_norms, dtype=float))
-    # One call for H(||m|| ||x||) and H(0), so both come from one cached fit.
+    # One call for H(||m|| ||x||) and, last, H(0).
     log_h = h_integral_log_many(np.append(norm_m * x_norms, 0.0), n)
     return np.exp(log_h[:-1] - log_h[-1] - 0.5 * norm_m**2)
 
@@ -428,23 +437,6 @@ def lbar_design_orthogonal(
     r = y - (y @ q) @ q.T
     r_norms = np.sqrt(np.sum(r * r, axis=-1))
     return lbar_orthogonal_from_norms(norm_m_res, r_norms, dim).reshape(y.shape[:-1])[()]
-
-
-def lbar_heuristic(
-    family: ExpFamilySpec, m: MeanVector | np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Second-order heuristic for the permutation average.
-
-    ``exp(sum (m_i - mbar)^2 (S^2 - beta''(mbar)) / 2)`` with ``S^2`` the
-    sample variance of ``x``.  Diagnostic comparator only.
-    """
-    mv = _entries(m)
-    x = np.asarray(x, dtype=float)
-    mbar = float(mv.mean())
-    s_sq = x.var(axis=-1)
-    return np.exp(
-        0.5 * float(np.sum((mv - mbar) ** 2)) * (s_sq - float(family.beta2(np.float64(mbar))))
-    )
 
 
 def perm_variance_diagnostic(

@@ -66,10 +66,6 @@ class EmpiricalLaw:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    @property
-    def second_moment(self) -> float:
-        return float(np.mean(self.values**2))
-
 
 def _law_values(a: EmpiricalLaw | np.ndarray) -> np.ndarray:
     if isinstance(a, EmpiricalLaw):
@@ -104,12 +100,6 @@ def rho0(a: EmpiricalLaw | np.ndarray, b: EmpiricalLaw | np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def char_fn(law: EmpiricalLaw | np.ndarray, t: float) -> complex:
-    """Empirical characteristic function at ``t``."""
-    v = _law_values(law)
-    return complex(np.mean(np.exp(1j * t * v)))
-
-
 def cf_inequality_check(
     w: np.ndarray, wprime: np.ndarray, t: float
 ) -> bool:
@@ -127,16 +117,6 @@ def cf_inequality_check(
     m2 = float(np.mean((w - wprime) ** 2))
     rhs = t * t * m2 + abs(t) * np.sqrt(m2)
     return bool(lhs <= rhs + 1e-12)
-
-
-def uniform_integrability_probe(
-    law: EmpiricalLaw | np.ndarray, t_grid: Sequence[float]
-) -> np.ndarray:
-    """Tail second-moment functional ``E[V^2 1(|V| >= t)]`` along ``t_grid``."""
-    v = _law_values(law)
-    return np.array(
-        [float(np.mean(v * v * (np.abs(v) >= t))) for t in np.asarray(t_grid, float)]
-    )
 
 
 # --------------------------------------------------------------------- #

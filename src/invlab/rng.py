@@ -35,6 +35,10 @@ TAG_HAAR = 10
 TAG_SPACINGS = 11
 TAG_ALTERNATIVE = 12
 TAG_LBAR = 13
+#: Prefix of the sufficient-block streams: ``(seed, TAG_SUFFICIENT, tag, block)``
+#: mirrors the data-vector stream ``(seed, tag, block)`` of the same pass.
+#: (14 is ``orbit.TAG_POWER_LHS``.)
+TAG_SUFFICIENT = 15
 
 #: Replicates per block.  Fixed (never derived from the worker count) so that
 #: substream assignment is a pure function of the seed and replicate index.

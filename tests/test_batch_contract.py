@@ -4,7 +4,9 @@ Functions of data treat leading axes as replicates: row ``i`` of a
 ``(reps, n)`` batch's result is the function of row ``i``, and one vector
 gives a 0-d numpy value.  There is no separate single-vector path that
 could return other numbers: rows match single vectors to the bit, except
-for the last-bit effects of BLAS and of the ``log H`` interpolant below.
+for the last-bit effects of BLAS below.  ``log H`` reads each argument from
+the fit on its own dyadic range, so the orthogonal orbit averages need no
+tolerance of their own.
 """
 
 import numpy as np
@@ -20,9 +22,6 @@ _H = models.cosine_profile({1: 2.0})
 #: A matrix product goes to BLAS, which picks its kernel, and so its summation
 #: order, by shape: a dot product for one vector, gemv or gemm for a batch.
 _BLAS = 1e-12
-#: ``log H`` is read from an interpolant fitted up to the batch's largest
-#: argument; its quadrature converges to 5e-10 and the fit matches it to 1e-11.
-_LOG_H = 2e-9
 
 
 def _model_data(model: str) -> np.ndarray:
@@ -58,8 +57,8 @@ _CASES = [
      _model_data("spacings"), _BLAS),
     ("spacings_loglik_exact", lambda d: models.spacings_loglik_exact(_H, d),
      _model_data("spacings"), 0),
-    ("lbar_orthogonal", lambda x: orbit.lbar_orthogonal(_m(_N), x), _model_data("normal"), _LOG_H),
-    ("lbar_design_orthogonal", _design_case(), _model_data("normal"), _LOG_H),
+    ("lbar_orthogonal", lambda x: orbit.lbar_orthogonal(_m(_N), x), _model_data("normal"), 0),
+    ("lbar_design_orthogonal", _design_case(), _model_data("normal"), _BLAS),
     ("lbar_permutation/exhaustive",
      lambda x: orbit.lbar_permutation(
          models.poisson_family(), _m(6), x, orbit.OrbitSpec("permutation_exhaustive")),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invlab.cli import (
@@ -448,6 +448,8 @@ class TestExitCodes:
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=_cli_argvs())
+    # n = 1 leaves the radial block no residual degrees of freedom.
+    @example(drawn=(["power", "--model", "normal", "--alt", "null", "--n", "1", "--reps", "2"], []))
     def test_never_a_numeric_failure(self, drawn):
         argv, lines = drawn
         err = io.StringIO()

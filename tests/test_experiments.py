@@ -1,6 +1,7 @@
 """Tests for the power harness and theorem sweeps."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from scipy import stats as sps
 from invlab import experiments, models
 from invlab.expectations import load_expectations, recalibrate
 from invlab.experiments import (
+    NULL,
     AlternativeSpec,
     NamedStatistic,
     NeymanScottModel,
     SpacingsModel,
     calibrate_critical,
+    cellmean_chisq_statistic,
     estimate_power,
     estimate_power_many,
     make_statistic,
@@ -27,6 +30,7 @@ from invlab.experiments import (
     theorem2_sweep,
     trend_slope,
 )
+from invlab.rng import TAG_CALIBRATE, spawn_generator
 
 
 class TestAlternatives:
@@ -244,6 +248,74 @@ class TestSharedDrawEngine:
             SpacingsModel().sample(10, _SPIKE, 5, np.random.default_rng(0), 0)
 
 
+class TestReducedRoute:
+    """Statistics read from a model's sufficient block.
+
+    The reference is the vector path: the same statistic on whole data
+    vectors (or tables) drawn by ``Model.sample``.
+    """
+
+    N, NU, REPS = 40, 3, 20_000
+    ALTS = {
+        "null": NULL,
+        "spike": AlternativeSpec("single_spike", 3.0),
+        "smooth": AlternativeSpec("smooth_profile", 2.0, profile=models.cosine_profile({1: 1.0})),
+    }
+
+    @classmethod
+    def _case(cls, stat, alt):
+        if stat in ("chisq", "np"):
+            return normal_means_model(), make_statistic(stat, cls.N, alt=alt, seed=1)
+        model = NeymanScottModel(nu=cls.NU, sigma=1.5)
+        if stat == "anova_f":
+            return model, make_statistic(stat, cls.N)
+        return model, cellmean_chisq_statistic(cls.N, 1.5)
+
+    @pytest.mark.parametrize("alt_name", sorted(ALTS))
+    @pytest.mark.parametrize("stat", ["chisq", "np", "anova_f", "cellmean_chisq"])
+    def test_matches_vector_path_in_distribution(self, stat, alt_name):
+        alt = self.ALTS[alt_name]
+        model, statistic = self._case(stat, alt)
+        assert model.reduces(statistic, self.N, alt, 1)
+        block = model.sample_sufficient(self.N, alt, self.REPS, spawn_generator(41, 1), 1)
+        reduced = statistic.reduced.fn(block)
+        vector = statistic(model.sample(self.N, alt, self.REPS, spawn_generator(42, 1), 1))
+        assert sps.ks_2samp(reduced, vector).pvalue > 1e-3
+        se = np.hypot(reduced.std(ddof=1), vector.std(ddof=1)) / np.sqrt(self.REPS)
+        assert abs(reduced.mean() - vector.mean()) < 4 * se
+
+    def test_np_reads_only_its_own_direction(self):
+        model = normal_means_model()
+        spike, smooth = self.ALTS["spike"], self.ALTS["smooth"]
+        np_spike = make_statistic("np", self.N, alt=spike, seed=1)
+        assert model.reduces(np_spike, self.N, spike, 1)
+        assert model.reduces(np_spike, self.N, replace(spike, scale=0.5), 1)
+        assert model.reduces(np_spike, self.N, NULL, 1)
+        assert not model.reduces(np_spike, self.N, smooth, 1)
+        # Paired with another direction, np reads data vectors, as a
+        # statistic without a reduced form does.
+        vector_only = NamedStatistic("np", np_spike.fn)
+        report = estimate_power(model, np_spike, smooth, 0.05, self.N, 2000, 1)
+        assert report == estimate_power(model, vector_only, smooth, 0.05, self.N, 2000, 1)
+
+    def test_vector_statistics_keep_their_stream(self):
+        # A statistic with no reduced form reads the blocks of (seed, tag, b).
+        model = normal_means_model()
+        variance = make_statistic("variance", self.N)
+        assert variance.reduced is None
+        (values,) = calibrate_critical(model, [variance], 0.1, self.N, 1024, 5)
+        data = model.sample(self.N, NULL, 1024, spawn_generator(5, TAG_CALIBRATE, 0), 5)
+        assert values == np.quantile(variance(data), 0.9, method="higher")
+
+    def test_single_observation_has_no_residual(self):
+        model = normal_means_model()
+        uncentered = AlternativeSpec("single_spike", 3.0, centered=False)
+        block = model.sample_sufficient(1, uncentered, 50, spawn_generator(3, 1), 1)
+        assert np.all(block[:, 1] == 0.0)
+        report = estimate_power(model, make_statistic("chisq", 1), NULL, 0.05, 1, 2000, 2)
+        assert abs(report.level_hat - 0.05) <= 4 * report.level_se
+
+
 class TestTheorem1Sweep:
     def test_zero_delta_gaps_vanish(self):
         rows = theorem1_sweep(0.0, (50,), reps=2000, seed=9, lbar_reps=500)
@@ -262,13 +334,16 @@ class TestTheorem1Sweep:
         assert rows[1].lbar_bound < rows[0].lbar_bound
 
     def test_quarter_power_rate_probe_stays_in_band(self):
-        # delta_n = 0.5 n^{1/4}: the gap neither collapses nor saturates.
-        gaps = []
+        # delta_n = 0.5 n^{1/4}: the gap neither collapses nor saturates.  Its
+        # exact value is about 0.022 at both n; 20000 replicates put the
+        # standard error near 0.0024, so the 4-SE oracle band excludes 0.
         for n in (100, 1000):
             delta = 0.5 * n**0.25
-            rows = theorem1_sweep(delta, (n,), reps=3000, seed=11, lbar_reps=100)
-            gaps.append(rows[0].chisq_gap)
-        assert all(0.02 < g < 0.98 for g in gaps)
+            (row,) = theorem1_sweep(delta, (n,), reps=20_000, seed=11, lbar_reps=100)
+            oracle = sps.ncx2.sf(sps.chi2.ppf(0.95, n), n, delta**2) - 0.05
+            assert 0.02 < oracle < 0.03
+            assert abs(row.chisq_gap - oracle) < 4 * row.chisq_gap_se
+            assert row.chisq_gap > 2 * row.chisq_gap_se
 
 
 class TestTheorem2Sweep:

@@ -4,14 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy import stats as sps
-from scipy.integrate import quad
 
 from invlab import permclt
 from invlab.permclt import (
     EmpiricalLaw,
     cf_inequality_check,
-    char_fn,
     hajek_coupling,
     perm_law_moments,
     rho0,
@@ -21,7 +18,6 @@ from invlab.permclt import (
     sample_perm_law,
     theorem_convergence_sweep,
     theorem_convergence_sweep_matrix,
-    uniform_integrability_probe,
 )
 from invlab.rng import spawn_generator
 
@@ -124,22 +120,6 @@ class TestMetrics:
         assert rho2_multivariate(a, b) == pytest.approx(5.0)
 
 
-class TestCharFn:
-    def test_t_zero(self):
-        assert char_fn(np.arange(5.0), 0.0) == pytest.approx(1.0)
-
-    def test_point_mass(self):
-        c = 1.7
-        val = char_fn(np.full(10, c), 2.0)
-        assert val == pytest.approx(np.exp(2.0j * c))
-
-    def test_gaussian_cf(self):
-        rng = spawn_generator(7, 1)
-        v = rng.normal(size=100_000)
-        val = char_fn(v, 1.0)
-        assert abs(val - np.exp(-0.5)) < 4 / np.sqrt(100_000)
-
-
 class TestCfInequality:
     def test_identical(self):
         v = np.arange(10.0)
@@ -162,30 +142,6 @@ class TestCfInequality:
     def test_rejects_unpaired(self):
         with pytest.raises(ValueError):
             cf_inequality_check(np.zeros(3), np.zeros(4), 1.0)
-
-
-class TestUniformIntegrability:
-    def test_zero_threshold_gives_second_moment(self):
-        v = np.array([1.0, -2.0, 3.0])
-        out = uniform_integrability_probe(v, [0.0])
-        assert out[0] == pytest.approx(np.mean(v**2))
-
-    def test_beyond_max_gives_zero(self):
-        v = np.array([1.0, -2.0, 3.0])
-        assert uniform_integrability_probe(v, [10.0])[0] == 0.0
-
-    def test_gaussian_tail_moment(self):
-        # oracle: E[Z^2 1(|Z| >= 3)] by quadrature; closed form
-        # 2 (3 phi(3) + Q(3)) = 0.029291 confirms it.
-        oracle = 2 * quad(lambda z: z * z * sps.norm.pdf(z), 3, 12)[0]
-        assert oracle == pytest.approx(
-            2 * (3 * sps.norm.pdf(3) + sps.norm.sf(3)), abs=1e-9
-        )
-        rng = spawn_generator(10, 1)
-        v = rng.normal(size=100_000)
-        out = uniform_integrability_probe(v, [3.0])[0]
-        se = np.std(v**2 * (np.abs(v) >= 3)) / np.sqrt(v.size)
-        assert abs(out - oracle) < 4 * se
 
 
 class TestCoupling:
@@ -325,7 +281,7 @@ class TestConvergenceSweep:
         m = self._spike_builder(n)
         perm = sample_perm_law(m, x, reps, seed=23)
         boot = sample_boot_law(m, x, reps, seed=24)
-        gap = abs(perm.second_moment - boot.second_moment)
+        gap = abs(np.mean(perm.values**2) - np.mean(boot.values**2))
         se = np.sqrt(
             perm.values.var() * 2 / reps + boot.values.var() * 2 / reps
         ) * np.sqrt(2.0)
