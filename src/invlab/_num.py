@@ -1,25 +1,15 @@
-"""The three numerical routines invlab needs beyond numpy.
+"""The two numerical routines invlab needs beyond numpy.
 
-Composite Simpson quadrature on uniform odd-point grids, a max-shifted
+Composite Simpson quadrature on uniform odd-point grids and a max-shifted
 log-sum-exp that follows scipy's algorithm step for step (so results are
-bit-identical to ``scipy.special.logsumexp``), and the type-1 discrete
-cosine transform through a real FFT.  Keeping them here keeps scipy off the
-import path of the package; the tests use scipy as their oracle.
+bit-identical to ``scipy.special.logsumexp``).  Keeping them here keeps
+scipy off the import path of the package; the tests use scipy as their
+oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def simpson_weights(num: int, h: float) -> np.ndarray:
-    """Composite Simpson weights ``h/3 * (1, 4, 2, ..., 2, 4, 1)`` for ``num`` intervals."""
-    if num < 2 or num % 2:
-        raise ValueError(f"Simpson's rule needs an even number of intervals, got {num}")
-    w = np.full(num + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> float | np.ndarray:
@@ -29,8 +19,13 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float | np.ndarray:
     raises ``ValueError``.  Uniformity is not checked.
     """
     x = np.asarray(x, dtype=float)
-    h = (x[-1] - x[0]) / (x.size - 1)
-    return np.sum(np.asarray(y, dtype=float) * simpson_weights(x.size - 1, h), axis=-1)
+    num = x.size - 1
+    if num < 2 or num % 2:
+        raise ValueError(f"Simpson's rule needs an even number of intervals, got {num}")
+    w = np.full(x.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return np.sum(np.asarray(y, dtype=float) * (w * ((x[-1] - x[0]) / num / 3.0)), axis=-1)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> float | np.ndarray:
@@ -54,8 +49,3 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
-
-def dct1(x: np.ndarray) -> np.ndarray:
-    """Unnormalised type-1 DCT: ``x_0 + (-1)^k x_{N-1} + 2 sum_j x_j cos(pi j k / (N - 1))``."""
-    x = np.asarray(x, dtype=float)
-    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real

@@ -1,21 +1,16 @@
 """Orbit-averaged likelihood ratios.
 
 For the full orthogonal group the average has a closed radial form
-through the kernel ``H(t) = integral_0^pi exp(t cos u) sin^(n-2) u du``.
-Its reference is adaptive composite quadrature on the log integrand with
-log-sum-exp accumulation (exact at every scale in scope, no asymptotic
-regime switching).  ``H(0)`` has a closed form.  Since ``log H`` is
-analytic in ``t``, other arguments are evaluated from a Chebyshev
-interpolant of that quadrature on ``[0, t_cap]``, with ``t_cap`` the
-argument's own dyadic cap (the power of two in ``[t, 2t)``, at least 1),
-cached per ``(n, t_cap)``, whose degree doubles until it matches the
-quadrature to ``1e-11``; where no degree up to 256 does, the quadrature
-is used under that cap.  For the permutation group the average is taken
-exhaustively (n <= 8) or by Monte Carlo with streaming log-sum-exp.  For
-the subgroup fixing a design matrix the orthogonal computation is carried
-out in the residual space.  Both orthogonal averages depend on the data
-only through a norm that is chi-distributed under the null, so their null
-samples are drawn radially, one chi-square variate per replicate.
+through the kernel ``H(t) = integral_0^pi exp(t cos u) sin^(n-2) u du``,
+which is ``H(0)`` times the power series ``0F1(; n/2; t^2/4)``.  Its terms
+are all positive, so ``log H`` is the series summed in log space, with no
+quadrature, fit or asymptotic regime switching.  For the permutation group
+the average is taken exhaustively (n <= 8) or by Monte Carlo with
+streaming log-sum-exp.  For the subgroup fixing a design matrix the
+orthogonal computation is carried out in the residual space.  Both
+orthogonal averages depend on the data only through a norm that is
+chi-distributed under the null, so their null samples are drawn radially,
+one chi-square variate per replicate.
 
 The averaged ratio pins down every invariant test at once: the mean
 absolute deviation of the average from 1 under the null bounds
@@ -32,9 +27,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
-from ._num import dct1, logsumexp, simpson_weights
+from ._num import logsumexp
 from .models import ExpFamilySpec, MeanVector, sample_model
 from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, as_generator, map_blocks, uniform_permutations
 from .stats import verify_invariance
@@ -44,14 +38,6 @@ EXHAUSTIVE_LIMIT = 8
 
 #: Smallest dimension of the radial kernel ``H`` (the ``sin^(n-2)`` weight).
 MIN_RADIAL_DIM = 3
-
-_QUAD_START = 4096
-_QUAD_CAP = 2**21
-_QUAD_TOL = 5e-10
-
-_CHEB_START = 32
-_CHEB_CAP = 256
-_CHEB_TOL = 1e-11
 
 #: Stream tag local to this module (alternative-draw side of the identity).
 TAG_POWER_LHS = 14
@@ -190,97 +176,71 @@ def haar_orthogonal_fixing_design(
 # --------------------------------------------------------------------- #
 
 
-def _log_h_values(ts: np.ndarray, n: int, num: int) -> np.ndarray:
-    theta = np.linspace(0.0, np.pi, num + 1)
-    with np.errstate(divide="ignore"):
-        log_sin = np.log(np.sin(theta))
-    log_sin[0] = log_sin[-1] = -np.inf
-    base = (n - 2) * log_sin + np.log(simpson_weights(num, np.pi / num))
-    cos_t = np.cos(theta)
-    out = np.empty(ts.size)
-    chunk = max(1, 2**24 // (num + 1))
-    for lo in range(0, ts.size, chunk):
-        sel = ts[lo : lo + chunk]
-        out[lo : lo + chunk] = logsumexp(sel[:, None] * cos_t[None, :] + base[None, :], axis=1)
-    return out
+def _series_length(x: float, nu: float) -> int:
+    """Last index ``K`` of the series for ``H(2 sqrt(x))`` at ``nu = n/2 - 1``.
 
-
-@lru_cache(maxsize=128)
-def _quad_intervals(n: int, t_max: float) -> int:
-    """Grid size at which the quadrature for dimension ``n`` has converged.
-
-    Probes a handful of ``t`` values (the peak sharpens with both ``t`` and
-    ``n``) and doubles the uniform grid until successive log values agree.
+    The terms ``a_k = x^k / (k! (n/2)_k)`` have ratio
+    ``r_k = x / (k (k + nu))``, which falls with ``k``, so past the peak the
+    tail after ``a_K`` is at most ``a_K r / (1 - r)`` with ``r = r_(K+1)``;
+    ``K`` is the first index at which that bound is below ``2^-60`` of the
+    partial sum.  ``a_k / S`` is an exponential family in ``log x`` with
+    statistic ``k``, so the tail's share of the sum grows with ``x``: the
+    length for the largest argument leaves every smaller argument a tail
+    below ``2^-60`` of its sum too, far under half an ulp.
     """
-    probes = np.unique(np.array([0.0, 0.5 * t_max, t_max], dtype=float))
-    num = _QUAD_START
-    prev = _log_h_values(probes, n, num)
-    while num < _QUAD_CAP:
-        num *= 2
-        cur = _log_h_values(probes, n, num)
-        if np.max(np.abs(cur - prev)) < _QUAD_TOL:
-            return num
-        prev = cur
-    return _QUAD_CAP
-
-
-@lru_cache(maxsize=128)
-def _log_h_chebyshev(n: int, t_cap: float) -> np.ndarray | None:
-    """Chebyshev coefficients of ``log H`` in ``u = 2 t / t_cap - 1`` on ``[0, t_cap]``.
-
-    Interpolates the converged quadrature at the extrema ``u = cos(k pi / d)``
-    and doubles ``d`` until the interpolant matches the quadrature within
-    ``_CHEB_TOL`` at the interleaved points ``cos((2k + 1) pi / 2d)``.  Those
-    are the extra extrema of degree ``2d``, so each quadrature value is
-    computed once.  Returns ``None`` when degree ``_CHEB_CAP`` does not match
-    (small ``n`` with large ``t_cap``, where zeros of ``H`` near the imaginary
-    axis slow the convergence).
-    """
-    num = _quad_intervals(n, t_cap)
-
-    def log_h(u: np.ndarray) -> np.ndarray:
-        return _log_h_values(0.5 * t_cap * (1.0 + u), n, num)
-
-    deg = _CHEB_START
-    values = log_h(np.cos(np.pi * np.arange(deg + 1) / deg))
+    if x == 0.0:
+        return 0
+    log_x = math.log(x)
+    k, log_a, log_s = 0, 0.0, 0.0
     while True:
-        coef = dct1(values) / deg
-        coef[[0, -1]] *= 0.5
-        mid = np.cos(np.pi * (np.arange(deg) + 0.5) / deg)
-        mid_values = log_h(mid)
-        if np.max(np.abs(chebval(mid, coef) - mid_values)) <= _CHEB_TOL:
-            coef.flags.writeable = False
-            return coef
-        if deg >= _CHEB_CAP:
-            return None
-        merged = np.empty(2 * deg + 1)
-        merged[0::2], merged[1::2] = values, mid_values
-        values, deg = merged, 2 * deg
+        k += 1
+        log_a += log_x - math.log(k * (k + nu))
+        log_s = max(log_s, log_a) + math.log1p(math.exp(-abs(log_s - log_a)))
+        log_r = log_x - math.log((k + 1) * (k + 1 + nu))
+        if log_r < 0.0:
+            log_tail = log_a + log_r - math.log1p(-math.exp(log_r))  # a_K r / (1 - r)
+            if log_tail - log_s < -60.0 * math.log(2.0):
+                break
+    return k
 
 
 def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
-    """``log H(t)`` for an array of arguments ``t >= 0`` at dimension ``n >= 3``."""
+    """``log H(t)`` for an array of arguments ``t >= 0`` at dimension ``n >= 3``.
+
+    ``H(t) = H(0) sum_k (t^2/4)^k / (k! (n/2)_k)`` with
+    ``H(0) = sqrt(pi) Gamma((n - 1) / 2) / Gamma(n / 2)``; the terms are
+    positive, so the sum is taken as it stands, in log space, each argument
+    scaled by its own largest term and summed sequentially over ``k``.  The
+    terms the batch carries past an argument's own tail are below half an
+    ulp of its sum, so a value does not depend on the other arguments.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if n < MIN_RADIAL_DIM:
         raise ValueError(f"n must be >= {MIN_RADIAL_DIM}")
     if np.any(ts < 0) or not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite and >= 0")
-    # H(0) = sqrt(pi) Gamma((n - 1) / 2) / Gamma(n / 2).  Every other argument
-    # is read from the fit on its own dyadic range: t in (2^(k-1), 2^k] (or
-    # (0, 1]) uses the cap 2^k, so a value does not depend on the other
-    # arguments, and the fits are cached across calls.
+    nu = n / 2 - 1
+    length = _series_length(0.25 * float(ts.max(initial=0.0)) ** 2, nu)
+    # log (k! (n/2)_k) for k = 1..K, a cumulative sum with each step's
+    # rounding error carried along (TwoSum): it reaches ~3e4 at n = 5 and
+    # t = 4096, where plain rounding costs up to 6e-11 in log H.
+    ks = np.arange(1.0, length + 1.0)
+    steps = np.log(ks * (ks + nu))
+    log_den = np.cumsum(steps)
+    prev = np.concatenate([[0.0], log_den])[:-1]
+    step_part = log_den - prev
+    log_den += np.cumsum((prev - (log_den - step_part)) + (steps - step_part))
     log_h0 = 0.5 * math.log(math.pi) + math.lgamma((n - 1) / 2) - math.lgamma(n / 2)
-    out = np.full(ts.size, log_h0)
-    mantissa, exponent = np.frexp(ts)
-    exponent = np.where(ts > 0.0, np.maximum(exponent - (mantissa == 0.5), 0), -1)
-    for k in np.unique(exponent[exponent >= 0]):
-        sel = exponent == k
-        t_cap = float(2.0**k)
-        coef = _log_h_chebyshev(n, t_cap)
-        if coef is None:
-            out[sel] = _log_h_values(ts[sel], n, _quad_intervals(n, t_cap))
-        else:
-            out[sel] = chebval(2.0 * ts[sel] / t_cap - 1.0, coef)
+    out = np.empty(ts.size)
+    chunk = max(1, 2**22 // (length + 1))
+    for lo in range(0, ts.size, chunk):
+        with np.errstate(divide="ignore"):
+            log_x = 2.0 * np.log(0.5 * ts[lo : lo + chunk])
+        log_terms = np.zeros((log_x.size, length + 1))
+        log_terms[:, 1:] = np.multiply.outer(log_x, ks) - log_den
+        peak = log_terms.max(axis=1)
+        scaled = np.cumsum(np.exp(log_terms - peak[:, None]), axis=1)[:, -1]
+        out[lo : lo + chunk] = log_h0 + peak + np.log(scaled)
     return out
 
 

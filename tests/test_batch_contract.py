@@ -4,9 +4,9 @@ Functions of data treat leading axes as replicates: row ``i`` of a
 ``(reps, n)`` batch's result is the function of row ``i``, and one vector
 gives a 0-d numpy value.  There is no separate single-vector path that
 could return other numbers: rows match single vectors to the bit, except
-for the last-bit effects of BLAS below.  ``log H`` reads each argument from
-the fit on its own dyadic range, so the orthogonal orbit averages need no
-tolerance of their own.
+for the last-bit effects of BLAS below.  ``log H`` of an argument does not
+depend on the other arguments of its call, so the orthogonal orbit
+averages need no tolerance of their own.
 """
 
 import numpy as np

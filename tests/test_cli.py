@@ -109,6 +109,21 @@ class TestSubcommands:
         se = float(rows[0]["se_e0_lbar"])
         assert abs(e0 - 1.0) < 4 * se
 
+    def test_lbar_orthogonal_bound_rate_at_large_n(self, tmp_path):
+        # sqrt(n) E_0 |Lbar - 1| -> delta^2 / sqrt(pi) for ||m|| = delta, here
+        # at n = 1e6, where log H sums series terms of arguments near 3000.
+        code, out = run(
+            tmp_path,
+            "lbar", "--group", "full_orthogonal", "--model", "normal", "--alt", "spike:3",
+            "--n", "1000000", "--reps", "20000", "--seed", "5",
+        )
+        assert code == 0
+        with out.open(newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        scale = np.sqrt(float(row["n"]))
+        rate, rate_se = scale * float(row["abs_dev_bound"]), scale * float(row["se_abs_dev_bound"])
+        assert abs(rate - 9.0 / np.sqrt(np.pi)) < 4 * rate_se
+
     def test_clt_sweep_json_schema(self, tmp_path):
         code, out = run(
             tmp_path,

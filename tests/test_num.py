@@ -1,4 +1,4 @@
-"""The numpy replacements for scipy's quadrature, log-sum-exp and DCT-I.
+"""The numpy replacements for scipy's quadrature and log-sum-exp.
 
 scipy is the oracle here; the package itself must import and run without it.
 """
@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.fft import dct
 from scipy.integrate import simpson as scipy_simpson
 from scipy.special import logsumexp as scipy_logsumexp
 
-from invlab._num import dct1, logsumexp, simpson
+from invlab._num import logsumexp, simpson
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,13 +55,6 @@ class TestSimpson:
         xs = np.linspace(0.0, 1.0, 1024)
         with pytest.raises(ValueError, match="even number of intervals"):
             simpson(xs, x=xs)
-
-
-class TestDct1:
-    @pytest.mark.parametrize("size", [33, 65, 129, 257])
-    def test_matches_scipy(self, size):
-        x = np.random.default_rng(size).normal(size=size)
-        np.testing.assert_allclose(dct1(x), dct(x, type=1), rtol=0, atol=1e-13)
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):
