@@ -168,9 +168,7 @@ def poisson_family() -> ExpFamilySpec:
         beta=np.exp,
         beta1=np.exp,
         beta2=np.exp,
-        carrier_sampler=lambda rng, m, size: rng.poisson(
-            lam=np.broadcast_to(np.exp(m), size), size=size
-        ).astype(float),
+        carrier_sampler=lambda rng, m, size: rng.poisson(lam=np.exp(m), size=size).astype(float),
     )
 
 

@@ -134,44 +134,6 @@ class NullOrbit:
 
 
 # --------------------------------------------------------------------- #
-# Haar sampling
-# --------------------------------------------------------------------- #
-
-
-def haar_orthogonal(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-uniform orthogonal matrix via sign-corrected QR of a Gaussian matrix.
-
-    The sign correction (making the R diagonal positive) is mandatory: the
-    raw QR of a Gaussian matrix is not Haar distributed.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
-    z = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diag(r))
-    d[d == 0.0] = 1.0
-    return q * d
-
-
-def haar_orthogonal_fixing_design(
-    design: np.ndarray, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Haar element of the subgroup fixing every column of ``design``.
-
-    Acts as the identity on the column space and as a Haar orthogonal
-    transformation of the residual space.
-    """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    n, p = design.shape
-    q_full, _ = np.linalg.qr(design, mode="complete")
-    col = q_full[:, :p]
-    res = q_full[:, p:]
-    q = haar_orthogonal(n - p, seed)
-    return col @ col.T + res @ q @ res.T
-
-
-# --------------------------------------------------------------------- #
 # The radial kernel H
 # --------------------------------------------------------------------- #
 

@@ -13,6 +13,11 @@ without-replacement sample reads the value at the rank of U_i; the
 with-replacement sample reads the value at position ``ceil(n U_i)``.
 Ranks track ``n U_i`` within an empirical-process fluctuation, which is
 what makes the weighted sums close for centered weights.
+
+Every law runs in bounded memory.  A 1024-replicate block is the stream
+unit, and each block is drawn and reduced in row chunks of a fixed element
+budget (:func:`invlab.rng.row_chunks`), one after another from the
+block's generator, which changes no stream.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .rng import (
     TAG_PERM_LAW,
     as_generator,
     map_blocks,
+    row_chunks,
     uniform_permutations,
 )
 
@@ -150,11 +156,12 @@ def sample_perm_law(
     if m.size != x.size:
         raise ValueError("m and x must have the same length")
 
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_PERM_LAW, *stream, b)
-        return x[uniform_permutations(rng, count, m.size)] @ m
-
-    return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=workers)))
+    return EmpiricalLaw(
+        _chunked_law(
+            (TAG_PERM_LAW, *stream), reps, seed, workers, m.size,
+            lambda rng, c: x[uniform_permutations(rng, c, m.size)] @ m,
+        )
+    )
 
 
 def sample_boot_law(
@@ -171,12 +178,51 @@ def sample_boot_law(
     if m.size != x.size:
         raise ValueError("m and x must have the same length")
 
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_BOOT_LAW, *stream, b)
-        idx = rng.integers(0, m.size, size=(count, m.size))
-        return x[idx] @ m
+    return EmpiricalLaw(
+        _chunked_law(
+            (TAG_BOOT_LAW, *stream), reps, seed, workers, m.size,
+            lambda rng, c: x[rng.integers(0, m.size, size=(c, m.size))] @ m,
+        )
+    )
 
-    return EmpiricalLaw(np.concatenate(map_blocks(block, reps, workers=workers)))
+
+def _iid_law(
+    null_sampler: Callable[[int, int, np.random.Generator], np.ndarray],
+    m: np.ndarray,
+    reps: int,
+    seed: int,
+    workers: int = 1,
+    stream: tuple[int, ...] = (),
+) -> np.ndarray:
+    """``reps`` fresh-draw values of ``m' x``, in replicate order.
+
+    ``null_sampler(n, count, rng)`` draws the ``(count, n)`` rows ``x``.
+    """
+    return _chunked_law(
+        (TAG_IID_LAW, *stream), reps, seed, workers, m.size,
+        lambda rng, c: null_sampler(m.size, c, rng) @ m,
+    )
+
+
+def _chunked_law(
+    tags: tuple[int, ...],
+    reps: int,
+    seed: int,
+    workers: int,
+    row_size: int,
+    values: Callable[[np.random.Generator, int], np.ndarray],
+) -> np.ndarray:
+    """``values(rng, c)`` over the row chunks of every block, in replicate order.
+
+    Block ``b`` reads the stream ``(seed, *tags, b)``; ``values`` draws ``c``
+    replicates of ``row_size`` elements each from ``rng`` and reduces them.
+    """
+
+    def block(b: int, count: int) -> np.ndarray:
+        rng = as_generator(seed, *tags, b)
+        return np.concatenate([values(rng, c) for c in row_chunks(count, row_size)])
+
+    return np.concatenate(map_blocks(block, reps, workers=workers))
 
 
 # --------------------------------------------------------------------- #
@@ -242,13 +288,12 @@ def hajek_coupling(
         raise ValueError("need reps >= 2 for the standard error of the squared gap")
     sorted_x = np.sort(x)
 
-    def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
+    def block(b: int, count: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        rng = as_generator(seed, TAG_COUPLING, b)
+        return [_coupled_block_rank(sorted_x, m, c, rng) for c in row_chunks(count, n)]
 
-    parts = map_blocks(block, reps, workers=workers)
-    without = np.concatenate([p[0] for p in parts])
-    with_r = np.concatenate([p[1] for p in parts])
-    matched = np.concatenate([p[2] for p in parts])
+    chunks = [part for parts in map_blocks(block, reps, workers=workers) for part in parts]
+    without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*chunks))
     _, s_sq = perm_law_moments(m, x)
     s = float(np.sqrt(s_sq))
     bound = float(3.0 * s * np.max(np.abs(x - x.mean())) / np.sqrt(n - 1))
@@ -323,13 +368,7 @@ def theorem_convergence_sweep(
         x = null_sampler(int(n), 1, as_generator(seed, TAG_MODEL, gi))[0]
         perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
         boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
-
-        def iid_block(b: int, count: int, _n=int(n), _m=m, _gi=gi) -> np.ndarray:
-            rng = as_generator(seed, TAG_IID_LAW, _gi, b)
-            draws = null_sampler(_n, count, rng)
-            return draws @ _m
-
-        iid = np.concatenate(map_blocks(iid_block, reps, workers=workers))
+        iid = _iid_law(null_sampler, m, reps, seed, workers=workers, stream=(gi,))
         # EmpiricalLaw sorts its values, so each of the SE batches of perm
         # and boot is a quantile slice, not a random subset of replicates:
         # the se_* columns are the spread of rho2 over those slices.
@@ -391,34 +430,25 @@ def theorem_convergence_sweep_matrix(
     """
     rows = []
     for gi, n in enumerate(n_grid):
-        mm = np.asarray(m_builder(int(n)), dtype=float)
-        x = row_sampler(int(n), 1, as_generator(seed, TAG_MODEL, gi))[0]
-        pi_dim = mm.shape[1]
+        n = int(n)
+        mm = np.asarray(m_builder(n), dtype=float)
+        x = row_sampler(n, 1, as_generator(seed, TAG_MODEL, gi))[0]
 
-        def perm_block(b: int, count: int) -> np.ndarray:
-            rng = as_generator(seed, TAG_PERM_LAW, gi, b)
-            idx = uniform_permutations(rng, count, mm.shape[0])
-            return np.einsum("rnj,nj->rj", x[idx], mm)
+        def law(tag: int, draw: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
+            return _chunked_law(
+                (tag, gi), reps, seed, workers, mm.size,
+                lambda rng, c: np.einsum("rnj,nj->rj", draw(rng, c), mm),
+            )
 
-        def boot_block(b: int, count: int) -> np.ndarray:
-            rng = as_generator(seed, TAG_BOOT_LAW, gi, b)
-            idx = rng.integers(0, mm.shape[0], size=(count, mm.shape[0]))
-            return np.einsum("rnj,nj->rj", x[idx], mm)
-
-        def iid_block(b: int, count: int) -> np.ndarray:
-            rng = as_generator(seed, TAG_IID_LAW, gi, b)
-            draws = row_sampler(int(n), count, rng)
-            return np.einsum("rnj,nj->rj", draws, mm)
-
-        perm = np.concatenate(map_blocks(perm_block, reps, workers=workers))
-        boot = np.concatenate(map_blocks(boot_block, reps, workers=workers))
-        iid = np.concatenate(map_blocks(iid_block, reps, workers=workers))
+        perm = law(TAG_PERM_LAW, lambda rng, c: x[uniform_permutations(rng, c, n)])
+        boot = law(TAG_BOOT_LAW, lambda rng, c: x[rng.integers(0, n, size=(c, n))])
+        iid = law(TAG_IID_LAW, lambda rng, c: row_sampler(n, c, rng))
         pb, pb_se = _distance_with_se(perm, boot, rho2_multivariate)
         bi, bi_se = _distance_with_se(boot, iid, rho2_multivariate)
         pi, pi_se = _distance_with_se(perm, iid, rho2_multivariate)
         rows.append(
             CltMatrixSweepRow(
-                n=int(n),
+                n=n,
                 rho2_perm_boot=pb,
                 se_rho2_perm_boot=pb_se,
                 rho2_boot_iid=bi,

@@ -9,6 +9,12 @@ keyed through ``numpy.random.SeedSequence`` with the tag tuple as the
 spawn key.  Replicate loops are split into fixed-size blocks; each
 block owns an independent substream and partial results are always
 reduced in block order.
+
+A 1024-replicate block is the stream unit, and each block is drawn and
+reduced in row chunks of a fixed element budget (:func:`row_chunks`), one
+after another from the block's generator, which changes no stream: the
+generator fills every array in order, so the chunks hold the numbers one
+whole-block draw would.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ TAG_SUFFICIENT = 15
 #: substream assignment is a pure function of the seed and replicate index.
 BLOCK_REPS = 1024
 
+#: Elements a block function materialises per row chunk: 2**16, 512 kB of float64.
+CHUNK_ELEMENTS = 1 << 16
+
 T = TypeVar("T")
 
 
@@ -75,6 +84,20 @@ def blocks(total: int) -> list[tuple[int, int]]:
     if total < 0:
         raise ValueError("total must be nonnegative")
     return [(b, min(BLOCK_REPS, total - start)) for b, start in enumerate(range(0, total, BLOCK_REPS))]
+
+
+def row_chunks(count: int, n: int) -> list[int]:
+    """Row counts of the chunks a ``(count, n)`` block is drawn and reduced in.
+
+    Each chunk but the last holds the largest multiple of 8 rows that fits
+    in :data:`CHUNK_ELEMENTS` elements, and at least 8 rows.  Drawing the
+    chunks one after another from the block's generator gives the same
+    numbers as one ``(count, n)`` draw.  The multiple of 8 keeps a row's
+    matrix-vector product independent of the chunking as well: OpenBLAS
+    reduces rows in groups of four, and a two-thread split halves a chunk.
+    """
+    rows = max(8, CHUNK_ELEMENTS // max(n, 1) // 8 * 8)
+    return [min(rows, count - start) for start in range(0, count, rows)]
 
 
 def map_blocks(fn: Callable[[int, int], T], total: int, workers: int = 1) -> list[T]:

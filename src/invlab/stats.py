@@ -228,11 +228,6 @@ def apply_group_element(g, x: np.ndarray) -> np.ndarray:
     raise TypeError("group element must be a permutation, a matrix, or a callable")
 
 
-def permutation_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:
-    """Sampler of uniform permutations of ``{0..n-1}``."""
-    return lambda rng: rng.permutation(n)
-
-
 def verify_invariance(
     statistic: Callable[[np.ndarray], float],
     group_element_sampler: Callable[[np.random.Generator], object],

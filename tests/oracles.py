@@ -1,0 +1,104 @@
+"""Samplers and reference forms that only the tests read.
+
+The invariance checks (``stats.verify_invariance``, ``orbit.identity_check``)
+take a sampler of group elements; the first three functions are the ones
+the tests pass.  :func:`one_shot_laws` draws the permutation-CLT laws one
+whole block at a time, the reference for the row-chunked laws.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from invlab import experiments, models, permclt
+from invlab.rng import (
+    TAG_BOOT_LAW,
+    TAG_COUPLING,
+    TAG_IID_LAW,
+    TAG_PERM_LAW,
+    as_generator,
+    blocks,
+    spawn_generator,
+    uniform_permutations,
+)
+
+
+def permutation_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:
+    """Sampler of uniform permutations of ``{0..n-1}``."""
+    return lambda rng: rng.permutation(n)
+
+
+def haar_orthogonal(n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar-uniform orthogonal matrix via sign-corrected QR of a Gaussian matrix.
+
+    The sign correction (making the R diagonal positive) is mandatory: the
+    raw QR of a Gaussian matrix is not Haar distributed.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = as_generator(seed)
+    z = rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.sign(np.diag(r))
+    d[d == 0.0] = 1.0
+    return q * d
+
+
+def haar_orthogonal_fixing_design(
+    design: np.ndarray, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Haar element of the subgroup fixing every column of ``design``.
+
+    Acts as the identity on the column space and as a Haar orthogonal
+    transformation of the residual space.
+    """
+    design = np.atleast_2d(np.asarray(design, dtype=float))
+    n, p = design.shape
+    q_full, _ = np.linalg.qr(design, mode="complete")
+    col = q_full[:, :p]
+    res = q_full[:, p:]
+    q = haar_orthogonal(n - p, seed)
+    return col @ col.T + res @ q @ res.T
+
+
+# --------------------------------------------------------------------- #
+# Laws of m'Px drawn one whole block at a time
+# --------------------------------------------------------------------- #
+
+
+def law_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centered unit weights ``m`` and data ``x`` of length ``n`` for the law tests."""
+    rng = spawn_generator(31, n)
+    x = rng.normal(size=n)
+    m = rng.normal(size=n)
+    m -= m.mean()
+    return m / np.linalg.norm(m), x
+
+
+def poisson_null(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``clt-sweep --model poisson``'s null sampler."""
+    return experiments.FamilyModel(models.poisson_family()).sample(n, experiments.NULL, count, rng, 0)
+
+
+def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
+    """The permutation, bootstrap, coupling and iid laws of :func:`law_inputs`, in replicate order.
+
+    Each block is one ``(count, n)`` draw and one product, the form the
+    laws had before they were drawn in row chunks.
+    """
+    m, x = law_inputs(n)
+    sorted_x = np.sort(x)
+    keys = ("perm", "boot", "without", "with", "matched", "iid")
+    out: dict[str, list[np.ndarray]] = {k: [] for k in keys}
+    for b, count in blocks(reps):
+        rng = as_generator(seed, TAG_PERM_LAW, b)
+        out["perm"].append(x[uniform_permutations(rng, count, n)] @ m)
+        rng = as_generator(seed, TAG_BOOT_LAW, b)
+        out["boot"].append(x[rng.integers(0, n, size=(count, n))] @ m)
+        coupled = permclt._coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
+        for key, part in zip(("without", "with", "matched"), coupled):
+            out[key].append(part)
+        out["iid"].append(poisson_null(n, count, as_generator(seed, TAG_IID_LAW, b)) @ m)
+    return {k: np.concatenate(v) for k, v in out.items()}

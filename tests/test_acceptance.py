@@ -20,6 +20,7 @@ from invlab.models import MeanVector
 from invlab.rng import spawn_generator
 
 from conftest import record_acceptance
+from oracles import haar_orthogonal, permutation_sampler
 
 SEED = 20240801
 
@@ -282,7 +283,7 @@ class TestCriterion9InvarianceSuite:
         # chisq invariant under the orthogonal group
         x = rng.normal(size=15)
         ok &= stats.verify_invariance(
-            stats.chisq_statistic, lambda r: orbit.haar_orthogonal(15, r), x, 32, seed=1
+            stats.chisq_statistic, lambda r: haar_orthogonal(15, r), x, 32, seed=1
         )
 
         # ANOVA F invariant under row permutation, shift, and scale
@@ -305,21 +306,21 @@ class TestCriterion9InvarianceSuite:
 
         # Greenwood and Moran invariant under permutations of the spacings
         d = models.sample_spacings_null_batch(10, 1, SEED + 13)[0]
-        ok &= stats.verify_invariance(stats.greenwood, stats.permutation_sampler(11), d, 64, seed=5)
-        ok &= stats.verify_invariance(stats.moran, stats.permutation_sampler(11), d, 64, seed=6)
+        ok &= stats.verify_invariance(stats.greenwood, permutation_sampler(11), d, 64, seed=5)
+        ok &= stats.verify_invariance(stats.moran, permutation_sampler(11), d, 64, seed=6)
 
         # NP statistic NOT permutation invariant
         m = rng.normal(size=12)
         xv = rng.normal(size=12)
         ok &= not stats.verify_invariance(
-            lambda v: stats.np_statistic(m, v), stats.permutation_sampler(12), xv, 64, seed=7
+            lambda v: stats.np_statistic(m, v), permutation_sampler(12), xv, 64, seed=7
         )
 
         # 2-spacings statistic NOT invariant under spacings permutation
         two_sp = lambda dd: stats.two_spacings_statistic(
             stats.points_from_spacings(dd), "square"
         )
-        ok &= not stats.verify_invariance(two_sp, stats.permutation_sampler(11), d, 64, seed=8)
+        ok &= not stats.verify_invariance(two_sp, permutation_sampler(11), d, 64, seed=8)
 
         check("criterion 09 (invariance pass/fail suite)", ok)
 

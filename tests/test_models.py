@@ -115,6 +115,17 @@ class TestSampleModel:
         ref = spawn_generator(8, 1).normal(loc=m.entries, scale=1.0, size=(500, 37))
         assert draws.tobytes() == ref.tobytes()
 
+    def test_poisson_draws_bit_identical_to_broadcast_rates(self):
+        # A spike of rate e^3 (the rejection regime) among rates 1 (the inversion regime):
+        # the (n,) rate vector must draw what the stride-0 broadcast of it to (reps, n) drew.
+        entries = np.zeros(333)
+        entries[0] = 3.0
+        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        draws = sample_model(poisson_family(), m, spawn_generator(10, 1), reps=1500)
+        size = (1500, 333)
+        ref = spawn_generator(10, 1).poisson(lam=np.broadcast_to(np.exp(entries), size), size=size)
+        assert np.array_equal(draws, ref.astype(float))
+
     def test_neyman_scott_draws_bit_identical_to_location_scale_sampler(self):
         layout = models.NeymanScottLayout(n=23, nu=4, sigma=1.7)
         m = MeanVector(np.linspace(-1.0, 2.0, 23), compact_lo=None, compact_hi=None)

@@ -1,10 +1,16 @@
 """Tests for permutation/bootstrap laws, metrics, and the coupling."""
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invlab
 from invlab import permclt
 from invlab.permclt import (
     EmpiricalLaw,
@@ -20,6 +26,8 @@ from invlab.permclt import (
     theorem_convergence_sweep_matrix,
 )
 from invlab.rng import spawn_generator
+
+from oracles import law_inputs, poisson_null
 
 
 class TestPermLawMoments:
@@ -212,6 +220,73 @@ class TestCoupledRankKernel:
         want = (sorted_x[ranks] @ m, sorted_x[star] @ m, np.sum(ranks == star, axis=1))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestRowChunkedLaws:
+    """The laws, drawn in row chunks, equal the one-shot block form bit for bit.
+
+    ``reps = 1500`` leaves a partial block of 476 rows, and both sizes leave a
+    ragged last chunk.  The one-shot reference runs in a child process with
+    single-threaded BLAS.  With two BLAS threads, numpy's product of the
+    476-row block at n = 5001 is split between the threads after row 238, not
+    a multiple of four, and the rows next to that split differ in the last bit
+    from the single-threaded product (OpenBLAS reduces rows in groups of
+    four).  The chunked laws are the same on either thread count.
+    """
+
+    REPS = 1500
+    SEED = 44
+
+    @pytest.fixture(scope="class", params=[333, 5001])
+    def reference(self, request, tmp_path_factory):
+        n = request.param
+        out = tmp_path_factory.mktemp("one_shot") / f"{n}.npz"
+        src = Path(invlab.__file__).resolve().parents[1]
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)]),
+        }
+        code = (
+            "import sys, numpy as np, oracles; "
+            "np.savez(sys.argv[1], **oracles.one_shot_laws(*map(int, sys.argv[2:])))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(out), str(n), str(self.REPS), str(self.SEED)],
+            env=env, check=True,
+        )
+        with np.load(out) as laws:
+            return n, dict(laws)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_laws_equal_one_shot_blocks(self, reference, workers):
+        n, want = reference
+        m, x = law_inputs(n)
+        perm = sample_perm_law(m, x, self.REPS, self.SEED, workers=workers)
+        boot = sample_boot_law(m, x, self.REPS, self.SEED, workers=workers)
+        coupled = hajek_coupling(m, x, self.REPS, self.SEED, workers=workers)
+        iid = permclt._iid_law(poisson_null, m, self.REPS, self.SEED, workers=workers)
+        assert np.array_equal(perm.values, np.sort(want["perm"]))
+        assert np.array_equal(boot.values, np.sort(want["boot"]))
+        assert np.array_equal(coupled.without_repl, want["without"])
+        assert np.array_equal(coupled.with_repl, want["with"])
+        assert np.array_equal(coupled.matched, want["matched"])
+        assert np.array_equal(iid, want["iid"])
+
+
+class TestBoundedMemory:
+    """Each law holds one row chunk at a time, not a ``(1024, n)`` block."""
+
+    @pytest.mark.parametrize("law", [hajek_coupling, sample_perm_law, sample_boot_law])
+    def test_traced_peak_below_16_mib(self, law):
+        m, x = law_inputs(10_000)
+        tracemalloc.start()
+        try:
+            law(m, x, 1024, seed=45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEmpiricalLaw:

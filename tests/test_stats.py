@@ -8,7 +8,6 @@ from scipy import stats as sps
 
 from invlab import stats
 from invlab.models import sample_spacings_null_batch
-from invlab.orbit import haar_orthogonal, haar_orthogonal_fixing_design
 from invlab.rng import spawn_generator
 from invlab.stats import (
     QuadraticTestSpec,
@@ -19,12 +18,13 @@ from invlab.stats import (
     greenwood,
     moran,
     np_statistic,
-    permutation_sampler,
     points_from_spacings,
     quadratic_statistic,
     two_spacings_statistic,
     verify_invariance,
 )
+
+from oracles import haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
 
 
 class TestNpStatistic:
