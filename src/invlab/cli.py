@@ -364,12 +364,9 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
     def m_builder(n):
         return alt.mean_entries(n, 0.0, cfg["seed"])
 
-    def null_sampler(n, reps, rng):
-        return model.sample(n, experiments.NULL, reps, rng, cfg["seed"])
-
     experiments.per_n(cfg["subcommand"], cfg["n_grid"], lambda n, _: m_builder(n))
     rows = permclt.theorem_convergence_sweep(
-        null_sampler, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
+        model, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )
     return _sweep_table(rows, cfg)
 

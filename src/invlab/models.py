@@ -98,6 +98,9 @@ class ExpFamilySpec:
     ``beta2`` are its first two derivatives, i.e. the mean and variance of
     one observation.  ``carrier_sampler(rng, m, size)`` draws observations
     with natural parameter ``m`` (vectorised over ``m``).
+    ``convolution(rng, m, k, size)`` draws the sum of ``k`` independent
+    observations at natural parameter ``m`` from its exact law (vectorised
+    over ``m`` and ``k``).
     """
 
     name: str
@@ -105,6 +108,7 @@ class ExpFamilySpec:
     beta1: Callable[[np.ndarray], np.ndarray]
     beta2: Callable[[np.ndarray], np.ndarray]
     carrier_sampler: Callable[[np.random.Generator, np.ndarray, tuple], np.ndarray]
+    convolution: Callable[[np.random.Generator, np.ndarray, np.ndarray, tuple], np.ndarray]
 
     def beta2_sup(self, lo: float, hi: float, grid: int = 513) -> float:
         """Numerical sup of ``beta2`` over ``[lo, hi]``."""
@@ -151,29 +155,34 @@ class NeymanScottLayout:
 
 
 def normal_family() -> ExpFamilySpec:
-    """Normal location family N(m, 1): beta(m) = m^2 / 2."""
+    """Normal location family N(m, 1): beta(m) = m^2 / 2; a sum of k is N(k m, k)."""
     return ExpFamilySpec(
         name="normal",
         beta=lambda m: np.square(m) / 2.0,
         beta1=lambda m: np.asarray(m, dtype=float),
         beta2=lambda m: np.ones_like(np.asarray(m, dtype=float)),
         carrier_sampler=lambda rng, m, size: rng.standard_normal(size) + m,
+        convolution=lambda rng, m, k, size: np.sqrt(k) * rng.standard_normal(size) + k * m,
     )
 
 
 def poisson_family() -> ExpFamilySpec:
-    """Poisson family with natural parameter m: beta(m) = exp(m)."""
+    """Poisson family with natural parameter m: beta(m) = exp(m); a sum of k is Pois(k e^m)."""
     return ExpFamilySpec(
         name="poisson",
         beta=np.exp,
         beta1=np.exp,
         beta2=np.exp,
         carrier_sampler=lambda rng, m, size: rng.poisson(lam=np.exp(m), size=size).astype(float),
+        convolution=lambda rng, m, k, size: rng.poisson(lam=k * np.exp(m), size=size).astype(float),
     )
 
 
 def bernoulli_logit_family() -> ExpFamilySpec:
-    """Bernoulli family with log-odds parameter m: beta(m) = log(1 + exp(m))."""
+    """Bernoulli family with log-odds parameter m: beta(m) = log(1 + exp(m)).
+
+    A sum of k observations is Bin(k, sigmoid(m)).
+    """
 
     def _sample(rng: np.random.Generator, m: np.ndarray, size: tuple) -> np.ndarray:
         p = _sigmoid(np.asarray(m, dtype=float))
@@ -185,6 +194,7 @@ def bernoulli_logit_family() -> ExpFamilySpec:
         beta1=_sigmoid,
         beta2=lambda m: _sigmoid(m) * (1.0 - _sigmoid(m)),
         carrier_sampler=_sample,
+        convolution=lambda rng, m, k, size: rng.binomial(k, _sigmoid(m), size=size).astype(float),
     )
 
 

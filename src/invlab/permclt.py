@@ -18,6 +18,13 @@ Every law runs in bounded memory.  A 1024-replicate block is the stream
 unit, and each block is drawn and reduced in row chunks of a fixed element
 budget (:func:`invlab.rng.row_chunks`), one after another from the
 block's generator, which changes no stream.
+
+A spike contrast ``m = b 1 + (a - b) e_j`` (two distinct values, one of
+them on the single coordinate ``j``) takes a reduced route for the
+permutation and fresh-draw laws: each replicate draws one index or one
+pair of sums, not a length-``n`` vector, on the stream
+``(seed, TAG_SUFFICIENT, tag, *stream, block)``.  The route follows from
+``m`` alone; every other contrast reads whole vectors.
 """
 
 from __future__ import annotations
@@ -27,12 +34,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .experiments import NULL, FamilyModel
+from .models import ExpFamilySpec
 from .rng import (
     TAG_BOOT_LAW,
     TAG_COUPLING,
     TAG_IID_LAW,
     TAG_MODEL,
     TAG_PERM_LAW,
+    TAG_SUFFICIENT,
     as_generator,
     map_blocks,
     row_chunks,
@@ -142,6 +152,19 @@ def perm_law_moments(m: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return float(mean), var
 
 
+def _spike(m: np.ndarray) -> tuple[float, float] | None:
+    """``(a, b)`` with ``m = b 1 + (a - b) e_j`` for some ``j``, or ``None`` if ``m`` is no spike.
+
+    A spike has exactly two distinct values, one of them on a single
+    coordinate (at ``n = 2`` both are, and ``a`` is the first entry).
+    """
+    levels, first, counts = np.unique(m, return_index=True, return_counts=True)
+    if levels.size != 2 or counts.min() != 1:
+        return None
+    k = int(np.argmin(np.where(counts == 1, first, m.size)))
+    return float(levels[k]), float(levels[1 - k])
+
+
 def sample_perm_law(
     m: np.ndarray,
     x: np.ndarray,
@@ -150,12 +173,28 @@ def sample_perm_law(
     workers: int = 1,
     stream: tuple[int, ...] = (),
 ) -> EmpiricalLaw:
-    """``reps`` draws of ``m' P x`` over uniform random permutations."""
+    """``reps`` draws of ``m' P x`` over uniform random permutations.
+
+    For a spike ``m = b 1 + (a - b) e_j`` the contrast is
+    ``(a - b) x_J + b sum(x)`` with ``J`` uniform on ``{0..n-1}``: one index
+    per replicate, on the stream ``(seed, TAG_SUFFICIENT, TAG_PERM_LAW,
+    *stream, block)``.
+    """
     m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
     if m.size != x.size:
         raise ValueError("m and x must have the same length")
 
+    spike = _spike(m)
+    if spike is not None:
+        a, b = spike
+        total = b * x.sum()
+        return EmpiricalLaw(
+            _chunked_law(
+                (TAG_SUFFICIENT, TAG_PERM_LAW, *stream), reps, seed, workers, 1,
+                lambda rng, c: (a - b) * x[rng.integers(0, m.size, size=c)] + total,
+            )
+        )
     return EmpiricalLaw(
         _chunked_law(
             (TAG_PERM_LAW, *stream), reps, seed, workers, m.size,
@@ -201,6 +240,29 @@ def _iid_law(
     return _chunked_law(
         (TAG_IID_LAW, *stream), reps, seed, workers, m.size,
         lambda rng, c: null_sampler(m.size, c, rng) @ m,
+    )
+
+
+def _iid_spike_law(
+    family: ExpFamilySpec,
+    spike: tuple[float, float],
+    n: int,
+    reps: int,
+    seed: int,
+    workers: int = 1,
+    stream: tuple[int, ...] = (),
+) -> np.ndarray:
+    """``reps`` fresh-draw values of ``m' x`` for the spike ``(a, b)`` of :func:`_spike`.
+
+    ``m' x = a x_j + b S`` with ``S`` the sum of the other ``n - 1`` null
+    coordinates; the pair ``(x_j, S)`` is drawn from the family's
+    convolution law at the null parameter 0, on the stream
+    ``(seed, TAG_SUFFICIENT, TAG_IID_LAW, *stream, block)``.
+    """
+    sizes = np.array([1, n - 1])
+    return _chunked_law(
+        (TAG_SUFFICIENT, TAG_IID_LAW, *stream), reps, seed, workers, 2,
+        lambda rng, c: family.convolution(rng, 0.0, sizes, (c, 2)) @ np.array(spike),
     )
 
 
@@ -347,7 +409,7 @@ class CltSweepRow:
 
 
 def theorem_convergence_sweep(
-    null_sampler: Callable[[int, int, np.random.Generator], np.ndarray],
+    model: FamilyModel,
     m_builder: Callable[[int], np.ndarray],
     n_grid: Sequence[int],
     reps: int,
@@ -356,19 +418,28 @@ def theorem_convergence_sweep(
 ) -> list[CltSweepRow]:
     """Distances between the permutation, bootstrap, and fresh-draw laws.
 
-    ``null_sampler(n, reps, rng)`` draws a ``(reps, n)`` batch of null data
-    (the conditioning vector ``x`` is the one row of a ``reps = 1`` draw);
-    ``m_builder(n)`` yields the centered contrast weights.  Per grid point:
-    rho2 between each pair of laws, with batched standard errors, plus the
-    diagnostic ``|n mbar xbar|``.
+    The data are ``model``'s null draws (the conditioning vector ``x`` is the
+    one row of a ``reps = 1`` draw); ``m_builder(n)`` yields the centered
+    contrast weights.  Per grid point: rho2 between each pair of laws, with
+    batched standard errors, plus the diagnostic ``|n mbar xbar|``.  A spike
+    contrast on an exponential family draws its fresh-draw law from
+    :func:`_iid_spike_law`, any other from whole null vectors.
     """
+
+    def null_sampler(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        return model.sample(n, NULL, count, rng, seed)
+
     rows = []
     for gi, n in enumerate(n_grid):
         m = np.asarray(m_builder(int(n)), dtype=float)
         x = null_sampler(int(n), 1, as_generator(seed, TAG_MODEL, gi))[0]
         perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
         boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
-        iid = _iid_law(null_sampler, m, reps, seed, workers=workers, stream=(gi,))
+        spike = _spike(m)
+        if spike is not None and isinstance(model.family, ExpFamilySpec):
+            iid = _iid_spike_law(model.family, spike, m.size, reps, seed, workers=workers, stream=(gi,))
+        else:
+            iid = _iid_law(null_sampler, m, reps, seed, workers=workers, stream=(gi,))
         # EmpiricalLaw sorts its values, so each of the SE batches of perm
         # and boot is a quantile slice, not a random subset of replicates:
         # the se_* columns are the spread of rho2 over those slices.

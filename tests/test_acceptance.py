@@ -172,20 +172,17 @@ class TestCriterion5ConvergenceSweeps:
             m -= m.mean()
             return m / np.linalg.norm(m)
 
-        def normal_sampler(n, reps_, rng):
-            return rng.normal(size=(max(reps_, 1), n))
-
-        def poisson_sampler(n, reps_, rng):
-            return rng.poisson(1.0, size=(max(reps_, 1), n)).astype(float)
-
         ok = True
         details = []
-        for (mname, sampler), (pname, builder) in itertools.product(
-            (("normal", normal_sampler), ("poisson", poisson_sampler)),
+        for (mname, model), (pname, builder) in itertools.product(
+            (
+                ("normal", experiments.normal_means_model()),
+                ("poisson", experiments.FamilyModel(models.poisson_family())),
+            ),
             (("spike", spike), ("smooth", smooth)),
         ):
             rows = permclt.theorem_convergence_sweep(
-                sampler, builder, n_grid, reps, seed=SEED + 7
+                model, builder, n_grid, reps, seed=SEED + 7
             )
             for prev, cur in zip(rows, rows[1:]):
                 for col, se_col in (

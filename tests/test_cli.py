@@ -88,6 +88,15 @@ class TestDeterminism:
         _, b = run(tmp_path, *self.ARGS, "--workers", "8")
         assert first == b.read_bytes()
 
+    def test_spike_clt_sweep_worker_counts_byte_identical(self, tmp_path):
+        # Spike contrasts take the reduced permutation and iid laws; n = 2 has two singleton levels.
+        args = ["clt-sweep", "--model", "poisson", "--alt", "spike:1", "--n-grid", "2,50,5000",
+                "--reps", "2500", "--seed", "23"]
+        _, a = run(tmp_path, *args, "--workers", "1")
+        first = a.read_bytes()
+        _, b = run(tmp_path, *args, "--workers", "2")
+        assert first == b.read_bytes()
+
     def test_different_seed_differs(self, tmp_path):
         _, a = run(tmp_path, *self.ARGS)
         first = a.read_bytes()

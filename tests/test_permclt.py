@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 import invlab
-from invlab import permclt
+from invlab import models, permclt
+from invlab.experiments import NULL, FamilyModel, normal_means_model
 from invlab.permclt import (
     EmpiricalLaw,
     cf_inequality_check,
@@ -25,7 +27,7 @@ from invlab.permclt import (
     theorem_convergence_sweep,
     theorem_convergence_sweep_matrix,
 )
-from invlab.rng import spawn_generator
+from invlab.rng import TAG_PERM_LAW, TAG_SUFFICIENT, blocks, spawn_generator, uniform_permutations
 
 from oracles import law_inputs, poisson_null
 
@@ -289,6 +291,98 @@ class TestBoundedMemory:
         assert peak < 16 * 2**20
 
 
+class TestSpikeRoute:
+    """Spike contrasts draw one index (permutation law) or one pair of sums (iid law) per replicate.
+
+    The reference is the vector form: ``m' P x`` over whole permutations and
+    ``m' x`` over whole null vectors.  Both laws are discrete wherever ``x``
+    or the family is, and the two forms sum in another order, so values are
+    compared after rounding to 1e-9.
+    """
+
+    REPS = 20_000
+    FAMILIES = {
+        "normal": normal_means_model(),
+        "poisson": FamilyModel(models.poisson_family()),
+        "bernoulli": FamilyModel(models.bernoulli_logit_family()),
+    }
+    # (n, centered).  At n = 2 both levels are singletons; uncentered, m = e_0 and b = 0.
+    SHAPES = {"n40": (40, True), "n2": (2, True), "uncentered": (10, False)}
+
+    @staticmethod
+    def _spike(n, centered=True):
+        m = np.zeros(n)
+        m[0] = 1.0
+        if centered:
+            m -= m.mean()
+        return m / np.linalg.norm(m)
+
+    @staticmethod
+    def _null(model, n, count, seed):
+        return model.sample(n, NULL, count, spawn_generator(seed, n), 0)
+
+    @staticmethod
+    def _assert_same_law(reduced, vector):
+        reduced, vector = np.round(reduced, 9), np.round(vector, 9)
+        assert sps.ks_2samp(reduced, vector).pvalue > 1e-3
+        se = np.hypot(reduced.std(ddof=1), vector.std(ddof=1)) / np.sqrt(reduced.size)
+        assert abs(reduced.mean() - vector.mean()) <= 4 * se
+
+    def test_route_follows_from_the_contrast(self):
+        m = self._spike(6)
+        assert permclt._spike(m) == (m[0], m[1])
+        assert permclt._spike(np.roll(m, 3)) == (m[0], m[1])
+        assert permclt._spike(self._spike(6, centered=False)) == (1.0, 0.0)
+        assert permclt._spike(np.array([0.5, -2.0])) == (0.5, -2.0)
+        law_m, _ = law_inputs(6)
+        for vector in (np.zeros(6), np.zeros(2), law_m, np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, 0.0, 2.0])):
+            assert permclt._spike(vector) is None
+
+    def test_perm_law_puts_mass_one_over_n_on_each_atom(self):
+        n, reps = 5, 20_000
+        m = self._spike(n)
+        x = spawn_generator(50, 1).normal(size=n)
+        values = sample_perm_law(m, x, reps, seed=51).values
+        a, b = m[0], m[1]
+        atoms = (a - b) * x + b * x.sum()
+        # Each atom is the vector contrast with x_j on the spike's coordinate.
+        assert np.allclose(atoms, [a * x[j] + b * (x.sum() - x[j]) for j in range(n)], atol=1e-12)
+        freq = np.array([np.count_nonzero(values == atom) for atom in atoms]) / reps
+        assert freq.sum() == 1.0
+        assert np.all(np.abs(freq - 1 / n) <= 4 * np.sqrt((1 / n) * (1 - 1 / n) / reps))
+
+    def test_perm_law_stream(self):
+        n, reps, seed, gi = 7, 2500, 52, 3
+        m = self._spike(n)
+        x = spawn_generator(53, 1).normal(size=n)
+        want = []
+        for b, count in blocks(reps):
+            rng = spawn_generator(seed, TAG_SUFFICIENT, TAG_PERM_LAW, gi, b)
+            want.append((m[0] - m[1]) * x[rng.integers(0, n, size=count)] + m[1] * x.sum())
+        for workers in (1, 2):
+            law = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,))
+            assert np.array_equal(law.values, np.sort(np.concatenate(want)))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_perm_law_matches_vector_form(self, family, shape):
+        n, centered = self.SHAPES[shape]
+        m = self._spike(n, centered)
+        x = self._null(self.FAMILIES[family], n, 1, 54)[0]
+        reduced = sample_perm_law(m, x, self.REPS, seed=55).values
+        vector = x[uniform_permutations(spawn_generator(56, 1), self.REPS, n)] @ m
+        self._assert_same_law(reduced, vector)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_iid_law_matches_vector_form(self, family, shape):
+        n, centered = self.SHAPES[shape]
+        model = self.FAMILIES[family]
+        m = self._spike(n, centered)
+        reduced = permclt._iid_spike_law(model.family, permclt._spike(m), n, self.REPS, seed=57)
+        vector = self._null(model, n, self.REPS, 58) @ m
+        self._assert_same_law(reduced, vector)
+
 class TestEmpiricalLaw:
     def test_sorted_and_finite(self):
         law = EmpiricalLaw(np.array([3.0, 1.0, 2.0]))
@@ -300,9 +394,7 @@ class TestEmpiricalLaw:
 
 
 class TestConvergenceSweep:
-    @staticmethod
-    def _normal_sampler(n, reps, rng):
-        return rng.normal(size=(max(reps, 1), n))
+    _normal = normal_means_model()
 
     @staticmethod
     def _spike_builder(n):
@@ -313,7 +405,7 @@ class TestConvergenceSweep:
 
     def test_distances_decrease(self):
         rows = theorem_convergence_sweep(
-            self._normal_sampler, self._spike_builder, (50, 500, 5000), 4000, seed=20
+            self._normal, self._spike_builder, (50, 500, 5000), 4000, seed=20
         )
         for prev, cur in zip(rows, rows[1:]):
             for col, se_col in (
@@ -343,7 +435,7 @@ class TestConvergenceSweep:
 
     def test_zero_weights_give_zero_distances(self):
         rows = theorem_convergence_sweep(
-            self._normal_sampler, lambda n: np.zeros(n), (50,), 500, seed=21
+            self._normal, lambda n: np.zeros(n), (50,), 500, seed=21
         )
         assert rows[0].rho2_perm_boot == pytest.approx(0.0)
         assert rows[0].rho2_perm_iid == pytest.approx(0.0)
@@ -382,6 +474,6 @@ class TestConvergenceSweep:
 
     def test_diag_column_reports_mean_product(self):
         rows = theorem_convergence_sweep(
-            self._normal_sampler, self._spike_builder, (50,), 200, seed=26
+            self._normal, self._spike_builder, (50,), 200, seed=26
         )
         assert rows[0].diag_nmx == pytest.approx(0.0, abs=1e-12)
