@@ -31,6 +31,7 @@ from .rng import (
     TAG_SUFFICIENT,
     as_generator,
     map_blocks,
+    row_chunks,
     spawn_generator,
 )
 
@@ -258,6 +259,7 @@ class SpacingsModel(Model):
             sup=alt.scale * base.sup,
             l2_norm_sq=alt.scale**2 * base.l2_norm_sq,
             label=f"{alt.scale:g}*{base.label}",
+            sup_certified=base.sup_certified,
         )
 
     def alternative_audit(self, n, alt, seed):
@@ -432,6 +434,33 @@ class PowerReport:
         return float(np.hypot(self.level_se, self.power_se))
 
 
+def _block_values(
+    sample: Callable[[int, np.random.Generator], np.ndarray],
+    fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+    reps: int,
+    seed: int,
+    tags: tuple[int, ...],
+    workers: int,
+) -> list[np.ndarray]:
+    """Every function of ``fns`` on ``reps`` draws of ``sample``, in replicate order.
+
+    Block ``b`` is one ``sample(count, rng)`` on the stream ``(seed, *tags, b)``,
+    made read-only.  Each function reads it one row chunk
+    (:func:`invlab.rng.row_chunks`) at a time, so its temporaries stay
+    cache-sized; every function is computed row by row, so the values are
+    those of one whole-block call.
+    """
+
+    def block(b: int, count: int) -> list[np.ndarray]:
+        data = sample(count, as_generator(seed, *tags, b))
+        data.flags.writeable = False
+        edges = np.cumsum([0, *row_chunks(count, data[0].size)])
+        chunks = [data[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+        return [np.concatenate([np.asarray(fn(c), dtype=float) for c in chunks]) for fn in fns]
+
+    return [np.concatenate(vals) for vals in zip(*map_blocks(block, reps, workers=workers))]
+
+
 def _statistic_values(
     model: Model,
     statistics: Sequence[NamedStatistic],
@@ -448,25 +477,25 @@ def _statistic_values(
     Statistic ``i`` reads the model's sufficient block, drawn on the stream
     ``(seed, TAG_SUFFICIENT, tag)``, where ``reduced[i]`` holds, and data
     drawn on ``(seed, tag)`` otherwise.  Each kind of block is drawn once when any statistic
-    reads it, made read-only and evaluated by its readers in turn, so the
-    values of one statistic do not depend on which others share the pass.
+    reads it and evaluated by its readers in turn (:func:`_block_values`), so
+    the values of one statistic do not depend on which others share the pass.
     """
     out: list[np.ndarray] = [np.empty(0)] * len(statistics)
     for route in (False, True):
         readers = [i for i, r in enumerate(reduced) if r == route]
         if not readers:
             continue
-        sample = model.sample_sufficient if route else model.sample
-        tags = (TAG_SUFFICIENT, tag) if route else (tag,)
-        fns = [statistics[i].reduced.fn if route else statistics[i] for i in readers]
-
-        def block(b: int, count: int) -> list[np.ndarray]:
-            data = sample(n, alt, count, as_generator(seed, *tags, b), seed)
-            data.flags.writeable = False
-            return [np.asarray(fn(data), dtype=float) for fn in fns]
-
-        for i, vals in zip(readers, zip(*map_blocks(block, reps, workers=workers))):
-            out[i] = np.concatenate(vals)
+        draw = model.sample_sufficient if route else model.sample
+        values = _block_values(
+            lambda count, rng: draw(n, alt, count, rng, seed),
+            [statistics[i].reduced.fn if route else statistics[i] for i in readers],
+            reps,
+            seed,
+            (TAG_SUFFICIENT, tag) if route else (tag,),
+            workers,
+        )
+        for i, vals in zip(readers, values):
+            out[i] = vals
     return out
 
 
@@ -887,15 +916,17 @@ def spacings_sweep(
 def _llr_gap_p95(
     h: Profile, n: int, reps: int, seed: int, workers: int
 ) -> tuple[float, float]:
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_MODEL, 101, b)
-        d = models.sample_spacings_null_batch(n, count, rng)
-        return np.abs(
-            np.asarray(models.spacings_loglik_approx(h, d))
-            - np.asarray(models.spacings_loglik_exact(h, d))
-        )
+    def gap(d: np.ndarray) -> np.ndarray:
+        return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))
 
-    gaps = np.concatenate(map_blocks(block, reps, workers=workers))
+    (gaps,) = _block_values(
+        lambda count, rng: models.sample_spacings_null_batch(n, count, rng),
+        [gap],
+        reps,
+        seed,
+        (TAG_MODEL, 101),
+        workers,
+    )
     p95 = float(np.quantile(gaps, 0.95))
     # Batch the percentile for a replicate-level error bar.
     batches = np.array_split(gaps, 10)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from ._num import simpson
-from .rng import TAG_MODEL, TAG_SPACINGS, as_generator
+from .rng import CHUNK_ELEMENTS, TAG_MODEL, TAG_SPACINGS, as_generator, jumped, row_chunks
 
 #: Default compact parameter box, safely interior to every built-in family's
 #: natural-parameter domain.
@@ -434,13 +434,16 @@ class Profile:
 
     Built from a finite cosine combination ``sum_k c_k * sqrt(2) cos(2 pi k x)``
     via :func:`cosine_profile`, or from any callable via :func:`profile_from_callable`
-    (sup and integrals then estimated on a fine grid).
+    (sup and integrals then estimated on a fine grid).  ``sup_certified`` says
+    that ``sup`` is a proven bound on ``|h|`` (a cosine combination's
+    ``sum |c_k| sqrt(2)``), not a grid estimate.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     sup: float
     l2_norm_sq: float
     label: str = "h"
+    sup_certified: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -463,7 +466,7 @@ def cosine_profile(coeffs: dict[int, float], label: str | None = None) -> Profil
     l2 = float(sum(c * c for _, c in items))
     if label is None:
         label = "+".join(f"{c:g}*cos{k}" for k, c in items)
-    return Profile(fn=fn, sup=sup, l2_norm_sq=l2, label=label)
+    return Profile(fn=fn, sup=sup, l2_norm_sq=l2, label=label, sup_certified=True)
 
 
 def profile_from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str = "h") -> Profile:
@@ -500,7 +503,15 @@ def sample_spacings_alternative_batch(
     """Spacings of ``n`` ordered draws from the density ``1 + h(x) / sqrt(n)``.
 
     Returns shape ``(reps, n + 1)``.  Rejection sampling with the constant
-    envelope ``1 + sup|h| / sqrt(n)``.
+    envelope ``1 + sup|h| / sqrt(n)``, in rounds: a round of ``k`` proposals
+    reads ``k`` points ``u`` and then ``k`` acceptance uniforms ``v`` from the
+    generator, ``k = max(1.2 (points still needed) envelope, 1024)``, and
+    leaves it ``2k`` draws on.  The round is read in chunks of
+    :data:`~invlab.rng.CHUNK_ELEMENTS` proposals, ``v`` from a copy
+    :func:`~invlab.rng.jumped` ``k`` draws ahead, and stops once enough points
+    are accepted.  Where ``sup`` is certified, ``v`` below the squeeze
+    (:func:`_acceptance_floor`) accepts without evaluating ``h``.  A
+    generator passed as ``seed`` must run on Philox.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -512,22 +523,52 @@ def sample_spacings_alternative_batch(
         raise ValueError("h must integrate to 0 within 1e-6")
     rng = as_generator(seed, TAG_SPACINGS)
     envelope = 1.0 + prof.sup / root_n
+    floor = _acceptance_floor(prof, root_n)
     need = reps * n
-    accepted: list[np.ndarray] = []
+    out = np.empty((reps, n + 1))
+    # Accepted points fill the head of ``out`` in order, row i at [i n, (i + 1) n).
+    points = out.reshape(-1)[:need]
     got = 0
     while got < need:
         k = max(int(1.2 * (need - got) * envelope), 1024)
-        u = rng.random(k)
-        keep = rng.random(k) * envelope <= 1.0 + prof(u) / root_n
-        take = u[keep]
-        accepted.append(take)
-        got += take.size
-    pts = np.concatenate(accepted)[:need].reshape(reps, n)
-    pts.sort(axis=1)
-    padded = np.concatenate(
-        [np.zeros((reps, 1)), pts, np.ones((reps, 1))], axis=1
-    )
-    return np.diff(padded, axis=1)
+        v_rng, after = jumped(rng, k), jumped(rng, 2 * k)
+        for start in range(0, k, CHUNK_ELEMENTS):
+            u = rng.random(min(CHUNK_ELEMENTS, k - start))
+            w = v_rng.random(u.size) * envelope
+            keep = w <= floor
+            test = np.flatnonzero(~keep)
+            if test.size:
+                keep[test] = w[test] <= 1.0 + prof(u[test]) / root_n
+            take = u[keep][: need - got]
+            points[got : got + take.size] = take
+            got += take.size
+            if got == need:
+                break
+        rng.bit_generator.state = after.bit_generator.state
+    # Row i's spacings fill out[i], which starts at i (n + 1) >= i n, so rows
+    # are sorted and differenced from the last chunk back.
+    edges = np.cumsum([0, *row_chunks(reps, n)])
+    for lo, hi in reversed(list(zip(edges[:-1], edges[1:]))):
+        pts = np.sort(points[lo * n : hi * n].reshape(hi - lo, n), axis=1)
+        out[lo:hi, 0] = pts[:, 0]
+        np.subtract(pts[:, 1:], pts[:, :-1], out=out[lo:hi, 1:n])
+        out[lo:hi, n] = 1.0 - pts[:, -1]
+    return out
+
+
+def _acceptance_floor(prof: Profile, root_n: float) -> float:
+    """The largest ``v * envelope`` the rejection test accepts at every ``u``.
+
+    ``1 + h(u) / sqrt(n) >= 1 - sup / sqrt(n)``, and rounding keeps the
+    computed test at or above the computed floor: evaluating ``h`` rounds its
+    value at most ``terms + 4`` ulps of ``sup`` past ``sup``, which the
+    relative margin 1e-9 covers for any profile of fewer than 10**6 terms,
+    and the division and the addition round monotonically.  ``-inf`` (no
+    squeeze) where ``sup`` is only a grid estimate.
+    """
+    if not prof.sup_certified:
+        return -np.inf
+    return float(1.0 - prof.sup * (1.0 + 1e-9) / root_n)
 
 
 def profile_at_grid(h: Profile | Callable, n: int) -> np.ndarray:
@@ -553,7 +594,8 @@ def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
     dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
     hi = profile_at_grid(h, n)
-    return -(n + 1) / np.sqrt(n) * ((dv - 1.0 / (n + 1)) @ hi) - 0.5 * profile_l2_norm_sq(h)
+    residual = np.sum((dv - 1.0 / (n + 1)) * hi, axis=-1)
+    return -(n + 1) / np.sqrt(n) * residual - 0.5 * profile_l2_norm_sq(h)
 
 
 def spacings_loglik_exact(h: Profile | Callable, d: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ A 1024-replicate block is the stream unit, and each block is drawn and
 reduced in row chunks of a fixed element budget (:func:`row_chunks`), one
 after another from the block's generator, which changes no stream: the
 generator fills every array in order, so the chunks hold the numbers one
-whole-block draw would.
+whole-block draw would.  A consumer that interleaves two runs of one stream
+reads the later run from a copy :func:`jumped` ahead.
 """
 
 from __future__ import annotations
@@ -77,6 +78,28 @@ def uniform_permutations(rng: np.random.Generator, count: int, n: int) -> np.nda
     draw.  Every permutation the package samples comes from here.
     """
     return np.argsort(rng.random((count, n)), axis=1)
+
+
+def jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A new generator where ``rng`` would be after ``draws`` 64-bit draws; ``rng`` does not move.
+
+    ``rng`` must run on Philox.  Its next draw is word ``buffer_pos`` of the
+    four-word block at its counter (``buffer_pos`` 4: an empty buffer), so the
+    copy moves the counter on by whole blocks with ``Philox.advance`` and
+    reads and drops the words left over.  A pending 32-bit half-word is
+    carried over untouched, as 64-bit draws leave it.
+    """
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "Philox":
+        raise TypeError("jumped needs a Philox generator")
+    blocks_ahead, words = divmod(state["buffer_pos"] + draws, 4)
+    bits = np.random.Philox(counter=state["state"]["counter"], key=state["state"]["key"])
+    bits.advance(blocks_ahead - 1)
+    bits.random_raw(words)
+    moved = bits.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = moved
+    return np.random.Generator(bits)
 
 
 def blocks(total: int) -> list[tuple[int, int]]:

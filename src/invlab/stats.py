@@ -3,12 +3,16 @@ statistics, the quadratic-basis statistic, and an invariance checker.
 
 Every statistic reads the last axis of its data (the last two for an ANOVA
 table) and treats any leading axes as replicates: a ``(reps, n)`` batch gives
-``reps`` values and one vector gives a numpy scalar.
+``reps`` values and one vector gives a numpy scalar.  Projections are row
+sums (``np.sum``, ``np.einsum``), not BLAS products, so a replicate's value
+depends on its own row only, not on how many rows share the call or on the
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -34,7 +38,7 @@ def np_statistic(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(m)
     if norm == 0.0:
         raise ValueError("m must have positive norm")
-    return np.asarray(x, dtype=float) @ m / norm
+    return np.sum(np.asarray(x, dtype=float) * m, axis=-1) / norm
 
 
 def chisq_statistic(x: np.ndarray) -> np.ndarray:
@@ -180,10 +184,14 @@ class QuadraticTestSpec:
     def num_terms(self) -> int:
         return len(self.lambdas)
 
+    # Row-chunked evaluation asks for the same grid once per chunk.
+    @lru_cache(maxsize=8)
     def grid_matrix(self, n: int) -> np.ndarray:
-        """Basis values on the grid ``j/n``, ``j = 1..n`` (shape ``K x n``)."""
+        """Basis values on the grid ``j/n``, ``j = 1..n`` (shape ``K x n``, read-only)."""
         grid = np.arange(1, n + 1, dtype=float) / n
-        return np.stack([np.asarray(g(grid), float) for g in self.basis])
+        values = np.stack([np.asarray(g(grid), float) for g in self.basis])
+        values.flags.writeable = False
+        return values
 
 
 def default_quadratic_spec(num_terms: int = 8, squared: bool = True) -> QuadraticTestSpec:
@@ -207,9 +215,9 @@ def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.sum(g * g, axis=1))
     if np.any(norms == 0.0):
         raise ValueError("a basis function vanishes identically on the grid")
-    z = x @ g.T / norms
+    z = np.einsum("...j,kj->...k", x, g) / norms
     lam = np.asarray(spec.lambdas)
-    return (z * z) @ lam if spec.squared else z @ lam
+    return np.sum(z * z * lam if spec.squared else z * lam, axis=-1)
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,9 @@
 The invariance checks (``stats.verify_invariance``, ``orbit.identity_check``)
 take a sampler of group elements; the first three functions are the ones
 the tests pass.  :func:`one_shot_laws` draws the permutation-CLT laws one
-whole block at a time, the reference for the row-chunked laws.
+whole block at a time, the reference for the row-chunked laws, and
+:func:`one_shot_spacings_alternative` is the reference for the chunked
+spacings rejection sampler.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from invlab.rng import (
     TAG_COUPLING,
     TAG_IID_LAW,
     TAG_PERM_LAW,
+    TAG_SPACINGS,
     as_generator,
     blocks,
     spawn_generator,
@@ -102,3 +105,31 @@ def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
             out[key].append(part)
         out["iid"].append(poisson_null(n, count, as_generator(seed, TAG_IID_LAW, b)) @ m)
     return {k: np.concatenate(v) for k, v in out.items()}
+
+
+def one_shot_spacings_alternative(
+    n: int, h: models.Profile, reps: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """:func:`invlab.models.sample_spacings_alternative_batch` drawn one whole round at a time.
+
+    Each round draws all ``k`` proposals, then all ``k`` acceptance uniforms,
+    and evaluates ``h`` at every proposal; the accepted points are
+    concatenated, sorted and padded with 0 and 1 before differencing.
+    """
+    rng = as_generator(seed, TAG_SPACINGS)
+    root_n = np.sqrt(n)
+    envelope = 1.0 + h.sup / root_n
+    need = reps * n
+    accepted: list[np.ndarray] = []
+    got = 0
+    while got < need:
+        k = max(int(1.2 * (need - got) * envelope), 1024)
+        u = rng.random(k)
+        keep = rng.random(k) * envelope <= 1.0 + h(u) / root_n
+        take = u[keep]
+        accepted.append(take)
+        got += take.size
+    pts = np.concatenate(accepted)[:need].reshape(reps, n)
+    pts.sort(axis=1)
+    padded = np.concatenate([np.zeros((reps, 1)), pts, np.ones((reps, 1))], axis=1)
+    return np.diff(padded, axis=1)

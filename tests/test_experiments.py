@@ -1,7 +1,13 @@
 """Tests for the power harness and theorem sweeps."""
 
 import functools
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import invlab
 from invlab import experiments, models
 from invlab.expectations import load_expectations, recalibrate
 from invlab.experiments import (
@@ -246,6 +253,84 @@ class TestSharedDrawEngine:
     def test_spacings_model_rejects_mean_alternative(self):
         with pytest.raises(ValueError, match="spacings model"):
             SpacingsModel().sample(10, _SPIKE, 5, np.random.default_rng(0), 0)
+
+
+_PARTIAL_BLOCK = 476
+
+
+def _chunk_digests(n: int) -> dict[str, list[str]]:
+    """Digests of each statistic on a 476-row block: whole, by ``_block_values``, and ragged.
+
+    Covers every ``make_statistic`` name, ``cellmean_chisq`` and the two
+    spacings log-likelihoods.  The ragged split has chunks of 1, 2 and 5 rows.
+    """
+    rng = spawn_generator(52, n)
+    count = _PARTIAL_BLOCK
+    vectors = rng.standard_normal((count, n))
+    spacings = models.sample_spacings_null_batch(n, count, rng)
+    tables = rng.standard_normal((count, n, 2))
+    h = models.cosine_profile({1: 2.0, 3: -0.5})
+    cases = {
+        **{
+            name: (make_statistic(name, n, _SMOOTH), vectors)
+            for name in ("chisq", "variance", "np", "quadratic")
+        },
+        **{
+            name: (make_statistic(name, n), spacings)
+            for name in ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
+        },
+        **{name: (make_statistic(name, n), tables) for name in ("anova_f", "wilks")},
+        "cellmean_chisq": (cellmean_chisq_statistic(n, 1.0), tables),
+        "spacings_loglik_approx": (functools.partial(models.spacings_loglik_approx, h), spacings),
+        "spacings_loglik_exact": (functools.partial(models.spacings_loglik_exact, h), spacings),
+    }
+    edges = np.cumsum([0, 1, 2, 5, count - 8])
+    out = {}
+    for name, (fn, data) in cases.items():
+        whole = np.asarray(fn(data), dtype=float)
+        (chunked,) = experiments._block_values(lambda c, rng: data, [fn], count, 0, (0,), 1)
+        ragged = np.concatenate([fn(data[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
+        out[name] = [hashlib.sha256(v.tobytes()).hexdigest() for v in (whole, chunked, ragged)]
+    return out
+
+
+class TestChunkInvariance:
+    """A replicate's statistic depends on its own row only.
+
+    Whole-block, row-chunked and ragged evaluation of a 476-row partial block
+    must give the same bits, under one and two BLAS threads (child processes,
+    since OpenBLAS reads its thread count at import).  A two-thread BLAS
+    product of the block splits it after row 238, not a multiple of four.
+    """
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        src = Path(invlab.__file__).resolve().parents[1]
+        found = {}
+        for threads in (1, 2):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": str(threads),
+                "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)]),
+            }
+            code = (
+                "import json, test_experiments as t; "
+                "print(json.dumps({n: t._chunk_digests(n) for n in (100, 1600, 5001)}))"
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+            )
+            found[threads] = json.loads(run.stdout)
+        return found
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", ["100", "1600", "5001"])
+    def test_chunked_equals_whole_block(self, digests, threads, n):
+        for name, (whole, chunked, ragged) in digests[threads][n].items():
+            assert whole == chunked == ragged, name
+
+    def test_thread_count_changes_no_value(self, digests):
+        assert digests[1] == digests[2]
 
 
 class TestReducedRoute:

@@ -1,7 +1,11 @@
 """Tests for sampling models, likelihood ratios, and spacings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.integrate import simpson
 
@@ -21,7 +25,9 @@ from invlab.models import (
     spacings_loglik_approx,
     spacings_loglik_exact,
 )
-from invlab.rng import spawn_generator
+from invlab.experiments import AlternativeSpec, SpacingsModel
+from invlab.rng import jumped, spawn_generator
+from oracles import one_shot_spacings_alternative
 
 
 def mv(*entries, lo=-2.0, hi=2.0):
@@ -311,6 +317,134 @@ class TestSpacingsAlternative:
         accepted = (rng.random(k) * envelope <= 1.0 + prof(u) / np.sqrt(n)).mean()
         expect = 1.0 / envelope
         assert abs(accepted - expect) < 4 * np.sqrt(expect * (1 - expect) / k)
+
+
+def _grid_blind_profile(n: int, certified: bool) -> models.Profile:
+    """``h = -sqrt(n) / 2`` off the 4097-point grid and 0 on it.
+
+    The grid check reads its integral as 0, so the sampler takes it, but
+    only a third of the proposals pass the test: a round accepts about 0.6
+    of the points it still needs, and the sampler runs further rounds.
+    """
+    depth = 0.5 * np.sqrt(n)
+    return models.Profile(
+        fn=lambda x: np.where((4096.0 * x) % 1.0 == 0.0, 0.0, -depth),
+        sup=depth,
+        l2_norm_sq=depth**2,
+        label="grid-blind",
+        sup_certified=certified,
+    )
+
+
+class TestChunkedSpacingsSampler:
+    """The chunked, squeezed sampler equals the one-shot rounds of :mod:`oracles` bit for bit.
+
+    ``reps`` 1500 leaves a 476-row partial block; the generator must be left
+    where the one-shot rounds leave it.  The callable profile has no certified
+    sup, so it evaluates ``h`` at every proposal.
+    """
+
+    PROFILES = {
+        "cos1": lambda n: cosine_profile({1: 1.0}),
+        "cos3": lambda n: cosine_profile({1: 0.5, 2: -0.7, 5: 0.3}),
+        "callable": lambda n: models.profile_from_callable(
+            lambda x: np.sqrt(2.0) * (0.5 * np.cos(2 * np.pi * x) - 0.7 * np.cos(4 * np.pi * x)),
+            label="callable",
+        ),
+        "second_round_certified": lambda n: _grid_blind_profile(n, True),
+        "second_round_grid": lambda n: _grid_blind_profile(n, False),
+    }
+
+    @pytest.mark.parametrize("reps", [1, 5, 1024, 1500])
+    @pytest.mark.parametrize("n", [7, 100, 1600])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_equals_one_shot_rounds(self, profile, n, reps):
+        prof = self.PROFILES[profile](n)
+        rng, ref = spawn_generator(49, n, reps), spawn_generator(49, n, reps)
+        got = sample_spacings_alternative_batch(n, prof, reps, rng)
+        want = one_shot_spacings_alternative(n, prof, reps, ref)
+        assert got.shape == (reps, n + 1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(rng.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_grid_blind_profile_needs_a_second_round(self, certified):
+        n, reps = 100, 5
+        prof = _grid_blind_profile(n, certified)
+        rng = spawn_generator(50)
+        sample_spacings_alternative_batch(n, prof, reps, rng)
+        envelope = 1.0 + prof.sup / np.sqrt(n)
+        first_round = max(int(1.2 * reps * n * envelope), 1024)
+        one_round = jumped(spawn_generator(50), 2 * first_round)
+        assert not np.array_equal(rng.random(5), one_round.random(5))
+
+    def test_block_memory_bounded(self):
+        # The one-shot rounds peak at 80 MiB here; the output alone is 12.5 MiB.
+        prof = cosine_profile({1: 2.0})
+        tracemalloc.start()
+        try:
+            sample_spacings_alternative_batch(1600, prof, 1024, spawn_generator(51))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+@st.composite
+def _certified_profiles(draw):
+    """A cosine profile, maybe scaled as the spacings model scales it, and an ``n`` it is valid at."""
+    freqs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    weights = draw(
+        st.lists(
+            st.floats(-3.0, 3.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3),
+            min_size=len(freqs),
+            max_size=len(freqs),
+        )
+    )
+    base = cosine_profile(dict(zip(freqs, weights)))
+    scale = draw(st.sampled_from([1.0, 0.37, 2.5]))
+    prof = SpacingsModel._profile(AlternativeSpec(kind="spacings_h", scale=scale, profile=base))
+    # The smallest n the sampler takes, up to rounding, plus an offset.
+    n = int(np.ceil((prof.sup / 0.99) ** 2)) + 1 + draw(st.sampled_from([0, 1, 50, 10_000]))
+    return prof, n
+
+
+def _near_argmin(prof: models.Profile) -> np.ndarray:
+    """Proposals at and next to the minima of ``h``: a fine-grid argmin refined, 0 and 1/2."""
+    grid = np.linspace(0.0, 1.0, 1 << 16, endpoint=False)
+    best = grid[np.argsort(prof(grid))[:4]]
+    fine = ((best[:, None] + np.linspace(-2.0, 2.0, 4001) / (1 << 16)) % 1.0).ravel()
+    centres = np.array([fine[np.argmin(prof(fine))], 0.0, 0.5])
+    near = [fine, centres]
+    for direction in (0.0, 1.0):
+        step = centres
+        for _ in range(8):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    return np.clip(np.concatenate(near), 0.0, np.nextafter(1.0, 0.0))
+
+
+class TestSqueeze:
+    """A squeeze accept (``v * envelope <= floor``) is always an accept of the full test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_certified_profiles())
+    @example((cosine_profile({1: -1.0, 2: -0.5, 3: -0.25}), 10))  # h(0) = -sup
+    @example((cosine_profile({1: 2.0}), 9))  # envelope 1.94, h(1/2) = -sup
+    def test_squeeze_accept_is_full_accept(self, case):
+        prof, n = case
+        models.check_spacings_profile(n, prof)
+        root_n = np.sqrt(n)
+        floor = models._acceptance_floor(prof, root_n)
+        # The full test the sampler runs, at the largest product the squeeze accepts.
+        u = _near_argmin(prof)
+        assert np.all(floor <= 1.0 + prof(u) / root_n)
+        # The squeeze is not vacuous: it sits a margin below the true minimum.
+        assert 1.0 - prof.sup / root_n - floor < 1e-8
+
+    def test_grid_estimated_sup_has_no_squeeze(self):
+        prof = models.profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        assert models._acceptance_floor(prof, 10.0) == -np.inf
 
 
 class TestSpacingsLoglik:

@@ -1,9 +1,9 @@
-"""Tests for the row chunks a replicate block is drawn in."""
+"""Tests for the row chunks a replicate block is drawn in, and for jumping a stream ahead."""
 
 import numpy as np
 import pytest
 
-from invlab.rng import BLOCK_REPS, CHUNK_ELEMENTS, row_chunks, spawn_generator
+from invlab.rng import BLOCK_REPS, CHUNK_ELEMENTS, jumped, row_chunks, spawn_generator
 
 #: Every generator method a block function draws in row chunks.
 DRAWS = {
@@ -35,3 +35,33 @@ def test_chunked_draws_equal_one_draw(kind, n):
         got = np.concatenate([DRAWS[kind](rng, (c, n)) for c in chunks])
         want = DRAWS[kind](spawn_generator(46, n), (count, n))
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 1023, 65_537])
+def test_jump_equals_drawing_k_doubles(position, k):
+    rng = spawn_generator(47, position)
+    rng.random(position)  # leaves the four-word buffer at this position
+    ahead = jumped(rng, k)
+    want = spawn_generator(47, position)
+    want.random(position + k)
+    assert np.array_equal(ahead.random(9), want.random(9))
+    # The source generator did not move.
+    again = spawn_generator(47, position)
+    again.random(position)
+    assert np.array_equal(rng.random(9), again.random(9))
+
+
+def test_jump_keeps_a_pending_32_bit_half():
+    rng = spawn_generator(48)
+    rng.integers(0, 2**32, dtype=np.uint32)  # buffers the other half of a 64-bit word
+    ahead = jumped(rng, 6)
+    rng.random(6)
+    assert ahead.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == (
+        rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    )
+
+
+def test_jump_refuses_other_bit_generators():
+    with pytest.raises(TypeError, match="Philox"):
+        jumped(np.random.Generator(np.random.PCG64(0)), 3)
