@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, expectations, models, orbit, permclt
+from . import __version__, experiments, models, orbit, permclt
 from .models import MeanVector
 from .rng import TAG_MODEL, spawn_generator
 
@@ -400,23 +400,6 @@ def run_coupling(cfg: dict) -> list[dict]:
     return rows
 
 
-def run_recalibrate(cfg: dict) -> list[dict]:
-    vals = expectations.recalibrate(seed=cfg["seed"], reps=cfg["reps"], workers=cfg["workers"])
-    expectations.write_expectations(vals, cfg["out"])
-    cfg["out"] = None  # the summary table goes to stdout; --out held the JSON
-    return [
-        {
-            "name": k,
-            "value": v,
-            "reps": cfg["reps"],
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-        }
-        for k, v in vals.items()
-        if not k.startswith("_")
-    ]
-
-
 # --------------------------------------------------------------------- #
 # Configuration: one declaration of every key and every subcommand
 # --------------------------------------------------------------------- #
@@ -524,10 +507,6 @@ _SUBCOMMANDS = {
     "coupling": Subcommand(
         run_coupling, "with/without-replacement coupling and the second-moment bound", ("n_grid",),
         defaults={"reps": 2000},
-    ),
-    "recalibrate": Subcommand(
-        run_recalibrate, "regenerate the pilot-threshold expectations file",
-        defaults={"reps": 4000, "out": "expectations.json"},
     ),
 }
 

@@ -352,7 +352,7 @@ def make_statistic(
     if name == "two_spacings_sq":
         return NamedStatistic(
             "two_spacings_sq",
-            lambda d: stats.two_spacings_statistic(stats.points_from_spacings(d), "square"),
+            lambda d: stats.two_spacings_statistic(stats.points_from_spacings(d)),
         )
     if name in ("quadratic", "quadratic_spacings"):
         spec = stats.default_quadratic_spec()
@@ -933,24 +933,6 @@ def _llr_gap_p95(
     vals = [np.quantile(bb, 0.95) for bb in batches if bb.size]
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     return p95, se
-
-
-def trend_slope(
-    xs: Sequence[float], ys: Sequence[float], ses: Sequence[float] | None = None
-) -> tuple[float, float]:
-    """Weighted least-squares slope of ``ys`` against ``xs`` with its SE.
-
-    Used for "no positive growth" checks: the slope must be below
-    ``2 * se`` for the trend to count as non-increasing.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    w = np.ones_like(xs) if ses is None else 1.0 / np.maximum(np.asarray(ses, float), 1e-12) ** 2
-    xbar = np.sum(w * xs) / np.sum(w)
-    sxx = np.sum(w * (xs - xbar) ** 2)
-    slope = float(np.sum(w * (xs - xbar) * ys) / sxx)
-    se = float(np.sqrt(1.0 / sxx))
-    return slope, se
 
 
 def _grid_seed(seed: int, grid_index: int) -> int:

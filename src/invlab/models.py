@@ -5,9 +5,8 @@ Covers the many-means normal model, one-parameter exponential families
 carrier), a non-exponential one-parameter family (logistic location),
 Neyman-Scott replicate layouts, and uniform spacings, together with the
 exact laws of two sufficient blocks (a few numbers per replicate that
-invariant statistics read instead of the data), exact log-likelihood
-ratios and contiguity diagnostics (null mean and variance of the
-log-likelihood ratio against the bound ``alpha * ||m - mbar||^2``).
+invariant statistics read instead of the data), and exact log-likelihood
+ratios.
 
 All samplers are pure functions of ``(spec, parameters, generator)`` that
 draw a batch with replicates on the leading axis; types are immutable after
@@ -110,25 +109,17 @@ class ExpFamilySpec:
     carrier_sampler: Callable[[np.random.Generator, np.ndarray, tuple], np.ndarray]
     convolution: Callable[[np.random.Generator, np.ndarray, np.ndarray, tuple], np.ndarray]
 
-    def beta2_sup(self, lo: float, hi: float, grid: int = 513) -> float:
-        """Numerical sup of ``beta2`` over ``[lo, hi]``."""
-        ts = np.linspace(lo, hi, grid)
-        return float(np.max(self.beta2(ts)))
-
 
 @dataclass(frozen=True)
 class GeneralFamilySpec:
     """A general (non-exponential) one-parameter family ``exp(log_density(x; m))``.
 
-    ``score`` and ``second`` are the first two parameter derivatives of the
-    log density; ``fisher(m)`` is the Fisher information.
+    ``sampler(rng, m, size)`` draws observations with parameter ``m``
+    (vectorised over ``m``).
     """
 
     name: str
     log_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    second: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fisher: Callable[[float], float]
     sampler: Callable[[np.random.Generator, np.ndarray, tuple], np.ndarray]
 
 
@@ -201,27 +192,16 @@ def bernoulli_logit_family() -> ExpFamilySpec:
 def logistic_location_family() -> GeneralFamilySpec:
     """Logistic location family, the built-in non-exponential model.
 
-    Log density ``-(x - m) - 2 log(1 + exp(-(x - m)))``; the score is
-    ``tanh((x - m) / 2)`` and the Fisher information is 1/3.
+    Log density ``-(x - m) - 2 log(1 + exp(-(x - m)))``.
     """
 
     def log_density(x: np.ndarray, m: np.ndarray) -> np.ndarray:
         u = np.asarray(x, dtype=float) - m
         return -u - 2.0 * np.logaddexp(0.0, -u)
 
-    def score(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return np.tanh((np.asarray(x, dtype=float) - m) / 2.0)
-
-    def second(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-        u = np.asarray(x, dtype=float) - m
-        return -0.5 / np.square(np.cosh(u / 2.0))
-
     return GeneralFamilySpec(
         name="logistic",
         log_density=log_density,
-        score=score,
-        second=second,
-        fisher=lambda m: 1.0 / 3.0,
         sampler=lambda rng, m, size: rng.logistic(loc=m, scale=1.0, size=size),
     )
 
@@ -283,84 +263,6 @@ def loglik_ratio(
             family.log_density(x, m.entries) - family.log_density(x, mbar), axis=-1
         )
     return out
-
-
-@dataclass(frozen=True)
-class ContiguityDiagnostics:
-    """Null mean/variance of the log-likelihood ratio and their common bound."""
-
-    null_mean: float
-    null_var: float
-    alpha: float
-    bound: float
-
-    @property
-    def within_bound(self) -> bool:
-        tol = 1e-9 * (1.0 + self.bound)
-        return abs(self.null_mean) <= self.bound + tol and self.null_var <= self.bound + tol
-
-
-def contiguity_diagnostics(
-    family: ExpFamilySpec | GeneralFamilySpec, m: MeanVector
-) -> ContiguityDiagnostics:
-    """Null mean and variance of the log-likelihood ratio of ``m`` to its mean.
-
-    Both are dominated by ``alpha * ||m - mbar||^2`` where ``alpha`` is the
-    numerical sup of the variance function (or of the Kullback/variance
-    functionals, for non-exponential families) over the compact box.
-    """
-    mbar = m.mean
-    lo = m.compact_lo if m.compact_lo is not None else float(m.entries.min())
-    hi = m.compact_hi if m.compact_hi is not None else float(m.entries.max())
-    delta_sq = m.centered_norm**2
-    if isinstance(family, ExpFamilySpec):
-        null_mean = -float(np.sum(family.beta(m.entries) - family.beta(np.float64(mbar))))
-        null_var = float(delta_sq * family.beta2(np.float64(mbar)))
-        alpha = family.beta2_sup(lo, hi)
-    else:
-        means, variances = _general_loglik_moments(family, m.entries, mbar)
-        null_mean = float(means.sum())
-        null_var = float(variances.sum())
-        alpha = _general_alpha(family, lo, hi)
-    return ContiguityDiagnostics(
-        null_mean=null_mean,
-        null_var=null_var,
-        alpha=alpha,
-        bound=alpha * delta_sq,
-    )
-
-
-def _general_loglik_moments(
-    family: GeneralFamilySpec, entries: np.ndarray, mbar: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate null mean/variance of ``log f(X; m_i) - log f(X; mbar)``."""
-    span = 45.0
-    xs = np.linspace(mbar - span, mbar + span, 8193)
-    w = np.exp(family.log_density(xs, mbar))
-    means = np.empty(entries.size)
-    variances = np.empty(entries.size)
-    for i, mi in enumerate(entries):
-        diff = family.log_density(xs, mi) - family.log_density(xs, mbar)
-        mu = simpson(diff * w, x=xs)
-        means[i] = mu
-        variances[i] = simpson((diff - mu) ** 2 * w, x=xs)
-    return means, variances
-
-
-def _general_alpha(family: GeneralFamilySpec, lo: float, hi: float, grid: int = 9) -> float:
-    """Numerical sup of |mean| and variance of the pairwise log ratio over the box.
-
-    The variance ratio tends to the Fisher information as the pair collapses,
-    so the Fisher sup is folded in alongside the finite-separation grid pairs.
-    """
-    points = np.linspace(lo, hi, grid)
-    worst = float(max(family.fisher(float(t)) for t in points))
-    for m0 in points:
-        targets = points[np.abs(points - m0) > 1e-9]
-        means, variances = _general_loglik_moments(family, targets, float(m0))
-        gaps = (targets - m0) ** 2
-        worst = max(worst, float(np.max(np.abs(means) / gaps)), float(np.max(variances / gaps)))
-    return worst
 
 
 def sample_neyman_scott(
@@ -425,7 +327,8 @@ def sample_spacings_null_batch(
         raise ValueError("n must be >= 1")
     rng = as_generator(seed, TAG_SPACINGS)
     e = rng.exponential(1.0, size=(reps, n + 1))
-    return e / e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._num import simpson
 from .rng import as_generator
-
-#: Quadrature grid for checking basis orthogonality on [0, 1].
-_ORTHO_GRID = 2049
 
 
 # --------------------------------------------------------------------- #
@@ -92,36 +88,19 @@ def greenwood(d: np.ndarray) -> np.ndarray:
     return np.sum(dv * dv, axis=-1)
 
 
-def two_spacings_statistic(
-    u: np.ndarray, f: str | Callable[[np.ndarray], np.ndarray] = "square"
-) -> np.ndarray:
-    """Overlapping 2-spacings statistic ``sum_i f(U_{i+2} - U_i)``.
+def two_spacings_statistic(u: np.ndarray) -> np.ndarray:
+    """Overlapping 2-spacings statistic ``sum_i (U_{i+2} - U_i)^2``.
 
     ``u`` holds the ordered sample on [0, 1] (shape ``(..., n)``); the
-    endpoints 0 and 1 are appended internally.  Built-in ``f``: ``"square"``
-    and ``"log"``.  Invariant under the reflection ``u -> 1 - u`` (the
-    spacings reversed), not under permutations of the spacings.
+    endpoints 0 and 1 are appended internally.  Invariant under the
+    reflection ``u -> 1 - u`` (the spacings reversed), not under
+    permutations of the spacings.
     """
     u = np.asarray(u, dtype=float)
-    fn = _TWO_SPACING_FNS.get(f, f) if isinstance(f, str) else f
-    if isinstance(fn, str):
-        raise ValueError(f"unknown built-in f {f!r}")
     pad = [(0, 0)] * (u.ndim - 1) + [(1, 1)]
     padded = np.pad(u, pad, constant_values=(0.0, 1.0))
     gaps = padded[..., 2:] - padded[..., :-2]
-    return np.sum(fn(gaps), axis=-1)
-
-
-def _two_spacing_log(g: np.ndarray) -> np.ndarray:
-    if np.any(g <= 0.0):
-        raise ValueError("log variant requires strictly positive 2-spacings")
-    return np.log(g)
-
-
-_TWO_SPACING_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "square": np.square,
-    "log": _two_spacing_log,
-}
+    return np.sum(np.square(gaps), axis=-1)
 
 
 def points_from_spacings(d: np.ndarray) -> np.ndarray:
@@ -136,7 +115,7 @@ def points_from_spacings(d: np.ndarray) -> np.ndarray:
 
 
 def cosine_basis(num_terms: int) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-    """The default orthonormal basis ``sqrt(2) cos(2 pi i x)``, i = 1..K."""
+    """The orthonormal basis ``sqrt(2) cos(2 pi i x)``, i = 1..K."""
 
     def make(i: int) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * i * np.asarray(x, float))
@@ -146,39 +125,19 @@ def cosine_basis(num_terms: int) -> tuple[Callable[[np.ndarray], np.ndarray], ..
 
 @dataclass(frozen=True)
 class QuadraticTestSpec:
-    """Weights and basis for the quadratic goodness-of-fit statistic.
+    """Weights of the quadratic goodness-of-fit statistic on the cosine basis.
 
-    ``squared=True`` (the default) sums ``lambda_i Z_i^2`` over standardized
-    basis projections ``Z_i``; ``squared=False`` keeps the unsquared linear
-    combination ``sum lambda_i Z_i``.
+    The statistic sums ``lambda_i Z_i^2`` over the standardized projections
+    ``Z_i`` on the first ``len(lambdas)`` functions of :func:`cosine_basis`.
     """
 
     lambdas: tuple[float, ...]
-    basis: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-    squared: bool = True
 
     def __post_init__(self) -> None:
         lambdas = tuple(float(v) for v in self.lambdas)
         if not lambdas or any(v <= 0 for v in lambdas):
             raise ValueError("all weights must be positive")
-        basis = self.basis or cosine_basis(len(lambdas))
-        if len(basis) != len(lambdas):
-            raise ValueError("need one basis function per weight")
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "basis", tuple(basis))
-        self._check_orthogonal()
-
-    def _check_orthogonal(self) -> None:
-        xs = np.linspace(0.0, 1.0, _ORTHO_GRID)
-        vals = np.stack([np.asarray(g(xs), float) for g in self.basis])
-        for i in range(len(self.basis)):
-            for j in range(i):
-                inner = simpson(vals[i] * vals[j], x=xs)
-                if abs(inner) > 1e-6:
-                    raise ValueError(
-                        f"basis functions {i} and {j} are not orthogonal "
-                        f"(inner product {inner:.2e})"
-                    )
 
     @property
     def num_terms(self) -> int:
@@ -189,20 +148,18 @@ class QuadraticTestSpec:
     def grid_matrix(self, n: int) -> np.ndarray:
         """Basis values on the grid ``j/n``, ``j = 1..n`` (shape ``K x n``, read-only)."""
         grid = np.arange(1, n + 1, dtype=float) / n
-        values = np.stack([np.asarray(g(grid), float) for g in self.basis])
+        values = np.stack([np.asarray(g(grid), float) for g in cosine_basis(self.num_terms)])
         values.flags.writeable = False
         return values
 
 
-def default_quadratic_spec(num_terms: int = 8, squared: bool = True) -> QuadraticTestSpec:
+def default_quadratic_spec(num_terms: int = 8) -> QuadraticTestSpec:
     """Weights ``2^-i`` on the cosine basis."""
-    return QuadraticTestSpec(
-        lambdas=tuple(2.0**-i for i in range(1, num_terms + 1)), squared=squared
-    )
+    return QuadraticTestSpec(lambdas=tuple(2.0**-i for i in range(1, num_terms + 1)))
 
 
 def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> np.ndarray:
-    """Weighted (optionally squared) standardized basis projections of ``x``.
+    """Weighted sum of squared standardized basis projections of ``x``.
 
     Invariant under the orthogonal maps that fix every basis vector on the
     grid, not under permutations.
@@ -212,12 +169,10 @@ def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> np.ndarray:
     if n < spec.num_terms:
         raise ValueError("need at least as many observations as basis terms")
     g = spec.grid_matrix(n)
-    norms = np.sqrt(np.sum(g * g, axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError("a basis function vanishes identically on the grid")
+    norms = np.sqrt(np.sum(g * g, axis=1))  # > 0: every cosine is sqrt(2) at j = n
     z = np.einsum("...j,kj->...k", x, g) / norms
     lam = np.asarray(spec.lambdas)
-    return np.sum(z * z * lam if spec.squared else z * lam, axis=-1)
+    return np.sum(z * z * lam, axis=-1)
 
 
 # --------------------------------------------------------------------- #

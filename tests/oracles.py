@@ -5,12 +5,16 @@ take a sampler of group elements; the first three functions are the ones
 the tests pass.  :func:`one_shot_laws` draws the permutation-CLT laws one
 whole block at a time, the reference for the row-chunked laws, and
 :func:`one_shot_spacings_alternative` is the reference for the chunked
-spacings rejection sampler.
+spacings rejection sampler.  :func:`trend_slope` is the slope test of the
+sweeps' "no positive growth" checks, and :func:`load_expectations` reads
+their pass thresholds.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import json
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,3 +137,31 @@ def one_shot_spacings_alternative(
     pts.sort(axis=1)
     padded = np.concatenate([np.zeros((reps, 1)), pts, np.ones((reps, 1))], axis=1)
     return np.diff(padded, axis=1)
+
+
+def load_expectations() -> dict:
+    """The sweeps' pass thresholds, read from ``src/invlab/data/expectations.json``.
+
+    The floors are empirical facts about the default configurations, kept in
+    one versioned file that is edited by hand.
+    """
+    path = Path(__file__).resolve().parents[1] / "src" / "invlab" / "data" / "expectations.json"
+    return json.loads(path.read_text())
+
+
+def trend_slope(
+    xs: Sequence[float], ys: Sequence[float], ses: Sequence[float] | None = None
+) -> tuple[float, float]:
+    """Weighted least-squares slope of ``ys`` against ``xs`` with its SE.
+
+    Used for "no positive growth" checks: the slope must be below
+    ``2 * se`` for the trend to count as non-increasing.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    w = np.ones_like(xs) if ses is None else 1.0 / np.maximum(np.asarray(ses, float), 1e-12) ** 2
+    xbar = np.sum(w * xs) / np.sum(w)
+    sxx = np.sum(w * (xs - xbar) ** 2)
+    slope = float(np.sum(w * (xs - xbar) * ys) / sxx)
+    se = float(np.sqrt(1.0 / sxx))
+    return slope, se

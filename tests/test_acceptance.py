@@ -15,12 +15,11 @@ from scipy import stats as sps
 
 from invlab import experiments, models, orbit, permclt, stats
 from invlab.cli import main as cli_main
-from invlab.expectations import load_expectations
 from invlab.models import MeanVector
 from invlab.rng import spawn_generator
 
 from conftest import record_acceptance
-from oracles import haar_orthogonal, permutation_sampler
+from oracles import haar_orthogonal, load_expectations, permutation_sampler, trend_slope
 
 SEED = 20240801
 
@@ -257,7 +256,7 @@ class TestCriterion8Spacings:
             )
         floor = load_expectations()["spacings_quadratic_gap_floor"]
         ok &= all(row.quadratic_gap > floor for row in rows)
-        slope, slope_se = experiments.trend_slope(
+        slope, slope_se = trend_slope(
             [np.log(r.n) for r in rows],
             [r.llr_gap_p95 for r in rows],
             [r.llr_gap_p95_se for r in rows],
@@ -314,9 +313,7 @@ class TestCriterion9InvarianceSuite:
         )
 
         # 2-spacings statistic NOT invariant under spacings permutation
-        two_sp = lambda dd: stats.two_spacings_statistic(
-            stats.points_from_spacings(dd), "square"
-        )
+        two_sp = lambda dd: stats.two_spacings_statistic(stats.points_from_spacings(dd))
         ok &= not stats.verify_invariance(two_sp, permutation_sampler(11), d, 64, seed=8)
 
         check("criterion 09 (invariance pass/fail suite)", ok)

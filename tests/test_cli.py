@@ -172,20 +172,6 @@ class TestSubcommands:
         assert code == 0
         assert "wilks_gap" in out.read_text()
 
-    def test_recalibrate_writes_file(self, tmp_path):
-        out = tmp_path / "exp.json"
-        code = main(["recalibrate", "--reps", "300", "--seed", "1", "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert "theorem2_quadratic_gap_floor" in payload
-
-    def test_recalibrate_writes_expectations_json_by_default(self, tmp_path, monkeypatch):
-        out_help = next(a.help for a in _subparsers()["recalibrate"]._actions if a.dest == "out")
-        assert out_help.endswith("(default expectations.json)")
-        monkeypatch.chdir(tmp_path)
-        assert main(["recalibrate", "--reps", "300", "--seed", "1"]) == 0
-        assert "theorem2_quadratic_gap_floor" in json.loads((tmp_path / "expectations.json").read_text())
-
 
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, tmp_path):
@@ -349,7 +335,7 @@ class TestIncompatibleConfigurations:
             ["power", "--n", "0"],
             ["power", "--seed", "abc"],
             ["power", "--model", "neyman_scott", "--stat", "anova_f", "--sigma", "nan"],
-            ["recalibrate", "--reps", "64", "--level", "0.3"],
+            ["recalibrate", "--reps", "64"],
             ["lbar", "--level", "0.3"],
             ["lbar", "--group", "permutation", "--n", "10", "--reps", "1", "--mc-reps", "10"],
             ["coupling", "--n-grid", "10", "--reps", "1"],
@@ -358,7 +344,7 @@ class TestIncompatibleConfigurations:
         ],
         ids=["reps-0", "sigma-negative", "mc-reps-0", "workers-0", "calib-reps-3",
              "default-calib-reps-tiny-level", "sweep-tiny-level", "n-0", "seed-not-int",
-             "sigma-nan", "recalibrate-level", "lbar-level", "lbar-reps-1", "coupling-reps-1",
+             "sigma-nan", "recalibrate-unknown-subcommand", "lbar-level", "lbar-reps-1", "coupling-reps-1",
              "theorem1-lbar-reps-1", "clt-sweep-reps-3"],
     )
     def test_bad_flag_values_exit_2_before_running(self, tmp_path, monkeypatch, argv):

@@ -17,7 +17,6 @@ from scipy import stats as sps
 
 import invlab
 from invlab import experiments, models
-from invlab.expectations import load_expectations, recalibrate
 from invlab.experiments import (
     NULL,
     AlternativeSpec,
@@ -35,9 +34,10 @@ from invlab.experiments import (
     spacings_sweep,
     theorem1_sweep,
     theorem2_sweep,
-    trend_slope,
 )
 from invlab.rng import TAG_CALIBRATE, spawn_generator
+
+from oracles import load_expectations, trend_slope
 
 
 class TestAlternatives:
@@ -520,10 +520,3 @@ class TestTrendSlope:
     def test_weights_prefer_precise_points(self):
         slope, _ = trend_slope([0, 1, 2], [0.0, 0.0, 10.0], ses=[0.1, 0.1, 100.0])
         assert abs(slope) < 0.5
-
-
-class TestRecalibrate:
-    def test_returns_floors(self):
-        vals = recalibrate(seed=1, reps=400)
-        assert set(vals) >= {"theorem2_quadratic_gap_floor", "spacings_quadratic_gap_floor"}
-        assert vals["theorem2_quadratic_gap_floor"] <= 0.1

@@ -1,0 +1,80 @@
+"""Layout guard: every module-level function and class of ``invlab`` has a caller in the package.
+
+A name counts as used when some module of ``src/invlab`` refers to it (as a
+bare name or an attribute) outside its own definition.  The exceptions are
+the names ``perfbench/tracer.py`` wraps, which its ``CATEGORIES`` lists per
+module, and the console entry point ``cli.main``.  Code that only tests read
+belongs in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "invlab"
+TRACER = ROOT / "perfbench" / "tracer.py"
+ENTRY_POINTS = {("cli", "main")}
+
+
+def _wrapped() -> set[tuple[str, str]]:
+    """``(module, function)`` pairs of the tracer's ``CATEGORIES`` literal."""
+    tree = ast.parse(TRACER.read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CATEGORIES" for t in node.targets)
+    ]
+    pairs = set()
+    for module, funcs in zip(value.keys, value.values):
+        if isinstance(funcs, ast.Dict):
+            names = funcs.keys
+        else:  # {name: category for name in (...)}
+            (gen,) = funcs.generators
+            names = gen.iter.elts
+        pairs |= {(module.value, name.value) for name in names}
+    return pairs
+
+
+def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names and attribute names read in ``tree``, outside the subtree ``skip``."""
+    inside = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _unused() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    exempt = _wrapped() | ENTRY_POINTS
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (module, node.name) in exempt:
+                continue
+            used = any(
+                node.name in _referenced(other, node if name == module else None)
+                for name, other in trees.items()
+            )
+            if not used:
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_tracer_names_are_read():
+    wrapped = _wrapped()
+    assert ("models", "loglik_ratio") in wrapped
+    assert ("stats", "two_spacings_statistic") in wrapped
+    assert ("permclt", "theorem_convergence_sweep_matrix") in wrapped
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    assert _unused() == []

@@ -13,7 +13,6 @@ from invlab import models
 from invlab.models import (
     MeanVector,
     bernoulli_logit_family,
-    contiguity_diagnostics,
     cosine_profile,
     logistic_location_family,
     loglik_ratio,
@@ -76,16 +75,17 @@ class TestFamilies:
             assert np.all(family.beta2(ts) > 0)
 
     def test_logistic_score_identities(self):
-        # E phi1 = 0 and E phi2 = -iota under the true parameter.
+        # E phi1 = 0 and E phi2 = -iota = -1/3 under the true parameter, with the
+        # logistic score phi1 = tanh(u / 2) and phi2 = -1 / (2 cosh^2(u / 2)), u = x - theta.
         family = logistic_location_family()
         reps = 200_000
         theta = 0.4
         m = MeanVector(np.array([theta]))
         draws = sample_model(family, m, spawn_generator(6, 1), reps=reps).ravel()
-        s = family.score(draws, theta)
+        s = np.tanh((draws - theta) / 2.0)
         assert abs(s.mean()) < 4 * s.std() / np.sqrt(reps)
-        s2 = family.second(draws, theta)
-        assert abs(s2.mean() + family.fisher(theta)) < 4 * s2.std() / np.sqrt(reps)
+        s2 = -0.5 / np.square(np.cosh((draws - theta) / 2.0))
+        assert abs(s2.mean() + 1.0 / 3.0) < 4 * s2.std() / np.sqrt(reps)
 
 
 class TestSampleModel:
@@ -200,44 +200,6 @@ class TestLoglikRatio:
         assert abs(lr.mean() - 1.0) < 4 * lr.std() / np.sqrt(reps)
 
 
-class TestContiguityDiagnostics:
-    def test_null_point_gives_zero(self):
-        d = contiguity_diagnostics(normal_family(), MeanVector(np.full(5, 0.3)))
-        assert d.null_mean == pytest.approx(0.0)
-        assert d.null_var == pytest.approx(0.0)
-
-    def test_normal_variance_is_delta_sq(self):
-        m = mv(0.6, -0.6, 0.0)
-        d = contiguity_diagnostics(normal_family(), m)
-        assert d.null_var == pytest.approx(m.centered_norm**2)
-        assert d.within_bound
-
-    def test_poisson_epsilon_pair(self):
-        eps = 0.05
-        m = mv(eps, -eps, 0.0, 0.0)
-        d = contiguity_diagnostics(poisson_family(), m)
-        # beta''(0) = 1, so the variance is 2 eps^2 exactly.
-        assert d.null_var == pytest.approx(2 * eps**2, rel=1e-12)
-        assert d.within_bound
-
-    def test_permutation_invariance(self):
-        m1 = mv(0.5, -0.2, -0.3)
-        m2 = mv(-0.3, 0.5, -0.2)
-        d1 = contiguity_diagnostics(poisson_family(), m1)
-        d2 = contiguity_diagnostics(poisson_family(), m2)
-        assert d1.null_mean == pytest.approx(d2.null_mean)
-        assert d1.null_var == pytest.approx(d2.null_var)
-
-    def test_logistic_family_within_bound(self):
-        m = mv(0.3, -0.3, 0.0, 0.1, -0.1)
-        d = contiguity_diagnostics(logistic_location_family(), m)
-        # Quadrature null mean ~ -iota * delta^2 / 2 for small deviations.
-        delta_sq = m.centered_norm**2
-        assert d.null_mean == pytest.approx(-delta_sq / 6.0, rel=0.05)
-        assert d.null_var == pytest.approx(delta_sq / 3.0, rel=0.05)
-        assert d.within_bound
-
-
 class TestSpacings:
     def test_null_sums_to_one(self):
         d = sample_spacings_null_batch(64, 1, 0)[0]
@@ -271,6 +233,18 @@ class TestSpacings:
         fa = np.searchsorted(a, grid, side="right") / a.size
         fb = np.searchsorted(b, grid, side="right") / b.size
         assert np.max(np.abs(fa - fb)) < 0.01
+
+    def test_block_memory_bounded(self):
+        # The output, 12.5 MiB here, is divided in place: no second whole-block array.
+        tracemalloc.start()
+        try:
+            got = sample_spacings_null_batch(1600, 1024, spawn_generator(52))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        e = spawn_generator(52).exponential(1.0, size=(1024, 1601))
+        assert np.array_equal(got, e / e.sum(axis=1, keepdims=True))
 
 
 class TestSpacingsAlternative:

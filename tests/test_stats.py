@@ -121,7 +121,7 @@ class TestTwoSpacings:
         n = 9
         u = np.arange(1, n + 1) / (n + 1)
         every = 2.0 / (n + 1)
-        assert two_spacings_statistic(u, "square") == pytest.approx(n * every**2)
+        assert two_spacings_statistic(u) == pytest.approx(n * every**2)
 
     def test_hand_example(self):
         assert two_spacings_statistic(np.array([0.1, 0.5, 0.9])) == pytest.approx(1.14)
@@ -130,7 +130,7 @@ class TestTwoSpacings:
         d = sample_spacings_null_batch(12, 1, 5)[0]
 
         def statistic(dd):
-            return two_spacings_statistic(points_from_spacings(dd), "square")
+            return two_spacings_statistic(points_from_spacings(dd))
 
         assert not verify_invariance(statistic, permutation_sampler(13), d, reps=64, seed=1)
 
@@ -140,12 +140,14 @@ class TestQuadraticStatistic:
         spec = default_quadratic_spec(4)
         assert quadratic_statistic(spec, np.zeros(64)) == pytest.approx(0.0)
 
-    def test_constant_basis_unsquared_is_standardized_mean(self):
-        spec = QuadraticTestSpec(
-            lambdas=(1.0,), basis=(lambda x: np.ones_like(x),), squared=False
-        )
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert quadratic_statistic(spec, x) == pytest.approx(x.sum() / 2.0)
+    def test_cosine_basis_is_standardized(self):
+        # x_j = sqrt(2) cos(2 pi k j / n) has squared norm n and is orthogonal to
+        # the other basis vectors on the grid, so only Z_k = sqrt(n) is nonzero.
+        spec = default_quadratic_spec(4)
+        n = 64
+        for k in range(1, 5):
+            x = np.sqrt(2.0) * np.cos(2.0 * np.pi * k * np.arange(1, n + 1) / n)
+            assert quadratic_statistic(spec, x) == pytest.approx(spec.lambdas[k - 1] * n)
 
     def test_null_mean_is_sum_of_weights(self):
         spec = default_quadratic_spec(8)
@@ -161,13 +163,6 @@ class TestQuadraticStatistic:
         rng = spawn_generator(5, 1)
         vals = quadratic_statistic(spec, rng.normal(size=(100, 40)))
         assert np.all(vals >= 0)
-
-    def test_rejects_nonorthogonal_basis(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            QuadraticTestSpec(
-                lambdas=(1.0, 0.5),
-                basis=(lambda x: np.ones_like(x), lambda x: 1.0 + x),
-            )
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
