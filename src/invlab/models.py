@@ -89,6 +89,20 @@ class MeanVector:
         return float(np.abs(self.centered).max())
 
 
+def spike_levels(m: np.ndarray) -> tuple[float, float] | None:
+    """``(a, b)`` with ``m = b 1 + (a - b) e_j`` for some ``j``, or ``None`` if ``m`` is no spike.
+
+    A spike has exactly two distinct values, one of them on a single
+    coordinate (at ``n = 2`` both are, and ``a`` is the first entry).  Its
+    permutation orbit has only ``n`` points, one per position of ``a``.
+    """
+    levels, first, counts = np.unique(m, return_index=True, return_counts=True)
+    if levels.size != 2 or counts.min() != 1:
+        return None
+    k = int(np.argmin(np.where(counts == 1, first, m.size)))
+    return float(levels[k]), float(levels[1 - k])
+
+
 @dataclass(frozen=True)
 class ExpFamilySpec:
     """A one-parameter exponential family in its natural parametrisation.
@@ -145,6 +159,13 @@ class NeymanScottLayout:
 # --------------------------------------------------------------------- #
 
 
+def _normal_carrier(rng: np.random.Generator, m: np.ndarray, size: tuple) -> np.ndarray:
+    """``N(m, 1)`` draws: standard normals shifted in place by ``m`` (a scalar or a vector)."""
+    x = rng.standard_normal(size)
+    x += m
+    return x
+
+
 def normal_family() -> ExpFamilySpec:
     """Normal location family N(m, 1): beta(m) = m^2 / 2; a sum of k is N(k m, k)."""
     return ExpFamilySpec(
@@ -152,7 +173,7 @@ def normal_family() -> ExpFamilySpec:
         beta=lambda m: np.square(m) / 2.0,
         beta1=lambda m: np.asarray(m, dtype=float),
         beta2=lambda m: np.ones_like(np.asarray(m, dtype=float)),
-        carrier_sampler=lambda rng, m, size: rng.standard_normal(size) + m,
+        carrier_sampler=_normal_carrier,
         convolution=lambda rng, m, k, size: np.sqrt(k) * rng.standard_normal(size) + k * m,
     )
 
@@ -236,10 +257,16 @@ def sample_model(
     seed: int | np.random.Generator,
     reps: int,
 ) -> np.ndarray:
-    """``(reps, n)`` independent coordinates, coordinate ``i`` under parameter ``m_i``."""
+    """``(reps, n)`` independent coordinates, coordinate ``i`` under parameter ``m_i``.
+
+    A constant ``m`` (every null point) is passed to the sampler as one
+    scalar parameter, which draws the same numbers as the vector.
+    """
     rng = as_generator(seed, TAG_MODEL)
     sampler = family.carrier_sampler if isinstance(family, ExpFamilySpec) else family.sampler
-    return sampler(rng, m.entries, (reps, m.n))
+    entries = m.entries
+    param = entries[0] if np.all(entries == entries[0]) else entries
+    return sampler(rng, param, (reps, m.n))
 
 
 def loglik_ratio(

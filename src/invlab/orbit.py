@@ -5,9 +5,11 @@ through the kernel ``H(t) = integral_0^pi exp(t cos u) sin^(n-2) u du``,
 which is ``H(0)`` times the power series ``0F1(; n/2; t^2/4)``.  Its terms
 are all positive, so ``log H`` is the series summed in log space, with no
 quadrature, fit or asymptotic regime switching.  For the permutation group
-the average is taken exhaustively (n <= 8) or by Monte Carlo with
-streaming log-sum-exp.  For the subgroup fixing a design matrix the
-orthogonal computation is carried out in the residual space.  Both
+the average is taken exhaustively (n <= 8), in closed form for a spike
+``m = b 1 + c e_j`` (its orbit has only n points, so the average is the
+O(n) sum ``(1/n) sum_k exp(c (x_k - xbar))``), or for any other ``m`` by
+Monte Carlo with streaming log-sum-exp.  For the subgroup fixing a design
+matrix the orthogonal computation is carried out in the residual space.  Both
 orthogonal averages depend on the data only through a norm that is
 chi-distributed under the null, so their null samples are drawn radially,
 one chi-square variate per replicate.
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from ._num import logsumexp
-from .models import ExpFamilySpec, MeanVector, sample_model
+from .models import ExpFamilySpec, MeanVector, sample_model, spike_levels
 from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, as_generator, map_blocks, uniform_permutations
 from .stats import verify_invariance
 
@@ -284,6 +286,15 @@ def _perm_log_avg_mc(
     return logsumexp(np.stack(parts, axis=-1), axis=-1) - math.log(mc_reps)
 
 
+def _spike_log_avg(c: float, x: np.ndarray) -> np.ndarray:
+    """Exact ``log avg_P exp(w' P x)`` for a spike's centered weights ``w = c (e_j - 1/n)``.
+
+    ``w' P x = c (x_k - xbar)`` with ``k`` the position ``P`` sends ``j`` to,
+    uniform over the ``n`` coordinates.
+    """
+    return logsumexp(c * (x - x.mean(axis=-1, keepdims=True)), axis=-1) - math.log(x.shape[-1])
+
+
 def lbar_permutation(
     family: ExpFamilySpec,
     m: MeanVector | np.ndarray,
@@ -294,9 +305,12 @@ def lbar_permutation(
     """Likelihood ratio averaged over permutations of the alternative vector.
 
     ``exp(-sum(beta(m_i) - beta(mbar))) * avg_P exp((m - mbar)' P x)``,
-    exhaustively for ``group=permutation_exhaustive`` (``n <= 8``), else over
-    ``spec.mc_reps`` uniform permutations, the same ones for every replicate
-    of ``x``.  Accumulation is in log space.
+    exhaustively for ``group=permutation_exhaustive`` (``n <= 8``).  For
+    ``group=permutation`` a spike ``m = b 1 + c e_j`` takes the exact
+    average over its ``n`` orbit points and draws nothing; any other ``m``
+    averages over ``spec.mc_reps`` uniform permutations from the stream
+    ``(seed, TAG_LBAR)``, the same ones for every replicate of ``x``.
+    Accumulation is in log space.
     """
     mv = _entries(m)
     x = np.asarray(x, dtype=float)
@@ -311,8 +325,11 @@ def lbar_permutation(
             raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}")
         log_avg = _perm_log_avg_exhaustive(w, x)
     elif spec.group is Group.PERMUTATION:
-        rng = as_generator(seed, TAG_LBAR)
-        log_avg = _perm_log_avg_mc(w, x, spec.mc_reps, rng)
+        spike = spike_levels(mv)
+        if spike is not None:
+            log_avg = _spike_log_avg(spike[0] - spike[1], x)
+        else:
+            log_avg = _perm_log_avg_mc(w, x, spec.mc_reps, as_generator(seed, TAG_LBAR))
     else:
         raise ValueError("spec.group must be a permutation group")
     return np.exp(prefactor + log_avg).reshape(x.shape[:-1])[()]
@@ -366,17 +383,20 @@ def perm_variance_diagnostic(
 ) -> float:
     """Variance heuristic ``avg_P exp((m - mbar)' P (m - mbar)) - 1``.
 
-    Reported as a diagnostic only; the underlying approximation cannot be
-    made rigorous without extra control of the largest entries.
+    Exhaustive for ``n <= 8``; above that, exact for a spike ``m = b 1 + c e_j``
+    (``e^{c^2 (1 - 1/n)} / n + (1 - 1/n) e^{-c^2/n} - 1``) and a Monte Carlo
+    average over ``mc_reps`` permutations otherwise.  Reported as a
+    diagnostic only; the underlying approximation cannot be made rigorous
+    without extra control of the largest entries.
     """
     mv = _entries(m)
     w = mv - mv.mean()
-    n = w.size
-    if n <= EXHAUSTIVE_LIMIT:
-        log_avg = float(_perm_log_avg_exhaustive(w, w[None, :])[0])
+    if w.size <= EXHAUSTIVE_LIMIT:
+        log_avg = _perm_log_avg_exhaustive(w, w[None, :])[0]
+    elif (spike := spike_levels(mv)) is not None:
+        log_avg = _spike_log_avg(spike[0] - spike[1], w)
     else:
-        rng = as_generator(seed, TAG_LBAR)
-        log_avg = float(_perm_log_avg_mc(w, w[None, :], mc_reps, rng)[0])
+        log_avg = _perm_log_avg_mc(w, w[None, :], mc_reps, as_generator(seed, TAG_LBAR))[0]
     return float(np.expm1(log_avg))
 
 

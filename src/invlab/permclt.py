@@ -17,14 +17,20 @@ what makes the weighted sums close for centered weights.
 Every law runs in bounded memory.  A 1024-replicate block is the stream
 unit, and each block is drawn and reduced in row chunks of a fixed element
 budget (:func:`invlab.rng.row_chunks`), one after another from the
-block's generator, which changes no stream.
+block's generator, which changes no stream.  The coupling draws its
+chunks into buffers it allocates once per block and writes each chunk's
+contrasts into the block's result arrays.  It orders each row of
+uniforms by one sort of integer keys (value bits above the column index)
+instead of an argsort, which gives the same order.
 
 A spike contrast ``m = b 1 + (a - b) e_j`` (two distinct values, one of
 them on the single coordinate ``j``) takes a reduced route for the
 permutation and fresh-draw laws: each replicate draws one index or one
 pair of sums, not a length-``n`` vector, on the stream
 ``(seed, TAG_SUFFICIENT, tag, *stream, block)``.  The route follows from
-``m`` alone; every other contrast reads whole vectors.
+``m`` alone (:func:`invlab.models.spike_levels`, which the exact spike
+orbit average of :mod:`invlab.orbit` shares); every other contrast reads
+whole vectors.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .experiments import NULL, FamilyModel
-from .models import ExpFamilySpec
+from .models import ExpFamilySpec, spike_levels
 from .rng import (
     TAG_BOOT_LAW,
     TAG_COUPLING,
@@ -152,19 +158,6 @@ def perm_law_moments(m: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return float(mean), var
 
 
-def _spike(m: np.ndarray) -> tuple[float, float] | None:
-    """``(a, b)`` with ``m = b 1 + (a - b) e_j`` for some ``j``, or ``None`` if ``m`` is no spike.
-
-    A spike has exactly two distinct values, one of them on a single
-    coordinate (at ``n = 2`` both are, and ``a`` is the first entry).
-    """
-    levels, first, counts = np.unique(m, return_index=True, return_counts=True)
-    if levels.size != 2 or counts.min() != 1:
-        return None
-    k = int(np.argmin(np.where(counts == 1, first, m.size)))
-    return float(levels[k]), float(levels[1 - k])
-
-
 def sample_perm_law(
     m: np.ndarray,
     x: np.ndarray,
@@ -185,7 +178,7 @@ def sample_perm_law(
     if m.size != x.size:
         raise ValueError("m and x must have the same length")
 
-    spike = _spike(m)
+    spike = spike_levels(m)
     if spike is not None:
         a, b = spike
         total = b * x.sum()
@@ -252,7 +245,7 @@ def _iid_spike_law(
     workers: int = 1,
     stream: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """``reps`` fresh-draw values of ``m' x`` for the spike ``(a, b)`` of :func:`_spike`.
+    """``reps`` fresh-draw values of ``m' x`` for the spike ``(a, b)`` of :func:`~invlab.models.spike_levels`.
 
     ``m' x = a x_j + b S`` with ``S`` the sum of the other ``n - 1`` null
     coordinates; the pair ``(x_j, S)`` is drawn from the family's
@@ -309,18 +302,72 @@ class CouplingResult:
         return self.gap_sq_mean <= self.bound + 4.0 * self.gap_sq_se
 
 
-def _coupled_block_rank(
+#: Value bits of a uniform from ``Generator.random``: ``u = k 2^-53``, ``k < 2^53``.
+_UNIFORM_BITS = 53
+
+
+def _uniform_order(u: np.ndarray, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.argsort(u, axis=1)`` for uniforms of ``Generator.random``, from one integer sort.
+
+    Each key packs the top bits of ``k = u 2^53`` above the ``b`` bits of its
+    column index, ``b = bit_length(n - 1)``, in 64 bits (``k`` loses its low
+    ``b - 11`` bits where ``b > 11``), so sorting a row of keys sorts it by
+    value and the low bits read off the order.  That is the argsort order
+    unless two uniforms of a row share their kept bits (equal, or equal but
+    for the dropped bits: about 4e-8 per row at ``n = 10^4``); such a chunk
+    is sorted by ``np.argsort`` instead.  ``keys`` (``uint64``) holds the
+    result, returned as an ``intp`` view, and ``scratch`` (``uint64``, the
+    shape of ``u``) is overwritten.
+    """
+    n = u.shape[1]
+    bits = (n - 1).bit_length()
+    np.multiply(u, 2.0**_UNIFORM_BITS, out=keys, casting="unsafe")
+    keys >>= np.uint64(max(0, bits + _UNIFORM_BITS - 64))
+    keys <<= np.uint64(bits)
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    # Adjacent keys share their value bits where their XOR is below 2^bits.
+    np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=scratch[:, 1:])
+    if np.any(scratch[:, 1:] < np.uint64(1 << bits)):
+        return np.argsort(u, axis=1)
+    keys &= np.uint64((1 << bits) - 1)
+    return keys.view(np.intp)
+
+
+def _coupled_block(
     sorted_x: np.ndarray, m: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` coupled replicates: without- and with-replacement contrasts and matched positions.
+
+    Drawn in the row chunks of :func:`invlab.rng.row_chunks` into buffers
+    allocated once per block: the uniforms ``u``, the sort keys, the ranks
+    and the matches.  ``u`` is read by the sort and the quantile positions
+    and then holds the gathered values; the keys hold the sort order and,
+    once it is inverted into the ranks, the quantile positions ``star``.
+    """
     n = m.size
-    u = rng.random((count, n))
-    star = np.minimum((n * u).astype(np.intp), n - 1)
-    # Ranks invert the sorting order: one sort, then a scatter.
-    ranks = np.empty((count, n), dtype=np.intp)
-    np.put_along_axis(ranks, np.argsort(u, axis=1), np.arange(n), axis=1)
-    without = sorted_x[ranks] @ m
-    with_r = sorted_x[star] @ m
-    matched = np.sum(ranks == star, axis=1)
+    sizes = row_chunks(count, n)
+    u = np.empty((sizes[0], n))
+    keys = np.empty((sizes[0], n), dtype=np.uint64)
+    ranks = np.empty((sizes[0], n), dtype=np.intp)
+    hits = np.empty((sizes[0], n), dtype=bool)
+    positions = np.arange(n)
+    without, with_r = np.empty(count), np.empty(count)
+    matched = np.empty(count, dtype=np.int_)
+    lo = 0
+    for c in sizes:
+        rows, uc, kc, rc = slice(lo, lo + c), u[:c], keys[:c], ranks[:c]
+        rng.random(out=uc)
+        order = _uniform_order(uc, kc, rc.view(np.uint64))
+        np.put_along_axis(rc, order, positions, axis=1)  # ranks invert the sorting order
+        star = kc.view(np.intp)
+        np.multiply(uc, n, out=uc)
+        np.copyto(star, uc, casting="unsafe")  # truncation: floor(n u)
+        np.minimum(star, n - 1, out=star)
+        np.sum(np.equal(rc, star, out=hits[:c]), axis=1, out=matched[rows])
+        np.matmul(np.take(sorted_x, rc, out=uc, mode="clip"), m, out=without[rows])
+        np.matmul(np.take(sorted_x, star, out=uc, mode="clip"), m, out=with_r[rows])
+        lo += c
     return without, with_r, matched
 
 
@@ -350,12 +397,11 @@ def hajek_coupling(
         raise ValueError("need reps >= 2 for the standard error of the squared gap")
     sorted_x = np.sort(x)
 
-    def block(b: int, count: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        rng = as_generator(seed, TAG_COUPLING, b)
-        return [_coupled_block_rank(sorted_x, m, c, rng) for c in row_chunks(count, n)]
+    def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _coupled_block(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
 
-    chunks = [part for parts in map_blocks(block, reps, workers=workers) for part in parts]
-    without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*chunks))
+    parts = map_blocks(block, reps, workers=workers)
+    without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*parts))
     _, s_sq = perm_law_moments(m, x)
     s = float(np.sqrt(s_sq))
     bound = float(3.0 * s * np.max(np.abs(x - x.mean())) / np.sqrt(n - 1))
@@ -435,7 +481,7 @@ def theorem_convergence_sweep(
         x = null_sampler(int(n), 1, as_generator(seed, TAG_MODEL, gi))[0]
         perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
         boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
-        spike = _spike(m)
+        spike = spike_levels(m)
         if spike is not None and isinstance(model.family, ExpFamilySpec):
             iid = _iid_spike_law(model.family, spike, m.size, reps, seed, workers=workers, stream=(gi,))
         else:

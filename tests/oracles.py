@@ -3,7 +3,9 @@
 The invariance checks (``stats.verify_invariance``, ``orbit.identity_check``)
 take a sampler of group elements; the first three functions are the ones
 the tests pass.  :func:`one_shot_laws` draws the permutation-CLT laws one
-whole block at a time, the reference for the row-chunked laws, and
+whole block at a time, the reference for the row-chunked laws;
+:func:`one_shot_coupling` is the coupling with every array of a row chunk
+allocated afresh, the reference for the buffered coupling kernel; and
 :func:`one_shot_spacings_alternative` is the reference for the chunked
 spacings rejection sampler.  :func:`trend_slope` is the slope test of the
 sweeps' "no positive growth" checks, and :func:`load_expectations` reads
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from invlab import experiments, models, permclt
+from invlab import experiments, models
 from invlab.rng import (
     TAG_BOOT_LAW,
     TAG_COUPLING,
@@ -27,6 +29,7 @@ from invlab.rng import (
     TAG_SPACINGS,
     as_generator,
     blocks,
+    row_chunks,
     spawn_generator,
     uniform_permutations,
 )
@@ -89,6 +92,42 @@ def poisson_null(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return experiments.FamilyModel(models.poisson_family()).sample(n, experiments.NULL, count, rng, 0)
 
 
+def coupled_block_rank(
+    sorted_x: np.ndarray, m: np.ndarray, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` coupled replicates of :func:`invlab.permclt.hajek_coupling` from one ``(count, n)`` draw.
+
+    Returns the without- and with-replacement contrasts and the number of
+    matched positions per replicate; every intermediate is a new array.
+    """
+    n = m.size
+    u = rng.random((count, n))
+    star = np.minimum((n * u).astype(np.intp), n - 1)
+    # Ranks invert the sorting order: one sort, then a scatter.
+    ranks = np.empty((count, n), dtype=np.intp)
+    np.put_along_axis(ranks, np.argsort(u, axis=1), np.arange(n), axis=1)
+    without = sorted_x[ranks] @ m
+    with_r = sorted_x[star] @ m
+    matched = np.sum(ranks == star, axis=1)
+    return without, with_r, matched
+
+
+def one_shot_coupling(
+    m: np.ndarray, x: np.ndarray, reps: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coupled draws of :func:`invlab.permclt.hajek_coupling`, in replicate order.
+
+    Each row chunk of each block is one :func:`coupled_block_rank` call.
+    """
+    sorted_x = np.sort(x)
+    parts = []
+    for b, count in blocks(reps):
+        rng = as_generator(seed, TAG_COUPLING, b)
+        parts += [coupled_block_rank(sorted_x, m, c, rng) for c in row_chunks(count, m.size)]
+    without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*parts))
+    return without, with_r, matched
+
+
 def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
     """The permutation, bootstrap, coupling and iid laws of :func:`law_inputs`, in replicate order.
 
@@ -104,7 +143,7 @@ def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
         out["perm"].append(x[uniform_permutations(rng, count, n)] @ m)
         rng = as_generator(seed, TAG_BOOT_LAW, b)
         out["boot"].append(x[rng.integers(0, n, size=(count, n))] @ m)
-        coupled = permclt._coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
+        coupled = coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
         for key, part in zip(("without", "with", "matched"), coupled):
             out[key].append(part)
         out["iid"].append(poisson_null(n, count, as_generator(seed, TAG_IID_LAW, b)) @ m)

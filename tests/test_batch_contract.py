@@ -63,6 +63,10 @@ _CASES = [
      lambda x: orbit.lbar_permutation(
          models.poisson_family(), _m(6), x, orbit.OrbitSpec("permutation_exhaustive")),
      _model_data("poisson")[:, :6], _BLAS),
+    ("lbar_permutation/spike",
+     lambda x: orbit.lbar_permutation(
+         models.poisson_family(), _SPIKE.mean_entries(_N, 0.0, _SEED), x, orbit.OrbitSpec("permutation")),
+     _model_data("poisson"), 0),
     ("lbar_permutation/monte_carlo",
      lambda x: orbit.lbar_permutation(
          models.poisson_family(), _m(_N), x, orbit.OrbitSpec("permutation", mc_reps=500), seed=_SEED),

@@ -118,6 +118,22 @@ class TestSubcommands:
         se = float(rows[0]["se_e0_lbar"])
         assert abs(e0 - 1.0) < 4 * se
 
+    def test_lbar_spike_permutation_average_is_exact(self, tmp_path):
+        # A spike's permutation average is the mean over its n orbit points,
+        # so --mc-reps changes nothing in its table but the config hash.
+        tables = []
+        for mc_reps in ("1", "2000"):
+            code, out = run(
+                tmp_path, "lbar", "--group", "permutation", "--model", "poisson", "--alt", "spike:1",
+                "--n", "6,50", "--reps", "500", "--mc-reps", mc_reps, "--seed", "4",
+            )
+            assert code == 0
+            with out.open(newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        for one, many in zip(*tables):
+            assert one.pop("config_hash") != many.pop("config_hash")
+            assert one == many
+
     def test_lbar_orthogonal_bound_rate_at_large_n(self, tmp_path):
         # sqrt(n) E_0 |Lbar - 1| -> delta^2 / sqrt(pi) for ||m|| = delta, here
         # at n = 1e6, where log H sums series terms of arguments near 3000.

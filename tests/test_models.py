@@ -132,6 +132,21 @@ class TestSampleModel:
         ref = spawn_generator(10, 1).poisson(lam=np.broadcast_to(np.exp(entries), size), size=size)
         assert np.array_equal(draws, ref.astype(float))
 
+    @pytest.mark.parametrize("level", [0.0, 0.7, -1.3])
+    @pytest.mark.parametrize("shape", [(1024, 50), (7, 5000)])
+    @pytest.mark.parametrize(
+        "factory", [normal_family, poisson_family, bernoulli_logit_family, logistic_location_family]
+    )
+    def test_constant_mean_draws_bit_identical_to_vector_form(self, factory, shape, level):
+        # A constant m goes to the sampler as one scalar; the parameter vector drew the same bits.
+        family = factory()
+        reps, n = shape
+        m = MeanVector(np.full(n, level))
+        draws = sample_model(family, m, spawn_generator(11, n), reps=reps)
+        sampler = family.sampler if family.name == "logistic" else family.carrier_sampler
+        ref = sampler(spawn_generator(11, n), m.entries, shape)
+        assert np.array_equal(draws, ref)
+
     def test_neyman_scott_draws_bit_identical_to_location_scale_sampler(self):
         layout = models.NeymanScottLayout(n=23, nu=4, sigma=1.7)
         m = MeanVector(np.linspace(-1.0, 2.0, 23), compact_lo=None, compact_hi=None)

@@ -8,7 +8,15 @@ from scipy import stats as sps
 from scipy.special import gammaln, ive, logsumexp
 
 from invlab import orbit
-from invlab.models import MeanVector, normal_family, poisson_family
+from invlab.experiments import AlternativeSpec
+from invlab.models import (
+    MeanVector,
+    bernoulli_logit_family,
+    normal_family,
+    poisson_family,
+    sample_model,
+    spike_levels,
+)
 from invlab.orbit import (
     OrbitSpec,
     h_integral_log,
@@ -288,6 +296,68 @@ class TestPermLogAvgMcKernel:
         orbit._perm_log_avg_mc(w, w[None, :], 1000, a)
         self.gather_reference(w, w[None, :], 1000, b)
         assert a.random() == b.random()
+
+
+class TestSpikeOrbitAverage:
+    """A spike ``m = b 1 + c e_j`` has ``n`` orbit points; its permutation average is their mean."""
+
+    FAMILIES = {"poisson": poisson_family, "normal": normal_family, "bernoulli": bernoulli_logit_family}
+    ALTS = {
+        "spike:1": AlternativeSpec("single_spike", 1.0),
+        "spike:3": AlternativeSpec("single_spike", 3.0),
+        "spike_uncentered:1.5": AlternativeSpec("single_spike", 1.5, centered=False),
+    }
+
+    @classmethod
+    def _case(cls, family, alt, n, reps, seed):
+        fam = cls.FAMILIES[family]()
+        entries = cls.ALTS[alt].mean_entries(n, 0.0, seed)
+        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        x = sample_model(fam, MeanVector(np.zeros(n)), spawn_generator(seed, n), reps)
+        return fam, m, x
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("alt", sorted(ALTS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_exhaustive(self, family, alt, n):
+        fam, m, x = self._case(family, alt, n, 100, 60)
+        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation"))
+        oracle = lbar_permutation(fam, m, x, OrbitSpec(group="permutation_exhaustive"))
+        np.testing.assert_allclose(exact, oracle, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alt", ["spike:1", "spike:3"])
+    def test_monte_carlo_average_within_four_se(self, alt):
+        n, mc_reps = 50, 20_000
+        fam, m, x = self._case("poisson", alt, n, 20, 61)
+        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation"))
+        prefactor = np.exp(-np.sum(fam.beta(m.entries) - fam.beta(np.float64(m.mean))))
+        mc = prefactor * np.exp(orbit._perm_log_avg_mc(m.centered, x, mc_reps, spawn_generator(62, 1)))
+        # w'Px is c (x_k - xbar) with k uniform on the n coordinates.
+        a, b = spike_levels(m.entries)
+        atoms = prefactor * np.exp((a - b) * (x - x.mean(axis=1, keepdims=True)))
+        se = atoms.std(axis=1) / np.sqrt(mc_reps)
+        assert np.all(se > 0)
+        assert np.all(np.abs(mc - exact) <= 4 * se), (mc - exact) / se
+
+    def test_draws_nothing(self):
+        fam, m, x = self._case("poisson", "spike:1", 50, 10, 63)
+        spec = OrbitSpec(group="permutation", mc_reps=7)
+        gen = spawn_generator(64, 1)
+        by_gen = lbar_permutation(fam, m, x, spec, seed=gen)
+        assert gen.random() == spawn_generator(64, 1).random()
+        by_int = [lbar_permutation(fam, m, x, spec, seed=s) for s in (0, 1)]
+        assert by_gen.tobytes() == by_int[0].tobytes() == by_int[1].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 50, 1000])
+    def test_variance_diagnostic_closed_form(self, n):
+        # Exhaustive up to n = 8, the spike's orbit mean above.
+        for alt in self.ALTS.values():
+            entries = alt.mean_entries(n, 0.0, 0)
+            a, b = spike_levels(entries)
+            c2 = (a - b) ** 2
+            want = np.exp(c2 * (1 - 1 / n)) / n + (1 - 1 / n) * np.exp(-c2 / n) - 1
+            got = perm_variance_diagnostic(entries, mc_reps=1, seed=0)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestLbarDesign:

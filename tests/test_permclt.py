@@ -27,9 +27,16 @@ from invlab.permclt import (
     theorem_convergence_sweep,
     theorem_convergence_sweep_matrix,
 )
-from invlab.rng import TAG_PERM_LAW, TAG_SUFFICIENT, blocks, spawn_generator, uniform_permutations
+from invlab.rng import (
+    TAG_PERM_LAW,
+    TAG_SUFFICIENT,
+    blocks,
+    row_chunks,
+    spawn_generator,
+    uniform_permutations,
+)
 
-from oracles import law_inputs, poisson_null
+from oracles import law_inputs, one_shot_coupling, poisson_null
 
 
 class TestPermLawMoments:
@@ -214,14 +221,66 @@ class TestCoupledRankKernel:
         m = gen.normal(size=n)
         m -= m.mean()
         count = 257
-        got = permclt._coupled_block_rank(sorted_x, m, count, spawn_generator(42, n))
-        # The direct formulation: ranks as the argsort of the argsort.
+        got = permclt._coupled_block(sorted_x, m, count, spawn_generator(42, n))
+        # The direct formulation: ranks as the argsort of the argsort.  The
+        # kernel multiplies row chunk by row chunk, and so does the reference:
+        # a product's rows are summed in BLAS groups that follow its shape.
         u = spawn_generator(42, n).random((count, n))
         star = np.minimum((n * u).astype(np.intp), n - 1)
         ranks = np.argsort(np.argsort(u, axis=1), axis=1)
-        want = (sorted_x[ranks] @ m, sorted_x[star] @ m, np.sum(ranks == star, axis=1))
+        bounds = np.cumsum([0, *row_chunks(count, n)])
+        chunks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        want = (
+            np.concatenate([sorted_x[ranks[c]] @ m for c in chunks]),
+            np.concatenate([sorted_x[star[c]] @ m for c in chunks]),
+            np.sum(ranks == star, axis=1),
+        )
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestBufferedCoupling:
+    """The coupling kernel reuses its chunk buffers and draws what fresh arrays per chunk drew."""
+
+    @pytest.mark.parametrize("reps", [2, 5, 1024, 1500])
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 10_000])
+    def test_equals_one_shot_chunks(self, n, reps):
+        m, x = law_inputs(n)
+        res = hajek_coupling(m, x, reps, seed=46)
+        want = one_shot_coupling(m, x, reps, seed=46)
+        for got, ref in zip((res.without_repl, res.with_repl, res.matched), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", ["distinct", "tie", "near_tie"])
+    @pytest.mark.parametrize("n", [2, 3, 2048, 2049, 10_000])
+    def test_uniform_order_is_the_argsort(self, n, case):
+        # Keys keep 53 value bits up to n = 2048 and drop bit_length(n - 1) - 11 above.
+        u = spawn_generator(47, n).random((8, n))
+        if case == "tie":
+            u[3, -1] = u[3, 0]
+        elif case == "near_tie":
+            # Equal but for the lowest bit, in the other order than the columns.
+            k = int(u[5, -1] * 2.0**53) >> 8 << 8
+            u[5, -1], u[5, 0] = k * 2.0**-53, (k + 1) * 2.0**-53
+        keys = np.empty(u.shape, dtype=np.uint64)
+        scratch = np.empty(u.shape, dtype=np.uint64)
+        order = permclt._uniform_order(u, keys, scratch)
+        assert np.array_equal(order, np.argsort(u, axis=1))
+
+    def test_traced_peak_below_four_chunk_arrays(self):
+        # A chunk at n = 1e4 is 8 rows, 625 KiB of float64.  The kernel holds
+        # the uniforms, the sort keys, the ranks and a boolean chunk (about
+        # 2.2 MiB in all); fresh arrays for every step of a chunk peaked at
+        # 2.67 MiB.
+        m, x = law_inputs(10_000)
+        tracemalloc.start()
+        try:
+            hajek_coupling(m, x, 1024, seed=45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * 2**20
 
 
 class TestRowChunkedLaws:
@@ -330,13 +389,13 @@ class TestSpikeRoute:
 
     def test_route_follows_from_the_contrast(self):
         m = self._spike(6)
-        assert permclt._spike(m) == (m[0], m[1])
-        assert permclt._spike(np.roll(m, 3)) == (m[0], m[1])
-        assert permclt._spike(self._spike(6, centered=False)) == (1.0, 0.0)
-        assert permclt._spike(np.array([0.5, -2.0])) == (0.5, -2.0)
+        assert models.spike_levels(m) == (m[0], m[1])
+        assert models.spike_levels(np.roll(m, 3)) == (m[0], m[1])
+        assert models.spike_levels(self._spike(6, centered=False)) == (1.0, 0.0)
+        assert models.spike_levels(np.array([0.5, -2.0])) == (0.5, -2.0)
         law_m, _ = law_inputs(6)
         for vector in (np.zeros(6), np.zeros(2), law_m, np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, 0.0, 2.0])):
-            assert permclt._spike(vector) is None
+            assert models.spike_levels(vector) is None
 
     def test_perm_law_puts_mass_one_over_n_on_each_atom(self):
         n, reps = 5, 20_000
@@ -379,7 +438,7 @@ class TestSpikeRoute:
         n, centered = self.SHAPES[shape]
         model = self.FAMILIES[family]
         m = self._spike(n, centered)
-        reduced = permclt._iid_spike_law(model.family, permclt._spike(m), n, self.REPS, seed=57)
+        reduced = permclt._iid_spike_law(model.family, models.spike_levels(m), n, self.REPS, seed=57)
         vector = self._null(model, n, self.REPS, 58) @ m
         self._assert_same_law(reduced, vector)
 
