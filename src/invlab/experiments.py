@@ -10,7 +10,7 @@ conditions are auditable from the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .rng import (
     as_generator,
     map_blocks,
     row_chunks,
+    row_slices,
     spawn_generator,
 )
 
@@ -129,8 +130,9 @@ class Model:
 
     ``sample(n, alt, reps, rng, seed)`` draws ``reps`` replicates under the
     alternative ``alt`` (its parameters derived from ``seed``), replicates on
-    the leading axis; ``alt=NULL`` draws under the null.  A model may also
-    name a ``sufficient`` block, a few numbers per replicate whose exact law
+    the leading axis; ``alt=NULL`` draws under the null.  ``sample_chunks``
+    gives the same rows in row chunks.  A model may also name a
+    ``sufficient`` block, a few numbers per replicate whose exact law
     ``sample_sufficient`` draws, for the statistics that read only those.
     """
 
@@ -141,6 +143,15 @@ class Model:
         self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
     ) -> np.ndarray:
         raise NotImplementedError
+
+    def sample_chunks(
+        self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
+    ) -> Iterable[np.ndarray]:
+        """The rows of ``sample(n, alt, reps, rng, seed)`` in :func:`~invlab.rng.row_chunks`.
+
+        This default draws the block whole and slices it.
+        """
+        return row_slices(self.sample(n, alt, reps, rng, seed))
 
     def reduces(self, statistic: NamedStatistic, n: int, alt: AlternativeSpec, seed: int) -> bool:
         """Whether ``statistic`` under ``alt`` is read exactly from the sufficient block."""
@@ -276,6 +287,14 @@ class SpacingsModel(Model):
             return models.sample_spacings_null_batch(n, reps, rng)
         return models.sample_spacings_alternative_batch(n, self._profile(alt), reps, rng)
 
+    def sample_chunks(self, n, alt, reps, rng, seed):
+        # The alternative's rejection rounds size themselves from reps * n, so
+        # it is drawn whole.  The null fills its rows in stream order, so each
+        # chunk is one draw from rng, made when the chunk is read.
+        if alt.scale != 0.0:
+            return super().sample_chunks(n, alt, reps, rng, seed)
+        return (models.sample_spacings_null_batch(n, rows, rng) for rows in row_chunks(reps, n + 1))
+
 
 # --------------------------------------------------------------------- #
 # Statistics registry
@@ -350,10 +369,7 @@ def make_statistic(
     if name == "moran":
         return NamedStatistic("moran", lambda d: -np.asarray(stats.moran(d)))
     if name == "two_spacings_sq":
-        return NamedStatistic(
-            "two_spacings_sq",
-            lambda d: stats.two_spacings_statistic(stats.points_from_spacings(d)),
-        )
+        return NamedStatistic("two_spacings_sq", stats.two_spacings_statistic)
     if name in ("quadratic", "quadratic_spacings"):
         spec = stats.default_quadratic_spec()
         size = n if name == "quadratic" else n + 1
@@ -435,28 +451,29 @@ class PowerReport:
 
 
 def _block_values(
-    sample: Callable[[int, np.random.Generator], np.ndarray],
+    chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]],
     fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     reps: int,
     seed: int,
     tags: tuple[int, ...],
     workers: int,
 ) -> list[np.ndarray]:
-    """Every function of ``fns`` on ``reps`` draws of ``sample``, in replicate order.
+    """Every function of ``fns`` on ``reps`` replicates, in replicate order.
 
-    Block ``b`` is one ``sample(count, rng)`` on the stream ``(seed, *tags, b)``,
-    made read-only.  Each function reads it one row chunk
-    (:func:`invlab.rng.row_chunks`) at a time, so its temporaries stay
-    cache-sized; every function is computed row by row, so the values are
-    those of one whole-block call.
+    Block ``b`` is ``chunks(count, rng)`` on the stream ``(seed, *tags, b)``:
+    its rows in consecutive row chunks (:func:`invlab.rng.row_chunks`).  Each
+    chunk is made read-only and read by every function before the next one
+    is taken, so temporaries stay cache-sized; every function is computed row
+    by row, so the values are those of one whole-block call.
     """
 
     def block(b: int, count: int) -> list[np.ndarray]:
-        data = sample(count, as_generator(seed, *tags, b))
-        data.flags.writeable = False
-        edges = np.cumsum([0, *row_chunks(count, data[0].size)])
-        chunks = [data[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-        return [np.concatenate([np.asarray(fn(c), dtype=float) for c in chunks]) for fn in fns]
+        values: list[list[np.ndarray]] = [[] for _ in fns]
+        for chunk in chunks(count, as_generator(seed, *tags, b)):
+            chunk.flags.writeable = False
+            for out, fn in zip(values, fns):
+                out.append(np.asarray(fn(chunk), dtype=float))
+        return [np.concatenate(v) for v in values]
 
     return [np.concatenate(vals) for vals in zip(*map_blocks(block, reps, workers=workers))]
 
@@ -485,9 +502,12 @@ def _statistic_values(
         readers = [i for i, r in enumerate(reduced) if r == route]
         if not readers:
             continue
-        draw = model.sample_sufficient if route else model.sample
+        if route:
+            chunks = lambda count, rng: row_slices(model.sample_sufficient(n, alt, count, rng, seed))
+        else:
+            chunks = lambda count, rng: model.sample_chunks(n, alt, count, rng, seed)
         values = _block_values(
-            lambda count, rng: draw(n, alt, count, rng, seed),
+            chunks,
             [statistics[i].reduced.fn if route else statistics[i] for i in readers],
             reps,
             seed,
@@ -920,7 +940,7 @@ def _llr_gap_p95(
         return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))
 
     (gaps,) = _block_values(
-        lambda count, rng: models.sample_spacings_null_batch(n, count, rng),
+        lambda count, rng: SpacingsModel().sample_chunks(n, NULL, count, rng, seed),
         [gap],
         reps,
         seed,

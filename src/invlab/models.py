@@ -18,6 +18,7 @@ gives a numpy scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -353,7 +354,7 @@ def sample_spacings_null_batch(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed, TAG_SPACINGS)
-    e = rng.exponential(1.0, size=(reps, n + 1))
+    e = rng.standard_exponential(size=(reps, n + 1))
     e /= e.sum(axis=1, keepdims=True)
     return e
 
@@ -501,18 +502,18 @@ def _acceptance_floor(prof: Profile, root_n: float) -> float:
     return float(1.0 - prof.sup * (1.0 + 1e-9) / root_n)
 
 
-def profile_at_grid(h: Profile | Callable, n: int) -> np.ndarray:
-    """Profile values ``h(i / (n + 1))`` for ``i = 1 .. n + 1``."""
-    prof = _as_profile(h)
+@lru_cache(maxsize=16)
+def _linear_llr_terms(prof: Profile, n: int) -> tuple[np.ndarray, float]:
+    """``h(i / (n + 1))`` for ``i = 1 .. n + 1`` (read-only) and ``integral(h^2) / 2``.
+
+    The integral is a 1024-interval composite Simpson sum.  Cached per
+    ``(profile, n)``: row-chunked evaluation asks for both once per chunk.
+    """
     i = np.arange(1, n + 2, dtype=float)
-    return np.asarray(prof(i / (n + 1)), dtype=float)
-
-
-def profile_l2_norm_sq(h: Profile | Callable) -> float:
-    """``integral of h^2`` by 1024-interval composite quadrature."""
-    prof = _as_profile(h)
+    grid = np.asarray(prof(i / (n + 1)), dtype=float)
+    grid.flags.writeable = False
     xs = np.linspace(0.0, 1.0, _HSQ_INTERVALS + 1)
-    return float(simpson(np.asarray(prof(xs), float) ** 2, x=xs))
+    return grid, 0.5 * float(simpson(np.asarray(prof(xs), float) ** 2, x=xs))
 
 
 def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
@@ -523,9 +524,9 @@ def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
     """
     dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
-    hi = profile_at_grid(h, n)
+    hi, half_l2 = _linear_llr_terms(_as_profile(h), n)
     residual = np.sum((dv - 1.0 / (n + 1)) * hi, axis=-1)
-    return -(n + 1) / np.sqrt(n) * residual - 0.5 * profile_l2_norm_sq(h)
+    return -(n + 1) / np.sqrt(n) * residual - half_l2
 
 
 def spacings_loglik_exact(h: Profile | Callable, d: np.ndarray) -> np.ndarray:

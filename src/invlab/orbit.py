@@ -44,6 +44,9 @@ MIN_RADIAL_DIM = 3
 #: Stream tag local to this module (alternative-draw side of the identity).
 TAG_POWER_LHS = 14
 
+#: Bernoulli numbers ``B_2k``, ``k = 1..7``, of the Stirling series of ``log Gamma``.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
 
 class Group(str, enum.Enum):
     FULL_ORTHOGONAL = "full_orthogonal"
@@ -168,6 +171,25 @@ def _series_length(x: float, nu: float) -> int:
     return k
 
 
+def _log_h0(n: int) -> float:
+    """``log H(0) = log(sqrt(pi) Gamma(a - 1/2) / Gamma(a))`` with ``a = n / 2``.
+
+    From ``a = 30`` on, the two log-gammas (each about ``a log a``) are not
+    subtracted: their difference is taken from the Stirling series,
+    ``-log(a) / 2 + (a - 1) log1p(-1 / (2a)) + 1/2 +
+    sum_k B_2k / (2k (2k - 1)) ((a - 1/2)^(1 - 2k) - a^(1 - 2k))``, whose
+    seven terms leave a remainder far below an ulp.
+    """
+    a = n / 2
+    if a < 30:
+        return 0.5 * math.log(math.pi) + math.lgamma(a - 0.5) - math.lgamma(a)
+    series = sum(
+        b / (2 * k * (2 * k - 1)) * ((a - 0.5) ** (1 - 2 * k) - a ** (1 - 2 * k))
+        for k, b in enumerate(_BERNOULLI, start=1)
+    )
+    return 0.5 * math.log(math.pi) - 0.5 * math.log(a) + (a - 1) * math.log1p(-0.5 / a) + 0.5 + series
+
+
 def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
     """``log H(t)`` for an array of arguments ``t >= 0`` at dimension ``n >= 3``.
 
@@ -194,7 +216,7 @@ def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
     prev = np.concatenate([[0.0], log_den])[:-1]
     step_part = log_den - prev
     log_den += np.cumsum((prev - (log_den - step_part)) + (steps - step_part))
-    log_h0 = 0.5 * math.log(math.pi) + math.lgamma((n - 1) / 2) - math.lgamma(n / 2)
+    log_h0 = _log_h0(n)
     out = np.empty(ts.size)
     chunk = max(1, 2**22 // (length + 1))
     for lo in range(0, ts.size, chunk):

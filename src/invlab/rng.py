@@ -123,6 +123,12 @@ def row_chunks(count: int, n: int) -> list[int]:
     return [min(rows, count - start) for start in range(0, count, rows)]
 
 
+def row_slices(data: np.ndarray) -> list[np.ndarray]:
+    """Views of a ``(count, ...)`` block, one per :func:`row_chunks` chunk of its rows."""
+    edges = np.cumsum([0, *row_chunks(len(data), data[0].size)])
+    return [data[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def map_blocks(fn: Callable[[int, int], T], total: int, workers: int = 1) -> list[T]:
     """Evaluate ``fn(block_index, block_count)`` for every block, in block order.
 

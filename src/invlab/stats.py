@@ -88,19 +88,18 @@ def greenwood(d: np.ndarray) -> np.ndarray:
     return np.sum(dv * dv, axis=-1)
 
 
-def two_spacings_statistic(u: np.ndarray) -> np.ndarray:
+def two_spacings_statistic(d: np.ndarray) -> np.ndarray:
     """Overlapping 2-spacings statistic ``sum_i (U_{i+2} - U_i)^2``.
 
-    ``u`` holds the ordered sample on [0, 1] (shape ``(..., n)``); the
-    endpoints 0 and 1 are appended internally.  Invariant under the
-    reflection ``u -> 1 - u`` (the spacings reversed), not under
-    permutations of the spacings.
+    ``U_1 < ... < U_n`` is the ordered sample on [0, 1] with ``U_0 = 0`` and
+    ``U_{n+1} = 1``; the statistic reads its spacings ``d`` (shape
+    ``(..., n + 1)``, ``d_i = U_i - U_{i-1}``) as
+    ``sum_i (d_{i+1} + d_{i+2})^2``.  Invariant under the reflection
+    ``u -> 1 - u`` (the spacings reversed), not under permutations of the
+    spacings.
     """
-    u = np.asarray(u, dtype=float)
-    pad = [(0, 0)] * (u.ndim - 1) + [(1, 1)]
-    padded = np.pad(u, pad, constant_values=(0.0, 1.0))
-    gaps = padded[..., 2:] - padded[..., :-2]
-    return np.sum(np.square(gaps), axis=-1)
+    dv = np.asarray(d, dtype=float)
+    return np.sum(np.square(dv[..., :-1] + dv[..., 1:]), axis=-1)
 
 
 def points_from_spacings(d: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ class QuadraticTestSpec:
     def num_terms(self) -> int:
         return len(self.lambdas)
 
-    # Row-chunked evaluation asks for the same grid once per chunk.
+    # Row-chunked evaluation asks for the same grid and norms once per chunk.
     @lru_cache(maxsize=8)
     def grid_matrix(self, n: int) -> np.ndarray:
         """Basis values on the grid ``j/n``, ``j = 1..n`` (shape ``K x n``, read-only)."""
@@ -151,6 +150,17 @@ class QuadraticTestSpec:
         values = np.stack([np.asarray(g(grid), float) for g in cosine_basis(self.num_terms)])
         values.flags.writeable = False
         return values
+
+    @lru_cache(maxsize=8)
+    def grid_norms(self, n: int) -> np.ndarray:
+        """Euclidean norms of the rows of :meth:`grid_matrix` (read-only).
+
+        Each is positive: every cosine is ``sqrt(2)`` at ``j = n``.
+        """
+        g = self.grid_matrix(n)
+        norms = np.sqrt(np.sum(g * g, axis=1))
+        norms.flags.writeable = False
+        return norms
 
 
 def default_quadratic_spec(num_terms: int = 8) -> QuadraticTestSpec:
@@ -168,9 +178,7 @@ def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n < spec.num_terms:
         raise ValueError("need at least as many observations as basis terms")
-    g = spec.grid_matrix(n)
-    norms = np.sqrt(np.sum(g * g, axis=1))  # > 0: every cosine is sqrt(2) at j = n
-    z = np.einsum("...j,kj->...k", x, g) / norms
+    z = np.einsum("...j,kj->...k", x, spec.grid_matrix(n)) / spec.grid_norms(n)
     lam = np.asarray(spec.lambdas)
     return np.sum(z * z * lam, axis=-1)
 

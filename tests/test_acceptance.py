@@ -313,8 +313,9 @@ class TestCriterion9InvarianceSuite:
         )
 
         # 2-spacings statistic NOT invariant under spacings permutation
-        two_sp = lambda dd: stats.two_spacings_statistic(stats.points_from_spacings(dd))
-        ok &= not stats.verify_invariance(two_sp, permutation_sampler(11), d, 64, seed=8)
+        ok &= not stats.verify_invariance(
+            stats.two_spacings_statistic, permutation_sampler(11), d, 64, seed=8
+        )
 
         check("criterion 09 (invariance pass/fail suite)", ok)
 

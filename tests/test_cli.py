@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invlab import models
 from invlab.cli import (
     ConfigError,
     config_hash,
@@ -21,6 +23,7 @@ from invlab.cli import (
     read_config_file,
     render_table,
 )
+from invlab.rng import row_chunks
 
 
 def run(tmp_path, *argv):
@@ -71,6 +74,7 @@ class TestPower:
 
 
 class TestDeterminism:
+    SPACINGS_ARGS = ["sweep-spacings", "--n-grid", "100,400", "--reps", "1024", "--seed", "3"]
     ARGS = [
         "power", "--model", "poisson", "--stat", "variance", "--alt", "spike:1",
         "--n", "40", "--reps", "1500", "--seed", "21",
@@ -96,6 +100,44 @@ class TestDeterminism:
         first = a.read_bytes()
         _, b = run(tmp_path, *args, "--workers", "2")
         assert first == b.read_bytes()
+
+    def test_spacings_sweep_worker_counts_byte_identical(self, tmp_path):
+        # 1100 replicates: a partial block; n = 1600 reads 26 row chunks per block.
+        args = ["sweep-spacings", "--n-grid", "100,1600", "--reps", "1100", "--seed", "24"]
+        _, a = run(tmp_path, *args, "--workers", "1")
+        first = a.read_bytes()
+        _, b = run(tmp_path, *args, "--workers", "2")
+        assert first == b.read_bytes()
+
+    @pytest.mark.skipif(np.__version__.split(".")[0] != "2", reason="table recorded on numpy 2.x")
+    def test_spacings_sweep_table_pinned(self, tmp_path):
+        # The table written before null blocks were drawn in row chunks.
+        code, out = run(tmp_path, *self.SPACINGS_ARGS)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "850cbe8651f72c715033750863a9ead96a1f67a9f873a904db2642e2e777fedc"
+        )
+
+    def test_spacings_sweep_null_draws_are_chunks_that_add_up(self, tmp_path, monkeypatch):
+        # Every null spacing the sweep reads passes through one sampler call of
+        # at most one row chunk, so a wrapper on the sampler sees the full draw.
+        calls = []
+        original = models.sample_spacings_null_batch
+
+        def counted(n, reps, seed):
+            out = original(n, reps, seed)
+            calls.append((n, *out.shape))
+            return out
+
+        monkeypatch.setattr(models, "sample_spacings_null_batch", counted)
+        code, _ = run(tmp_path, *self.SPACINGS_ARGS)
+        assert code == 0
+        reps, grid = 1024, (100, 400)
+        # Calibration (max(2 reps, 1000)), level (reps) and the LLR diagnostic (min(reps, 4000)).
+        per_n = 2 * reps + reps + reps
+        assert sum(rows * width for _, rows, width in calls) == sum(per_n * (n + 1) for n in grid)
+        assert all(width == n + 1 and rows <= row_chunks(reps, n + 1)[0] for n, rows, width in calls)
+        assert {n for n, _, _ in calls} == set(grid)
 
     def test_different_seed_differs(self, tmp_path):
         _, a = run(tmp_path, *self.ARGS)

@@ -35,7 +35,7 @@ from invlab.experiments import (
     theorem1_sweep,
     theorem2_sweep,
 )
-from invlab.rng import TAG_CALIBRATE, spawn_generator
+from invlab.rng import BLOCK_REPS, TAG_CALIBRATE, row_chunks, row_slices, spawn_generator
 
 from oracles import load_expectations, trend_slope
 
@@ -288,7 +288,9 @@ def _chunk_digests(n: int) -> dict[str, list[str]]:
     out = {}
     for name, (fn, data) in cases.items():
         whole = np.asarray(fn(data), dtype=float)
-        (chunked,) = experiments._block_values(lambda c, rng: data, [fn], count, 0, (0,), 1)
+        (chunked,) = experiments._block_values(
+            lambda c, rng: row_slices(data), [fn], count, 0, (0,), 1
+        )
         ragged = np.concatenate([fn(data[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
         out[name] = [hashlib.sha256(v.tobytes()).hexdigest() for v in (whole, chunked, ragged)]
     return out
@@ -331,6 +333,43 @@ class TestChunkInvariance:
 
     def test_thread_count_changes_no_value(self, digests):
         assert digests[1] == digests[2]
+
+
+def _whole_null_block(n: int, count: int, rng) -> np.ndarray:
+    """One whole-block null draw: ``exponential(1.0)`` rows divided by their sums."""
+    e = rng.exponential(1.0, size=(count, n + 1))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 100, 1600, 5001])
+class TestChunkedNullDraws:
+    """Null spacings drawn one row chunk at a time are one whole-block draw, bit for bit."""
+
+    @pytest.mark.parametrize("count", [BLOCK_REPS, _PARTIAL_BLOCK])
+    def test_model_chunks(self, n, count):
+        chunks = list(SpacingsModel().sample_chunks(n, NULL, count, spawn_generator(53, n), 0))
+        assert [len(c) for c in chunks] == row_chunks(count, n + 1)
+        assert np.array_equal(np.concatenate(chunks), _whole_null_block(n, count, spawn_generator(53, n)))
+
+    def test_ragged_splits(self, n):
+        rng = spawn_generator(54, n)
+        rows = [1, 2, 5, 7, 461]
+        got = np.concatenate([models.sample_spacings_null_batch(n, r, rng) for r in rows])
+        assert np.array_equal(got, _whole_null_block(n, sum(rows), spawn_generator(54, n)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_values_read_the_blocks_streams(self, n, workers):
+        # 1500 replicates: a full block and a 476-row partial one, each on its own stream.
+        reps, seed, tags = BLOCK_REPS + _PARTIAL_BLOCK, 55, (TAG_CALIBRATE,)
+        (got,) = experiments._block_values(
+            lambda c, rng: SpacingsModel().sample_chunks(n, NULL, c, rng, seed),
+            [lambda d: d], reps, seed, tags, workers,
+        )
+        want = [
+            _whole_null_block(n, count, spawn_generator(seed, *tags, b))
+            for b, count in enumerate((BLOCK_REPS, _PARTIAL_BLOCK))
+        ]
+        assert np.array_equal(got, np.concatenate(want))
 
 
 class TestReducedRoute:

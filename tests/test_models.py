@@ -1,6 +1,7 @@
 """Tests for sampling models, likelihood ratios, and spacings."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -468,6 +469,20 @@ class TestSpacingsLoglik:
             gaps.append(np.quantile(np.abs(approx - exact), 0.95))
         slope = np.polyfit(np.log(grid), np.log(gaps), 1)[0]
         assert -0.75 < slope < -0.35, gaps
+
+    def test_approx_evaluates_the_profile_once_per_n(self):
+        # Row-chunked callers ask for the grid values and integral(h^2) once per chunk.
+        calls = []
+        base = cosine_profile({1: 2.0, 2: -0.5})
+        prof = replace(base, fn=lambda x: calls.append(np.size(x)) or base.fn(x))
+        d = sample_spacings_null_batch(50, 40, 11)
+        whole = spacings_loglik_approx(prof, d)
+        evaluated = len(calls)
+        chunks = [spacings_loglik_approx(prof, d[lo : lo + 8]) for lo in range(0, 40, 8)]
+        assert evaluated == 2 and len(calls) == evaluated
+        assert np.array_equal(np.concatenate(chunks), whole)
+        spacings_loglik_approx(prof, d[:, 1:])  # another n evaluates again
+        assert len(calls) == evaluated + 2
 
     def test_exact_loglik_matches_direct_sum(self):
         prof = cosine_profile({1: 1.0})

@@ -1,5 +1,6 @@
 """Tests for orbit-averaged likelihood ratios and the radial kernel."""
 
+import decimal
 import math
 
 import numpy as np
@@ -47,6 +48,21 @@ def log_h_bessel(t: float, n: int) -> float:
         + np.log(ive(nu, t))
         + t
     )
+
+
+def _decimal_pi() -> decimal.Decimal:
+    """pi to the current decimal precision (the series recipe of the ``decimal`` docs)."""
+    decimal.getcontext().prec += 2
+    three = decimal.Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
 
 
 def log_h_quadrature(ts: np.ndarray, n: int, num: int) -> np.ndarray:
@@ -123,6 +139,23 @@ class TestHIntegral:
         for n in (3, 17, 404, 100_001):
             oracle = 0.5 * np.log(np.pi) + gammaln((n - 1) / 2.0) - gammaln(n / 2.0)
             assert h_integral_log(0.0, n) == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "n", [3, 4, 5, 58, 59, 60, 61, 62, 101, 1000, 10_000, 10_001, 100_000, 100_001, 1_000_000]
+    )
+    def test_h0_against_exact_rational(self, n):
+        # With r_m = prod_{k <= m} (2k - 1) / (2k), H(0) is pi r_(m-1) at n = 2m
+        # and 1 / (m r_m) at n = 2m + 1; both logs taken in 60-digit decimal.
+        m = n // 2
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            r = decimal.Decimal(1)
+            for k in range(1, m if n % 2 == 0 else m + 1):
+                r = r * (2 * k - 1) / (2 * k)
+            oracle = _decimal_pi().ln() + r.ln() if n % 2 == 0 else -(decimal.Decimal(m) * r).ln()
+            err = abs(decimal.Decimal(h_integral_log(0.0, n)) - oracle)
+        # lgamma differences below n = 60, the Stirling difference from there on.
+        assert err <= (1e-14 if n < 60 else 2e-15)
 
     def test_series_matches_quadrature_oracle(self):
         # Small n with large t needs thousands of terms; large n few.

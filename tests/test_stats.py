@@ -116,23 +116,47 @@ class TestSpacingsStatistics:
         assert abs(g.mean() - 2.0 / 52.0) < 4 * g.std() / np.sqrt(10_000)
 
 
+def _spacings_of(u):
+    """Spacings of the ordered points ``u`` on [0, 1], endpoints 0 and 1 included."""
+    return np.diff(np.concatenate([[0.0], u, [1.0]]))
+
+
+def _two_spacings_from_points(d):
+    """``sum (U_{i+2} - U_i)^2`` from the points: cumulative sums, padded with 0 and 1."""
+    u = points_from_spacings(d)
+    padded = np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)], constant_values=(0.0, 1.0))
+    return np.sum(np.square(padded[..., 2:] - padded[..., :-2]), axis=-1)
+
+
 class TestTwoSpacings:
     def test_even_grid(self):
         n = 9
         u = np.arange(1, n + 1) / (n + 1)
         every = 2.0 / (n + 1)
-        assert two_spacings_statistic(u) == pytest.approx(n * every**2)
+        assert two_spacings_statistic(_spacings_of(u)) == pytest.approx(n * every**2)
 
     def test_hand_example(self):
-        assert two_spacings_statistic(np.array([0.1, 0.5, 0.9])) == pytest.approx(1.14)
+        d = _spacings_of(np.array([0.1, 0.5, 0.9]))
+        assert two_spacings_statistic(d) == pytest.approx(1.14)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1600])
+    def test_matches_points_route(self, n):
+        d = sample_spacings_null_batch(n, 300, spawn_generator(61, n))
+        got = two_spacings_statistic(d)
+        assert got.shape == (300,)
+        np.testing.assert_allclose(got, _two_spacings_from_points(d), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1600])
+    def test_reversed_spacings_give_the_same_value(self, n):
+        d = sample_spacings_null_batch(n, 300, spawn_generator(62, n))
+        got = two_spacings_statistic(d[:, ::-1])
+        np.testing.assert_allclose(got, two_spacings_statistic(d), rtol=1e-12, atol=0.0)
 
     def test_not_invariant_under_spacings_permutation(self):
         d = sample_spacings_null_batch(12, 1, 5)[0]
-
-        def statistic(dd):
-            return two_spacings_statistic(points_from_spacings(dd))
-
-        assert not verify_invariance(statistic, permutation_sampler(13), d, reps=64, seed=1)
+        assert not verify_invariance(
+            two_spacings_statistic, permutation_sampler(13), d, reps=64, seed=1
+        )
 
 
 class TestQuadraticStatistic:
@@ -245,10 +269,6 @@ def _tilt(rng):
     return act
 
 
-def _two_spacings_of(d):
-    return two_spacings_statistic(points_from_spacings(d))
-
-
 def _np_case(n, gen):
     m = gen.normal(size=n)
     return (
@@ -295,7 +315,7 @@ _INVARIANCE_CASES = {
     "greenwood": _spacings_case(greenwood, lambda n: permutation_sampler(n + 1), lambda n: _tilt),
     "moran": _spacings_case(moran, lambda n: permutation_sampler(n + 1), lambda n: _tilt),
     "two_spacings_sq": _spacings_case(
-        _two_spacings_of, lambda n: (lambda r: np.arange(n + 1)[::-1]),
+        two_spacings_statistic, lambda n: (lambda r: np.arange(n + 1)[::-1]),
         lambda n: permutation_sampler(n + 1),
     ),
     "quadratic": _quadratic_case,
