@@ -20,8 +20,9 @@ budget (:func:`invlab.rng.row_chunks`), one after another from the
 block's generator, which changes no stream.  The coupling draws its
 chunks into buffers it allocates once per block and writes each chunk's
 contrasts into the block's result arrays.  It orders each row of
-uniforms by one sort of integer keys (value bits above the column index)
-instead of an argsort, which gives the same order.
+uniforms by one sort of ``int64`` keys (value bits above the column index)
+instead of an argsort, which gives the same order, and inverts the order
+into ranks by one 1-D scatter per row.
 
 A spike contrast ``m = b 1 + (a - b) e_j`` (two distinct values, one of
 them on the single coordinate ``j``) takes a reduced route for the
@@ -29,8 +30,12 @@ permutation and fresh-draw laws: each replicate draws one index or one
 pair of sums, not a length-``n`` vector, on the stream
 ``(seed, TAG_SUFFICIENT, tag, *stream, block)``.  The route follows from
 ``m`` alone (:func:`invlab.models.spike_levels`, which the exact spike
-orbit average of :mod:`invlab.orbit` shares); every other contrast reads
-whole vectors.
+orbit average of :mod:`invlab.orbit` shares).  Its bootstrap law takes the
+same kind of route where ``x`` has ``k`` distinct values with
+``k^2 <= n`` (lattice data): one index and one multinomial count vector
+over the values per replicate, on ``(seed, TAG_SUFFICIENT, TAG_BOOT_LAW,
+*stream, block)``.  Every other contrast, and the bootstrap on data with
+more distinct values, reads whole vectors.
 """
 
 from __future__ import annotations
@@ -204,18 +209,58 @@ def sample_boot_law(
     workers: int = 1,
     stream: tuple[int, ...] = (),
 ) -> EmpiricalLaw:
-    """``reps`` draws of ``sum_i m_i x(J*_i)`` with iid uniform indices."""
+    """``reps`` draws of ``sum_i m_i x(J*_i)`` with iid uniform indices.
+
+    For a spike ``m = b 1 + (a - b) e_j`` on data with ``k`` distinct values
+    ``v``, ``k^2 <= n`` (:func:`_value_counts`), the contrast is
+    ``a x_J + b N'v`` with ``J`` uniform on ``{0..n-1}`` and ``N`` the
+    multinomial ``(n - 1, c / n)`` counts of the values, ``c`` their counts
+    in ``x``: one index and one count vector per replicate (a row chunk
+    draws its indices, then its count vectors), on the stream
+    ``(seed, TAG_SUFFICIENT, TAG_BOOT_LAW, *stream, block)``.  Any other
+    contrast or data draws ``n`` indices per replicate.
+    """
     m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
     if m.size != x.size:
         raise ValueError("m and x must have the same length")
 
+    spike = spike_levels(m)
+    lattice = _value_counts(x) if spike is not None else None
+    if lattice is not None:
+        (a, b), (values, freqs) = spike, lattice
+
+        def spike_values(rng: np.random.Generator, c: int) -> np.ndarray:
+            own = x[rng.integers(0, x.size, size=c)]
+            rest = rng.multinomial(x.size - 1, freqs, size=c) @ values
+            return a * own + b * rest
+
+        return EmpiricalLaw(
+            _chunked_law(
+                (TAG_SUFFICIENT, TAG_BOOT_LAW, *stream), reps, seed, workers, values.size,
+                spike_values,
+            )
+        )
     return EmpiricalLaw(
         _chunked_law(
             (TAG_BOOT_LAW, *stream), reps, seed, workers, m.size,
             lambda rng, c: x[rng.integers(0, m.size, size=(c, m.size))] @ m,
         )
     )
+
+
+def _value_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct values of ``x`` and their frequencies, or ``None`` above ``sqrt(n)`` values.
+
+    A bootstrap replicate draws ``k - 1`` binomial counts over ``k`` values,
+    against ``n`` indices for the whole vector.  Lattice data keep ``k``
+    small (Poisson at the null about 5 to 9, Bernoulli 2); continuous data
+    have ``k = n``.
+    """
+    values, counts = np.unique(x, return_counts=True)
+    if values.size**2 > x.size:
+        return None
+    return values, counts / x.size
 
 
 def _iid_law(
@@ -304,34 +349,37 @@ class CouplingResult:
 
 #: Value bits of a uniform from ``Generator.random``: ``u = k 2^-53``, ``k < 2^53``.
 _UNIFORM_BITS = 53
+#: Bits a key has room for above the 53 value bits of ``k`` in an ``int64``.
+_KEY_SPARE_BITS = 63 - _UNIFORM_BITS
 
 
 def _uniform_order(u: np.ndarray, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``np.argsort(u, axis=1)`` for uniforms of ``Generator.random``, from one integer sort.
 
-    Each key packs the top bits of ``k = u 2^53`` above the ``b`` bits of its
-    column index, ``b = bit_length(n - 1)``, in 64 bits (``k`` loses its low
-    ``b - 11`` bits where ``b > 11``), so sorting a row of keys sorts it by
-    value and the low bits read off the order.  That is the argsort order
-    unless two uniforms of a row share their kept bits (equal, or equal but
-    for the dropped bits: about 4e-8 per row at ``n = 10^4``); such a chunk
-    is sorted by ``np.argsort`` instead.  ``keys`` (``uint64``) holds the
-    result, returned as an ``intp`` view, and ``scratch`` (``uint64``, the
-    shape of ``u``) is overwritten.
+    Each ``int64`` key packs the top bits of ``k = u 2^53`` above the ``b``
+    bits of its column index, ``b = bit_length(n - 1)``: one cast of
+    ``u 2^(53 + min(b, 10))``, whose low ``b`` bits are cleared and take the
+    column.  A key keeps all 53 value bits up to ``n = 1024`` and ``63 - b``
+    above, so sorting a row of keys sorts it by value and the low bits read
+    off the order.  That is the argsort order unless two uniforms of a row
+    share their kept bits (equal, or equal but for the dropped bits: about
+    9e-8 per row at ``n = 10^4``); such a chunk is sorted by ``np.argsort``
+    instead.  ``keys`` (``int64``) holds the result, and ``scratch``
+    (``int64``, the shape of ``u``) is overwritten.
     """
     n = u.shape[1]
     bits = (n - 1).bit_length()
-    np.multiply(u, 2.0**_UNIFORM_BITS, out=keys, casting="unsafe")
-    keys >>= np.uint64(max(0, bits + _UNIFORM_BITS - 64))
-    keys <<= np.uint64(bits)
-    keys |= np.arange(n, dtype=np.uint64)
+    column = (1 << bits) - 1
+    np.multiply(u, 2.0 ** (_UNIFORM_BITS + min(bits, _KEY_SPARE_BITS)), out=keys, casting="unsafe")
+    keys &= ~column
+    keys |= np.arange(n)
     keys.sort(axis=1)
-    # Adjacent keys share their value bits where their XOR is below 2^bits.
+    # Adjacent keys share their value bits where their XOR fits in the column bits.
     np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=scratch[:, 1:])
-    if np.any(scratch[:, 1:] < np.uint64(1 << bits)):
+    if scratch[:, 1:].min() <= column:
         return np.argsort(u, axis=1)
-    keys &= np.uint64((1 << bits) - 1)
-    return keys.view(np.intp)
+    keys &= column
+    return keys
 
 
 def _coupled_block(
@@ -348,7 +396,7 @@ def _coupled_block(
     n = m.size
     sizes = row_chunks(count, n)
     u = np.empty((sizes[0], n))
-    keys = np.empty((sizes[0], n), dtype=np.uint64)
+    keys = np.empty((sizes[0], n), dtype=np.int64)
     ranks = np.empty((sizes[0], n), dtype=np.intp)
     hits = np.empty((sizes[0], n), dtype=bool)
     positions = np.arange(n)
@@ -358,8 +406,9 @@ def _coupled_block(
     for c in sizes:
         rows, uc, kc, rc = slice(lo, lo + c), u[:c], keys[:c], ranks[:c]
         rng.random(out=uc)
-        order = _uniform_order(uc, kc, rc.view(np.uint64))
-        np.put_along_axis(rc, order, positions, axis=1)  # ranks invert the sorting order
+        # Ranks invert the sorting order, one row at a time.
+        for rank_row, order_row in zip(rc, _uniform_order(uc, kc, rc.view(np.int64))):
+            rank_row[order_row] = positions
         star = kc.view(np.intp)
         np.multiply(uc, n, out=uc)
         np.copyto(star, uc, casting="unsafe")  # truncation: floor(n u)
@@ -469,7 +518,12 @@ def theorem_convergence_sweep(
     contrast weights.  Per grid point: rho2 between each pair of laws, with
     batched standard errors, plus the diagnostic ``|n mbar xbar|``.  A spike
     contrast on an exponential family draws its fresh-draw law from
-    :func:`_iid_spike_law`, any other from whole null vectors.
+    :func:`_iid_spike_law`, any other from whole null vectors.  A spike's
+    permutation law draws one index per replicate, and its bootstrap law one
+    index and one count vector where ``x`` has ``k^2 <= n`` distinct values
+    (:func:`sample_boot_law`); that route moves only the four bootstrap
+    columns ``rho2_perm_boot``, ``se_rho2_perm_boot``, ``rho2_boot_iid`` and
+    ``se_rho2_boot_iid`` off the vector bootstrap stream.
     """
 
     def null_sampler(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

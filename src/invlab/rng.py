@@ -75,7 +75,10 @@ def uniform_permutations(rng: np.random.Generator, count: int, n: int) -> np.nda
     """``count`` uniform permutations of ``range(n)``, one per row.
 
     Row ``i`` is the argsort of row ``i`` of one ``rng.random((count, n))``
-    draw.  Every permutation the package samples comes from here.
+    draw.  The permutation laws of whole vectors and the Monte Carlo orbit
+    averages read their permutations from here; the coupling orders its
+    uniforms itself (``permclt._uniform_order``, the same order), and a
+    spike contrast's permutation law draws one index, not a permutation.
     """
     return np.argsort(rng.random((count, n)), axis=1)
 

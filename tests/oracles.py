@@ -3,7 +3,8 @@
 The invariance checks (``stats.verify_invariance``, ``orbit.identity_check``)
 take a sampler of group elements; the first three functions are the ones
 the tests pass.  :func:`one_shot_laws` draws the permutation-CLT laws one
-whole block at a time, the reference for the row-chunked laws;
+whole block at a time, the reference for the row-chunked laws, and
+:func:`one_shot_boot` is its bootstrap law for any contrast and data;
 :func:`one_shot_coupling` is the coupling with every array of a row chunk
 allocated afresh, the reference for the buffered coupling kernel; and
 :func:`one_shot_spacings_alternative` is the reference for the chunked
@@ -128,6 +129,17 @@ def one_shot_coupling(
     return without, with_r, matched
 
 
+def one_shot_boot(m: np.ndarray, x: np.ndarray, reps: int, seed: int) -> np.ndarray:
+    """The vector-route bootstrap law of :func:`invlab.permclt.sample_boot_law`, in replicate order.
+
+    Each block is one ``(count, n)`` index draw and one product.
+    """
+    n = m.size
+    return np.concatenate(
+        [x[as_generator(seed, TAG_BOOT_LAW, b).integers(0, n, size=(count, n))] @ m for b, count in blocks(reps)]
+    )
+
+
 def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
     """The permutation, bootstrap, coupling and iid laws of :func:`law_inputs`, in replicate order.
 
@@ -136,18 +148,16 @@ def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
     """
     m, x = law_inputs(n)
     sorted_x = np.sort(x)
-    keys = ("perm", "boot", "without", "with", "matched", "iid")
+    keys = ("perm", "without", "with", "matched", "iid")
     out: dict[str, list[np.ndarray]] = {k: [] for k in keys}
     for b, count in blocks(reps):
         rng = as_generator(seed, TAG_PERM_LAW, b)
         out["perm"].append(x[uniform_permutations(rng, count, n)] @ m)
-        rng = as_generator(seed, TAG_BOOT_LAW, b)
-        out["boot"].append(x[rng.integers(0, n, size=(count, n))] @ m)
         coupled = coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
         for key, part in zip(("without", "with", "matched"), coupled):
             out[key].append(part)
         out["iid"].append(poisson_null(n, count, as_generator(seed, TAG_IID_LAW, b)) @ m)
-    return {k: np.concatenate(v) for k, v in out.items()}
+    return {k: np.concatenate(v) for k, v in out.items()} | {"boot": one_shot_boot(m, x, reps, seed)}
 
 
 def one_shot_spacings_alternative(

@@ -92,9 +92,12 @@ class TestDeterminism:
         _, b = run(tmp_path, *self.ARGS, "--workers", "8")
         assert first == b.read_bytes()
 
-    def test_spike_clt_sweep_worker_counts_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("model", ["poisson", "bernoulli", "normal"])
+    def test_spike_clt_sweep_worker_counts_byte_identical(self, tmp_path, model):
         # Spike contrasts take the reduced permutation and iid laws; n = 2 has two singleton levels.
-        args = ["clt-sweep", "--model", "poisson", "--alt", "spike:1", "--n-grid", "2,50,5000",
+        # The bootstrap takes the value-count route where k^2 <= n (poisson and bernoulli at
+        # n >= 50) and the vector route elsewhere (n = 2, normal data).
+        args = ["clt-sweep", "--model", model, "--alt", "spike:1", "--n-grid", "2,50,5000",
                 "--reps", "2500", "--seed", "23"]
         _, a = run(tmp_path, *args, "--workers", "1")
         first = a.read_bytes()

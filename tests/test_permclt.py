@@ -28,6 +28,7 @@ from invlab.permclt import (
     theorem_convergence_sweep_matrix,
 )
 from invlab.rng import (
+    TAG_BOOT_LAW,
     TAG_PERM_LAW,
     TAG_SUFFICIENT,
     blocks,
@@ -36,7 +37,7 @@ from invlab.rng import (
     uniform_permutations,
 )
 
-from oracles import law_inputs, one_shot_coupling, poisson_null
+from oracles import law_inputs, one_shot_boot, one_shot_coupling, poisson_null
 
 
 class TestPermLawMoments:
@@ -253,9 +254,9 @@ class TestBufferedCoupling:
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("case", ["distinct", "tie", "near_tie"])
-    @pytest.mark.parametrize("n", [2, 3, 2048, 2049, 10_000])
+    @pytest.mark.parametrize("n", [2, 3, 1024, 1025, 2048, 2049, 10_000])
     def test_uniform_order_is_the_argsort(self, n, case):
-        # Keys keep 53 value bits up to n = 2048 and drop bit_length(n - 1) - 11 above.
+        # Keys keep 53 value bits up to n = 1024 and drop bit_length(n - 1) - 10 above.
         u = spawn_generator(47, n).random((8, n))
         if case == "tie":
             u[3, -1] = u[3, 0]
@@ -263,8 +264,8 @@ class TestBufferedCoupling:
             # Equal but for the lowest bit, in the other order than the columns.
             k = int(u[5, -1] * 2.0**53) >> 8 << 8
             u[5, -1], u[5, 0] = k * 2.0**-53, (k + 1) * 2.0**-53
-        keys = np.empty(u.shape, dtype=np.uint64)
-        scratch = np.empty(u.shape, dtype=np.uint64)
+        keys = np.empty(u.shape, dtype=np.int64)
+        scratch = np.empty(u.shape, dtype=np.int64)
         order = permclt._uniform_order(u, keys, scratch)
         assert np.array_equal(order, np.argsort(u, axis=1))
 
@@ -351,11 +352,14 @@ class TestBoundedMemory:
 
 
 class TestSpikeRoute:
-    """Spike contrasts draw one index (permutation law) or one pair of sums (iid law) per replicate.
+    """Spike contrasts draw a few numbers per replicate, not a length-``n`` vector.
 
-    The reference is the vector form: ``m' P x`` over whole permutations and
-    ``m' x`` over whole null vectors.  Both laws are discrete wherever ``x``
-    or the family is, and the two forms sum in another order, so values are
+    The permutation law draws one index, the iid law one pair of sums, and
+    the bootstrap law on lattice data one index and one count vector over the
+    values of ``x``.  The reference is the vector form: ``m' P x`` over whole
+    permutations, ``sum_i m_i x(J*_i)`` over whole index vectors and ``m' x``
+    over whole null vectors.  The laws are discrete wherever ``x`` or the
+    family is, and the two forms sum in another order, so values are
     compared after rounding to 1e-9.
     """
 
@@ -441,6 +445,64 @@ class TestSpikeRoute:
         reduced = permclt._iid_spike_law(model.family, models.spike_levels(m), n, self.REPS, seed=57)
         vector = self._null(model, n, self.REPS, 58) @ m
         self._assert_same_law(reduced, vector)
+
+    # The bootstrap's count route needs k^2 <= n distinct values of x: lattice data only.
+    BOOT_SHAPES = {"n40": (40, True), "n400": (400, True), "uncentered": (100, False)}
+
+    def _lattice_input(self, family, shape, seed):
+        n, centered = self.BOOT_SHAPES[shape]
+        x = self._null(self.FAMILIES[family], n, 1, seed)[0]
+        assert permclt._value_counts(x) is not None
+        return self._spike(n, centered), x
+
+    @pytest.mark.parametrize("shape", sorted(BOOT_SHAPES))
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    def test_boot_law_matches_vector_form(self, family, shape):
+        m, x = self._lattice_input(family, shape, 59)
+        reduced = sample_boot_law(m, x, self.REPS, seed=60).values
+        vector = x[spawn_generator(61, 1).integers(0, x.size, size=(self.REPS, x.size))] @ m
+        self._assert_same_law(reduced, vector)
+
+    @pytest.mark.parametrize("shape", sorted(BOOT_SHAPES))
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    def test_boot_law_exact_moments(self, family, shape):
+        # E = sum(m) xbar and Var = sum(m^2) (1/n) sum (x - xbar)^2, each within 4 SE.
+        m, x = self._lattice_input(family, shape, 62)
+        values = sample_boot_law(m, x, self.REPS, seed=63).values
+        mean, var = m.sum() * x.mean(), np.sum(m**2) * x.var()
+        dev = values - values.mean()
+        assert abs(values.mean() - mean) <= 4 * np.sqrt(var / self.REPS)
+        var_se = np.sqrt(np.mean(dev**4) - np.mean(dev**2) ** 2) / np.sqrt(self.REPS)
+        assert abs(values.var() - var) <= 4 * var_se
+
+    def test_boot_law_stream(self):
+        n, reps, seed, gi = 60, 2500, 64, 3
+        m = self._spike(n)
+        x = self._null(self.FAMILIES["poisson"], n, 1, 65)[0]
+        values, counts = np.unique(x, return_counts=True)
+        assert values.size**2 <= n
+        want = []
+        for b, count in blocks(reps):
+            rng = spawn_generator(seed, TAG_SUFFICIENT, TAG_BOOT_LAW, gi, b)
+            own = x[rng.integers(0, n, size=count)]
+            rest = rng.multinomial(n - 1, counts / n, size=count) @ values
+            want.append(m[0] * own + m[1] * rest)
+        for workers in (1, 2):
+            law = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,))
+            assert np.array_equal(law.values, np.sort(np.concatenate(want)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_boot_law_keeps_the_vector_route_elsewhere(self, workers):
+        # A spike on continuous data (k = n) and a non-spike contrast on
+        # lattice data both read whole index vectors, on the unchanged stream.
+        n, reps, seed = 40, 1500, 66
+        law_m, normal_x = law_inputs(n)
+        lattice_x = self._null(self.FAMILIES["poisson"], n, 1, 67)[0]
+        assert permclt._value_counts(lattice_x) is not None
+        for m, x in ((self._spike(n), normal_x), (law_m, lattice_x), (law_m, normal_x)):
+            got = sample_boot_law(m, x, reps, seed, workers=workers).values
+            assert np.array_equal(got, np.sort(one_shot_boot(m, x, reps, seed)))
+
 
 class TestEmpiricalLaw:
     def test_sorted_and_finite(self):
