@@ -10,7 +10,7 @@ conditions are auditable from the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from .rng import (
     TAG_ALTERNATIVE,
     TAG_CALIBRATE,
     TAG_LEVEL,
-    TAG_MODEL,
     TAG_POWER,
     TAG_SUFFICIENT,
     as_generator,
+    blocks,
     map_blocks,
     row_chunks,
     row_slices,
@@ -380,9 +380,7 @@ def make_statistic(
     if name == "quadratic_spacings":
         return NamedStatistic(
             "quadratic_spacings",
-            lambda d: stats.quadratic_statistic(
-                spec, (np.asarray(d).shape[-1]) * np.asarray(d, dtype=float) - 1.0
-            ),
+            lambda d: stats.quadratic_statistic(spec, d, scale=np.shape(d)[-1], shift=1.0),
         )
     if name == "wilks":
         if n < 3:
@@ -450,6 +448,66 @@ class PowerReport:
         return float(np.hypot(self.level_se, self.power_se))
 
 
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """Functions ``fns`` of ``reps`` replicates, drawn block by block.
+
+    Block ``b`` is ``chunks(count, rng)`` on the stream ``(seed, *tags, b)``:
+    its rows in consecutive row chunks (:func:`invlab.rng.row_chunks`).
+    ``row_size`` is the sample size ``n`` of a data block and 0 for a
+    sufficient block; it orders the blocks of a plan (:func:`_draw_passes`).
+    """
+
+    chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]]
+    fns: Sequence[Callable[[np.ndarray], np.ndarray]]
+    reps: int
+    seed: int
+    tags: tuple[int, ...]
+    row_size: int = 0
+
+    def block(self, b: int, count: int) -> list[np.ndarray]:
+        """Every function on block ``b``.
+
+        Each chunk is made read-only and read by every function before the
+        next one is taken, so temporaries stay cache-sized; every function is
+        computed row by row, so the values are those of one whole-block call.
+        """
+        values: list[list[np.ndarray]] = [[] for _ in self.fns]
+        for chunk in self.chunks(count, as_generator(self.seed, *self.tags, b)):
+            chunk.flags.writeable = False
+            for out, fn in zip(values, self.fns):
+                out.append(np.asarray(fn(chunk), dtype=float))
+        return [np.concatenate(v) for v in values]
+
+
+#: Start rank of a pass's blocks at equal row size, by its last stream tag
+#: (other tags rank last): power blocks, rejection-sampled on spacings, are
+#: the slowest.
+_STAGE_RANK = {TAG_POWER: 0, TAG_LEVEL: 1, TAG_CALIBRATE: 2}
+
+
+def _draw_passes(passes: Sequence[_Pass], workers: int) -> list[list[np.ndarray]]:
+    """Per pass, every function's values in replicate order, from one :func:`map_blocks` call.
+
+    The plan holds every block of every pass and starts the largest row size
+    first; at equal size, power blocks go before level blocks and level
+    blocks before calibration blocks, so the slowest blocks do not trail at
+    the end of the call.  A block's values come from its own stream, so the
+    order changes no value.
+    """
+    ranks = [(-p.row_size, _STAGE_RANK.get(p.tags[-1], len(_STAGE_RANK))) for p in passes]
+    plan = sorted(
+        (((i, b), count) for i, p in enumerate(passes) for b, count in blocks(p.reps)),
+        key=lambda item: ranks[item[0][0]],
+    )
+    results = map_blocks(lambda key, count: passes[key[0]].block(key[1], count), plan, workers)
+    parts: list[list[list[np.ndarray]]] = [[] for _ in passes]
+    # The sort is stable, so each pass's blocks arrive in block order.
+    for ((i, _), _), values in zip(plan, results):
+        parts[i].append(values)
+    return [[np.concatenate(v) for v in zip(*block_values)] for block_values in parts]
+
+
 def _block_values(
     chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]],
     fns: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -460,68 +518,79 @@ def _block_values(
 ) -> list[np.ndarray]:
     """Every function of ``fns`` on ``reps`` replicates, in replicate order.
 
-    Block ``b`` is ``chunks(count, rng)`` on the stream ``(seed, *tags, b)``:
-    its rows in consecutive row chunks (:func:`invlab.rng.row_chunks`).  Each
-    chunk is made read-only and read by every function before the next one
-    is taken, so temporaries stay cache-sized; every function is computed row
-    by row, so the values are those of one whole-block call.
+    One :class:`_Pass` drawn alone; ``permclt`` draws its laws through it.
     """
-
-    def block(b: int, count: int) -> list[np.ndarray]:
-        values: list[list[np.ndarray]] = [[] for _ in fns]
-        for chunk in chunks(count, as_generator(seed, *tags, b)):
-            chunk.flags.writeable = False
-            for out, fn in zip(values, fns):
-                out.append(np.asarray(fn(chunk), dtype=float))
-        return [np.concatenate(v) for v in values]
-
-    return [np.concatenate(vals) for vals in zip(*map_blocks(block, reps, workers=workers))]
+    (values,) = _draw_passes([_Pass(chunks, fns, reps, seed, tags)], workers)
+    return values
 
 
-def _statistic_values(
+#: Passes with the keys of their functions' values: ``(keys, pass)`` pairs.
+Keyed = list[tuple[list[Hashable], _Pass]]
+
+
+def _draw_keyed(keyed: Keyed, workers: int) -> dict[Hashable, np.ndarray]:
+    """Each key's values, every pass drawn in one plan (:func:`_draw_passes`)."""
+    drawn = _draw_passes([p for _, p in keyed], workers)
+    return {key: v for (keys, _), values in zip(keyed, drawn) for key, v in zip(keys, values)}
+
+
+def _read(
+    model: Model, statistic: NamedStatistic, n: int, alt: AlternativeSpec, seed: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+    """``(fn, reduced)``: ``statistic`` on the route ``model`` takes for it under ``alt``.
+
+    ``reduced`` is whether it reads the model's sufficient block
+    (:meth:`Model.reduces`); ``fn`` is then its reduced form.
+    """
+    reduced = model.reduces(statistic, n, alt, seed)
+    return (statistic.reduced.fn if reduced else statistic), reduced
+
+
+def _route_passes(
     model: Model,
-    statistics: Sequence[NamedStatistic],
-    reduced: Sequence[bool],
+    reads: Sequence[tuple[Hashable, Callable[[np.ndarray], np.ndarray], bool]],
     n: int,
     alt: AlternativeSpec,
     reps: int,
     seed: int,
     tag: int,
-    workers: int,
-) -> list[np.ndarray]:
-    """Every statistic on ``reps`` draws of ``model`` under ``alt``.
+) -> Keyed:
+    """The passes that read ``reps`` draws of ``model`` under ``alt``, keyed.
 
-    Statistic ``i`` reads the model's sufficient block, drawn on the stream
-    ``(seed, TAG_SUFFICIENT, tag)``, where ``reduced[i]`` holds, and data
-    drawn on ``(seed, tag)`` otherwise.  Each kind of block is drawn once when any statistic
-    reads it and evaluated by its readers in turn (:func:`_block_values`), so
-    the values of one statistic do not depend on which others share the pass.
+    ``reads`` holds ``(key, fn, reduced)`` triples.  A function reads the
+    model's sufficient block, drawn on the stream ``(seed, TAG_SUFFICIENT,
+    tag)``, where ``reduced`` holds, and data drawn on ``(seed, tag)``
+    otherwise.  Each kind of block is drawn once when any function reads it
+    and evaluated by its readers in turn, so the values of one function do
+    not depend on which others share the pass.
     """
-    out: list[np.ndarray] = [np.empty(0)] * len(statistics)
+    out: Keyed = []
     for route in (False, True):
-        readers = [i for i, r in enumerate(reduced) if r == route]
-        if not readers:
+        mine = [(key, fn) for key, fn, reduced in reads if reduced == route]
+        if not mine:
             continue
         if route:
             chunks = lambda count, rng: row_slices(model.sample_sufficient(n, alt, count, rng, seed))
         else:
             chunks = lambda count, rng: model.sample_chunks(n, alt, count, rng, seed)
-        values = _block_values(
-            chunks,
-            [statistics[i].reduced.fn if route else statistics[i] for i in readers],
-            reps,
-            seed,
-            (TAG_SUFFICIENT, tag) if route else (tag,),
-            workers,
-        )
-        for i, vals in zip(readers, values):
-            out[i] = vals
+        keys, fns = zip(*mine)
+        tags = (TAG_SUFFICIENT, tag) if route else (tag,)
+        out.append((list(keys), _Pass(chunks, fns, reps, seed, tags, 0 if route else n)))
     return out
 
 
 def calibration_reps(reps: int, calib_reps: int | None = None) -> int:
     """Null replicates used for calibration: ``calib_reps``, else ``max(2 reps, 1000)``."""
     return calib_reps if calib_reps is not None else max(2 * reps, 1000)
+
+
+def _check_calibration(level: float, reps: int) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    if reps * level < MIN_TAIL_REPS:
+        raise ValueError(
+            f"too few replicates for the requested quantile (need reps*level >= {MIN_TAIL_REPS})"
+        )
 
 
 def calibrate_critical(
@@ -532,26 +601,23 @@ def calibrate_critical(
     reps: int,
     seed: int,
     workers: int = 1,
-    reduced: Sequence[bool] | None = None,
+    values: Sequence[np.ndarray] | None = None,
 ) -> list[float]:
     """Empirical upper-``level`` critical values from one null Monte Carlo run.
 
-    All statistics are evaluated on the same null draws; one critical value
-    is returned per statistic.  ``reduced[i]`` says whether statistic ``i``
-    reads the model's sufficient block (default: wherever the model reduces
-    it under the null).  The rejection rule is ``statistic > critical``;
-    two-sided statistics must be pre-transformed to one-sided form by the
-    caller.
+    All statistics are evaluated on the same ``reps`` null draws (stream tag
+    ``TAG_CALIBRATE``), each on the route the model takes for it under the
+    null; one critical value is returned per statistic.  ``values``, one
+    array per statistic, hands over values drawn elsewhere
+    (:func:`estimate_power_many` does).  The rejection rule is
+    ``statistic > critical``; two-sided statistics must be pre-transformed to
+    one-sided form by the caller.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    if reps * level < MIN_TAIL_REPS:
-        raise ValueError(
-            f"too few replicates for the requested quantile (need reps*level >= {MIN_TAIL_REPS})"
-        )
-    if reduced is None:
-        reduced = [model.reduces(statistic, n, NULL, seed) for statistic in statistics]
-    values = _statistic_values(model, statistics, reduced, n, NULL, reps, seed, TAG_CALIBRATE, workers)
+    _check_calibration(level, reps)
+    if values is None:
+        reads = [(i, *_read(model, s, n, NULL, seed)) for i, s in enumerate(statistics)]
+        drawn = _draw_keyed(_route_passes(model, reads, n, NULL, reps, seed, TAG_CALIBRATE), workers)
+        values = [drawn[i] for i in range(len(statistics))]
     return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
 
 
@@ -565,6 +631,42 @@ def _rejection_rate(values: np.ndarray, critical: float) -> tuple[float, float]:
     return float(p), se
 
 
+def _test_passes(
+    model: Model,
+    tests: Sequence[tuple[NamedStatistic, AlternativeSpec]],
+    level: float,
+    n: int,
+    reps: int,
+    calib_reps: int,
+    seed: int,
+    level_reads: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+) -> Keyed:
+    """Every pass of one cell's tests, keyed by stage and index.
+
+    ``("calibrate", i)`` is test ``i``'s statistic on ``calib_reps`` null
+    draws, ``("level", i)`` on ``reps`` more, and ``("power", i)`` on ``reps``
+    draws under its alternative; ``("read", j)`` is function ``j`` of
+    ``level_reads`` on the level's null data.  A test takes the route the
+    model takes for its statistic at its alternative (:func:`_read`), for
+    its calibration, level and power alike.  The null is drawn once for
+    calibration and once for the level, and each distinct alternative once
+    for power, per route.
+    """
+    _check_calibration(level, calib_reps)
+    reads = [(i, *_read(model, s, n, alt, seed)) for i, (s, alt) in enumerate(tests)]
+
+    def stage(name: str, subset: Sequence[tuple]) -> list[tuple]:
+        return [((name, i), fn, reduced) for i, fn, reduced in subset]
+
+    level_data = [(("read", j), fn, False) for j, fn in enumerate(level_reads)]
+    keyed = _route_passes(model, stage("calibrate", reads), n, NULL, calib_reps, seed, TAG_CALIBRATE)
+    keyed += _route_passes(model, stage("level", reads) + level_data, n, NULL, reps, seed, TAG_LEVEL)
+    for alt in dict.fromkeys(a for _, a in tests):
+        sharing = [read for read, (_, a) in zip(reads, tests) if a == alt]
+        keyed += _route_passes(model, stage("power", sharing), n, alt, reps, seed, TAG_POWER)
+    return keyed
+
+
 def estimate_power_many(
     model: Model,
     tests: Sequence[tuple[NamedStatistic, AlternativeSpec]],
@@ -574,35 +676,26 @@ def estimate_power_many(
     seed: int,
     calib_reps: int | None = None,
     workers: int = 1,
+    values: dict[Hashable, np.ndarray] | None = None,
 ) -> list[PowerReport]:
     """Calibrate under the null, then estimate level and power of each test.
 
-    A test is a statistic and the alternative it is run against.  It reads
-    the model's sufficient block when the model reduces the statistic at
-    that alternative (:meth:`Model.reduces`), and data otherwise; the route
-    follows from the test alone and holds for its calibration, level and
-    power.  The null is drawn once for calibration and once for the level,
-    and each distinct alternative once for power, per route; every statistic
-    of a route reads the same blocks, so each report equals the one
+    A test is a statistic and the alternative it is run against.  Its values
+    are those of :func:`_test_passes`, drawn here in one plan, or handed over
+    as ``values`` under the same keys (:func:`_sweep_cells` does).  Every
+    statistic of a route reads the same blocks, so each report equals the one
     :func:`estimate_power` gives for its test.
     """
     calib_reps = calibration_reps(reps, calib_reps)
+    if values is None:
+        values = _draw_keyed(_test_passes(model, tests, level, n, reps, calib_reps, seed), workers)
     statistics = [statistic for statistic, _ in tests]
-    reduced = [model.reduces(statistic, n, alt, seed) for statistic, alt in tests]
-    criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers, reduced)
-    null_vals = _statistic_values(model, statistics, reduced, n, NULL, reps, seed, TAG_LEVEL, workers)
-    alt_vals: dict[int, np.ndarray] = {}
-    for alt in dict.fromkeys(a for _, a in tests):
-        sharing = [i for i, (_, a) in enumerate(tests) if a == alt]
-        vals = _statistic_values(
-            model, [statistics[i] for i in sharing], [reduced[i] for i in sharing],
-            n, alt, reps, seed, TAG_POWER, workers,
-        )
-        alt_vals.update(zip(sharing, vals))
+    calibration = [values["calibrate", i] for i in range(len(tests))]
+    criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers, calibration)
     reports = []
     for i, ((statistic, alt), critical) in enumerate(zip(tests, criticals)):
-        level_hat, level_se = _rejection_rate(null_vals[i], critical)
-        power_hat, power_se = _rejection_rate(alt_vals[i], critical)
+        level_hat, level_se = _rejection_rate(values["level", i], critical)
+        power_hat, power_se = _rejection_rate(values["power", i], critical)
         reports.append(
             PowerReport(
                 statistic_name=statistic.name,
@@ -689,11 +782,26 @@ def _sweep_cells(
     level: float,
     calib_reps: int | None,
     workers: int,
-) -> Iterator[tuple[int, int, list[PowerReport]]]:
-    """Per cell, ``(n, run_seed, reports)`` of its tests on shared draws."""
-    for n, run_seed, tests in cells:
-        reports = estimate_power_many(model, tests, level, n, reps, run_seed, calib_reps, workers)
-        yield n, run_seed, reports
+    level_reads: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+) -> Iterator[tuple[int, int, list[PowerReport], list[np.ndarray]]]:
+    """Per cell, ``(n, run_seed, reports, reads)``: its tests on shared draws.
+
+    ``reads`` holds the values of each function of ``level_reads`` on the
+    cell's level replicates.  The calibration, level and power blocks of
+    every cell are drawn in one plan (:func:`_draw_passes`) before any cell
+    is reduced.
+    """
+    calib = calibration_reps(reps, calib_reps)
+    keyed = [
+        ([(c, key) for key in keys], p)
+        for c, (n, run_seed, tests) in enumerate(cells)
+        for keys, p in _test_passes(model, tests, level, n, reps, calib, run_seed, level_reads)
+    ]
+    values = _draw_keyed(keyed, workers)
+    for c, (n, run_seed, tests) in enumerate(cells):
+        mine = {key: v for (cell, key), v in values.items() if cell == c}
+        reports = estimate_power_many(model, tests, level, n, reps, run_seed, calib_reps, workers, mine)
+        yield n, run_seed, reports, [mine["read", j] for j in range(len(level_reads))]
 
 
 def _gaps(reports: Sequence[PowerReport]) -> list[float]:
@@ -744,7 +852,7 @@ def theorem1_sweep(
 
     cells = _grid_cells(model, tests, n_grid, seed)
     rows = []
-    for n, run_seed, (chisq, np_rep) in _sweep_cells(model, cells, reps, level, calib_reps, workers):
+    for n, run_seed, (chisq, np_rep), _ in _sweep_cells(model, cells, reps, level, calib_reps, workers):
         m = spike(n, run_seed)
         lbars = orbit.null_lbar_samples(model.family, m, orthogonal, lbar_reps, run_seed, workers)
         bound, bound_se = orbit.power_level_bound(lbars)
@@ -801,7 +909,7 @@ def theorem2_sweep(
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
         Theorem2Row(n, *_gaps(reports), **model.alternative_audit(n, spike, run_seed))
-        for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        for n, run_seed, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -844,7 +952,7 @@ def neyman_scott_sweep(
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
         NeymanScottRow(n, nu, *_gaps(reports), **model.alternative_audit(n, alt, run_seed))
-        for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        for n, run_seed, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -887,7 +995,7 @@ def matrix_variate_sweep(
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
         MatrixSweepRow(n, *_gaps(reports))
-        for n, _, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        for n, _, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -919,36 +1027,30 @@ def spacings_sweep(
 
     Gaps for Greenwood, Moran, the overlapping 2-spacings statistic, and the
     quadratic statistic on centered spacings residuals, plus the 95th
-    percentile of |linear approximation - exact log-likelihood ratio| under
-    the null (its trend across n is the boundedness diagnostic).
+    percentile of |linear approximation - exact log-likelihood ratio| on the
+    level pass's null replicates (its trend across n is the boundedness
+    diagnostic).
     """
     model = SpacingsModel()
     alt = AlternativeSpec(kind="spacings_h", scale=1.0, profile=h)
     names = ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
     tests = lambda n, _: [(make_statistic(name, n), alt) for name in names]
     cells = _grid_cells(model, tests, n_grid, seed)
+
+    def llr_gap(d: np.ndarray) -> np.ndarray:
+        return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))
+
     return [
-        SpacingsRow(n, *_gaps(reports), *_llr_gap_p95(h, n, min(reps, 4000), run_seed, workers))
-        for n, run_seed, reports in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        SpacingsRow(n, *_gaps(reports), *_llr_gap_p95(gaps))
+        for n, _, reports, (gaps,) in _sweep_cells(
+            model, cells, reps, level, calib_reps, workers, [llr_gap]
+        )
     ]
 
 
-def _llr_gap_p95(
-    h: Profile, n: int, reps: int, seed: int, workers: int
-) -> tuple[float, float]:
-    def gap(d: np.ndarray) -> np.ndarray:
-        return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))
-
-    (gaps,) = _block_values(
-        lambda count, rng: SpacingsModel().sample_chunks(n, NULL, count, rng, seed),
-        [gap],
-        reps,
-        seed,
-        (TAG_MODEL, 101),
-        workers,
-    )
+def _llr_gap_p95(gaps: np.ndarray) -> tuple[float, float]:
+    """The 95th percentile of ``gaps`` and its error bar from ten batches of replicates."""
     p95 = float(np.quantile(gaps, 0.95))
-    # Batch the percentile for a replicate-level error bar.
     batches = np.array_split(gaps, 10)
     vals = [np.quantile(bb, 0.95) for bb in batches if bb.size]
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))

@@ -388,8 +388,9 @@ def cosine_profile(coeffs: dict[int, float], label: str | None = None) -> Profil
 
     def fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, c in items:
+        (k, c), *rest = items
+        out = c * np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x)
+        for k, c in rest:
             out = out + c * np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x)
         return out
 
@@ -503,17 +504,18 @@ def _acceptance_floor(prof: Profile, root_n: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _linear_llr_terms(prof: Profile, n: int) -> tuple[np.ndarray, float]:
-    """``h(i / (n + 1))`` for ``i = 1 .. n + 1`` (read-only) and ``integral(h^2) / 2``.
+def _linear_llr_terms(prof: Profile, n: int) -> tuple[np.ndarray, float, float]:
+    """``h_i = h(i / (n + 1))``, ``i = 1 .. n + 1`` (read-only), their mean and ``integral(h^2) / 2``.
 
     The integral is a 1024-interval composite Simpson sum.  Cached per
-    ``(profile, n)``: row-chunked evaluation asks for both once per chunk.
+    ``(profile, n)``: row-chunked evaluation asks for them once per chunk.
     """
     i = np.arange(1, n + 2, dtype=float)
     grid = np.asarray(prof(i / (n + 1)), dtype=float)
     grid.flags.writeable = False
     xs = np.linspace(0.0, 1.0, _HSQ_INTERVALS + 1)
-    return grid, 0.5 * float(simpson(np.asarray(prof(xs), float) ** 2, x=xs))
+    half_l2 = 0.5 * float(simpson(np.asarray(prof(xs), float) ** 2, x=xs))
+    return grid, float(grid.sum()) / (n + 1), half_l2
 
 
 def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
@@ -521,11 +523,13 @@ def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
 
     ``-(n+1)/sqrt(n) * sum_i h(i/(n+1)) (d_i - 1/(n+1)) - integral(h^2)/2``,
     with the profile evaluated at the expected order-statistic positions.
+    The sum is taken as the row dot product ``d . h`` minus the cached
+    ``sum h_i / (n+1)``.
     """
     dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
-    hi, half_l2 = _linear_llr_terms(_as_profile(h), n)
-    residual = np.sum((dv - 1.0 / (n + 1)) * hi, axis=-1)
+    hi, mean_h, half_l2 = _linear_llr_terms(_as_profile(h), n)
+    residual = np.einsum("...i,i->...", dv, hi) - mean_h
     return -(n + 1) / np.sqrt(n) * residual - half_l2
 
 

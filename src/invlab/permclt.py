@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experiments import NULL, FamilyModel
+from .experiments import NULL, FamilyModel, _block_values
 from .models import ExpFamilySpec, spike_levels
 from .rng import (
     TAG_BOOT_LAW,
@@ -318,11 +318,11 @@ def _chunked_law(
     replicates of ``row_size`` elements each from ``rng`` and reduces them.
     """
 
-    def block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, *tags, b)
-        return np.concatenate([values(rng, c) for c in row_chunks(count, row_size)])
-
-    return np.concatenate(map_blocks(block, reps, workers=workers))
+    (law,) = _block_values(
+        lambda count, rng: (values(rng, c) for c in row_chunks(count, row_size)),
+        [np.asarray], reps, seed, tags, workers,
+    )
+    return law
 
 
 # --------------------------------------------------------------------- #

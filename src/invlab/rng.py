@@ -20,8 +20,8 @@ reads the later run from a copy :func:`jumped` ahead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from collections.abc import Callable, Hashable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -132,15 +132,26 @@ def row_slices(data: np.ndarray) -> list[np.ndarray]:
     return [data[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def map_blocks(fn: Callable[[int, int], T], total: int, workers: int = 1) -> list[T]:
-    """Evaluate ``fn(block_index, block_count)`` for every block, in block order.
+def map_blocks(
+    fn: Callable[[Hashable, int], T],
+    total: int | Sequence[tuple[Hashable, int]],
+    workers: int = 1,
+) -> list[T]:
+    """Evaluate ``fn(block, count)`` for every block of a plan, in plan order.
 
-    With ``workers > 1`` the blocks run on a thread pool; results are
-    still returned in block order, so any order-sensitive reduction by the
-    caller is independent of the worker count.
+    The plan is ``total`` itself when it is a list of ``(block, count)``
+    pairs (``block`` any key ``fn`` understands), else :func:`blocks` of
+    ``total`` replicates.  With ``workers > 1`` the blocks run on a thread
+    pool and start in plan order; results are still returned in plan order,
+    so any order-sensitive reduction by the caller is independent of the
+    worker count.  A block's exception is raised here.
     """
-    plan = blocks(total)
+    plan = list(total) if isinstance(total, Sequence) else blocks(total)
     if workers <= 1 or len(plan) <= 1:
         return [fn(b, c) for b, c in plan]
+    # Imported here: concurrent.futures pulls in logging, which single-worker
+    # runs need not pay for at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda bc: fn(bc[0], bc[1]), plan))

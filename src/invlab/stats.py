@@ -85,7 +85,7 @@ def moran(d: np.ndarray) -> np.ndarray:
 def greenwood(d: np.ndarray) -> np.ndarray:
     """Greenwood's statistic ``sum d_i^2``, invariant under permutations of the spacings."""
     dv = np.asarray(d, dtype=float)
-    return np.sum(dv * dv, axis=-1)
+    return np.einsum("...i,...i->...", dv, dv)
 
 
 def two_spacings_statistic(d: np.ndarray) -> np.ndarray:
@@ -94,12 +94,15 @@ def two_spacings_statistic(d: np.ndarray) -> np.ndarray:
     ``U_1 < ... < U_n`` is the ordered sample on [0, 1] with ``U_0 = 0`` and
     ``U_{n+1} = 1``; the statistic reads its spacings ``d`` (shape
     ``(..., n + 1)``, ``d_i = U_i - U_{i-1}``) as
-    ``sum_i (d_{i+1} + d_{i+2})^2``.  Invariant under the reflection
-    ``u -> 1 - u`` (the spacings reversed), not under permutations of the
-    spacings.
+    ``sum_i (d_{i+1} + d_{i+2})^2``, expanded into row dot products:
+    ``2 sum d_i^2 - d_1^2 - d_{n+1}^2 + 2 sum d_i d_{i+1}``.  Invariant under
+    the reflection ``u -> 1 - u`` (the spacings reversed), not under
+    permutations of the spacings.
     """
     dv = np.asarray(d, dtype=float)
-    return np.sum(np.square(dv[..., :-1] + dv[..., 1:]), axis=-1)
+    squares = np.einsum("...i,...i->...", dv, dv)
+    neighbours = np.einsum("...i,...i->...", dv[..., :-1], dv[..., 1:])
+    return 2.0 * (squares + neighbours) - dv[..., 0] ** 2 - dv[..., -1] ** 2
 
 
 def points_from_spacings(d: np.ndarray) -> np.ndarray:
@@ -162,23 +165,36 @@ class QuadraticTestSpec:
         norms.flags.writeable = False
         return norms
 
+    @lru_cache(maxsize=8)
+    def grid_sums(self, n: int) -> np.ndarray:
+        """Sums of the rows of :meth:`grid_matrix` (read-only)."""
+        sums = self.grid_matrix(n).sum(axis=1)
+        sums.flags.writeable = False
+        return sums
+
 
 def default_quadratic_spec(num_terms: int = 8) -> QuadraticTestSpec:
     """Weights ``2^-i`` on the cosine basis."""
     return QuadraticTestSpec(lambdas=tuple(2.0**-i for i in range(1, num_terms + 1)))
 
 
-def quadratic_statistic(spec: QuadraticTestSpec, x: np.ndarray) -> np.ndarray:
-    """Weighted sum of squared standardized basis projections of ``x``.
+def quadratic_statistic(
+    spec: QuadraticTestSpec, x: np.ndarray, scale: float = 1.0, shift: float = 0.0
+) -> np.ndarray:
+    """Weighted sum of squared standardized basis projections of ``scale * x - shift``.
 
-    Invariant under the orthogonal maps that fix every basis vector on the
-    grid, not under permutations.
+    The projection on a basis vector ``g`` is taken as
+    ``(scale (x . g) - shift sum(g)) / ||g||``, so the residuals are never
+    formed; the defaults project ``x`` itself.  Invariant under the
+    orthogonal maps that fix every basis vector on the grid, not under
+    permutations.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if n < spec.num_terms:
         raise ValueError("need at least as many observations as basis terms")
-    z = np.einsum("...j,kj->...k", x, spec.grid_matrix(n)) / spec.grid_norms(n)
+    dots = np.einsum("...j,kj->...k", x, spec.grid_matrix(n))
+    z = (scale * dots - shift * spec.grid_sums(n)) / spec.grid_norms(n)
     lam = np.asarray(spec.lambdas)
     return np.sum(z * z * lam, axis=-1)
 

@@ -1,9 +1,12 @@
-"""Tests for the row chunks a replicate block is drawn in, and for jumping a stream ahead."""
+"""Tests for block plans, the row chunks a replicate block is drawn in, and jumping a stream ahead."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from invlab.rng import BLOCK_REPS, CHUNK_ELEMENTS, jumped, row_chunks, spawn_generator
+from invlab.rng import BLOCK_REPS, CHUNK_ELEMENTS, jumped, map_blocks, row_chunks, spawn_generator
 
 #: Every generator method a block function draws in row chunks.
 DRAWS = {
@@ -65,3 +68,34 @@ def test_jump_keeps_a_pending_32_bit_half():
 def test_jump_refuses_other_bit_generators():
     with pytest.raises(TypeError, match="Philox"):
         jumped(np.random.Generator(np.random.PCG64(0)), 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plan_results_come_in_plan_order(workers):
+    # Uneven tasks: the slow first block finishes after the ones behind it.
+    plan = [("slow", 3), (7, 1), (("cell", 2), 5), (0, 2)]
+    started = []
+    lock = threading.Lock()
+
+    def fn(block, count):
+        with lock:
+            started.append(block)
+        time.sleep(0.05 if block == "slow" else 0.001)
+        return block, count
+
+    assert map_blocks(fn, plan, workers) == plan
+    assert sorted(map(str, started)) == sorted(str(b) for b, _ in plan)
+    if workers == 1:
+        assert started == [b for b, _ in plan]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plan_reraises_a_task_exception(workers):
+    def fn(block, count):
+        if block == "bad":
+            raise ZeroDivisionError(f"block {block}")
+        time.sleep(0.01)
+        return count
+
+    with pytest.raises(ZeroDivisionError, match="block bad"):
+        map_blocks(fn, [("a", 1), ("bad", 2), ("c", 3)], workers)

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from invlab import stats
-from invlab.models import sample_spacings_null_batch
+from invlab.experiments import make_statistic
+from invlab.models import (
+    cosine_profile,
+    sample_spacings_alternative_batch,
+    sample_spacings_null_batch,
+)
 from invlab.rng import spawn_generator
 from invlab.stats import (
     QuadraticTestSpec,
@@ -157,6 +162,45 @@ class TestTwoSpacings:
         assert not verify_invariance(
             two_spacings_statistic, permutation_sampler(13), d, reps=64, seed=1
         )
+
+
+def _spacings_rows(n: int, kind: str) -> np.ndarray:
+    rng = spawn_generator(61, n)
+    if kind == "null":
+        return sample_spacings_null_batch(n, 300, rng)
+    return sample_spacings_alternative_batch(n, cosine_profile({1: 0.5, 2: 0.1}), 300, rng)
+
+
+def _direct_quadratic(spec: QuadraticTestSpec, residual: np.ndarray) -> np.ndarray:
+    size = residual.shape[-1]
+    g = np.stack([f(np.arange(1, size + 1) / size) for f in cosine_basis(spec.num_terms)])
+    z = np.sum(residual[:, None, :] * g, axis=-1) / np.sqrt(np.sum(g * g, axis=-1))
+    return np.sum(np.asarray(spec.lambdas) * z * z, axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["null", "alternative"])
+@pytest.mark.parametrize("n", [1, 2, 100, 1601])
+class TestOnePassSpacingsForms:
+    """The row-dot-product forms of the spacings statistics against their direct forms."""
+
+    def test_greenwood(self, n, kind):
+        d = _spacings_rows(n, kind)
+        np.testing.assert_allclose(greenwood(d), np.sum(d * d, axis=-1), rtol=1e-12, atol=0)
+
+    def test_two_spacings(self, n, kind):
+        d = _spacings_rows(n, kind)
+        direct = np.sum((d[:, :-1] + d[:, 1:]) ** 2, axis=-1)
+        np.testing.assert_allclose(two_spacings_statistic(d), direct, rtol=1e-12, atol=0)
+
+    def test_quadratic_spacings(self, n, kind):
+        d = _spacings_rows(n, kind)
+        residual = (n + 1) * d - 1.0
+        if n + 1 >= default_quadratic_spec().num_terms:
+            spec, got = default_quadratic_spec(), make_statistic("quadratic_spacings", n)(d)
+        else:
+            spec = QuadraticTestSpec(lambdas=(0.5,) * (n + 1))
+            got = quadratic_statistic(spec, d, scale=n + 1, shift=1.0)
+        np.testing.assert_allclose(got, _direct_quadratic(spec, residual), rtol=1e-12, atol=0)
 
 
 class TestQuadraticStatistic:
