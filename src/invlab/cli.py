@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, models, orbit, permclt
-from .models import MeanVector
 from .rng import TAG_MODEL, spawn_generator
 
 ENV_SEED = "INVLAB_SEED"
@@ -95,6 +94,10 @@ def config_hash(config: dict) -> str:
 
 
 def write_output(rows: list[dict], config: dict, started: float) -> None:
+    for row in rows:
+        for column, v in row.items():
+            if isinstance(v, (float, np.floating)) and np.isinf(v):
+                raise ValueError(f"column {column} is {float(v)} at n = {row.get('n')} (overflow)")
     text = render_table(rows, config["format"])
     out = config.get("out")
     if out:
@@ -315,7 +318,8 @@ def run_spacings(cfg: dict) -> list[dict]:
 def run_lbar(cfg: dict) -> list[dict]:
     group = orbit.Group(cfg["group"])
     alt = parse_alternative(cfg["alt"])
-    family = models.family_by_name(cfg["model"])
+    model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
+    family = model.family
 
     def setup(n, _):
         entries = alt.mean_entries(n, 0.0, cfg["seed"])
@@ -325,7 +329,7 @@ def run_lbar(cfg: dict) -> list[dict]:
             q, _ = np.linalg.qr(design)
             entries = entries - q @ (q.T @ entries)
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        m = model.mean_vector(entries)
         return n, m, spec, spec.null_orbit(family, m, cfg["seed"]).radial is None
 
     rows = []

@@ -186,7 +186,7 @@ class FamilyModel(Model):
     def name(self) -> str:
         return self.family.name
 
-    def _mean_vector(self, entries: np.ndarray) -> MeanVector:
+    def mean_vector(self, entries: np.ndarray) -> MeanVector:
         if self.compact is None:
             return MeanVector(entries, compact_lo=None, compact_hi=None)
         return MeanVector(entries, compact_lo=self.compact[0], compact_hi=self.compact[1])
@@ -196,7 +196,7 @@ class FamilyModel(Model):
         return NORMAL_RADIAL if self.family.name == "normal" else None
 
     def sample(self, n, alt, reps, rng, seed):
-        m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
+        m = self.mean_vector(alt.mean_entries(n, 0.0, seed))
         return models.sample_model(self.family, m, rng, reps=reps)
 
     def reduces(self, statistic, n, alt, seed):
@@ -210,11 +210,11 @@ class FamilyModel(Model):
         return bool(np.max(np.abs(m / np.linalg.norm(m) - direction)) <= _SAME_DIRECTION)
 
     def sample_sufficient(self, n, alt, reps, rng, seed):
-        m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
+        m = self.mean_vector(alt.mean_entries(n, 0.0, seed))
         return models.sample_normal_radial(float(np.linalg.norm(m.entries)), n, rng, reps)
 
     def alternative_audit(self, n, alt, seed):
-        m = self._mean_vector(alt.mean_entries(n, 0.0, seed))
+        m = self.mean_vector(alt.mean_entries(n, 0.0, seed))
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
 
@@ -450,32 +450,34 @@ class PowerReport:
 
 @dataclass(frozen=True, eq=False)
 class _Pass:
-    """Functions ``fns`` of ``reps`` replicates, drawn block by block.
+    """Functions ``reads`` of ``reps`` replicates, drawn block by block.
 
     Block ``b`` is ``chunks(count, rng)`` on the stream ``(seed, *tags, b)``:
     its rows in consecutive row chunks (:func:`invlab.rng.row_chunks`).
+    ``reads`` maps each key to the function whose values it names.
     ``row_size`` is the sample size ``n`` of a data block and 0 for a
     sufficient block; it orders the blocks of a plan (:func:`_draw_passes`).
     """
 
     chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]]
-    fns: Sequence[Callable[[np.ndarray], np.ndarray]]
+    reads: dict[Hashable, Callable[[np.ndarray], np.ndarray]]
     reps: int
     seed: int
     tags: tuple[int, ...]
     row_size: int = 0
 
     def block(self, b: int, count: int) -> list[np.ndarray]:
-        """Every function on block ``b``.
+        """Every function on block ``b``, in the order of ``reads``.
 
         Each chunk is made read-only and read by every function before the
         next one is taken, so temporaries stay cache-sized; every function is
         computed row by row, so the values are those of one whole-block call.
         """
-        values: list[list[np.ndarray]] = [[] for _ in self.fns]
+        fns = list(self.reads.values())
+        values: list[list[np.ndarray]] = [[] for _ in fns]
         for chunk in self.chunks(count, as_generator(self.seed, *self.tags, b)):
             chunk.flags.writeable = False
-            for out, fn in zip(values, self.fns):
+            for out, fn in zip(values, fns):
                 out.append(np.asarray(fn(chunk), dtype=float))
         return [np.concatenate(v) for v in values]
 
@@ -486,8 +488,8 @@ class _Pass:
 _STAGE_RANK = {TAG_POWER: 0, TAG_LEVEL: 1, TAG_CALIBRATE: 2}
 
 
-def _draw_passes(passes: Sequence[_Pass], workers: int) -> list[list[np.ndarray]]:
-    """Per pass, every function's values in replicate order, from one :func:`map_blocks` call.
+def _draw_passes(passes: Sequence[_Pass], workers: int) -> dict[Hashable, np.ndarray]:
+    """Each key's values in replicate order, every pass drawn in one :func:`map_blocks` call.
 
     The plan holds every block of every pass and starts the largest row size
     first; at equal size, power blocks go before level blocks and level
@@ -505,77 +507,39 @@ def _draw_passes(passes: Sequence[_Pass], workers: int) -> list[list[np.ndarray]
     # The sort is stable, so each pass's blocks arrive in block order.
     for ((i, _), _), values in zip(plan, results):
         parts[i].append(values)
-    return [[np.concatenate(v) for v in zip(*block_values)] for block_values in parts]
-
-
-def _block_values(
-    chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]],
-    fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-    reps: int,
-    seed: int,
-    tags: tuple[int, ...],
-    workers: int,
-) -> list[np.ndarray]:
-    """Every function of ``fns`` on ``reps`` replicates, in replicate order.
-
-    One :class:`_Pass` drawn alone; ``permclt`` draws its laws through it.
-    """
-    (values,) = _draw_passes([_Pass(chunks, fns, reps, seed, tags)], workers)
-    return values
-
-
-#: Passes with the keys of their functions' values: ``(keys, pass)`` pairs.
-Keyed = list[tuple[list[Hashable], _Pass]]
-
-
-def _draw_keyed(keyed: Keyed, workers: int) -> dict[Hashable, np.ndarray]:
-    """Each key's values, every pass drawn in one plan (:func:`_draw_passes`)."""
-    drawn = _draw_passes([p for _, p in keyed], workers)
-    return {key: v for (keys, _), values in zip(keyed, drawn) for key, v in zip(keys, values)}
-
-
-def _read(
-    model: Model, statistic: NamedStatistic, n: int, alt: AlternativeSpec, seed: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
-    """``(fn, reduced)``: ``statistic`` on the route ``model`` takes for it under ``alt``.
-
-    ``reduced`` is whether it reads the model's sufficient block
-    (:meth:`Model.reduces`); ``fn`` is then its reduced form.
-    """
-    reduced = model.reduces(statistic, n, alt, seed)
-    return (statistic.reduced.fn if reduced else statistic), reduced
+    return {
+        key: np.concatenate(v)
+        for p, block_values in zip(passes, parts)
+        for key, v in zip(p.reads, zip(*block_values))
+    }
 
 
 def _route_passes(
     model: Model,
-    reads: Sequence[tuple[Hashable, Callable[[np.ndarray], np.ndarray], bool]],
+    reads: dict[Hashable, Callable[[np.ndarray], np.ndarray] | Reduced],
     n: int,
     alt: AlternativeSpec,
     reps: int,
     seed: int,
     tag: int,
-) -> Keyed:
-    """The passes that read ``reps`` draws of ``model`` under ``alt``, keyed.
+) -> list[_Pass]:
+    """The passes that read ``reps`` draws of ``model`` under ``alt``.
 
-    ``reads`` holds ``(key, fn, reduced)`` triples.  A function reads the
-    model's sufficient block, drawn on the stream ``(seed, TAG_SUFFICIENT,
-    tag)``, where ``reduced`` holds, and data drawn on ``(seed, tag)``
-    otherwise.  Each kind of block is drawn once when any function reads it
-    and evaluated by its readers in turn, so the values of one function do
-    not depend on which others share the pass.
+    A :class:`Reduced` read is its ``fn`` on the model's sufficient block,
+    drawn on the stream ``(seed, TAG_SUFFICIENT, tag)``; any other read is a
+    function of data drawn on ``(seed, tag)``.  Each kind of block is drawn
+    once when any function reads it and evaluated by its readers in turn, so
+    the values of one function do not depend on which others share the pass.
     """
-    out: Keyed = []
-    for route in (False, True):
-        mine = [(key, fn) for key, fn, reduced in reads if reduced == route]
-        if not mine:
-            continue
-        if route:
-            chunks = lambda count, rng: row_slices(model.sample_sufficient(n, alt, count, rng, seed))
-        else:
-            chunks = lambda count, rng: model.sample_chunks(n, alt, count, rng, seed)
-        keys, fns = zip(*mine)
-        tags = (TAG_SUFFICIENT, tag) if route else (tag,)
-        out.append((list(keys), _Pass(chunks, fns, reps, seed, tags, 0 if route else n)))
+    data = {key: fn for key, fn in reads.items() if not isinstance(fn, Reduced)}
+    sufficient = {key: fn.fn for key, fn in reads.items() if isinstance(fn, Reduced)}
+    out = []
+    if data:
+        chunks = lambda count, rng: model.sample_chunks(n, alt, count, rng, seed)
+        out.append(_Pass(chunks, data, reps, seed, (tag,), n))
+    if sufficient:
+        chunks = lambda count, rng: row_slices(model.sample_sufficient(n, alt, count, rng, seed))
+        out.append(_Pass(chunks, sufficient, reps, seed, (TAG_SUFFICIENT, tag)))
     return out
 
 
@@ -609,14 +573,14 @@ def calibrate_critical(
     ``TAG_CALIBRATE``), each on the route the model takes for it under the
     null; one critical value is returned per statistic.  ``values``, one
     array per statistic, hands over values drawn elsewhere
-    (:func:`estimate_power_many` does).  The rejection rule is
+    (:func:`_sweep_cells` does).  The rejection rule is
     ``statistic > critical``; two-sided statistics must be pre-transformed to
     one-sided form by the caller.
     """
     _check_calibration(level, reps)
     if values is None:
-        reads = [(i, *_read(model, s, n, NULL, seed)) for i, s in enumerate(statistics)]
-        drawn = _draw_keyed(_route_passes(model, reads, n, NULL, reps, seed, TAG_CALIBRATE), workers)
+        reads = {i: s.reduced if model.reduces(s, n, NULL, seed) else s for i, s in enumerate(statistics)}
+        drawn = _draw_passes(_route_passes(model, reads, n, NULL, reps, seed, TAG_CALIBRATE), workers)
         values = [drawn[i] for i in range(len(statistics))]
     return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
 
@@ -631,42 +595,6 @@ def _rejection_rate(values: np.ndarray, critical: float) -> tuple[float, float]:
     return float(p), se
 
 
-def _test_passes(
-    model: Model,
-    tests: Sequence[tuple[NamedStatistic, AlternativeSpec]],
-    level: float,
-    n: int,
-    reps: int,
-    calib_reps: int,
-    seed: int,
-    level_reads: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
-) -> Keyed:
-    """Every pass of one cell's tests, keyed by stage and index.
-
-    ``("calibrate", i)`` is test ``i``'s statistic on ``calib_reps`` null
-    draws, ``("level", i)`` on ``reps`` more, and ``("power", i)`` on ``reps``
-    draws under its alternative; ``("read", j)`` is function ``j`` of
-    ``level_reads`` on the level's null data.  A test takes the route the
-    model takes for its statistic at its alternative (:func:`_read`), for
-    its calibration, level and power alike.  The null is drawn once for
-    calibration and once for the level, and each distinct alternative once
-    for power, per route.
-    """
-    _check_calibration(level, calib_reps)
-    reads = [(i, *_read(model, s, n, alt, seed)) for i, (s, alt) in enumerate(tests)]
-
-    def stage(name: str, subset: Sequence[tuple]) -> list[tuple]:
-        return [((name, i), fn, reduced) for i, fn, reduced in subset]
-
-    level_data = [(("read", j), fn, False) for j, fn in enumerate(level_reads)]
-    keyed = _route_passes(model, stage("calibrate", reads), n, NULL, calib_reps, seed, TAG_CALIBRATE)
-    keyed += _route_passes(model, stage("level", reads) + level_data, n, NULL, reps, seed, TAG_LEVEL)
-    for alt in dict.fromkeys(a for _, a in tests):
-        sharing = [read for read, (_, a) in zip(reads, tests) if a == alt]
-        keyed += _route_passes(model, stage("power", sharing), n, alt, reps, seed, TAG_POWER)
-    return keyed
-
-
 def estimate_power_many(
     model: Model,
     tests: Sequence[tuple[NamedStatistic, AlternativeSpec]],
@@ -676,41 +604,15 @@ def estimate_power_many(
     seed: int,
     calib_reps: int | None = None,
     workers: int = 1,
-    values: dict[Hashable, np.ndarray] | None = None,
 ) -> list[PowerReport]:
     """Calibrate under the null, then estimate level and power of each test.
 
-    A test is a statistic and the alternative it is run against.  Its values
-    are those of :func:`_test_passes`, drawn here in one plan, or handed over
-    as ``values`` under the same keys (:func:`_sweep_cells` does).  Every
-    statistic of a route reads the same blocks, so each report equals the one
+    A test is a statistic and the alternative it is run against; the tests
+    are one sweep cell (:func:`_sweep_cells`).  Every statistic of a route
+    reads the same blocks, so each report equals the one
     :func:`estimate_power` gives for its test.
     """
-    calib_reps = calibration_reps(reps, calib_reps)
-    if values is None:
-        values = _draw_keyed(_test_passes(model, tests, level, n, reps, calib_reps, seed), workers)
-    statistics = [statistic for statistic, _ in tests]
-    calibration = [values["calibrate", i] for i in range(len(tests))]
-    criticals = calibrate_critical(model, statistics, level, n, calib_reps, seed, workers, calibration)
-    reports = []
-    for i, ((statistic, alt), critical) in enumerate(zip(tests, criticals)):
-        level_hat, level_se = _rejection_rate(values["level", i], critical)
-        power_hat, power_se = _rejection_rate(values["power", i], critical)
-        reports.append(
-            PowerReport(
-                statistic_name=statistic.name,
-                n=n,
-                alternative=alt.describe(),
-                level_target=level,
-                critical_value=critical,
-                level_hat=level_hat,
-                level_se=level_se,
-                power_hat=power_hat,
-                power_se=power_se,
-                reps=reps,
-                seed=seed,
-            )
-        )
+    ((_, _, reports, _),) = _sweep_cells(model, [(n, seed, tests)], reps, level, calib_reps, workers)
     return reports
 
 
@@ -734,7 +636,8 @@ def estimate_power(
 # Theorem sweeps
 #
 # Each sweep row's fields are its CSV columns, in order.  A grid point is one
-# cell: its tests run on shared draws through estimate_power_many, and their
+# cell of tests; _sweep_cells draws every cell's blocks in one plan and
+# reduces each cell to its reports (estimate_power_many is one cell), whose
 # gaps fill the row as (gap, gap_se) pairs in test order.
 # --------------------------------------------------------------------- #
 
@@ -786,22 +689,45 @@ def _sweep_cells(
 ) -> Iterator[tuple[int, int, list[PowerReport], list[np.ndarray]]]:
     """Per cell, ``(n, run_seed, reports, reads)``: its tests on shared draws.
 
-    ``reads`` holds the values of each function of ``level_reads`` on the
-    cell's level replicates.  The calibration, level and power blocks of
-    every cell are drawn in one plan (:func:`_draw_passes`) before any cell
-    is reduced.
+    Value ``(c, "calibrate", i)`` is test ``i`` of cell ``c`` on ``calib_reps``
+    null draws, ``(c, "level", i)`` on ``reps`` more, and ``(c, "power", i)``
+    on ``reps`` draws under its alternative; ``(c, "read", j)``, returned as
+    ``reads``, is function ``j`` of ``level_reads`` on the level's null data.
+    A test takes the route the model takes for its statistic at its own
+    alternative (:meth:`Model.reduces`), for calibration, level and power
+    alike.  Per cell and route the null is drawn once for calibration and
+    once for the level, and each distinct alternative once for power; the
+    blocks of every cell are drawn in one plan (:func:`_draw_passes`) before
+    any cell is reduced.
     """
     calib = calibration_reps(reps, calib_reps)
-    keyed = [
-        ([(c, key) for key in keys], p)
-        for c, (n, run_seed, tests) in enumerate(cells)
-        for keys, p in _test_passes(model, tests, level, n, reps, calib, run_seed, level_reads)
-    ]
-    values = _draw_keyed(keyed, workers)
+    _check_calibration(level, calib)
+    passes = []
     for c, (n, run_seed, tests) in enumerate(cells):
-        mine = {key: v for (cell, key), v in values.items() if cell == c}
-        reports = estimate_power_many(model, tests, level, n, reps, run_seed, calib_reps, workers, mine)
-        yield n, run_seed, reports, [mine["read", j] for j in range(len(level_reads))]
+        routes = [s.reduced if model.reduces(s, n, alt, run_seed) else s for s, alt in tests]
+        stage = lambda name, indices: {(c, name, i): routes[i] for i in indices}
+        every = range(len(tests))
+        reads = {(c, "read", j): fn for j, fn in enumerate(level_reads)}
+        passes += _route_passes(model, stage("calibrate", every), n, NULL, calib, run_seed, TAG_CALIBRATE)
+        passes += _route_passes(model, stage("level", every) | reads, n, NULL, reps, run_seed, TAG_LEVEL)
+        for alt in dict.fromkeys(a for _, a in tests):
+            sharing = [i for i, (_, a) in enumerate(tests) if a == alt]
+            passes += _route_passes(model, stage("power", sharing), n, alt, reps, run_seed, TAG_POWER)
+    values = _draw_passes(passes, workers)
+    for c, (n, run_seed, tests) in enumerate(cells):
+        statistics = [s for s, _ in tests]
+        calibration = [values[c, "calibrate", i] for i in range(len(tests))]
+        criticals = calibrate_critical(model, statistics, level, n, calib, run_seed, workers, calibration)
+        reports = [
+            PowerReport(
+                statistic.name, n, alt.describe(), level, critical,
+                *_rejection_rate(values[c, "level", i], critical),
+                *_rejection_rate(values[c, "power", i], critical),
+                reps, run_seed,
+            )
+            for i, ((statistic, alt), critical) in enumerate(zip(tests, criticals))
+        ]
+        yield n, run_seed, reports, [values[c, "read", j] for j in range(len(level_reads))]
 
 
 def _gaps(reports: Sequence[PowerReport]) -> list[float]:

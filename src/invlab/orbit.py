@@ -317,6 +317,24 @@ def _spike_log_avg(c: float, x: np.ndarray) -> np.ndarray:
     return logsumexp(c * (x - x.mean(axis=-1, keepdims=True)), axis=-1) - math.log(x.shape[-1])
 
 
+def _perm_log_avg(
+    m: np.ndarray, x: np.ndarray, exhaustive: bool, mc_reps: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """``log avg_P exp((m - mbar)' P x)`` per replicate of ``x``.
+
+    Over all permutations when ``exhaustive``; else exact over the ``n``
+    orbit points of a spike ``m = b 1 + c e_j`` (found on the uncentred
+    ``m``), and otherwise over ``mc_reps`` uniform permutations from the
+    stream ``(seed, TAG_LBAR)``.
+    """
+    w = m - m.mean()
+    if exhaustive:
+        return _perm_log_avg_exhaustive(w, x)
+    if (spike := spike_levels(m)) is not None:
+        return _spike_log_avg(spike[0] - spike[1], x)
+    return _perm_log_avg_mc(w, x, mc_reps, as_generator(seed, TAG_LBAR))
+
+
 def lbar_permutation(
     family: ExpFamilySpec,
     m: MeanVector | np.ndarray,
@@ -339,21 +357,13 @@ def lbar_permutation(
     n = mv.size
     if x.shape[-1] != n:
         raise ValueError("dimension mismatch between m and x")
-    mbar = float(mv.mean())
-    w = mv - mbar
-    prefactor = -float(np.sum(family.beta(mv) - family.beta(np.float64(mbar))))
-    if spec.group is Group.PERMUTATION_EXHAUSTIVE:
-        if n > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}")
-        log_avg = _perm_log_avg_exhaustive(w, x)
-    elif spec.group is Group.PERMUTATION:
-        spike = spike_levels(mv)
-        if spike is not None:
-            log_avg = _spike_log_avg(spike[0] - spike[1], x)
-        else:
-            log_avg = _perm_log_avg_mc(w, x, spec.mc_reps, as_generator(seed, TAG_LBAR))
-    else:
+    if spec.group not in (Group.PERMUTATION, Group.PERMUTATION_EXHAUSTIVE):
         raise ValueError("spec.group must be a permutation group")
+    exhaustive = spec.group is Group.PERMUTATION_EXHAUSTIVE
+    if exhaustive and n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}")
+    prefactor = -float(np.sum(family.beta(mv) - family.beta(mv.mean())))
+    log_avg = _perm_log_avg(mv, x, exhaustive, spec.mc_reps, seed)
     return np.exp(prefactor + log_avg).reshape(x.shape[:-1])[()]
 
 
@@ -413,12 +423,7 @@ def perm_variance_diagnostic(
     """
     mv = _entries(m)
     w = mv - mv.mean()
-    if w.size <= EXHAUSTIVE_LIMIT:
-        log_avg = _perm_log_avg_exhaustive(w, w[None, :])[0]
-    elif (spike := spike_levels(mv)) is not None:
-        log_avg = _spike_log_avg(spike[0] - spike[1], w)
-    else:
-        log_avg = _perm_log_avg_mc(w, w[None, :], mc_reps, as_generator(seed, TAG_LBAR))[0]
+    (log_avg,) = _perm_log_avg(mv, w[None, :], mv.size <= EXHAUSTIVE_LIMIT, mc_reps, seed)
     return float(np.expm1(log_avg))
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experiments import NULL, FamilyModel, _block_values
+from .experiments import NULL, FamilyModel, _draw_passes, _Pass
 from .models import ExpFamilySpec, spike_levels
 from .rng import (
     TAG_BOOT_LAW,
@@ -317,12 +317,8 @@ def _chunked_law(
     Block ``b`` reads the stream ``(seed, *tags, b)``; ``values`` draws ``c``
     replicates of ``row_size`` elements each from ``rng`` and reduces them.
     """
-
-    (law,) = _block_values(
-        lambda count, rng: (values(rng, c) for c in row_chunks(count, row_size)),
-        [np.asarray], reps, seed, tags, workers,
-    )
-    return law
+    chunks = lambda count, rng: (values(rng, c) for c in row_chunks(count, row_size))
+    return _draw_passes([_Pass(chunks, {"law": np.asarray}, reps, seed, tags)], workers)["law"]
 
 
 # --------------------------------------------------------------------- #
@@ -489,6 +485,14 @@ def _distance_with_se(
     return float(dist(a, b)), se
 
 
+def _law_distances(
+    perm: np.ndarray, boot: np.ndarray, iid: np.ndarray, dist: Callable[[np.ndarray, np.ndarray], float]
+) -> tuple[float, ...]:
+    """Perm-boot, boot-iid and perm-iid distances, each followed by its standard error."""
+    pairs = ((perm, boot), (boot, iid), (perm, iid))
+    return tuple(v for a, b in pairs for v in _distance_with_se(a, b, dist))
+
+
 @dataclass(frozen=True)
 class CltSweepRow:
     """One grid point of the permutation/bootstrap convergence sweep."""
@@ -543,21 +547,8 @@ def theorem_convergence_sweep(
         # EmpiricalLaw sorts its values, so each of the SE batches of perm
         # and boot is a quantile slice, not a random subset of replicates:
         # the se_* columns are the spread of rho2 over those slices.
-        pb, pb_se = _distance_with_se(perm, boot, rho2)
-        bi, bi_se = _distance_with_se(boot, iid, rho2)
-        pi, pi_se = _distance_with_se(perm, iid, rho2)
-        rows.append(
-            CltSweepRow(
-                n=int(n),
-                rho2_perm_boot=pb,
-                se_rho2_perm_boot=pb_se,
-                rho2_boot_iid=bi,
-                se_rho2_boot_iid=bi_se,
-                rho2_perm_iid=pi,
-                se_rho2_perm_iid=pi_se,
-                diag_nmx=float(abs(n * m.mean() * x.mean())),
-            )
-        )
+        distances = _law_distances(perm, boot, iid, rho2)
+        rows.append(CltSweepRow(int(n), *distances, float(abs(n * m.mean() * x.mean()))))
     return rows
 
 
@@ -614,18 +605,5 @@ def theorem_convergence_sweep_matrix(
         perm = law(TAG_PERM_LAW, lambda rng, c: x[uniform_permutations(rng, c, n)])
         boot = law(TAG_BOOT_LAW, lambda rng, c: x[rng.integers(0, n, size=(c, n))])
         iid = law(TAG_IID_LAW, lambda rng, c: row_sampler(n, c, rng))
-        pb, pb_se = _distance_with_se(perm, boot, rho2_multivariate)
-        bi, bi_se = _distance_with_se(boot, iid, rho2_multivariate)
-        pi, pi_se = _distance_with_se(perm, iid, rho2_multivariate)
-        rows.append(
-            CltMatrixSweepRow(
-                n=n,
-                rho2_perm_boot=pb,
-                se_rho2_perm_boot=pb_se,
-                rho2_boot_iid=bi,
-                se_rho2_boot_iid=bi_se,
-                rho2_perm_iid=pi,
-                se_rho2_perm_iid=pi_se,
-            )
-        )
+        rows.append(CltMatrixSweepRow(n, *_law_distances(perm, boot, iid, rho2_multivariate)))
     return rows

@@ -38,7 +38,6 @@ TAG_PERM_LAW = 6
 TAG_BOOT_LAW = 7
 TAG_COUPLING = 8
 TAG_IID_LAW = 9
-TAG_HAAR = 10
 TAG_SPACINGS = 11
 TAG_ALTERNATIVE = 12
 TAG_LBAR = 13

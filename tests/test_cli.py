@@ -313,6 +313,16 @@ class TestConfigHandling:
         assert main(["power", "--level", "2.0", "--model", "normal"]) == 2
         assert main(["nonexistent-subcommand"]) == 2
 
+    def test_exit_code_3_on_an_infinite_cell(self, tmp_path, capsys):
+        # var_diag = expm1(c^2 (1 - 1/n)) / n + ... overflows at a spike of norm 40.
+        code, out = run(
+            tmp_path, "lbar", "--group", "permutation", "--model", "normal", "--alt", "spike:40",
+            "--n", "50", "--reps", "256",
+        )
+        assert code == 3
+        assert "column var_diag is inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exit_code_3_on_unwritable_output(self, tmp_path):
         code = main(
             ["power", "--model", "normal", "--stat", "chisq", "--alt", "null",
@@ -385,6 +395,28 @@ class TestIncompatibleConfigurations:
         )
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["poisson", "bernoulli"])
+    def test_lbar_keeps_the_family_in_its_compact_box(self, tmp_path, monkeypatch, model):
+        from invlab import orbit
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(orbit, "null_lbar_samples", no_sampling)
+        code, out = run(
+            tmp_path, "lbar", "--group", "permutation", "--model", model, "--alt", "spike:10",
+            "--n", "50", "--reps", "64", "--seed", "1",
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_lbar_normal_model_has_no_box(self, tmp_path):
+        code, _ = run(
+            tmp_path, "lbar", "--group", "permutation", "--model", "normal", "--alt", "spike:10",
+            "--n", "50", "--reps", "64", "--seed", "1",
+        )
+        assert code == 0
 
     def test_theorem2_runs_at_its_default_delta(self, tmp_path):
         from invlab import cli

@@ -237,6 +237,21 @@ class TestSharedDrawEngine:
         )
         assert reports == [_alone(case)[i] for i in chosen]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_cells_match_each_cell_alone(self, workers):
+        model = normal_means_model()
+        chisq = make_statistic("chisq", 30)
+        assert model.reduces(chisq, 30, _SPIKE, 11)
+        cells = [
+            (30, 11, [(chisq, _SPIKE), (make_statistic("variance", 30), _SPIKE)]),
+            (50, 12, [(make_statistic("variance", 50), _SMOOTH)]),
+        ]
+        swept = list(experiments._sweep_cells(model, cells, _REPS, 0.1, None, workers))
+        assert [(n, seed) for n, seed, _, _ in swept] == [(30, 11), (50, 12)]
+        for (n, seed, tests), (_, _, reports, reads) in zip(cells, swept):
+            assert reads == []
+            assert reports == estimate_power_many(model, tests, 0.1, n, _REPS, seed, workers=workers)
+
     def test_statistic_cannot_mutate_shared_block(self):
         model, tests = _engine_tests("normal")
 
@@ -259,7 +274,7 @@ _PARTIAL_BLOCK = 476
 
 
 def _chunk_digests(n: int) -> dict[str, list[str]]:
-    """Digests of each statistic on a 476-row block: whole, by ``_block_values``, and ragged.
+    """Digests of each statistic on a 476-row block: whole, by ``_draw_passes``, and ragged.
 
     Covers every ``make_statistic`` name, ``cellmean_chisq`` and the two
     spacings log-likelihoods.  The ragged split has chunks of 1, 2 and 5 rows.
@@ -288,9 +303,8 @@ def _chunk_digests(n: int) -> dict[str, list[str]]:
     out = {}
     for name, (fn, data) in cases.items():
         whole = np.asarray(fn(data), dtype=float)
-        (chunked,) = experiments._block_values(
-            lambda c, rng: row_slices(data), [fn], count, 0, (0,), 1
-        )
+        passes = [experiments._Pass(lambda c, rng: row_slices(data), {name: fn}, count, 0, (0,))]
+        chunked = experiments._draw_passes(passes, 1)[name]
         ragged = np.concatenate([fn(data[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
         out[name] = [hashlib.sha256(v.tobytes()).hexdigest() for v in (whole, chunked, ragged)]
     return out
@@ -361,10 +375,9 @@ class TestChunkedNullDraws:
     def test_block_values_read_the_blocks_streams(self, n, workers):
         # 1500 replicates: a full block and a 476-row partial one, each on its own stream.
         reps, seed, tags = BLOCK_REPS + _PARTIAL_BLOCK, 55, (TAG_CALIBRATE,)
-        (got,) = experiments._block_values(
-            lambda c, rng: SpacingsModel().sample_chunks(n, NULL, c, rng, seed),
-            [lambda d: d], reps, seed, tags, workers,
-        )
+        chunks = lambda c, rng: SpacingsModel().sample_chunks(n, NULL, c, rng, seed)
+        passes = [experiments._Pass(chunks, {"null": lambda d: d}, reps, seed, tags)]
+        got = experiments._draw_passes(passes, workers)["null"]
         want = [
             _whole_null_block(n, count, spawn_generator(seed, *tags, b))
             for b, count in enumerate((BLOCK_REPS, _PARTIAL_BLOCK))

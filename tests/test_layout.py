@@ -1,4 +1,4 @@
-"""Layout guard: every module-level function and class of ``invlab`` has a caller in the package.
+"""Layout guard: every module-level function, class and constant of ``invlab`` has a reader in the package.
 
 A name counts as used when some module of ``src/invlab`` refers to it (as a
 bare name or an attribute) outside its own definition.  The exceptions are
@@ -56,17 +56,29 @@ def _unused() -> list[str]:
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if (module, node.name) in exempt:
-                continue
-            used = any(
-                node.name in _referenced(other, node if name == module else None)
-                for name, other in trees.items()
-            )
-            if not used:
-                unused.append(f"{module}.{node.name}")
+            for defined in _defined(node):
+                if (module, defined) in exempt:
+                    continue
+                used = any(
+                    defined in _referenced(other, node if name == module else None)
+                    for name, other in trees.items()
+                )
+                if not used:
+                    unused.append(f"{module}.{defined}")
     return unused
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
 
 
 def test_tracer_names_are_read():
