@@ -273,10 +273,10 @@ def run_power(cfg: dict) -> list[dict]:
     return rows
 
 
-def _sweep_table(rows: list, cfg: dict) -> list[dict]:
-    """Sweep rows as table rows: the row's fields, then reps, seed and config hash."""
+def _with_run_columns(rows: list[dict], cfg: dict) -> list[dict]:
+    """Each row's columns, then the run's reps, seed and config hash."""
     run = {"reps": cfg["reps"], "seed": cfg["seed"], "config_hash": config_hash(cfg)}
-    return [dataclasses.asdict(row) | run for row in rows]
+    return [row | run for row in rows]
 
 
 def _run_sweep(sweep, cfg: dict, *args, **kwargs) -> list[dict]:
@@ -285,7 +285,7 @@ def _run_sweep(sweep, cfg: dict, *args, **kwargs) -> list[dict]:
         *args, cfg["reps"], cfg["seed"], level=cfg["level"], calib_reps=cfg["calib_reps"],
         workers=cfg["workers"], **kwargs,
     )
-    return _sweep_table(rows, cfg)
+    return _with_run_columns(rows, cfg)
 
 
 def run_theorem1(cfg: dict) -> list[dict]:
@@ -322,7 +322,7 @@ def run_lbar(cfg: dict) -> list[dict]:
     family = model.family
 
     def setup(n, _):
-        entries = alt.mean_entries(n, 0.0, cfg["seed"])
+        entries = alt.mean_entries(n, cfg["seed"])
         design = None
         if group is orbit.Group.ORTHOGONAL_FIXING_DESIGN:
             design = spawn_generator(cfg["seed"], TAG_MODEL, 777).normal(size=(n, cfg["design_p"]))
@@ -353,12 +353,9 @@ def run_lbar(cfg: dict) -> list[dict]:
                 "se_abs_dev_bound": bound_se,
                 "var_lbar": float(vals.var(ddof=1)),
                 "var_diag": var_diag,
-                "reps": cfg["reps"],
-                "seed": cfg["seed"],
-                "config_hash": config_hash(cfg),
             }
         )
-    return rows
+    return _with_run_columns(rows, cfg)
 
 
 def run_clt_sweep(cfg: dict) -> list[dict]:
@@ -366,13 +363,13 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
     alt = parse_alternative(cfg["alt"])
 
     def m_builder(n):
-        return alt.mean_entries(n, 0.0, cfg["seed"])
+        return alt.mean_entries(n, cfg["seed"])
 
     experiments.per_n(cfg["subcommand"], cfg["n_grid"], lambda n, _: m_builder(n))
     rows = permclt.theorem_convergence_sweep(
         model, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )
-    return _sweep_table(rows, cfg)
+    return _with_run_columns(rows, cfg)
 
 
 def run_coupling(cfg: dict) -> list[dict]:
@@ -399,9 +396,8 @@ def run_coupling(cfg: dict) -> list[dict]:
             row[f"cf_ok_t{t:g}"] = permclt.cf_inequality_check(
                 res.without_repl, res.with_repl, t
             )
-        row.update({"reps": cfg["reps"], "seed": cfg["seed"], "config_hash": config_hash(cfg)})
         rows.append(row)
-    return rows
+    return _with_run_columns(rows, cfg)
 
 
 # --------------------------------------------------------------------- #

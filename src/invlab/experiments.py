@@ -81,15 +81,15 @@ class AlternativeSpec:
     def describe(self) -> str:
         return f"{self.kind}:{self.scale:g}"
 
-    def mean_entries(self, n: int, mbar: float, seed: int) -> np.ndarray:
-        """The alternative parameter vector of length ``n`` around ``mbar``.
+    def mean_entries(self, n: int, seed: int) -> np.ndarray:
+        """The alternative parameter vector of length ``n``, a deviation from the null parameter 0.
 
         The deviation is scaled to have centered norm exactly ``scale`` (and
         exactly zero mean when ``centered``); ``random_signs`` derives its
         sign pattern deterministically from the seed.
         """
         if self.scale == 0.0:
-            return np.full(n, mbar)
+            return np.zeros(n)
         if self.kind == "single_spike":
             dev = np.zeros(n)
             dev[0] = 1.0
@@ -106,7 +106,7 @@ class AlternativeSpec:
         norm = np.linalg.norm(dev)
         if norm == 0.0:
             raise ValueError("degenerate alternative profile")
-        return mbar + dev * (self.scale / norm)
+        return dev * (self.scale / norm)
 
 
 #: The null hypothesis as an alternative: every model's draw at scale 0 is its null draw.
@@ -196,7 +196,7 @@ class FamilyModel(Model):
         return NORMAL_RADIAL if self.family.name == "normal" else None
 
     def sample(self, n, alt, reps, rng, seed):
-        m = self.mean_vector(alt.mean_entries(n, 0.0, seed))
+        m = self.mean_vector(alt.mean_entries(n, seed))
         return models.sample_model(self.family, m, rng, reps=reps)
 
     def reduces(self, statistic, n, alt, seed):
@@ -206,15 +206,15 @@ class FamilyModel(Model):
         if direction is None or alt.scale == 0.0:
             return True
         # The block projects on the alternative's own direction.
-        m = alt.mean_entries(n, 0.0, seed)
+        m = alt.mean_entries(n, seed)
         return bool(np.max(np.abs(m / np.linalg.norm(m) - direction)) <= _SAME_DIRECTION)
 
     def sample_sufficient(self, n, alt, reps, rng, seed):
-        m = self.mean_vector(alt.mean_entries(n, 0.0, seed))
+        m = self.mean_vector(alt.mean_entries(n, seed))
         return models.sample_normal_radial(float(np.linalg.norm(m.entries)), n, rng, reps)
 
     def alternative_audit(self, n, alt, seed):
-        m = self.mean_vector(alt.mean_entries(n, 0.0, seed))
+        m = self.mean_vector(alt.mean_entries(n, seed))
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
 
@@ -240,16 +240,16 @@ class NeymanScottModel(Model):
         return NeymanScottLayout(n=n, nu=self.nu, sigma=self.sigma)
 
     def sample(self, n, alt, reps, rng, seed):
-        m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
+        m = MeanVector(alt.mean_entries(n, seed), compact_lo=None, compact_hi=None)
         return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
 
     def sample_sufficient(self, n, alt, reps, rng, seed):
-        m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
+        m = MeanVector(alt.mean_entries(n, seed), compact_lo=None, compact_hi=None)
         return models.sample_neyman_scott_mean_squares(self._layout(n), m, rng, reps)
 
     def alternative_audit(self, n, alt, seed):
         self._layout(n)
-        m = MeanVector(alt.mean_entries(n, 0.0, seed), compact_lo=None, compact_hi=None)
+        m = MeanVector(alt.mean_entries(n, seed), compact_lo=None, compact_hi=None)
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
 
@@ -357,7 +357,7 @@ def make_statistic(
         # At scale 0 the projection direction is degenerate; the unit-scale
         # alternative's direction serves (power equals level either way).
         unit = alt if alt.scale > 0 else replace(alt, scale=1.0)
-        direction = unit.mean_entries(n, 0.0, seed)
+        direction = unit.mean_entries(n, seed)
         unit_direction = direction / np.linalg.norm(direction)
         projection = Reduced(NORMAL_RADIAL, lambda s: s[:, 0], unit_direction)
         return NamedStatistic("np", lambda x: stats.np_statistic(direction, x), projection)
@@ -635,10 +635,12 @@ def estimate_power(
 # --------------------------------------------------------------------- #
 # Theorem sweeps
 #
-# Each sweep row's fields are its CSV columns, in order.  A grid point is one
-# cell of tests; _sweep_cells draws every cell's blocks in one plan and
-# reduces each cell to its reports (estimate_power_many is one cell), whose
-# gaps fill the row as (gap, gap_se) pairs in test order.
+# A sweep returns one dict per grid point whose keys are its table's
+# columns, in order.  A grid point is one cell of tests; _sweep_cells draws
+# every cell's blocks in one plan and reduces each cell to its reports
+# (estimate_power_many is one cell).  A sweep labels its gap tests next to
+# their list, and _gap_columns names each report's (gap, gap_se) pair after
+# its label.
 # --------------------------------------------------------------------- #
 
 
@@ -730,21 +732,12 @@ def _sweep_cells(
         yield n, run_seed, reports, [values[c, "read", j] for j in range(len(level_reads))]
 
 
-def _gaps(reports: Sequence[PowerReport]) -> list[float]:
-    """``gap, gap_se`` of each report, in order."""
-    return [v for rep in reports for v in (rep.gap, rep.gap_se)]
-
-
-@dataclass(frozen=True)
-class Theorem1Row:
-    n: int
-    chisq_gap: float
-    chisq_gap_se: float
-    np_power: float
-    np_power_se: float
-    lbar_bound: float
-    lbar_bound_se: float
-    m_norm: float
+def _gap_columns(labels: Sequence[str], reports: Sequence[PowerReport]) -> dict[str, float]:
+    """``<label>_gap`` and ``<label>_gap_se`` of each labelled report, in test order."""
+    columns = {}
+    for label, rep in zip(labels, reports, strict=True):
+        columns[f"{label}_gap"], columns[f"{label}_gap_se"] = rep.gap, rep.gap_se
+    return columns
 
 
 def theorem1_sweep(
@@ -756,7 +749,7 @@ def theorem1_sweep(
     lbar_reps: int | None = None,
     calib_reps: int | None = None,
     workers: int = 1,
-) -> list[Theorem1Row]:
+) -> list[dict]:
     """Normal model, orthogonal group: invariant-test collapse against the bound.
 
     Per grid point: power-minus-level of the squared-norm test at a spike of
@@ -767,9 +760,7 @@ def theorem1_sweep(
     lbar_reps = lbar_reps if lbar_reps is not None else reps
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
     orthogonal = orbit.OrbitSpec(orbit.Group.FULL_ORTHOGONAL)
-
-    def spike(n: int, run_seed: int) -> MeanVector:
-        return MeanVector(alt.mean_entries(n, 0.0, run_seed), compact_lo=None, compact_hi=None)
+    spike = lambda n, run_seed: model.mean_vector(alt.mean_entries(n, run_seed))
 
     def tests(n, run_seed):
         orthogonal.null_orbit(model.family, spike(n, run_seed), run_seed)  # the bound's orbit average
@@ -782,30 +773,16 @@ def theorem1_sweep(
         m = spike(n, run_seed)
         lbars = orbit.null_lbar_samples(model.family, m, orthogonal, lbar_reps, run_seed, workers)
         bound, bound_se = orbit.power_level_bound(lbars)
-        rows.append(
-            Theorem1Row(
-                n=n,
-                chisq_gap=chisq.gap,
-                chisq_gap_se=chisq.gap_se,
-                np_power=np_rep.power_hat,
-                np_power_se=np_rep.power_se,
-                lbar_bound=bound,
-                lbar_bound_se=bound_se,
-                m_norm=float(np.linalg.norm(m.entries)),
-            )
-        )
+        rows.append({
+            "n": n,
+            **_gap_columns(("chisq",), (chisq,)),
+            "np_power": np_rep.power_hat,
+            "np_power_se": np_rep.power_se,
+            "lbar_bound": bound,
+            "lbar_bound_se": bound_se,
+            "m_norm": float(np.linalg.norm(m.entries)),
+        })
     return rows
-
-
-@dataclass(frozen=True)
-class Theorem2Row:
-    n: int
-    invariant_gap: float
-    invariant_gap_se: float
-    quadratic_gap: float
-    quadratic_gap_se: float
-    centered_norm: float
-    max_dev: float
 
 
 def theorem2_sweep(
@@ -817,7 +794,7 @@ def theorem2_sweep(
     level: float = DEFAULT_LEVEL,
     calib_reps: int | None = None,
     workers: int = 1,
-) -> list[Theorem2Row]:
+) -> list[dict]:
     """Exponential-family collapse of a permutation-invariant statistic.
 
     The invariant statistic (sample variance) is run at a centered spike of
@@ -828,27 +805,16 @@ def theorem2_sweep(
     profile = lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * x)
     spike = AlternativeSpec(kind="single_spike", scale=delta)
     smooth = AlternativeSpec(kind="smooth_profile", scale=delta, profile=profile)
+    labels = ("invariant", "quadratic")
     tests = lambda n, _: [
         (make_statistic("variance", n), spike),
         (make_statistic("quadratic", n), smooth),
     ]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
-        Theorem2Row(n, *_gaps(reports), **model.alternative_audit(n, spike, run_seed))
+        {"n": n, **_gap_columns(labels, reports), **model.alternative_audit(n, spike, run_seed)}
         for n, run_seed, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
-
-
-@dataclass(frozen=True)
-class NeymanScottRow:
-    n: int
-    nu: int
-    f_gap: float
-    f_gap_se: float
-    cellmean_chisq_gap: float
-    cellmean_chisq_gap_se: float
-    centered_norm: float
-    max_dev: float
 
 
 def neyman_scott_sweep(
@@ -862,7 +828,7 @@ def neyman_scott_sweep(
     profile: str = "single_spike",
     calib_reps: int | None = None,
     workers: int = 1,
-) -> list[NeymanScottRow]:
+) -> list[dict]:
     """ANOVA-F collapse in the replicated many-means problem.
 
     ``sigma`` is unknown to the F test; the same table reports the known-
@@ -870,23 +836,16 @@ def neyman_scott_sweep(
     """
     model = NeymanScottModel(nu=nu, sigma=sigma)
     alt = AlternativeSpec(kind=profile, scale=delta)
-
+    labels = ("f", "cellmean_chisq")
     tests = lambda n, _: [
         (make_statistic("anova_f", n), alt),
         (cellmean_chisq_statistic(n, sigma), alt),
     ]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
-        NeymanScottRow(n, nu, *_gaps(reports), **model.alternative_audit(n, alt, run_seed))
+        {"n": n, "nu": nu, **_gap_columns(labels, reports), **model.alternative_audit(n, alt, run_seed)}
         for n, run_seed, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
-
-
-@dataclass(frozen=True)
-class MatrixSweepRow:
-    n: int
-    wilks_gap: float
-    wilks_gap_se: float
 
 
 def matrix_variate_sweep(
@@ -897,7 +856,7 @@ def matrix_variate_sweep(
     level: float = DEFAULT_LEVEL,
     calib_reps: int | None = None,
     workers: int = 1,
-) -> list[MatrixSweepRow]:
+) -> list[dict]:
     """Bivariate-normal rows, equality of the first coordinate of the mean.
 
     A permutation-invariant generalized-variance statistic is run at a
@@ -920,24 +879,9 @@ def matrix_variate_sweep(
     tests = lambda n, _: [(make_statistic("wilks", n), alt)]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
-        MatrixSweepRow(n, *_gaps(reports))
+        {"n": n, **_gap_columns(("wilks",), reports)}
         for n, _, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
     ]
-
-
-@dataclass(frozen=True)
-class SpacingsRow:
-    n: int
-    greenwood_gap: float
-    greenwood_gap_se: float
-    moran_gap: float
-    moran_gap_se: float
-    two_spacings_gap: float
-    two_spacings_gap_se: float
-    quadratic_gap: float
-    quadratic_gap_se: float
-    llr_gap_p95: float
-    llr_gap_p95_se: float
 
 
 def spacings_sweep(
@@ -948,7 +892,7 @@ def spacings_sweep(
     level: float = DEFAULT_LEVEL,
     calib_reps: int | None = None,
     workers: int = 1,
-) -> list[SpacingsRow]:
+) -> list[dict]:
     """Spacings tests under the contiguous density ``1 + h/sqrt(n)``.
 
     Gaps for Greenwood, Moran, the overlapping 2-spacings statistic, and the
@@ -959,28 +903,30 @@ def spacings_sweep(
     """
     model = SpacingsModel()
     alt = AlternativeSpec(kind="spacings_h", scale=1.0, profile=h)
-    names = ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
-    tests = lambda n, _: [(make_statistic(name, n), alt) for name in names]
+    # Each test's column label and the statistic it runs.
+    names = {"greenwood": "greenwood", "moran": "moran", "two_spacings": "two_spacings_sq",
+             "quadratic": "quadratic_spacings"}
+    tests = lambda n, _: [(make_statistic(name, n), alt) for name in names.values()]
     cells = _grid_cells(model, tests, n_grid, seed)
 
     def llr_gap(d: np.ndarray) -> np.ndarray:
         return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))
 
     return [
-        SpacingsRow(n, *_gaps(reports), *_llr_gap_p95(gaps))
+        {"n": n, **_gap_columns(names, reports), **_llr_gap_p95(gaps)}
         for n, _, reports, (gaps,) in _sweep_cells(
             model, cells, reps, level, calib_reps, workers, [llr_gap]
         )
     ]
 
 
-def _llr_gap_p95(gaps: np.ndarray) -> tuple[float, float]:
-    """The 95th percentile of ``gaps`` and its error bar from ten batches of replicates."""
+def _llr_gap_p95(gaps: np.ndarray) -> dict[str, float]:
+    """``llr_gap_p95``, the 95th percentile of ``gaps``, and its error bar from ten batches of replicates."""
     p95 = float(np.quantile(gaps, 0.95))
     batches = np.array_split(gaps, 10)
     vals = [np.quantile(bb, 0.95) for bb in batches if bb.size]
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-    return p95, se
+    return {"llr_gap_p95": p95, "llr_gap_p95_se": se}
 
 
 def _grid_seed(seed: int, grid_index: int) -> int:

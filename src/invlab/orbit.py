@@ -248,12 +248,10 @@ def lbar_orthogonal(m: MeanVector | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Likelihood ratio of mean ``m`` to 0 averaged over the orthogonal group.
 
     Depends on the data only through its norm:
-    ``exp(-||m||^2 / 2) H(||m|| ||x||) / H(0)``.
+    ``exp(-||m||^2 / 2) H(||m|| ||x||) / H(0)``: the average of
+    :func:`lbar_design_orthogonal` over a design with no columns.
     """
-    x = np.asarray(x, dtype=float)
-    norm_m = float(np.linalg.norm(_entries(m)))
-    x_norms = np.sqrt(np.sum(x * x, axis=-1))
-    return lbar_orthogonal_from_norms(norm_m, x_norms, x.shape[-1]).reshape(x.shape[:-1])[()]
+    return lbar_design_orthogonal(m, np.empty((np.shape(x)[-1], 0)), x)
 
 
 def lbar_orthogonal_from_norms(
@@ -424,7 +422,9 @@ def perm_variance_diagnostic(
     mv = _entries(m)
     w = mv - mv.mean()
     (log_avg,) = _perm_log_avg(mv, w[None, :], mv.size <= EXHAUSTIVE_LIMIT, mc_reps, seed)
-    return float(np.expm1(log_avg))
+    # An overflow is returned as inf, for the caller to refuse.
+    with np.errstate(over="ignore"):
+        return float(np.expm1(log_avg))
 
 
 # --------------------------------------------------------------------- #

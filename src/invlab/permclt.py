@@ -487,24 +487,16 @@ def _distance_with_se(
 
 def _law_distances(
     perm: np.ndarray, boot: np.ndarray, iid: np.ndarray, dist: Callable[[np.ndarray, np.ndarray], float]
-) -> tuple[float, ...]:
-    """Perm-boot, boot-iid and perm-iid distances, each followed by its standard error."""
-    pairs = ((perm, boot), (boot, iid), (perm, iid))
-    return tuple(v for a, b in pairs for v in _distance_with_se(a, b, dist))
+) -> dict[str, float]:
+    """``rho2_<pair>`` and ``se_rho2_<pair>``: ``dist`` and its standard error per pair of laws.
 
-
-@dataclass(frozen=True)
-class CltSweepRow:
-    """One grid point of the permutation/bootstrap convergence sweep."""
-
-    n: int
-    rho2_perm_boot: float
-    se_rho2_perm_boot: float
-    rho2_boot_iid: float
-    se_rho2_boot_iid: float
-    rho2_perm_iid: float
-    se_rho2_perm_iid: float
-    diag_nmx: float
+    The pairs are perm-boot, boot-iid and perm-iid, in that order.
+    """
+    pairs = {"perm_boot": (perm, boot), "boot_iid": (boot, iid), "perm_iid": (perm, iid)}
+    columns = {}
+    for pair, (a, b) in pairs.items():
+        columns[f"rho2_{pair}"], columns[f"se_rho2_{pair}"] = _distance_with_se(a, b, dist)
+    return columns
 
 
 def theorem_convergence_sweep(
@@ -514,7 +506,7 @@ def theorem_convergence_sweep(
     reps: int,
     seed: int,
     workers: int = 1,
-) -> list[CltSweepRow]:
+) -> list[dict]:
     """Distances between the permutation, bootstrap, and fresh-draw laws.
 
     The data are ``model``'s null draws (the conditioning vector ``x`` is the
@@ -548,7 +540,7 @@ def theorem_convergence_sweep(
         # and boot is a quantile slice, not a random subset of replicates:
         # the se_* columns are the spread of rho2 over those slices.
         distances = _law_distances(perm, boot, iid, rho2)
-        rows.append(CltSweepRow(int(n), *distances, float(abs(n * m.mean() * x.mean()))))
+        rows.append({"n": int(n), **distances, "diag_nmx": float(abs(n * m.mean() * x.mean()))})
     return rows
 
 
@@ -565,17 +557,6 @@ def rho2_multivariate(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(sum(rho2(a[:, j], b[:, j]) ** 2 for j in range(a.shape[1]))))
 
 
-@dataclass(frozen=True)
-class CltMatrixSweepRow:
-    n: int
-    rho2_perm_boot: float
-    se_rho2_perm_boot: float
-    rho2_boot_iid: float
-    se_rho2_boot_iid: float
-    rho2_perm_iid: float
-    se_rho2_perm_iid: float
-
-
 def theorem_convergence_sweep_matrix(
     row_sampler: Callable[[int, int, np.random.Generator], np.ndarray],
     m_builder: Callable[[int], np.ndarray],
@@ -583,7 +564,7 @@ def theorem_convergence_sweep_matrix(
     reps: int,
     seed: int,
     workers: int = 1,
-) -> list[CltMatrixSweepRow]:
+) -> list[dict]:
     """Multivariate (column-wise contrast) version of the convergence sweep.
 
     ``row_sampler(n, reps, rng)`` draws ``(reps, n, pi)`` arrays of iid rows;
@@ -605,5 +586,5 @@ def theorem_convergence_sweep_matrix(
         perm = law(TAG_PERM_LAW, lambda rng, c: x[uniform_permutations(rng, c, n)])
         boot = law(TAG_BOOT_LAW, lambda rng, c: x[rng.integers(0, n, size=(c, n))])
         iid = law(TAG_IID_LAW, lambda rng, c: row_sampler(n, c, rng))
-        rows.append(CltMatrixSweepRow(n, *_law_distances(perm, boot, iid, rho2_multivariate)))
+        rows.append({"n": n, **_law_distances(perm, boot, iid, rho2_multivariate)})
     return rows

@@ -131,12 +131,12 @@ class TestCriterion4Theorem1:
         ok = True
         details = []
         for row in rows:
-            crit = sps.chi2.ppf(1 - level, row.n)
-            oracle_gap = sps.ncx2.sf(crit, row.n, 9.0) - level
-            ok &= abs(row.chisq_gap - oracle_gap) <= 4 * row.chisq_gap_se
-            ok &= row.chisq_gap <= row.lbar_bound + 4 * (row.chisq_gap_se + row.lbar_bound_se)
-            details.append(f"n={row.n} gap {row.chisq_gap:.4f} (oracle {oracle_gap:.4f})")
-        ok &= rows[1].chisq_gap < rows[0].chisq_gap
+            crit = sps.chi2.ppf(1 - level, row["n"])
+            oracle_gap = sps.ncx2.sf(crit, row["n"], 9.0) - level
+            ok &= abs(row["chisq_gap"] - oracle_gap) <= 4 * row["chisq_gap_se"]
+            ok &= row["chisq_gap"] <= row["lbar_bound"] + 4 * (row["chisq_gap_se"] + row["lbar_bound_se"])
+            details.append(f"n={row['n']} gap {row['chisq_gap']:.4f} (oracle {oracle_gap:.4f})")
+        ok &= rows[1]["chisq_gap"] < rows[0]["chisq_gap"]
 
         # NP power: n-free and equal to the normal-shift oracle.
         np_oracle = sps.norm.sf(sps.norm.ppf(1 - level) - 3.0)
@@ -144,12 +144,12 @@ class TestCriterion4Theorem1:
         crit_se = np.sqrt(level * (1 - level) / 20_000) / sps.norm.pdf(z)
         shift_se = sps.norm.pdf(z - 3.0) * crit_se  # calibration error carried into power
         for row in rows:
-            se = np.hypot(row.np_power_se, shift_se)
-            ok &= abs(row.np_power - np_oracle) <= 4 * se
-        ok &= abs(rows[0].np_power - rows[1].np_power) <= 4 * np.hypot(
-            rows[0].np_power_se, rows[1].np_power_se
+            se = np.hypot(row["np_power_se"], shift_se)
+            ok &= abs(row["np_power"] - np_oracle) <= 4 * se
+        ok &= abs(rows[0]["np_power"] - rows[1]["np_power"]) <= 4 * np.hypot(
+            rows[0]["np_power_se"], rows[1]["np_power_se"]
         )
-        details.append(f"np {rows[0].np_power:.4f}/{rows[1].np_power:.4f} (oracle {np_oracle:.4f})")
+        details.append(f"np {rows[0]['np_power']:.4f}/{rows[1]['np_power']:.4f} (oracle {np_oracle:.4f})")
         check("criterion 04 (Theorem 1 desk scale)", ok, "; ".join(details))
 
 
@@ -189,11 +189,11 @@ class TestCriterion5ConvergenceSweeps:
                     ("rho2_boot_iid", "se_rho2_boot_iid"),
                     ("rho2_perm_iid", "se_rho2_perm_iid"),
                 ):
-                    decrease = getattr(prev, col) - getattr(cur, col)
-                    ok &= decrease >= -2 * (getattr(prev, se_col) + getattr(cur, se_col))
+                    decrease = prev[col] - cur[col]
+                    ok &= decrease >= -2 * (prev[se_col] + cur[se_col])
             details.append(
                 f"{mname}/{pname} perm-iid "
-                + "->".join(f"{r.rho2_perm_iid:.3f}" for r in rows)
+                + "->".join(f"{r['rho2_perm_iid']:.3f}" for r in rows)
             )
         elapsed = time.time() - started
         ok &= elapsed < 180.0
@@ -232,11 +232,11 @@ class TestCriterion7NeymanScott:
         ok = ncp == pytest.approx(45.0)
         details = [f"ncp={ncp:g}"]
         for row in rows:
-            crit = sps.f.ppf(0.95, row.n - 1, row.n * (nu - 1))
-            oracle = sps.ncf.sf(crit, row.n - 1, row.n * (nu - 1), ncp) - 0.05
-            ok &= abs(row.f_gap - oracle) <= 4 * row.f_gap_se
-            details.append(f"n={row.n} gap {row.f_gap:.4f} (oracle {oracle:.4f})")
-        ok &= rows[1].f_gap < rows[0].f_gap
+            crit = sps.f.ppf(0.95, row["n"] - 1, row["n"] * (nu - 1))
+            oracle = sps.ncf.sf(crit, row["n"] - 1, row["n"] * (nu - 1), ncp) - 0.05
+            ok &= abs(row["f_gap"] - oracle) <= 4 * row["f_gap_se"]
+            details.append(f"n={row['n']} gap {row['f_gap']:.4f} (oracle {oracle:.4f})")
+        ok &= rows[1]["f_gap"] < rows[0]["f_gap"]
         check("criterion 07 (Neyman-Scott ANOVA collapse)", ok, "; ".join(details))
 
 
@@ -248,24 +248,24 @@ class TestCriterion8Spacings:
         )
         ok = True
         for prev, cur in zip(rows, rows[1:]):
-            ok &= cur.greenwood_gap <= prev.greenwood_gap + 2 * (
-                prev.greenwood_gap_se + cur.greenwood_gap_se
+            ok &= cur["greenwood_gap"] <= prev["greenwood_gap"] + 2 * (
+                prev["greenwood_gap_se"] + cur["greenwood_gap_se"]
             )
-            ok &= cur.moran_gap <= prev.moran_gap + 2 * (
-                prev.moran_gap_se + cur.moran_gap_se
+            ok &= cur["moran_gap"] <= prev["moran_gap"] + 2 * (
+                prev["moran_gap_se"] + cur["moran_gap_se"]
             )
         floor = load_expectations()["spacings_quadratic_gap_floor"]
-        ok &= all(row.quadratic_gap > floor for row in rows)
+        ok &= all(row["quadratic_gap"] > floor for row in rows)
         slope, slope_se = trend_slope(
-            [np.log(r.n) for r in rows],
-            [r.llr_gap_p95 for r in rows],
-            [r.llr_gap_p95_se for r in rows],
+            [np.log(r["n"]) for r in rows],
+            [r["llr_gap_p95"] for r in rows],
+            [r["llr_gap_p95_se"] for r in rows],
         )
         ok &= slope <= 2 * slope_se
         detail = (
-            "greenwood " + "->".join(f"{r.greenwood_gap:.3f}" for r in rows)
-            + "; moran " + "->".join(f"{r.moran_gap:.3f}" for r in rows)
-            + f"; quad min {min(r.quadratic_gap for r in rows):.3f} > {floor}"
+            "greenwood " + "->".join(f"{r['greenwood_gap']:.3f}" for r in rows)
+            + "; moran " + "->".join(f"{r['moran_gap']:.3f}" for r in rows)
+            + f"; quad min {min(r['quadratic_gap'] for r in rows):.3f} > {floor}"
             + f"; llr-gap slope {slope:.3f}±{slope_se:.3f}"
         )
         check("criterion 08 (spacings, Theorem 9)", ok, detail)

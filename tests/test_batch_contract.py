@@ -65,7 +65,7 @@ _CASES = [
      _model_data("poisson")[:, :6], _BLAS),
     ("lbar_permutation/spike",
      lambda x: orbit.lbar_permutation(
-         models.poisson_family(), _SPIKE.mean_entries(_N, 0.0, _SEED), x, orbit.OrbitSpec("permutation")),
+         models.poisson_family(), _SPIKE.mean_entries(_N, _SEED), x, orbit.OrbitSpec("permutation")),
      _model_data("poisson"), 0),
     ("lbar_permutation/monte_carlo",
      lambda x: orbit.lbar_permutation(

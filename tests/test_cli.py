@@ -6,7 +6,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +274,79 @@ class TestSubcommands:
         assert "wilks_gap" in out.read_text()
 
 
+#: Every table's columns, in order.
+_HEADERS = {
+    "power": ["n", "stat", "critical", "level_hat", "level_se", "power_hat", "power_se", "seed"],
+    "sweep-theorem1": [
+        "n", "chisq_gap", "chisq_gap_se", "np_power", "np_power_se", "lbar_bound", "lbar_bound_se",
+        "m_norm", "reps", "seed", "config_hash",
+    ],
+    "sweep-theorem2": [
+        "n", "invariant_gap", "invariant_gap_se", "quadratic_gap", "quadratic_gap_se",
+        "centered_norm", "max_dev", "reps", "seed", "config_hash",
+    ],
+    "sweep-neyman-scott": [
+        "n", "nu", "f_gap", "f_gap_se", "cellmean_chisq_gap", "cellmean_chisq_gap_se",
+        "centered_norm", "max_dev", "reps", "seed", "config_hash",
+    ],
+    "sweep-neyman-scott --matrix": ["n", "wilks_gap", "wilks_gap_se", "reps", "seed", "config_hash"],
+    "sweep-spacings": [
+        "n", "greenwood_gap", "greenwood_gap_se", "moran_gap", "moran_gap_se", "two_spacings_gap",
+        "two_spacings_gap_se", "quadratic_gap", "quadratic_gap_se", "llr_gap_p95", "llr_gap_p95_se",
+        "reps", "seed", "config_hash",
+    ],
+    "lbar": [
+        "group", "model", "n", "e0_lbar", "se_e0_lbar", "abs_dev_bound", "se_abs_dev_bound",
+        "var_lbar", "var_diag", "reps", "seed", "config_hash",
+    ],
+    "clt-sweep": [
+        "n", "rho2_perm_boot", "se_rho2_perm_boot", "rho2_boot_iid", "se_rho2_boot_iid",
+        "rho2_perm_iid", "se_rho2_perm_iid", "diag_nmx", "reps", "seed", "config_hash",
+    ],
+    "coupling": [
+        "n", "gap_sq_mean", "gap_sq_se", "bound", "bound_holds", "matched_mean", "cf_ok_t0.5",
+        "cf_ok_t1", "cf_ok_t2", "reps", "seed", "config_hash",
+    ],
+}
+
+#: A small run of every subcommand and of each of its table kinds, keyed by its header in _HEADERS.
+_SMALL_RUNS = [
+    ("power", "power --model normal --stat chisq --alt spike:3 --n 30 --reps 200"),
+    ("power", "power --model spacings --stat quadratic_spacings --alt h:cos1:2 --n 30 --reps 200"),
+    ("power", "power --model neyman_scott --stat anova_f --alt spike:2 --n 20 --reps 200"),
+    ("sweep-theorem1", "sweep-theorem1 --n-grid 20 --reps 200 --lbar-reps 100"),
+    ("sweep-theorem2", "sweep-theorem2 --model normal --n-grid 20 --reps 200"),
+    ("sweep-theorem2", "sweep-theorem2 --model poisson --n-grid 20 --reps 200"),
+    ("sweep-neyman-scott", "sweep-neyman-scott --n-grid 20 --reps 200"),
+    ("sweep-neyman-scott --matrix", "sweep-neyman-scott --matrix --n-grid 20 --reps 200"),
+    ("sweep-spacings", "sweep-spacings --n-grid 30 --reps 200 --workers 2"),
+    ("lbar", "lbar --group permutation_exhaustive --n 6 --reps 100"),
+    ("lbar", "lbar --group permutation --model poisson --n 20 --reps 100 --mc-reps 200"),
+    ("lbar", "lbar --group full_orthogonal --model normal --n 20 --reps 100"),
+    ("lbar", "lbar --group orthogonal_fixing_design --model normal --n 20 --reps 100"),
+    ("clt-sweep", "clt-sweep --model poisson --alt spike:1 --n-grid 20 --reps 100"),
+    ("clt-sweep", "clt-sweep --model normal --alt smooth:1 --n-grid 20 --reps 100"),
+    ("coupling", "coupling --n-grid 20 --reps 100"),
+]
+
+
+@pytest.mark.parametrize("table, argv", _SMALL_RUNS, ids=[argv for _, argv in _SMALL_RUNS])
+class TestEveryTable:
+    def test_header_is_pinned(self, tmp_path, table, argv):
+        code, out = run(tmp_path, *argv.split())
+        assert code == 0
+        with out.open(newline="") as fh:
+            assert next(csv.reader(fh)) == _HEADERS[table]
+        meta = json.loads((tmp_path / "out.dat.meta.json").read_text())
+        assert meta["columns"] == _HEADERS[table]
+
+    def test_runs_with_warnings_as_errors(self, tmp_path, table, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, *argv.split())
+        assert code == 0
+
+
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -322,6 +399,18 @@ class TestConfigHandling:
         assert code == 3
         assert "column var_diag is inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_exit_code_3_prints_only_its_message(self, tmp_path):
+        # A fresh interpreter, so that stderr is exactly what a shell would show.
+        argv = ["lbar", "--group", "permutation", "--model", "normal", "--alt", "spike:40",
+                "--n", "50", "--reps", "256", "--out", str(tmp_path / "out.csv")]
+        script = "import sys; from invlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("invlab: error: column var_diag is inf")
 
     def test_exit_code_3_on_unwritable_output(self, tmp_path):
         code = main(

@@ -344,7 +344,7 @@ class TestSpikeOrbitAverage:
     @classmethod
     def _case(cls, family, alt, n, reps, seed):
         fam = cls.FAMILIES[family]()
-        entries = cls.ALTS[alt].mean_entries(n, 0.0, seed)
+        entries = cls.ALTS[alt].mean_entries(n, seed)
         m = MeanVector(entries, compact_lo=None, compact_hi=None)
         x = sample_model(fam, MeanVector(np.zeros(n)), spawn_generator(seed, n), reps)
         return fam, m, x
@@ -385,7 +385,7 @@ class TestSpikeOrbitAverage:
     def test_variance_diagnostic_closed_form(self, n):
         # Exhaustive up to n = 8, the spike's orbit mean above.
         for alt in self.ALTS.values():
-            entries = alt.mean_entries(n, 0.0, 0)
+            entries = alt.mean_entries(n, 0)
             a, b = spike_levels(entries)
             c2 = (a - b) ** 2
             want = np.exp(c2 * (1 - 1 / n)) / n + (1 - 1 / n) * np.exp(-c2 / n) - 1

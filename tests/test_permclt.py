@@ -534,8 +534,8 @@ class TestConvergenceSweep:
                 ("rho2_boot_iid", "se_rho2_boot_iid"),
                 ("rho2_perm_iid", "se_rho2_perm_iid"),
             ):
-                drop = getattr(prev, col) - getattr(cur, col)
-                tol = 2 * (getattr(prev, se_col) + getattr(cur, se_col))
+                drop = prev[col] - cur[col]
+                tol = 2 * (prev[se_col] + cur[se_col])
                 assert drop >= -tol
 
     def test_batched_se_needs_two_batches_of_two(self):
@@ -558,8 +558,8 @@ class TestConvergenceSweep:
         rows = theorem_convergence_sweep(
             self._normal, lambda n: np.zeros(n), (50,), 500, seed=21
         )
-        assert rows[0].rho2_perm_boot == pytest.approx(0.0)
-        assert rows[0].rho2_perm_iid == pytest.approx(0.0)
+        assert rows[0]["rho2_perm_boot"] == pytest.approx(0.0)
+        assert rows[0]["rho2_perm_iid"] == pytest.approx(0.0)
 
     def test_second_moment_convergence_accompanies_rho2(self):
         # At the final grid point the second moments of the laws agree within noise.
@@ -590,11 +590,11 @@ class TestConvergenceSweep:
         rows = theorem_convergence_sweep_matrix(
             row_sampler, m_builder, (50, 500), 2000, seed=25
         )
-        tol = 2 * (rows[0].se_rho2_perm_iid + rows[1].se_rho2_perm_iid)
-        assert rows[1].rho2_perm_iid <= rows[0].rho2_perm_iid + tol
+        tol = 2 * (rows[0]["se_rho2_perm_iid"] + rows[1]["se_rho2_perm_iid"])
+        assert rows[1]["rho2_perm_iid"] <= rows[0]["rho2_perm_iid"] + tol
 
     def test_diag_column_reports_mean_product(self):
         rows = theorem_convergence_sweep(
             self._normal, self._spike_builder, (50,), 200, seed=26
         )
-        assert rows[0].diag_nmx == pytest.approx(0.0, abs=1e-12)
+        assert rows[0]["diag_nmx"] == pytest.approx(0.0, abs=1e-12)
