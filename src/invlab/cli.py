@@ -179,34 +179,47 @@ def _count(name, least=1):
     return _number(int, name, lambda v: v >= least, f">= {least}")
 
 
+#: The numbers of fields each alternative kind takes after the kind.
+_ALT_FIELDS = {
+    "null": (0,), "spike": (1,), "spike_uncentered": (1,), "signs": (1,), "smooth": (1,), "h": (1, 2),
+}
+
+
 def parse_alternative(text: str) -> experiments.AlternativeSpec:
     """``kind:scale`` alternatives, e.g. ``spike:3``, ``smooth:1.5``, ``h:cos1:2``.
 
     ``h:cosK:SCALE`` selects the mean-zero cosine profile of frequency K for
-    the spacings model.
+    the spacings model.  A kind with too many or too few fields, or a
+    number that is not finite, raises :class:`ConfigError`.
     """
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *fields = text.split(":")
+    if kind not in _ALT_FIELDS:
+        raise ConfigError(f"unknown alternative kind {kind!r}")
+    if len(fields) not in _ALT_FIELDS[kind]:
+        counts = " or ".join(map(str, _ALT_FIELDS[kind]))
+        raise ConfigError(f"bad alternative {text!r}: {kind} takes {counts} field(s) after the kind")
+    number = _number(float, f"alternative {text!r} scale")
     try:
         if kind == "null":
             return experiments.NULL
-        if kind == "spike":
-            return experiments.AlternativeSpec("single_spike", float(parts[1]))
-        if kind == "spike_uncentered":
-            return experiments.AlternativeSpec("single_spike", float(parts[1]), centered=False)
-        if kind == "signs":
-            return experiments.AlternativeSpec("random_signs", float(parts[1]))
+        if kind == "h":
+            freq = int(fields[0].removeprefix("cos"))
+            prof = models.cosine_profile({freq: number(fields[1]) if len(fields) > 1 else 1.0})
+            return experiments.AlternativeSpec("spacings_h", 1.0, profile=prof)
+        scale = number(fields[0])
         if kind == "smooth":
             prof = models.cosine_profile({1: 1.0})
-            return experiments.AlternativeSpec("smooth_profile", float(parts[1]), profile=prof)
-        if kind == "h":
-            freq = int(parts[1].removeprefix("cos"))
-            scale = float(parts[2]) if len(parts) > 2 else 1.0
-            prof = models.cosine_profile({freq: scale})
-            return experiments.AlternativeSpec("spacings_h", 1.0, profile=prof)
-    except (IndexError, ValueError) as exc:
+            return experiments.AlternativeSpec("smooth_profile", scale, profile=prof)
+        alt_kind = "random_signs" if kind == "signs" else "single_spike"
+        return experiments.AlternativeSpec(alt_kind, scale, centered=kind != "spike_uncentered")
+    except ValueError as exc:
         raise ConfigError(f"bad alternative {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown alternative kind {kind!r}")
+
+
+def _alternative_text(text: str) -> str:
+    """``text``, once :func:`parse_alternative` accepts it."""
+    parse_alternative(text)
+    return text
 
 
 def resolve_model(name: str, nu: int, sigma: float) -> experiments.Model:
@@ -267,10 +280,9 @@ def run_power(cfg: dict) -> list[dict]:
                 "level_se": rep.level_se,
                 "power_hat": rep.power_hat,
                 "power_se": rep.power_se,
-                "seed": rep.seed,
             }
         )
-    return rows
+    return _with_run_columns(rows, cfg)
 
 
 def _with_run_columns(rows: list[dict], cfg: dict) -> list[dict]:
@@ -438,7 +450,7 @@ _KEYS = {
     "n_grid": Key((100, 1000, 10_000), _parse_grid, "sample size(s), comma separated"),
     "model": Key("normal", str, "data model", tuple(_MODEL_STATS)),
     "stat": Key("chisq", str, " | ".join(_STATS), _STATS),
-    "alt": Key("spike:3", str, "alternative, e.g. spike:3, smooth:1.5, signs:2, h:cos1:2, null"),
+    "alt": Key("spike:3", _alternative_text, "alternative, e.g. spike:3, smooth:1.5, signs:2, h:cos1:2, null"),
     "nu": Key(5, _count("nu", 2), "replicates per group (neyman_scott)"),
     "sigma": Key(1.0, _number(float, "sigma", lambda v: v > 0, "positive"), "noise scale (neyman_scott)"),
     "delta": Key(3.0, _number(float, "delta", lambda v: v >= 0, "nonnegative"), "alternative norm"),

@@ -138,11 +138,18 @@ class Model:
 
     name: str = "model"
     sufficient: str | None = None
+    #: The parameter box ``(lo, hi)`` the alternative's entries must lie in, or None for no box.
+    compact: tuple[float, float] | None = None
 
     def sample(
         self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
     ) -> np.ndarray:
         raise NotImplementedError
+
+    def mean_vector(self, entries: np.ndarray) -> MeanVector:
+        """``entries`` as a :class:`MeanVector` checked against the model's ``compact`` box."""
+        lo, hi = self.compact or (None, None)
+        return MeanVector(entries, compact_lo=lo, compact_hi=hi)
 
     def sample_chunks(
         self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
@@ -185,11 +192,6 @@ class FamilyModel(Model):
     @property
     def name(self) -> str:
         return self.family.name
-
-    def mean_vector(self, entries: np.ndarray) -> MeanVector:
-        if self.compact is None:
-            return MeanVector(entries, compact_lo=None, compact_hi=None)
-        return MeanVector(entries, compact_lo=self.compact[0], compact_hi=self.compact[1])
 
     @property
     def sufficient(self) -> str | None:
@@ -240,16 +242,16 @@ class NeymanScottModel(Model):
         return NeymanScottLayout(n=n, nu=self.nu, sigma=self.sigma)
 
     def sample(self, n, alt, reps, rng, seed):
-        m = MeanVector(alt.mean_entries(n, seed), compact_lo=None, compact_hi=None)
+        m = self.mean_vector(alt.mean_entries(n, seed))
         return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
 
     def sample_sufficient(self, n, alt, reps, rng, seed):
-        m = MeanVector(alt.mean_entries(n, seed), compact_lo=None, compact_hi=None)
+        m = self.mean_vector(alt.mean_entries(n, seed))
         return models.sample_neyman_scott_mean_squares(self._layout(n), m, rng, reps)
 
     def alternative_audit(self, n, alt, seed):
         self._layout(n)
-        m = MeanVector(alt.mean_entries(n, seed), compact_lo=None, compact_hi=None)
+        m = self.mean_vector(alt.mean_entries(n, seed))
         return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
 
 
@@ -557,31 +559,15 @@ def _check_calibration(level: float, reps: int) -> None:
         )
 
 
-def calibrate_critical(
-    model: Model,
-    statistics: Sequence[NamedStatistic],
-    level: float,
-    n: int,
-    reps: int,
-    seed: int,
-    workers: int = 1,
-    values: Sequence[np.ndarray] | None = None,
-) -> list[float]:
-    """Empirical upper-``level`` critical values from one null Monte Carlo run.
+def calibrate_critical(values: Sequence[np.ndarray], level: float, reps: int) -> list[float]:
+    """Empirical upper-``level`` critical values, one per array of ``reps`` null values.
 
-    All statistics are evaluated on the same ``reps`` null draws (stream tag
-    ``TAG_CALIBRATE``), each on the route the model takes for it under the
-    null; one critical value is returned per statistic.  ``values``, one
-    array per statistic, hands over values drawn elsewhere
-    (:func:`_sweep_cells` does).  The rejection rule is
-    ``statistic > critical``; two-sided statistics must be pre-transformed to
-    one-sided form by the caller.
+    ``values`` are the calibration values a plan drew, one array per test
+    (:func:`_sweep_cells`).  The rejection rule is ``statistic > critical``;
+    two-sided statistics must be pre-transformed to one-sided form by the
+    caller.
     """
     _check_calibration(level, reps)
-    if values is None:
-        reads = {i: s.reduced if model.reduces(s, n, NULL, seed) else s for i, s in enumerate(statistics)}
-        drawn = _draw_passes(_route_passes(model, reads, n, NULL, reps, seed, TAG_CALIBRATE), workers)
-        values = [drawn[i] for i in range(len(statistics))]
     return [float(np.quantile(vals, 1.0 - level, method="higher")) for vals in values]
 
 
@@ -595,27 +581,6 @@ def _rejection_rate(values: np.ndarray, critical: float) -> tuple[float, float]:
     return float(p), se
 
 
-def estimate_power_many(
-    model: Model,
-    tests: Sequence[tuple[NamedStatistic, AlternativeSpec]],
-    level: float,
-    n: int,
-    reps: int,
-    seed: int,
-    calib_reps: int | None = None,
-    workers: int = 1,
-) -> list[PowerReport]:
-    """Calibrate under the null, then estimate level and power of each test.
-
-    A test is a statistic and the alternative it is run against; the tests
-    are one sweep cell (:func:`_sweep_cells`).  Every statistic of a route
-    reads the same blocks, so each report equals the one
-    :func:`estimate_power` gives for its test.
-    """
-    ((_, _, reports, _),) = _sweep_cells(model, [(n, seed, tests)], reps, level, calib_reps, workers)
-    return reports
-
-
 def estimate_power(
     model: Model,
     statistic: NamedStatistic,
@@ -627,9 +592,13 @@ def estimate_power(
     calib_reps: int | None = None,
     workers: int = 1,
 ) -> PowerReport:
-    """Calibrate under the null, then estimate level and power by fresh runs."""
-    tests = [(statistic, alt)]
-    return estimate_power_many(model, tests, level, n, reps, seed, calib_reps, workers)[0]
+    """Calibrate under the null, then estimate level and power by fresh runs.
+
+    This is a sweep of one cell holding one test (:func:`_sweep_cells`).
+    """
+    cells = [(n, seed, [(statistic, alt)])]
+    ((_, _, (report,), _),) = _sweep_cells(model, cells, reps, level, calib_reps, workers)
+    return report
 
 
 # --------------------------------------------------------------------- #
@@ -638,9 +607,9 @@ def estimate_power(
 # A sweep returns one dict per grid point whose keys are its table's
 # columns, in order.  A grid point is one cell of tests; _sweep_cells draws
 # every cell's blocks in one plan and reduces each cell to its reports
-# (estimate_power_many is one cell).  A sweep labels its gap tests next to
-# their list, and _gap_columns names each report's (gap, gap_se) pair after
-# its label.
+# (estimate_power is one cell of one test).  A sweep labels its gap tests
+# next to their list, and _gap_columns names each report's (gap, gap_se)
+# pair after its label.
 # --------------------------------------------------------------------- #
 
 
@@ -700,7 +669,9 @@ def _sweep_cells(
     alike.  Per cell and route the null is drawn once for calibration and
     once for the level, and each distinct alternative once for power; the
     blocks of every cell are drawn in one plan (:func:`_draw_passes`) before
-    any cell is reduced.
+    any cell is reduced, and a cell's critical values are the quantiles
+    :func:`calibrate_critical` takes of its calibration values.  Too few
+    calibration replicates are refused before anything is drawn.
     """
     calib = calibration_reps(reps, calib_reps)
     _check_calibration(level, calib)
@@ -717,9 +688,7 @@ def _sweep_cells(
             passes += _route_passes(model, stage("power", sharing), n, alt, reps, run_seed, TAG_POWER)
     values = _draw_passes(passes, workers)
     for c, (n, run_seed, tests) in enumerate(cells):
-        statistics = [s for s, _ in tests]
-        calibration = [values[c, "calibrate", i] for i in range(len(tests))]
-        criticals = calibrate_critical(model, statistics, level, n, calib, run_seed, workers, calibration)
+        criticals = calibrate_critical([values[c, "calibrate", i] for i in range(len(tests))], level, calib)
         reports = [
             PowerReport(
                 statistic.name, n, alt.describe(), level, critical,

@@ -57,10 +57,11 @@ class TestPower:
             rows = list(csv.reader(fh))
         assert rows[0] == [
             "n", "stat", "critical", "level_hat", "level_se",
-            "power_hat", "power_se", "seed",
+            "power_hat", "power_se", "reps", "seed", "config_hash",
         ]
-        assert rows[1][0] == "100" and rows[1][1] == "chisq" and rows[1][7] == "7"
+        assert rows[1][0] == "100" and rows[1][1] == "chisq" and rows[1][7:9] == ["1000", "7"]
         meta = json.loads((tmp_path / "out.dat.meta.json").read_text())
+        assert rows[1][9] == meta["config_hash"]
         assert meta["config"]["reps"] == 1000
         assert meta["version"]
 
@@ -276,7 +277,10 @@ class TestSubcommands:
 
 #: Every table's columns, in order.
 _HEADERS = {
-    "power": ["n", "stat", "critical", "level_hat", "level_se", "power_hat", "power_se", "seed"],
+    "power": [
+        "n", "stat", "critical", "level_hat", "level_se", "power_hat", "power_se", "reps", "seed",
+        "config_hash",
+    ],
     "sweep-theorem1": [
         "n", "chisq_gap", "chisq_gap_se", "np_power", "np_power_se", "lbar_bound", "lbar_bound_se",
         "m_norm", "reps", "seed", "config_hash",
@@ -559,11 +563,17 @@ class TestIncompatibleConfigurations:
             ["coupling", "--n-grid", "10", "--reps", "1"],
             ["sweep-theorem1", "--n-grid", "10", "--reps", "100", "--lbar-reps", "1"],
             ["clt-sweep", "--n-grid", "20", "--reps", "3"],
+            ["lbar", "--alt", "spike:3:junk"],
+            ["lbar", "--alt", "null:5"],
+            ["clt-sweep", "--alt", "spike:inf"],
+            ["sweep-spacings", "--alt", "h:cos1:nan"],
+            ["power", "--alt", "smooth:1:2"],
         ],
         ids=["reps-0", "sigma-negative", "mc-reps-0", "workers-0", "calib-reps-3",
              "default-calib-reps-tiny-level", "sweep-tiny-level", "n-0", "seed-not-int",
              "sigma-nan", "recalibrate-unknown-subcommand", "lbar-level", "lbar-reps-1", "coupling-reps-1",
-             "theorem1-lbar-reps-1", "clt-sweep-reps-3"],
+             "theorem1-lbar-reps-1", "clt-sweep-reps-3", "alt-extra-field", "alt-null-with-scale",
+             "alt-infinite-scale", "alt-nan-h-scale", "alt-smooth-extra-field"],
     )
     def test_bad_flag_values_exit_2_before_running(self, tmp_path, monkeypatch, argv):
         from invlab import cli
@@ -780,6 +790,11 @@ class TestAlternativeParsing:
             parse_alternative("spike")
         with pytest.raises(ConfigError):
             parse_alternative("wobble:1")
+        # Extra fields and numbers that are not finite.
+        for text in ("spike:3:junk", "null:5", "signs:1:2", "h:cos1:2:3", "spike:inf",
+                     "smooth:nan", "spike_uncentered:-inf", "h:cos1:nan", "spike:1e400"):
+            with pytest.raises(ConfigError, match="field|finite"):
+                parse_alternative(text)
 
 
 class TestRendering:

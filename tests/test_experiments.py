@@ -26,7 +26,6 @@ from invlab.experiments import (
     calibrate_critical,
     cellmean_chisq_statistic,
     estimate_power,
-    estimate_power_many,
     make_statistic,
     matrix_variate_sweep,
     neyman_scott_sweep,
@@ -76,11 +75,22 @@ class TestAlternatives:
 
 
 class TestCalibration:
+    def test_critical_is_the_higher_quantile_of_each_array(self):
+        # Upper 0.25 of 0..79 sits between 59 and 60; "higher" takes 60.
+        values = [np.arange(80.0), 2.0 * np.arange(80.0)[::-1], np.full(80, 3.5)]
+        assert calibrate_critical(values, 0.25, 80) == [60.0, 120.0, 3.5]
+        assert calibrate_critical([np.arange(40.0)], 0.5, 40) == [20.0]
+
+    def test_too_few_tail_reps_refused(self):
+        assert 100 * 0.1 < experiments.MIN_TAIL_REPS
+        with pytest.raises(ValueError, match="too few replicates"):
+            calibrate_critical([np.arange(100.0)], 0.1, 100)
+
     def test_chisq_critical_matches_quantile_oracle(self):
         model = normal_means_model()
-        [crit] = calibrate_critical(
-            model, [make_statistic("chisq", 20)], 0.05, n=20, reps=20_000, seed=0
-        )
+        crit = estimate_power(
+            model, make_statistic("chisq", 20), NULL, 0.05, n=20, reps=1000, seed=0, calib_reps=20_000
+        ).critical_value
         oracle = sps.chi2.ppf(0.95, 20)
         # MC quantile error at 2e4 reps
         se = np.sqrt(0.05 * 0.95 / 20_000) / sps.chi2.pdf(oracle, 20)
@@ -88,15 +98,18 @@ class TestCalibration:
 
     def test_median_at_half_level(self):
         model = normal_means_model()
-        stat = make_statistic("np", 30, alt=AlternativeSpec("single_spike", 1.0))
-        [crit] = calibrate_critical(model, [stat], 0.5, n=30, reps=20_000, seed=1)
+        alt = AlternativeSpec("single_spike", 1.0)
+        stat = make_statistic("np", 30, alt=alt)
+        crit = estimate_power(
+            model, stat, alt, 0.5, n=30, reps=1000, seed=1, calib_reps=20_000
+        ).critical_value
         assert abs(crit) < 4 * np.sqrt(np.pi / 2 / 20_000) + 0.02
 
     def test_f_critical_matches_oracle(self):
         model = NeymanScottModel(nu=5)
-        [crit] = calibrate_critical(
-            model, [make_statistic("anova_f", 10)], 0.05, n=10, reps=20_000, seed=2
-        )
+        crit = estimate_power(
+            model, make_statistic("anova_f", 10), NULL, 0.05, n=10, reps=1000, seed=2, calib_reps=20_000
+        ).critical_value
         oracle = sps.f.ppf(0.95, 9, 40)
         se = np.sqrt(0.05 * 0.95 / 20_000) / sps.f.pdf(oracle, 9, 40)
         assert abs(crit - oracle) < 4 * se
@@ -104,7 +117,9 @@ class TestCalibration:
     def test_too_few_reps_rejected(self):
         model = normal_means_model()
         with pytest.raises(ValueError, match="reps"):
-            calibrate_critical(model, [make_statistic("chisq", 5)], 0.01, n=5, reps=100, seed=0)
+            estimate_power(
+                model, make_statistic("chisq", 5), NULL, 0.01, n=5, reps=100, seed=0, calib_reps=100
+            )
 
 
 class TestEstimatePower:
@@ -212,6 +227,12 @@ def _engine_tests(case):
     return model, [(make_statistic(name, _N, alt=alt, seed=_SEED), alt) for name, alt in specs]
 
 
+def _one_cell(model, tests, workers=1):
+    """The reports of ``tests`` swept as one cell at ``_N`` and ``_SEED``."""
+    ((_, _, reports, _),) = experiments._sweep_cells(model, [(_N, _SEED, tests)], _REPS, 0.1, None, workers)
+    return reports
+
+
 @functools.cache
 def _alone(case):
     model, tests = _engine_tests(case)
@@ -231,9 +252,7 @@ class TestSharedDrawEngine:
     def test_report_independent_of_company_order_and_workers(self, case, order, size, workers):
         model, tests = _engine_tests(case)
         chosen = list(order[:size])
-        reports = estimate_power_many(
-            model, [tests[i] for i in chosen], 0.1, _N, _REPS, _SEED, workers=workers
-        )
+        reports = _one_cell(model, [tests[i] for i in chosen], workers)
         assert reports == [_alone(case)[i] for i in chosen]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -249,7 +268,8 @@ class TestSharedDrawEngine:
         assert [(n, seed) for n, seed, _, _ in swept] == [(30, 11), (50, 12)]
         for (n, seed, tests), (_, _, reports, reads) in zip(cells, swept):
             assert reads == []
-            assert reports == estimate_power_many(model, tests, 0.1, n, _REPS, seed, workers=workers)
+            (alone,) = experiments._sweep_cells(model, [(n, seed, tests)], _REPS, 0.1, None, workers)
+            assert reports == alone[2]
 
     def test_statistic_cannot_mutate_shared_block(self):
         model, tests = _engine_tests("normal")
@@ -259,10 +279,7 @@ class TestSharedDrawEngine:
             return x.sum(axis=-1)
 
         with pytest.raises(ValueError, match="read-only"):
-            estimate_power_many(
-                model, [(NamedStatistic("doubling", doubling), _SPIKE), tests[0]],
-                0.1, _N, _REPS, _SEED,
-            )
+            _one_cell(model, [(NamedStatistic("doubling", doubling), _SPIKE), tests[0]])
 
     def test_spacings_model_rejects_mean_alternative(self):
         with pytest.raises(ValueError, match="spacings model"):
@@ -439,9 +456,9 @@ class TestReducedRoute:
         model = normal_means_model()
         variance = make_statistic("variance", self.N)
         assert variance.reduced is None
-        (values,) = calibrate_critical(model, [variance], 0.1, self.N, 1024, 5)
+        crit = estimate_power(model, variance, NULL, 0.1, self.N, 1000, 5, calib_reps=1024).critical_value
         data = model.sample(self.N, NULL, 1024, spawn_generator(5, TAG_CALIBRATE, 0), 5)
-        assert values == np.quantile(variance(data), 0.9, method="higher")
+        assert crit == np.quantile(variance(data), 0.9, method="higher")
 
     def test_single_observation_has_no_residual(self):
         model = normal_means_model()
