@@ -255,7 +255,7 @@ def run_power(cfg: dict) -> list[dict]:
 
     def setup(n, _):
         stat = experiments.make_statistic(cfg["stat"], n, alt=alt, seed=cfg["seed"])
-        model.alternative_audit(n, alt, cfg["seed"])
+        model.at(n, alt, cfg["seed"])
         return n, stat
 
     rows = []
@@ -331,28 +331,24 @@ def run_lbar(cfg: dict) -> list[dict]:
     group = orbit.Group(cfg["group"])
     alt = parse_alternative(cfg["alt"])
     model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
-    family = model.family
 
     def setup(n, _):
-        entries = alt.mean_entries(n, cfg["seed"])
+        m = model.at(n, alt, cfg["seed"]).mean
         design = None
         if group is orbit.Group.ORTHOGONAL_FIXING_DESIGN:
             design = spawn_generator(cfg["seed"], TAG_MODEL, 777).normal(size=(n, cfg["design_p"]))
             q, _ = np.linalg.qr(design)
-            entries = entries - q @ (q.T @ entries)
+            m = model.mean_vector(m.entries - q @ (q.T @ m.entries))
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
-        m = model.mean_vector(entries)
-        return n, m, spec, spec.null_orbit(family, m, cfg["seed"]).radial is None
+        return n, m, spec.null_orbit(model.family, m, cfg["seed"])
 
     rows = []
-    for n, m, spec, permutation in experiments.per_n(cfg["subcommand"], cfg["n_grid"], setup):
-        vals = orbit.null_lbar_samples(
-            family, m, spec, cfg["reps"], cfg["seed"], workers=cfg["workers"]
-        )
+    for n, m, null_orbit in experiments.per_n(cfg["subcommand"], cfg["n_grid"], setup):
+        vals = orbit.null_lbar_samples(null_orbit, cfg["reps"], workers=cfg["workers"])
         bound, bound_se = orbit.power_level_bound(vals)
         var_diag = (
             orbit.perm_variance_diagnostic(m.entries, mc_reps=cfg["mc_reps"], seed=cfg["seed"])
-            if permutation else float("nan")
+            if null_orbit.radial is None else float("nan")
         )
         rows.append(
             {
@@ -573,6 +569,9 @@ def build_config(args: argparse.Namespace) -> dict:
         if choices is not None and cfg[key] not in choices:
             raise ConfigError(f"{name} takes {key} in {', '.join(choices)}, got {raw!r}")
     cfg["subcommand"] = name
+    grouped = [key for key in ("nu", "sigma", "profile") if key in file_cfg | flags]
+    if cfg["matrix"] and grouped:
+        raise ConfigError(f"--matrix runs bivariate rows with no groups; it takes no {', '.join(grouped)}")
     if "calib_reps" in spec.keys:
         calib_reps = experiments.calibration_reps(cfg["reps"], cfg["calib_reps"])
         if calib_reps * cfg["level"] < experiments.MIN_TAIL_REPS:

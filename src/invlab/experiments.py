@@ -78,9 +78,6 @@ class AlternativeSpec:
         if self.kind in ("smooth_profile", "spacings_h") and self.profile is None:
             raise ValueError(f"{self.kind} requires a profile")
 
-    def describe(self) -> str:
-        return f"{self.kind}:{self.scale:g}"
-
     def mean_entries(self, n: int, seed: int) -> np.ndarray:
         """The alternative parameter vector of length ``n``, a deviation from the null parameter 0.
 
@@ -125,57 +122,61 @@ _SAME_DIRECTION = 1e-12
 # --------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True, eq=False)
+class Point:
+    """A model at one grid point ``(n, alternative)``, checked: what every draw reads.
+
+    ``sample(reps, rng)`` draws ``reps`` replicates, replicates on the
+    leading axis, and ``chunks(reps, rng)`` gives the same rows in
+    :func:`~invlab.rng.row_chunks` (by default the block drawn whole and
+    sliced).  ``block`` names a sufficient block, a few numbers per
+    replicate whose exact law ``sufficient(reps, rng)`` draws, for the
+    statistics that read only those.  ``mean`` is the checked parameter
+    vector of a mean model.
+    """
+
+    n: int
+    sample: Callable[[int, np.random.Generator], np.ndarray]
+    chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]] | None = None
+    block: str | None = None
+    sufficient: Callable[[int, np.random.Generator], np.ndarray] | None = None
+    mean: MeanVector | None = None
+
+    def __post_init__(self) -> None:
+        if self.chunks is None:
+            object.__setattr__(self, "chunks", lambda reps, rng: row_slices(self.sample(reps, rng)))
+
+    def reduces(self, statistic: NamedStatistic) -> bool:
+        """Whether ``statistic`` here is read exactly from the sufficient block."""
+        reduced = statistic.reduced
+        if reduced is None or reduced.block != self.block:
+            return False
+        if reduced.direction is None or not self.mean.entries.any():
+            return True
+        # The block projects on the point's own direction.
+        m = self.mean.entries
+        return bool(np.max(np.abs(m / np.linalg.norm(m) - reduced.direction)) <= _SAME_DIRECTION)
+
+
 class Model:
     """A named batch sampler of data of size ``n``.
 
-    ``sample(n, alt, reps, rng, seed)`` draws ``reps`` replicates under the
-    alternative ``alt`` (its parameters derived from ``seed``), replicates on
-    the leading axis; ``alt=NULL`` draws under the null.  ``sample_chunks``
-    gives the same rows in row chunks.  A model may also name a
-    ``sufficient`` block, a few numbers per replicate whose exact law
-    ``sample_sufficient`` draws, for the statistics that read only those.
+    ``at(n, alt, seed)`` turns the alternative ``alt`` (its parameters
+    derived from ``seed``) into a checked :class:`Point`, raising
+    ``ValueError`` where it does not apply; ``alt=NULL`` is the null.
     """
 
     name: str = "model"
-    sufficient: str | None = None
     #: The parameter box ``(lo, hi)`` the alternative's entries must lie in, or None for no box.
     compact: tuple[float, float] | None = None
-
-    def sample(
-        self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
-    ) -> np.ndarray:
-        raise NotImplementedError
 
     def mean_vector(self, entries: np.ndarray) -> MeanVector:
         """``entries`` as a :class:`MeanVector` checked against the model's ``compact`` box."""
         lo, hi = self.compact or (None, None)
         return MeanVector(entries, compact_lo=lo, compact_hi=hi)
 
-    def sample_chunks(
-        self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
-    ) -> Iterable[np.ndarray]:
-        """The rows of ``sample(n, alt, reps, rng, seed)`` in :func:`~invlab.rng.row_chunks`.
-
-        This default draws the block whole and slices it.
-        """
-        return row_slices(self.sample(n, alt, reps, rng, seed))
-
-    def reduces(self, statistic: NamedStatistic, n: int, alt: AlternativeSpec, seed: int) -> bool:
-        """Whether ``statistic`` under ``alt`` is read exactly from the sufficient block."""
-        return statistic.reduced is not None and statistic.reduced.block == self.sufficient
-
-    def sample_sufficient(
-        self, n: int, alt: AlternativeSpec, reps: int, rng: np.random.Generator, seed: int
-    ) -> np.ndarray:
-        """``(reps, k)`` draws of the sufficient block under ``alt``."""
+    def at(self, n: int, alt: AlternativeSpec, seed: int) -> Point:
         raise NotImplementedError
-
-    def alternative_audit(self, n: int, alt: AlternativeSpec, seed: int) -> dict:
-        """Exact centered norm and max centered deviation of the alternative.
-
-        Raises ``ValueError`` when the alternative does not apply to the model.
-        """
-        return {}
 
 
 @dataclass(frozen=True)
@@ -193,31 +194,14 @@ class FamilyModel(Model):
     def name(self) -> str:
         return self.family.name
 
-    @property
-    def sufficient(self) -> str | None:
-        return NORMAL_RADIAL if self.family.name == "normal" else None
-
-    def sample(self, n, alt, reps, rng, seed):
+    def at(self, n, alt, seed):
         m = self.mean_vector(alt.mean_entries(n, seed))
-        return models.sample_model(self.family, m, rng, reps=reps)
-
-    def reduces(self, statistic, n, alt, seed):
-        if not super().reduces(statistic, n, alt, seed):
-            return False
-        direction = statistic.reduced.direction
-        if direction is None or alt.scale == 0.0:
-            return True
-        # The block projects on the alternative's own direction.
-        m = alt.mean_entries(n, seed)
-        return bool(np.max(np.abs(m / np.linalg.norm(m) - direction)) <= _SAME_DIRECTION)
-
-    def sample_sufficient(self, n, alt, reps, rng, seed):
-        m = self.mean_vector(alt.mean_entries(n, seed))
-        return models.sample_normal_radial(float(np.linalg.norm(m.entries)), n, rng, reps)
-
-    def alternative_audit(self, n, alt, seed):
-        m = self.mean_vector(alt.mean_entries(n, seed))
-        return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
+        sample = lambda reps, rng: models.sample_model(self.family, m, rng, reps=reps)
+        if self.family.name != "normal":
+            return Point(n, sample, mean=m)
+        norm = float(np.linalg.norm(m.entries))
+        radial = lambda reps, rng: models.sample_normal_radial(norm, n, rng, reps)
+        return Point(n, sample, block=NORMAL_RADIAL, sufficient=radial, mean=m)
 
 
 def normal_means_model() -> FamilyModel:
@@ -236,23 +220,17 @@ class NeymanScottModel(Model):
     sigma: float = 1.0
 
     name = "neyman_scott"
-    sufficient = ANOVA_MEAN_SQUARES
 
-    def _layout(self, n: int) -> NeymanScottLayout:
-        return NeymanScottLayout(n=n, nu=self.nu, sigma=self.sigma)
-
-    def sample(self, n, alt, reps, rng, seed):
+    def at(self, n, alt, seed):
+        layout = NeymanScottLayout(n=n, nu=self.nu, sigma=self.sigma)
         m = self.mean_vector(alt.mean_entries(n, seed))
-        return models.sample_neyman_scott(self._layout(n), m, rng, reps=reps)
-
-    def sample_sufficient(self, n, alt, reps, rng, seed):
-        m = self.mean_vector(alt.mean_entries(n, seed))
-        return models.sample_neyman_scott_mean_squares(self._layout(n), m, rng, reps)
-
-    def alternative_audit(self, n, alt, seed):
-        self._layout(n)
-        m = self.mean_vector(alt.mean_entries(n, seed))
-        return {"centered_norm": m.centered_norm, "max_dev": m.max_centered_dev}
+        return Point(
+            n,
+            lambda reps, rng: models.sample_neyman_scott(layout, m, rng, reps=reps),
+            block=ANOVA_MEAN_SQUARES,
+            sufficient=lambda reps, rng: models.sample_neyman_scott_mean_squares(layout, m, rng, reps),
+            mean=m,
+        )
 
 
 @dataclass(frozen=True)
@@ -275,27 +253,24 @@ class SpacingsModel(Model):
             sup_certified=base.sup_certified,
         )
 
-    def alternative_audit(self, n, alt, seed):
+    def at(self, n, alt, seed):
         if alt.scale == 0.0:
-            return {}
+            # The null fills its rows in stream order, so each chunk is one
+            # draw from rng, made when the chunk is read.
+            return Point(
+                n,
+                lambda reps, rng: models.sample_spacings_null_batch(n, reps, rng),
+                chunks=lambda reps, rng: (
+                    models.sample_spacings_null_batch(n, rows, rng) for rows in row_chunks(reps, n + 1)
+                ),
+            )
         if alt.kind != "spacings_h":
             raise ValueError(f"the spacings model takes a density perturbation h, not {alt.kind}")
-        models.check_spacings_profile(n, self._profile(alt))
-        return {}
-
-    def sample(self, n, alt, reps, rng, seed):
-        self.alternative_audit(n, alt, seed)
-        if alt.scale == 0.0:
-            return models.sample_spacings_null_batch(n, reps, rng)
-        return models.sample_spacings_alternative_batch(n, self._profile(alt), reps, rng)
-
-    def sample_chunks(self, n, alt, reps, rng, seed):
+        h = self._profile(alt)
+        models.check_spacings_profile(n, h)
         # The alternative's rejection rounds size themselves from reps * n, so
-        # it is drawn whole.  The null fills its rows in stream order, so each
-        # chunk is one draw from rng, made when the chunk is read.
-        if alt.scale != 0.0:
-            return super().sample_chunks(n, alt, reps, rng, seed)
-        return (models.sample_spacings_null_batch(n, rows, rng) for rows in row_chunks(reps, n + 1))
+        # it is drawn whole.
+        return Point(n, lambda reps, rng: models.sample_spacings_alternative_batch(n, h, reps, rng))
 
 
 # --------------------------------------------------------------------- #
@@ -308,8 +283,8 @@ class Reduced:
     """A statistic as a function ``fn`` of a model's sufficient block ``block``.
 
     ``direction``, when set, is the unit vector the block's projection must
-    be taken on: the form then holds only where the model's block projects
-    on that direction (see :meth:`Model.reduces`).
+    be taken on: the form then holds only where the point's block projects
+    on that direction (see :meth:`Point.reduces`).
     """
 
     block: str
@@ -431,8 +406,6 @@ class PowerReport:
 
     statistic_name: str
     n: int
-    alternative: str
-    level_target: float
     critical_value: float
     level_hat: float
     level_se: float
@@ -517,17 +490,15 @@ def _draw_passes(passes: Sequence[_Pass], workers: int) -> dict[Hashable, np.nda
 
 
 def _route_passes(
-    model: Model,
+    point: Point,
     reads: dict[Hashable, Callable[[np.ndarray], np.ndarray] | Reduced],
-    n: int,
-    alt: AlternativeSpec,
     reps: int,
     seed: int,
     tag: int,
 ) -> list[_Pass]:
-    """The passes that read ``reps`` draws of ``model`` under ``alt``.
+    """The passes that read ``reps`` draws at ``point``.
 
-    A :class:`Reduced` read is its ``fn`` on the model's sufficient block,
+    A :class:`Reduced` read is its ``fn`` on the point's sufficient block,
     drawn on the stream ``(seed, TAG_SUFFICIENT, tag)``; any other read is a
     function of data drawn on ``(seed, tag)``.  Each kind of block is drawn
     once when any function reads it and evaluated by its readers in turn, so
@@ -537,10 +508,9 @@ def _route_passes(
     sufficient = {key: fn.fn for key, fn in reads.items() if isinstance(fn, Reduced)}
     out = []
     if data:
-        chunks = lambda count, rng: model.sample_chunks(n, alt, count, rng, seed)
-        out.append(_Pass(chunks, data, reps, seed, (tag,), n))
+        out.append(_Pass(point.chunks, data, reps, seed, (tag,), point.n))
     if sufficient:
-        chunks = lambda count, rng: row_slices(model.sample_sufficient(n, alt, count, rng, seed))
+        chunks = lambda count, rng: row_slices(point.sufficient(count, rng))
         out.append(_Pass(chunks, sufficient, reps, seed, (TAG_SUFFICIENT, tag)))
     return out
 
@@ -596,8 +566,8 @@ def estimate_power(
 
     This is a sweep of one cell holding one test (:func:`_sweep_cells`).
     """
-    cells = [(n, seed, [(statistic, alt)])]
-    ((_, _, (report,), _),) = _sweep_cells(model, cells, reps, level, calib_reps, workers)
+    cell = Cell.resolve(model, n, seed, [(statistic, alt)])
+    ((_, (report,), _),) = _sweep_cells([cell], reps, level, calib_reps, workers)
     return report
 
 
@@ -614,7 +584,25 @@ def estimate_power(
 
 
 Tests = list[tuple[NamedStatistic, AlternativeSpec]]
-Cell = tuple[int, int, Tests]
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A grid point's tests: its null point, run seed and ``(statistic, point)`` pairs."""
+
+    null: Point
+    seed: int
+    tests: list[tuple[NamedStatistic, Point]]
+
+    @property
+    def n(self) -> int:
+        return self.null.n
+
+    @classmethod
+    def resolve(cls, model: Model, n: int, seed: int, tests: Tests) -> Cell:
+        """``tests`` at size ``n`` and run seed ``seed``, each distinct alternative resolved once."""
+        points = {alt: model.at(n, alt, seed) for alt in dict.fromkeys(a for _, a in tests)}
+        return cls(model.at(n, NULL, seed), seed, [(s, points[a]) for s, a in tests])
 
 
 def per_n(label: str, n_grid: Sequence[int], setup: Callable[[int, int], T]) -> list[T]:
@@ -637,37 +625,33 @@ def per_n(label: str, n_grid: Sequence[int], setup: Callable[[int, int], T]) -> 
 def _grid_cells(
     model: Model, tests: Callable[[int, int], Tests], n_grid: Sequence[int], seed: int
 ) -> list[Cell]:
-    """Per grid point ``(n, run_seed, tests(n, run_seed))``, every alternative audited by the model."""
+    """Per grid point the :class:`Cell` of ``tests(n, run_seed)``."""
 
     def cell(n: int, gi: int) -> Cell:
         run_seed = _grid_seed(seed, gi)
-        cell_tests = tests(n, run_seed)
-        for alt in dict.fromkeys(a for _, a in cell_tests):
-            model.alternative_audit(n, alt, run_seed)
-        return n, run_seed, cell_tests
+        return Cell.resolve(model, n, run_seed, tests(n, run_seed))
 
     return per_n(f"the {model.name} model", n_grid, cell)
 
 
 def _sweep_cells(
-    model: Model,
     cells: Sequence[Cell],
     reps: int,
     level: float,
     calib_reps: int | None,
     workers: int,
     level_reads: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
-) -> Iterator[tuple[int, int, list[PowerReport], list[np.ndarray]]]:
-    """Per cell, ``(n, run_seed, reports, reads)``: its tests on shared draws.
+) -> Iterator[tuple[Cell, list[PowerReport], list[np.ndarray]]]:
+    """Per cell, ``(cell, reports, reads)``: its tests on shared draws.
 
     Value ``(c, "calibrate", i)`` is test ``i`` of cell ``c`` on ``calib_reps``
-    null draws, ``(c, "level", i)`` on ``reps`` more, and ``(c, "power", i)``
-    on ``reps`` draws under its alternative; ``(c, "read", j)``, returned as
-    ``reads``, is function ``j`` of ``level_reads`` on the level's null data.
-    A test takes the route the model takes for its statistic at its own
-    alternative (:meth:`Model.reduces`), for calibration, level and power
-    alike.  Per cell and route the null is drawn once for calibration and
-    once for the level, and each distinct alternative once for power; the
+    draws at the null point, ``(c, "level", i)`` on ``reps`` more, and
+    ``(c, "power", i)`` on ``reps`` draws at its own point; ``(c, "read", j)``,
+    returned as ``reads``, is function ``j`` of ``level_reads`` on the level's
+    null data.  A test takes the route its own point takes for its statistic
+    (:meth:`Point.reduces`), for calibration, level and power alike.  Per
+    cell and route the null is drawn once for calibration and once for the
+    level, and each distinct point once for power; the
     blocks of every cell are drawn in one plan (:func:`_draw_passes`) before
     any cell is reduced, and a cell's critical values are the quantiles
     :func:`calibrate_critical` takes of its calibration values.  Too few
@@ -676,29 +660,30 @@ def _sweep_cells(
     calib = calibration_reps(reps, calib_reps)
     _check_calibration(level, calib)
     passes = []
-    for c, (n, run_seed, tests) in enumerate(cells):
-        routes = [s.reduced if model.reduces(s, n, alt, run_seed) else s for s, alt in tests]
+    for c, cell in enumerate(cells):
+        routes = [s.reduced if point.reduces(s) else s for s, point in cell.tests]
         stage = lambda name, indices: {(c, name, i): routes[i] for i in indices}
-        every = range(len(tests))
+        every = range(len(cell.tests))
         reads = {(c, "read", j): fn for j, fn in enumerate(level_reads)}
-        passes += _route_passes(model, stage("calibrate", every), n, NULL, calib, run_seed, TAG_CALIBRATE)
-        passes += _route_passes(model, stage("level", every) | reads, n, NULL, reps, run_seed, TAG_LEVEL)
-        for alt in dict.fromkeys(a for _, a in tests):
-            sharing = [i for i, (_, a) in enumerate(tests) if a == alt]
-            passes += _route_passes(model, stage("power", sharing), n, alt, reps, run_seed, TAG_POWER)
+        passes += _route_passes(cell.null, stage("calibrate", every), calib, cell.seed, TAG_CALIBRATE)
+        passes += _route_passes(cell.null, stage("level", every) | reads, reps, cell.seed, TAG_LEVEL)
+        for point in dict.fromkeys(p for _, p in cell.tests):
+            sharing = [i for i, (_, p) in enumerate(cell.tests) if p is point]
+            passes += _route_passes(point, stage("power", sharing), reps, cell.seed, TAG_POWER)
     values = _draw_passes(passes, workers)
-    for c, (n, run_seed, tests) in enumerate(cells):
-        criticals = calibrate_critical([values[c, "calibrate", i] for i in range(len(tests))], level, calib)
+    for c, cell in enumerate(cells):
+        every = range(len(cell.tests))
+        criticals = calibrate_critical([values[c, "calibrate", i] for i in every], level, calib)
         reports = [
             PowerReport(
-                statistic.name, n, alt.describe(), level, critical,
+                statistic.name, cell.n, critical,
                 *_rejection_rate(values[c, "level", i], critical),
                 *_rejection_rate(values[c, "power", i], critical),
-                reps, run_seed,
+                reps, cell.seed,
             )
-            for i, ((statistic, alt), critical) in enumerate(zip(tests, criticals))
+            for i, ((statistic, _), critical) in enumerate(zip(cell.tests, criticals))
         ]
-        yield n, run_seed, reports, [values[c, "read", j] for j in range(len(level_reads))]
+        yield cell, reports, [values[c, "read", j] for j in range(len(level_reads))]
 
 
 def _gap_columns(labels: Sequence[str], reports: Sequence[PowerReport]) -> dict[str, float]:
@@ -707,6 +692,11 @@ def _gap_columns(labels: Sequence[str], reports: Sequence[PowerReport]) -> dict[
     for label, rep in zip(labels, reports, strict=True):
         columns[f"{label}_gap"], columns[f"{label}_gap_se"] = rep.gap, rep.gap_se
     return columns
+
+
+def _audit_columns(point: Point) -> dict[str, float]:
+    """Exact centered norm and largest centered entry of a mean model's point."""
+    return {"centered_norm": point.mean.centered_norm, "max_dev": point.mean.max_centered_dev}
 
 
 def theorem1_sweep(
@@ -729,27 +719,30 @@ def theorem1_sweep(
     lbar_reps = lbar_reps if lbar_reps is not None else reps
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
     orthogonal = orbit.OrbitSpec(orbit.Group.FULL_ORTHOGONAL)
-    spike = lambda n, run_seed: model.mean_vector(alt.mean_entries(n, run_seed))
-
-    def tests(n, run_seed):
-        orthogonal.null_orbit(model.family, spike(n, run_seed), run_seed)  # the bound's orbit average
-        np_stat = make_statistic("np", n, alt=alt, seed=run_seed)
-        return [(make_statistic("chisq", n), alt), (np_stat, alt)]
-
+    tests = lambda n, run_seed: [
+        (make_statistic("chisq", n), alt),
+        (make_statistic("np", n, alt=alt, seed=run_seed), alt),
+    ]
     cells = _grid_cells(model, tests, n_grid, seed)
+    spike = lambda cell: cell.tests[0][1].mean
+    # The bound's orbit average at each cell's spike.
+    orbits = per_n(
+        f"the {model.name} model", n_grid,
+        lambda _, gi: orthogonal.null_orbit(model.family, spike(cells[gi]), cells[gi].seed),
+    )
     rows = []
-    for n, run_seed, (chisq, np_rep), _ in _sweep_cells(model, cells, reps, level, calib_reps, workers):
-        m = spike(n, run_seed)
-        lbars = orbit.null_lbar_samples(model.family, m, orthogonal, lbar_reps, run_seed, workers)
-        bound, bound_se = orbit.power_level_bound(lbars)
+    for (cell, (chisq, np_rep), _), null_orbit in zip(
+        _sweep_cells(cells, reps, level, calib_reps, workers), orbits
+    ):
+        bound, bound_se = orbit.power_level_bound(orbit.null_lbar_samples(null_orbit, lbar_reps, workers))
         rows.append({
-            "n": n,
+            "n": cell.n,
             **_gap_columns(("chisq",), (chisq,)),
             "np_power": np_rep.power_hat,
             "np_power_se": np_rep.power_se,
             "lbar_bound": bound,
             "lbar_bound_se": bound_se,
-            "m_norm": float(np.linalg.norm(m.entries)),
+            "m_norm": float(np.linalg.norm(spike(cell).entries)),
         })
     return rows
 
@@ -780,9 +773,10 @@ def theorem2_sweep(
         (make_statistic("quadratic", n), smooth),
     ]
     cells = _grid_cells(model, tests, n_grid, seed)
+    # The audit columns are the spike's, the invariant test's point.
     return [
-        {"n": n, **_gap_columns(labels, reports), **model.alternative_audit(n, spike, run_seed)}
-        for n, run_seed, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        {"n": cell.n, **_gap_columns(labels, reports), **_audit_columns(cell.tests[0][1])}
+        for cell, reports, _ in _sweep_cells(cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -812,8 +806,8 @@ def neyman_scott_sweep(
     ]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
-        {"n": n, "nu": nu, **_gap_columns(labels, reports), **model.alternative_audit(n, alt, run_seed)}
-        for n, run_seed, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        {"n": cell.n, "nu": nu, **_gap_columns(labels, reports), **_audit_columns(cell.tests[0][1])}
+        for cell, reports, _ in _sweep_cells(cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -835,21 +829,21 @@ def matrix_variate_sweep(
     class _MatrixModel(Model):
         name = "matrix_normal"
 
-        def sample(self, n, alt_, reps_, rng, seed_):
+        def at(self, n, alt_, seed_):
             dev = np.zeros((n, 2))
             spike = np.zeros(n)
             spike[0] = 1.0
             spike -= spike.mean()
             dev[:, 0] = spike / np.linalg.norm(spike) * alt_.scale
-            return rng.normal(size=(reps_, n, 2)) + dev
+            return Point(n, lambda reps_, rng: rng.normal(size=(reps_, n, 2)) + dev)
 
     model = _MatrixModel()
     alt = AlternativeSpec(kind="matrix_variate", scale=delta)
     tests = lambda n, _: [(make_statistic("wilks", n), alt)]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
-        {"n": n, **_gap_columns(("wilks",), reports)}
-        for n, _, reports, _ in _sweep_cells(model, cells, reps, level, calib_reps, workers)
+        {"n": cell.n, **_gap_columns(("wilks",), reports)}
+        for cell, reports, _ in _sweep_cells(cells, reps, level, calib_reps, workers)
     ]
 
 
@@ -882,10 +876,8 @@ def spacings_sweep(
         return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))
 
     return [
-        {"n": n, **_gap_columns(names, reports), **_llr_gap_p95(gaps)}
-        for n, _, reports, (gaps,) in _sweep_cells(
-            model, cells, reps, level, calib_reps, workers, [llr_gap]
-        )
+        {"n": cell.n, **_gap_columns(names, reports), **_llr_gap_p95(gaps)}
+        for cell, reports, (gaps,) in _sweep_cells(cells, reps, level, calib_reps, workers, [llr_gap])
     ]
 
 

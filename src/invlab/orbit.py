@@ -445,15 +445,8 @@ def power_level_bound(lbar_samples: np.ndarray) -> tuple[float, float]:
     return float(dev.mean()), float(dev.std(ddof=1) / np.sqrt(dev.size))
 
 
-def null_lbar_samples(
-    family: ExpFamilySpec,
-    m: MeanVector,
-    spec: OrbitSpec,
-    reps: int,
-    seed: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """Null-draw samples of the orbit average for the configured group.
+def null_lbar_samples(null_orbit: NullOrbit, reps: int, workers: int = 1) -> np.ndarray:
+    """``reps`` null-draw samples of the orbit average ``null_orbit`` (:meth:`OrbitSpec.null_orbit`).
 
     The orthogonal averages (normal model only) depend on null data only
     through the norm of its part off the group's fixed subspace, the square
@@ -462,7 +455,7 @@ def null_lbar_samples(
     one such chi-square draw from stream ``(seed, TAG_ORBIT, block)``.  The
     permutation averages need the whole null vector.
     """
-    return np.concatenate(map_blocks(spec.null_orbit(family, m, seed).lbar, reps, workers=workers))
+    return np.concatenate(map_blocks(null_orbit.lbar, reps, workers=workers))
 
 
 @dataclass(frozen=True)

@@ -521,20 +521,18 @@ def theorem_convergence_sweep(
     columns ``rho2_perm_boot``, ``se_rho2_perm_boot``, ``rho2_boot_iid`` and
     ``se_rho2_boot_iid`` off the vector bootstrap stream.
     """
-
-    def null_sampler(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        return model.sample(n, NULL, count, rng, seed)
-
     rows = []
     for gi, n in enumerate(n_grid):
+        null = model.at(int(n), NULL, seed)
         m = np.asarray(m_builder(int(n)), dtype=float)
-        x = null_sampler(int(n), 1, as_generator(seed, TAG_MODEL, gi))[0]
+        x = null.sample(1, as_generator(seed, TAG_MODEL, gi))[0]
         perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
         boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
         spike = spike_levels(m)
         if spike is not None and isinstance(model.family, ExpFamilySpec):
             iid = _iid_spike_law(model.family, spike, m.size, reps, seed, workers=workers, stream=(gi,))
         else:
+            null_sampler = lambda _, count, rng: null.sample(count, rng)
             iid = _iid_law(null_sampler, m, reps, seed, workers=workers, stream=(gi,))
         # EmpiricalLaw sorts its values, so each of the SE batches of perm
         # and boot is a quantile slice, not a random subset of replicates:

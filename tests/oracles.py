@@ -90,7 +90,7 @@ def law_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def poisson_null(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``clt-sweep --model poisson``'s null sampler."""
-    return experiments.FamilyModel(models.poisson_family()).sample(n, experiments.NULL, count, rng, 0)
+    return experiments.FamilyModel(models.poisson_family()).at(n, experiments.NULL, 0).sample(count, rng)
 
 
 def coupled_block_rank(

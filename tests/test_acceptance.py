@@ -60,20 +60,16 @@ class TestCriterion2LbarNormalization:
         entries = np.zeros(n)
         entries[0] = 3.0
         m = MeanVector(entries, compact_lo=None, compact_hi=None)
-        vals = orbit.null_lbar_samples(
-            models.normal_family(), m, orbit.OrbitSpec(group="full_orthogonal"),
-            10_000, seed=SEED + 2,
-        )
+        spec = orbit.OrbitSpec(group="full_orthogonal")
+        vals = orbit.null_lbar_samples(spec.null_orbit(models.normal_family(), m, SEED + 2), 10_000)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         ok &= abs(vals.mean() - 1.0) <= 4 * se
         details.append(f"orthogonal {vals.mean():.4f}±{se:.4f}")
 
         # (b) exhaustive permutation group, Poisson family, n=6
         m6 = MeanVector(np.array([0.5, -0.5, 0.3, -0.3, 0.2, -0.2]))
-        vals = orbit.null_lbar_samples(
-            models.poisson_family(), m6,
-            orbit.OrbitSpec(group="permutation_exhaustive"), 10_000, seed=SEED + 3,
-        )
+        spec = orbit.OrbitSpec(group="permutation_exhaustive")
+        vals = orbit.null_lbar_samples(spec.null_orbit(models.poisson_family(), m6, SEED + 3), 10_000)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         ok &= abs(vals.mean() - 1.0) <= 4 * se
         details.append(f"perm-exhaustive {vals.mean():.4f}±{se:.4f}")

@@ -26,7 +26,7 @@ _BLAS = 1e-12
 
 def _model_data(model: str) -> np.ndarray:
     sampler = cli.resolve_model(model, nu=3, sigma=1.0)
-    return sampler.sample(_N, experiments.NULL, _REPS, spawn_generator(_SEED, 1), _SEED)
+    return sampler.at(_N, experiments.NULL, _SEED).sample(_REPS, spawn_generator(_SEED, 1))
 
 
 def _m(n: int) -> models.MeanVector:

@@ -568,12 +568,16 @@ class TestIncompatibleConfigurations:
             ["clt-sweep", "--alt", "spike:inf"],
             ["sweep-spacings", "--alt", "h:cos1:nan"],
             ["power", "--alt", "smooth:1:2"],
+            ["sweep-neyman-scott", "--matrix", "--nu", "9"],
+            ["sweep-neyman-scott", "--matrix", "--sigma", "4"],
+            ["sweep-neyman-scott", "--matrix", "--profile", "random_signs"],
         ],
         ids=["reps-0", "sigma-negative", "mc-reps-0", "workers-0", "calib-reps-3",
              "default-calib-reps-tiny-level", "sweep-tiny-level", "n-0", "seed-not-int",
              "sigma-nan", "recalibrate-unknown-subcommand", "lbar-level", "lbar-reps-1", "coupling-reps-1",
              "theorem1-lbar-reps-1", "clt-sweep-reps-3", "alt-extra-field", "alt-null-with-scale",
-             "alt-infinite-scale", "alt-nan-h-scale", "alt-smooth-extra-field"],
+             "alt-infinite-scale", "alt-nan-h-scale", "alt-smooth-extra-field",
+             "matrix-nu", "matrix-sigma", "matrix-profile"],
     )
     def test_bad_flag_values_exit_2_before_running(self, tmp_path, monkeypatch, argv):
         from invlab import cli
@@ -618,6 +622,20 @@ class TestIncompatibleConfigurations:
             code, out = run(tmp_path, "power", *argv)
             assert code == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [(["matrix = true", "nu = 9"], []), (["matrix = true"], ["--sigma", "4"]),
+         (["profile = random_signs"], ["--matrix"])],
+    )
+    def test_matrix_refuses_group_keys_from_the_config_file(self, tmp_path, lines, argv):
+        from invlab import cli
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        args = cli._build_parser().parse_args(["sweep-neyman-scott", "--config", str(cfg), *argv])
+        with pytest.raises(ConfigError, match="--matrix"):
+            cli.build_config(args)
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:

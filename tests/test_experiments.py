@@ -229,7 +229,8 @@ def _engine_tests(case):
 
 def _one_cell(model, tests, workers=1):
     """The reports of ``tests`` swept as one cell at ``_N`` and ``_SEED``."""
-    ((_, _, reports, _),) = experiments._sweep_cells(model, [(_N, _SEED, tests)], _REPS, 0.1, None, workers)
+    cell = experiments.Cell.resolve(model, _N, _SEED, tests)
+    ((_, reports, _),) = experiments._sweep_cells([cell], _REPS, 0.1, None, workers)
     return reports
 
 
@@ -259,17 +260,17 @@ class TestSharedDrawEngine:
     def test_sweep_cells_match_each_cell_alone(self, workers):
         model = normal_means_model()
         chisq = make_statistic("chisq", 30)
-        assert model.reduces(chisq, 30, _SPIKE, 11)
+        assert model.at(30, _SPIKE, 11).reduces(chisq)
         cells = [
-            (30, 11, [(chisq, _SPIKE), (make_statistic("variance", 30), _SPIKE)]),
-            (50, 12, [(make_statistic("variance", 50), _SMOOTH)]),
+            experiments.Cell.resolve(model, 30, 11, [(chisq, _SPIKE), (make_statistic("variance", 30), _SPIKE)]),
+            experiments.Cell.resolve(model, 50, 12, [(make_statistic("variance", 50), _SMOOTH)]),
         ]
-        swept = list(experiments._sweep_cells(model, cells, _REPS, 0.1, None, workers))
-        assert [(n, seed) for n, seed, _, _ in swept] == [(30, 11), (50, 12)]
-        for (n, seed, tests), (_, _, reports, reads) in zip(cells, swept):
+        swept = list(experiments._sweep_cells(cells, _REPS, 0.1, None, workers))
+        assert [(cell.n, cell.seed) for cell, _, _ in swept] == [(30, 11), (50, 12)]
+        for cell, (_, reports, reads) in zip(cells, swept):
             assert reads == []
-            (alone,) = experiments._sweep_cells(model, [(n, seed, tests)], _REPS, 0.1, None, workers)
-            assert reports == alone[2]
+            (alone,) = experiments._sweep_cells([cell], _REPS, 0.1, None, workers)
+            assert reports == alone[1]
 
     def test_statistic_cannot_mutate_shared_block(self):
         model, tests = _engine_tests("normal")
@@ -283,7 +284,7 @@ class TestSharedDrawEngine:
 
     def test_spacings_model_rejects_mean_alternative(self):
         with pytest.raises(ValueError, match="spacings model"):
-            SpacingsModel().sample(10, _SPIKE, 5, np.random.default_rng(0), 0)
+            SpacingsModel().at(10, _SPIKE, 0)
 
 
 _PARTIAL_BLOCK = 476
@@ -377,7 +378,7 @@ class TestChunkedNullDraws:
 
     @pytest.mark.parametrize("count", [BLOCK_REPS, _PARTIAL_BLOCK])
     def test_model_chunks(self, n, count):
-        chunks = list(SpacingsModel().sample_chunks(n, NULL, count, spawn_generator(53, n), 0))
+        chunks = list(SpacingsModel().at(n, NULL, 0).chunks(count, spawn_generator(53, n)))
         assert [len(c) for c in chunks] == row_chunks(count, n + 1)
         assert np.array_equal(np.concatenate(chunks), _whole_null_block(n, count, spawn_generator(53, n)))
 
@@ -391,7 +392,7 @@ class TestChunkedNullDraws:
     def test_block_values_read_the_blocks_streams(self, n, workers):
         # 1500 replicates: a full block and a 476-row partial one, each on its own stream.
         reps, seed, tags = BLOCK_REPS + _PARTIAL_BLOCK, 55, (TAG_CALIBRATE,)
-        chunks = lambda c, rng: SpacingsModel().sample_chunks(n, NULL, c, rng, seed)
+        chunks = SpacingsModel().at(n, NULL, seed).chunks
         passes = [experiments._Pass(chunks, {"null": lambda d: d}, reps, seed, tags)]
         got = experiments._draw_passes(passes, workers)["null"]
         want = [
@@ -405,7 +406,7 @@ class TestReducedRoute:
     """Statistics read from a model's sufficient block.
 
     The reference is the vector path: the same statistic on whole data
-    vectors (or tables) drawn by ``Model.sample``.
+    vectors (or tables) drawn by the model's point (``Model.at``).
     """
 
     N, NU, REPS = 40, 3, 20_000
@@ -429,10 +430,11 @@ class TestReducedRoute:
     def test_matches_vector_path_in_distribution(self, stat, alt_name):
         alt = self.ALTS[alt_name]
         model, statistic = self._case(stat, alt)
-        assert model.reduces(statistic, self.N, alt, 1)
-        block = model.sample_sufficient(self.N, alt, self.REPS, spawn_generator(41, 1), 1)
+        point = model.at(self.N, alt, 1)
+        assert point.reduces(statistic)
+        block = point.sufficient(self.REPS, spawn_generator(41, 1))
         reduced = statistic.reduced.fn(block)
-        vector = statistic(model.sample(self.N, alt, self.REPS, spawn_generator(42, 1), 1))
+        vector = statistic(point.sample(self.REPS, spawn_generator(42, 1)))
         assert sps.ks_2samp(reduced, vector).pvalue > 1e-3
         se = np.hypot(reduced.std(ddof=1), vector.std(ddof=1)) / np.sqrt(self.REPS)
         assert abs(reduced.mean() - vector.mean()) < 4 * se
@@ -441,10 +443,10 @@ class TestReducedRoute:
         model = normal_means_model()
         spike, smooth = self.ALTS["spike"], self.ALTS["smooth"]
         np_spike = make_statistic("np", self.N, alt=spike, seed=1)
-        assert model.reduces(np_spike, self.N, spike, 1)
-        assert model.reduces(np_spike, self.N, replace(spike, scale=0.5), 1)
-        assert model.reduces(np_spike, self.N, NULL, 1)
-        assert not model.reduces(np_spike, self.N, smooth, 1)
+        assert model.at(self.N, spike, 1).reduces(np_spike)
+        assert model.at(self.N, replace(spike, scale=0.5), 1).reduces(np_spike)
+        assert model.at(self.N, NULL, 1).reduces(np_spike)
+        assert not model.at(self.N, smooth, 1).reduces(np_spike)
         # Paired with another direction, np reads data vectors, as a
         # statistic without a reduced form does.
         vector_only = NamedStatistic("np", np_spike.fn)
@@ -457,13 +459,13 @@ class TestReducedRoute:
         variance = make_statistic("variance", self.N)
         assert variance.reduced is None
         crit = estimate_power(model, variance, NULL, 0.1, self.N, 1000, 5, calib_reps=1024).critical_value
-        data = model.sample(self.N, NULL, 1024, spawn_generator(5, TAG_CALIBRATE, 0), 5)
+        data = model.at(self.N, NULL, 5).sample(1024, spawn_generator(5, TAG_CALIBRATE, 0))
         assert crit == np.quantile(variance(data), 0.9, method="higher")
 
     def test_single_observation_has_no_residual(self):
         model = normal_means_model()
         uncentered = AlternativeSpec("single_spike", 3.0, centered=False)
-        block = model.sample_sufficient(1, uncentered, 50, spawn_generator(3, 1), 1)
+        block = model.at(1, uncentered, 1).sufficient(50, spawn_generator(3, 1))
         assert np.all(block[:, 1] == 0.0)
         report = estimate_power(model, make_statistic("chisq", 1), NULL, 0.05, 1, 2000, 2)
         assert abs(report.level_hat - 0.05) <= 4 * report.level_se
@@ -519,6 +521,24 @@ class TestTheorem2Sweep:
         rows = theorem2_sweep(models.normal_family(), 0.0, (100,), reps=2000, seed=14)
         assert abs(rows[0]["invariant_gap"]) <= 4 * rows[0]["invariant_gap_se"]
         assert abs(rows[0]["quadratic_gap"]) <= 4 * rows[0]["quadratic_gap_se"]
+
+    def test_alternatives_resolve_once_whatever_the_reps(self, monkeypatch):
+        # Each grid point turns its null and its two alternatives into
+        # parameters once, not once per block drawn.
+        calls = []
+        mean_entries = AlternativeSpec.mean_entries
+
+        def counted(alt, n, seed):
+            calls.append(n)
+            return mean_entries(alt, n, seed)
+
+        monkeypatch.setattr(AlternativeSpec, "mean_entries", counted)
+        counts = []
+        for reps in (1000, 3000):
+            calls.clear()
+            theorem2_sweep(models.normal_family(), 1.0, (50, 100), reps=reps, seed=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_alternative_audit_columns(self):
         rows = theorem2_sweep(models.normal_family(), 1.0, (100,), reps=1000, seed=15)

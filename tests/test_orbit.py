@@ -287,7 +287,7 @@ class TestLbarPermutation:
         fam = poisson_family()
         m = MeanVector(np.array([0.4, -0.4, 0.2, -0.2, 0.0, 0.0]))
         spec = OrbitSpec(group="permutation_exhaustive")
-        vals = null_lbar_samples(fam, m, spec, reps=10_000, seed=11)
+        vals = null_lbar_samples(spec.null_orbit(fam, m, 11), reps=10_000)
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se
 
@@ -456,7 +456,7 @@ class TestPowerLevelBound:
             m = np.zeros(n)
             m[0] = 1.0
             mv = MeanVector(m, compact_lo=None, compact_hi=None)
-            vals = null_lbar_samples(fam, mv, OrbitSpec(group="full_orthogonal"), 4000, seed=16)
+            vals = null_lbar_samples(OrbitSpec(group="full_orthogonal").null_orbit(fam, mv, 16), 4000)
             out[n] = power_level_bound(vals)
         assert out[10_000][0] < out[100][0]
 
@@ -489,7 +489,7 @@ class TestNullPointPerGroup:
     )
     def test_null_mean_one(self, group):
         family, m, spec = self._case(group)
-        vals = null_lbar_samples(family, m, spec, reps=4000, seed=31)
+        vals = null_lbar_samples(spec.null_orbit(family, m, 31), reps=4000)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se, (vals.mean(), se)
 
@@ -533,7 +533,7 @@ class TestRadialNullDraw:
     def test_matches_vector_path_in_distribution(self, group):
         m, spec, vector = self._case(group)
         reps = 20_000
-        radial = null_lbar_samples(normal_family(), m, spec, reps, seed=41)
+        radial = null_lbar_samples(spec.null_orbit(normal_family(), m, 41), reps)
         reference = vector(spawn_generator(42, 1).standard_normal((reps, self.N)))
         assert sps.ks_2samp(radial, reference).pvalue > 1e-3
         se = radial.std(ddof=1) / np.sqrt(reps)
@@ -542,8 +542,8 @@ class TestRadialNullDraw:
     @pytest.mark.parametrize("group", ORTHOGONAL_GROUPS)
     def test_one_chi_square_stream_per_block(self, group):
         m, spec, _ = self._case(group)
-        one = null_lbar_samples(normal_family(), m, spec, reps=3000, seed=43, workers=1)
-        two = null_lbar_samples(normal_family(), m, spec, reps=3000, seed=43, workers=2)
+        one = null_lbar_samples(spec.null_orbit(normal_family(), m, 43), reps=3000, workers=1)
+        two = null_lbar_samples(spec.null_orbit(normal_family(), m, 43), reps=3000, workers=2)
         np.testing.assert_array_equal(one, two)
         dof = self.N if group == "full_orthogonal" else self.N - self.P
         radii = np.sqrt(spawn_generator(43, TAG_ORBIT, 1).chisquare(dof, BLOCK_REPS))
@@ -557,7 +557,7 @@ class TestRadialNullDraw:
     def test_refuses_other_models(self, group):
         m, spec, _ = self._case(group)
         with pytest.raises(ValueError, match="normal model"):
-            null_lbar_samples(poisson_family(), m, spec, reps=10, seed=0)
+            null_lbar_samples(spec.null_orbit(poisson_family(), m, 0), reps=10)
         with pytest.raises(ValueError, match="normal model"):
             identity_check(poisson_family(), m, chisq_statistic, spec, reps=10, seed=0)
 
@@ -706,7 +706,7 @@ class TestBoundChain:
         x_null = rng.normal(size=(reps, n))
         t_alt = (chisq_statistic(x_alt) > crit).mean()
         t_null = (chisq_statistic(x_null) > crit).mean()
-        vals = null_lbar_samples(fam, m, OrbitSpec(group="full_orthogonal"), reps, seed=27)
+        vals = null_lbar_samples(OrbitSpec(group="full_orthogonal").null_orbit(fam, m, 27), reps)
         bound, bound_se = power_level_bound(vals)
         mc_se = np.sqrt(2 * 0.25 / reps)
         assert abs(t_alt - t_null) <= bound + 4 * (bound_se + mc_se)

@@ -382,7 +382,7 @@ class TestSpikeRoute:
 
     @staticmethod
     def _null(model, n, count, seed):
-        return model.sample(n, NULL, count, spawn_generator(seed, n), 0)
+        return model.at(n, NULL, 0).sample(count, spawn_generator(seed, n))
 
     @staticmethod
     def _assert_same_law(reduced, vector):
