@@ -254,22 +254,12 @@ def run_power(cfg: dict) -> list[dict]:
         raise ConfigError(f"--stat {cfg['stat']} does not apply to --model {cfg['model']}: use {', '.join(allowed)}")
 
     def setup(n, _):
-        stat = experiments.make_statistic(cfg["stat"], n, alt=alt, seed=cfg["seed"])
-        model.at(n, alt, cfg["seed"])
-        return n, stat
+        return experiments.Cell.resolve(model, n, cfg["seed"], [(cfg["stat"], alt)])
 
     rows = []
-    for n, stat in experiments.per_n(f"the {model.name} model", cfg["n_grid"], setup):
+    for cell in experiments.per_n(f"the {model.name} model", cfg["n_grid"], setup):
         rep = experiments.estimate_power(
-            model,
-            stat,
-            alt,
-            cfg["level"],
-            n,
-            cfg["reps"],
-            cfg["seed"],
-            calib_reps=cfg["calib_reps"],
-            workers=cfg["workers"],
+            cell, cfg["level"], cfg["reps"], calib_reps=cfg["calib_reps"], workers=cfg["workers"]
         )
         rows.append(
             {
@@ -367,15 +357,18 @@ def run_lbar(cfg: dict) -> list[dict]:
 
 
 def run_clt_sweep(cfg: dict) -> list[dict]:
+    """The convergence sweep of each n's contrast ``alt.mean_entries(n, seed)``, built once.
+
+    A contrast is a weight vector, not a model parameter: it is not held to
+    the model's compact box, so it is not resolved through ``model.at``.
+    """
     model = resolve_model(cfg["model"], cfg["nu"], cfg["sigma"])
     alt = parse_alternative(cfg["alt"])
-
-    def m_builder(n):
-        return alt.mean_entries(n, cfg["seed"])
-
-    experiments.per_n(cfg["subcommand"], cfg["n_grid"], lambda n, _: m_builder(n))
+    contrasts = experiments.per_n(
+        cfg["subcommand"], cfg["n_grid"], lambda n, _: alt.mean_entries(n, cfg["seed"])
+    )
     rows = permclt.theorem_convergence_sweep(
-        model, m_builder, cfg["n_grid"], cfg["reps"], cfg["seed"], workers=cfg["workers"]
+        model, contrasts, cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )
     return _with_run_columns(rows, cfg)
 

@@ -113,8 +113,6 @@ NULL = AlternativeSpec("single_spike", 0.0)
 #: ``(u'x, ||x||^2 - (u'x)^2)`` and the Neyman-Scott ANOVA mean squares.
 NORMAL_RADIAL = "normal_radial"
 ANOVA_MEAN_SQUARES = "anova_mean_squares"
-#: Largest entrywise difference of two unit vectors taken as one direction.
-_SAME_DIRECTION = 1e-12
 
 
 # --------------------------------------------------------------------- #
@@ -148,14 +146,7 @@ class Point:
 
     def reduces(self, statistic: NamedStatistic) -> bool:
         """Whether ``statistic`` here is read exactly from the sufficient block."""
-        reduced = statistic.reduced
-        if reduced is None or reduced.block != self.block:
-            return False
-        if reduced.direction is None or not self.mean.entries.any():
-            return True
-        # The block projects on the point's own direction.
-        m = self.mean.entries
-        return bool(np.max(np.abs(m / np.linalg.norm(m) - reduced.direction)) <= _SAME_DIRECTION)
+        return statistic.reduced is not None and statistic.reduced.block == self.block
 
 
 class Model:
@@ -282,14 +273,14 @@ class SpacingsModel(Model):
 class Reduced:
     """A statistic as a function ``fn`` of a model's sufficient block ``block``.
 
-    ``direction``, when set, is the unit vector the block's projection must
-    be taken on: the form then holds only where the point's block projects
-    on that direction (see :meth:`Point.reduces`).
+    The normal model's radial block projects on its point's own direction,
+    so ``np``'s reduced form holds at the point it was built from
+    (:func:`make_statistic`), and at the null, where every direction's
+    projection has one law.
     """
 
     block: str
     fn: Callable[[np.ndarray], np.ndarray]
-    direction: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -307,20 +298,17 @@ class NamedStatistic:
         return np.asarray(self.fn(data), dtype=float)
 
 
-def make_statistic(
-    name: str,
-    n: int,
-    alt: AlternativeSpec | None = None,
-    seed: int = 0,
-) -> NamedStatistic:
-    """Resolve a statistic by name for data of size ``n``.
+def make_statistic(name: str, point: Point) -> NamedStatistic:
+    """The statistic ``name`` for the data of ``point``, of size ``point.n``.
 
-    ``np`` projects on the true alternative direction (needs ``alt``);
-    ``quadratic`` and ``quadratic_spacings`` use the cosine-basis quadratic
-    statistic, the latter on centered spacings residuals ``(n+1) d_i - 1``.
-    ``chisq`` and ``np`` also read the normal model's radial block, and
-    ``anova_f`` the Neyman-Scott mean squares.
+    ``np`` projects on the point's own mean ``point.mean``, so it needs a
+    mean model's point off the null (:meth:`Cell.resolve` builds it at the
+    null from the unit-scale point); ``quadratic`` and ``quadratic_spacings``
+    use the cosine-basis quadratic statistic, the latter on centered spacings
+    residuals ``(n+1) d_i - 1``.  ``chisq`` and ``np`` also read the normal
+    model's radial block, and ``anova_f`` the Neyman-Scott mean squares.
     """
+    n = point.n
     if name == "chisq":
         radial = Reduced(NORMAL_RADIAL, lambda s: s[:, 0] ** 2 + s[:, 1])
         return NamedStatistic("chisq", stats.chisq_statistic, radial)
@@ -329,14 +317,10 @@ def make_statistic(
     if name == "variance":
         return NamedStatistic("variance", stats.sample_variance_statistic)
     if name == "np":
-        if alt is None:
-            raise ValueError("np statistic needs the alternative direction")
-        # At scale 0 the projection direction is degenerate; the unit-scale
-        # alternative's direction serves (power equals level either way).
-        unit = alt if alt.scale > 0 else replace(alt, scale=1.0)
-        direction = unit.mean_entries(n, seed)
-        unit_direction = direction / np.linalg.norm(direction)
-        projection = Reduced(NORMAL_RADIAL, lambda s: s[:, 0], unit_direction)
+        if point.mean is None or not point.mean.entries.any():
+            raise ValueError("np needs a mean model's point off the null to project on")
+        direction = point.mean.entries
+        projection = Reduced(NORMAL_RADIAL, lambda s: s[:, 0])
         return NamedStatistic("np", lambda x: stats.np_statistic(direction, x), projection)
     if name == "anova_f":
         ratio = Reduced(ANOVA_MEAN_SQUARES, lambda s: s[:, 0] / s[:, 1])
@@ -552,21 +536,14 @@ def _rejection_rate(values: np.ndarray, critical: float) -> tuple[float, float]:
 
 
 def estimate_power(
-    model: Model,
-    statistic: NamedStatistic,
-    alt: AlternativeSpec,
-    level: float,
-    n: int,
-    reps: int,
-    seed: int,
-    calib_reps: int | None = None,
-    workers: int = 1,
+    cell: Cell, level: float, reps: int, calib_reps: int | None = None, workers: int = 1
 ) -> PowerReport:
-    """Calibrate under the null, then estimate level and power by fresh runs.
+    """Calibrate ``cell``'s one test under the null, then estimate level and power by fresh runs.
 
-    This is a sweep of one cell holding one test (:func:`_sweep_cells`).
+    The cell comes from :meth:`Cell.resolve`, which builds its statistic
+    from the point it tests; this is a sweep of that one cell
+    (:func:`_sweep_cells`).
     """
-    cell = Cell.resolve(model, n, seed, [(statistic, alt)])
     ((_, (report,), _),) = _sweep_cells([cell], reps, level, calib_reps, workers)
     return report
 
@@ -575,15 +552,17 @@ def estimate_power(
 # Theorem sweeps
 #
 # A sweep returns one dict per grid point whose keys are its table's
-# columns, in order.  A grid point is one cell of tests; _sweep_cells draws
-# every cell's blocks in one plan and reduces each cell to its reports
-# (estimate_power is one cell of one test).  A sweep labels its gap tests
-# next to their list, and _gap_columns names each report's (gap, gap_se)
-# pair after its label.
+# columns, in order.  Its tests are (statistic, alternative) pairs, the
+# statistic a make_statistic name or a function of the point; a grid point
+# is one cell of them, each statistic built from the point it tests
+# (Cell.resolve).  _sweep_cells draws every cell's blocks in one plan and
+# reduces each cell to its reports (estimate_power is one cell of one
+# test).  A sweep labels its gap tests next to their list, and _gap_columns
+# names each report's (gap, gap_se) pair after its label.
 # --------------------------------------------------------------------- #
 
 
-Tests = list[tuple[NamedStatistic, AlternativeSpec]]
+Tests = Sequence[tuple[str | Callable[[Point], NamedStatistic], AlternativeSpec]]
 
 
 @dataclass(frozen=True)
@@ -600,9 +579,22 @@ class Cell:
 
     @classmethod
     def resolve(cls, model: Model, n: int, seed: int, tests: Tests) -> Cell:
-        """``tests`` at size ``n`` and run seed ``seed``, each distinct alternative resolved once."""
+        """``tests`` at size ``n`` and run seed ``seed``, each statistic built from its point.
+
+        Each distinct alternative is resolved once (:meth:`Model.at`).  At
+        scale 0 ``np``'s projection direction is degenerate, so it is built
+        from the unit-scale point (power equals level either way).
+        """
         points = {alt: model.at(n, alt, seed) for alt in dict.fromkeys(a for _, a in tests)}
-        return cls(model.at(n, NULL, seed), seed, [(s, points[a]) for s, a in tests])
+
+        def statistic(test, alt: AlternativeSpec) -> NamedStatistic:
+            if callable(test):
+                return test(points[alt])
+            if test == "np" and alt.scale == 0.0:
+                return make_statistic(test, model.at(n, replace(alt, scale=1.0), seed))
+            return make_statistic(test, points[alt])
+
+        return cls(model.at(n, NULL, seed), seed, [(statistic(t, a), points[a]) for t, a in tests])
 
 
 def per_n(label: str, n_grid: Sequence[int], setup: Callable[[int, int], T]) -> list[T]:
@@ -622,16 +614,12 @@ def per_n(label: str, n_grid: Sequence[int], setup: Callable[[int, int], T]) -> 
     return out
 
 
-def _grid_cells(
-    model: Model, tests: Callable[[int, int], Tests], n_grid: Sequence[int], seed: int
-) -> list[Cell]:
-    """Per grid point the :class:`Cell` of ``tests(n, run_seed)``."""
-
-    def cell(n: int, gi: int) -> Cell:
-        run_seed = _grid_seed(seed, gi)
-        return Cell.resolve(model, n, run_seed, tests(n, run_seed))
-
-    return per_n(f"the {model.name} model", n_grid, cell)
+def _grid_cells(model: Model, tests: Tests, n_grid: Sequence[int], seed: int) -> list[Cell]:
+    """Per grid point the :class:`Cell` of ``tests`` at that point's run seed."""
+    return per_n(
+        f"the {model.name} model", n_grid,
+        lambda n, gi: Cell.resolve(model, n, _grid_seed(seed, gi), tests),
+    )
 
 
 def _sweep_cells(
@@ -719,11 +707,7 @@ def theorem1_sweep(
     lbar_reps = lbar_reps if lbar_reps is not None else reps
     alt = AlternativeSpec(kind="single_spike", scale=delta, centered=False)
     orthogonal = orbit.OrbitSpec(orbit.Group.FULL_ORTHOGONAL)
-    tests = lambda n, run_seed: [
-        (make_statistic("chisq", n), alt),
-        (make_statistic("np", n, alt=alt, seed=run_seed), alt),
-    ]
-    cells = _grid_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, [("chisq", alt), ("np", alt)], n_grid, seed)
     spike = lambda cell: cell.tests[0][1].mean
     # The bound's orbit average at each cell's spike.
     orbits = per_n(
@@ -768,11 +752,7 @@ def theorem2_sweep(
     spike = AlternativeSpec(kind="single_spike", scale=delta)
     smooth = AlternativeSpec(kind="smooth_profile", scale=delta, profile=profile)
     labels = ("invariant", "quadratic")
-    tests = lambda n, _: [
-        (make_statistic("variance", n), spike),
-        (make_statistic("quadratic", n), smooth),
-    ]
-    cells = _grid_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, [("variance", spike), ("quadratic", smooth)], n_grid, seed)
     # The audit columns are the spike's, the invariant test's point.
     return [
         {"n": cell.n, **_gap_columns(labels, reports), **_audit_columns(cell.tests[0][1])}
@@ -800,10 +780,7 @@ def neyman_scott_sweep(
     model = NeymanScottModel(nu=nu, sigma=sigma)
     alt = AlternativeSpec(kind=profile, scale=delta)
     labels = ("f", "cellmean_chisq")
-    tests = lambda n, _: [
-        (make_statistic("anova_f", n), alt),
-        (cellmean_chisq_statistic(n, sigma), alt),
-    ]
+    tests = [("anova_f", alt), (lambda point: cellmean_chisq_statistic(point.n, sigma), alt)]
     cells = _grid_cells(model, tests, n_grid, seed)
     return [
         {"n": cell.n, "nu": nu, **_gap_columns(labels, reports), **_audit_columns(cell.tests[0][1])}
@@ -839,8 +816,7 @@ def matrix_variate_sweep(
 
     model = _MatrixModel()
     alt = AlternativeSpec(kind="matrix_variate", scale=delta)
-    tests = lambda n, _: [(make_statistic("wilks", n), alt)]
-    cells = _grid_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, [("wilks", alt)], n_grid, seed)
     return [
         {"n": cell.n, **_gap_columns(("wilks",), reports)}
         for cell, reports, _ in _sweep_cells(cells, reps, level, calib_reps, workers)
@@ -869,8 +845,7 @@ def spacings_sweep(
     # Each test's column label and the statistic it runs.
     names = {"greenwood": "greenwood", "moran": "moran", "two_spacings": "two_spacings_sq",
              "quadratic": "quadratic_spacings"}
-    tests = lambda n, _: [(make_statistic(name, n), alt) for name in names.values()]
-    cells = _grid_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, [(name, alt) for name in names.values()], n_grid, seed)
 
     def llr_gap(d: np.ndarray) -> np.ndarray:
         return np.abs(models.spacings_loglik_approx(h, d) - models.spacings_loglik_exact(h, d))

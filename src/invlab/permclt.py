@@ -501,18 +501,18 @@ def _law_distances(
 
 def theorem_convergence_sweep(
     model: FamilyModel,
-    m_builder: Callable[[int], np.ndarray],
-    n_grid: Sequence[int],
+    contrasts: Sequence[np.ndarray],
     reps: int,
     seed: int,
     workers: int = 1,
 ) -> list[dict]:
     """Distances between the permutation, bootstrap, and fresh-draw laws.
 
-    The data are ``model``'s null draws (the conditioning vector ``x`` is the
-    one row of a ``reps = 1`` draw); ``m_builder(n)`` yields the centered
-    contrast weights.  Per grid point: rho2 between each pair of laws, with
-    batched standard errors, plus the diagnostic ``|n mbar xbar|``.  A spike
+    Each grid point is one centered contrast ``m`` of ``contrasts``, its
+    sample size ``n = m.size``.  The data are ``model``'s null draws (the
+    conditioning vector ``x`` is the one row of a ``reps = 1`` draw).  Per
+    grid point: rho2 between each pair of laws, with batched standard
+    errors, plus the diagnostic ``|n mbar xbar|``.  A spike
     contrast on an exponential family draws its fresh-draw law from
     :func:`_iid_spike_law`, any other from whole null vectors.  A spike's
     permutation law draws one index per replicate, and its bootstrap law one
@@ -522,9 +522,10 @@ def theorem_convergence_sweep(
     ``se_rho2_boot_iid`` off the vector bootstrap stream.
     """
     rows = []
-    for gi, n in enumerate(n_grid):
-        null = model.at(int(n), NULL, seed)
-        m = np.asarray(m_builder(int(n)), dtype=float)
+    for gi, m in enumerate(contrasts):
+        m = np.asarray(m, dtype=float)
+        n = m.size
+        null = model.at(n, NULL, seed)
         x = null.sample(1, as_generator(seed, TAG_MODEL, gi))[0]
         perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
         boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
@@ -538,7 +539,7 @@ def theorem_convergence_sweep(
         # and boot is a quantile slice, not a random subset of replicates:
         # the se_* columns are the spread of rho2 over those slices.
         distances = _law_distances(perm, boot, iid, rho2)
-        rows.append({"n": int(n), **distances, "diag_nmx": float(abs(n * m.mean() * x.mean()))})
+        rows.append({"n": n, **distances, "diag_nmx": float(abs(n * m.mean() * x.mean()))})
     return rows
 
 

@@ -177,7 +177,7 @@ class TestCriterion5ConvergenceSweeps:
             (("spike", spike), ("smooth", smooth)),
         ):
             rows = permclt.theorem_convergence_sweep(
-                model, builder, n_grid, reps, seed=SEED + 7
+                model, [builder(n) for n in n_grid], reps, seed=SEED + 7
             )
             for prev, cur in zip(rows, rows[1:]):
                 for col, se_col in (

@@ -40,10 +40,13 @@ def _design_case():
     return lambda y: orbit.lbar_design_orthogonal(m - q @ (q.T @ m), design, y)
 
 
+#: Every statistic is built at one normal spike point, whose mean ``np`` projects on.
+_SPIKE_POINT = experiments.normal_means_model().at(_N, _SPIKE, _SEED)
+
 #: (id, function of a batch, its data, relative tolerance; 0 asks for the same bits).
 _CASES = [
     *(
-        (f"{model}/{name}", experiments.make_statistic(name, _N, alt=_SPIKE, seed=_SEED),
+        (f"{model}/{name}", experiments.make_statistic(name, _SPIKE_POINT),
          _model_data(model), _BLAS if name in ("np", "quadratic", "quadratic_spacings") else 0)
         for model, names in cli._MODEL_STATS.items()
         for name in names

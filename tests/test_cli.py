@@ -190,6 +190,41 @@ class TestDeterminism:
         assert first != b.read_bytes()
 
 
+class TestAlternativesResolveOnce:
+    """Each n's alternative becomes parameters once, as does its null point.
+
+    Counted the way ``TestTheorem2Sweep`` counts a sweep's calls of
+    ``AlternativeSpec.mean_entries``.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from invlab.experiments import AlternativeSpec
+
+        found = []
+        mean_entries = AlternativeSpec.mean_entries
+
+        def counted(alt, n, seed):
+            found.append(n)
+            return mean_entries(alt, n, seed)
+
+        monkeypatch.setattr(AlternativeSpec, "mean_entries", counted)
+        return found
+
+    def test_power_builds_np_from_the_point_it_tests(self, tmp_path, calls):
+        code, _ = run(
+            tmp_path, "power", "--model", "normal", "--stat", "np", "--alt", "spike:3",
+            "--n", "20,40", "--reps", "256",
+        )
+        assert code == 0
+        assert len(calls) == 4
+
+    def test_clt_sweep_builds_each_contrast_once(self, tmp_path, calls):
+        code, _ = run(tmp_path, "clt-sweep", "--model", "poisson", "--n-grid", "20,50", "--reps", "64")
+        assert code == 0
+        assert len(calls) == 4
+
+
 class TestSubcommands:
     def test_lbar_exhaustive(self, tmp_path):
         code, out = run(

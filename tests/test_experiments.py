@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from invlab import experiments, models
 from invlab.experiments import (
     NULL,
     AlternativeSpec,
+    Cell,
     NamedStatistic,
     NeymanScottModel,
     SpacingsModel,
@@ -89,7 +89,7 @@ class TestCalibration:
     def test_chisq_critical_matches_quantile_oracle(self):
         model = normal_means_model()
         crit = estimate_power(
-            model, make_statistic("chisq", 20), NULL, 0.05, n=20, reps=1000, seed=0, calib_reps=20_000
+            Cell.resolve(model, 20, 0, [("chisq", NULL)]), 0.05, reps=1000, calib_reps=20_000
         ).critical_value
         oracle = sps.chi2.ppf(0.95, 20)
         # MC quantile error at 2e4 reps
@@ -99,16 +99,15 @@ class TestCalibration:
     def test_median_at_half_level(self):
         model = normal_means_model()
         alt = AlternativeSpec("single_spike", 1.0)
-        stat = make_statistic("np", 30, alt=alt)
         crit = estimate_power(
-            model, stat, alt, 0.5, n=30, reps=1000, seed=1, calib_reps=20_000
+            Cell.resolve(model, 30, 1, [("np", alt)]), 0.5, reps=1000, calib_reps=20_000
         ).critical_value
         assert abs(crit) < 4 * np.sqrt(np.pi / 2 / 20_000) + 0.02
 
     def test_f_critical_matches_oracle(self):
         model = NeymanScottModel(nu=5)
         crit = estimate_power(
-            model, make_statistic("anova_f", 10), NULL, 0.05, n=10, reps=1000, seed=2, calib_reps=20_000
+            Cell.resolve(model, 10, 2, [("anova_f", NULL)]), 0.05, reps=1000, calib_reps=20_000
         ).critical_value
         oracle = sps.f.ppf(0.95, 9, 40)
         se = np.sqrt(0.05 * 0.95 / 20_000) / sps.f.pdf(oracle, 9, 40)
@@ -117,32 +116,21 @@ class TestCalibration:
     def test_too_few_reps_rejected(self):
         model = normal_means_model()
         with pytest.raises(ValueError, match="reps"):
-            estimate_power(
-                model, make_statistic("chisq", 5), NULL, 0.01, n=5, reps=100, seed=0, calib_reps=100
-            )
+            estimate_power(Cell.resolve(model, 5, 0, [("chisq", NULL)]), 0.01, reps=100, calib_reps=100)
 
 
 class TestEstimatePower:
     def test_null_alternative_power_equals_level(self):
         model = normal_means_model()
-        rep = estimate_power(
-            model,
-            make_statistic("chisq", 40),
-            AlternativeSpec("single_spike", 0.0),
-            0.05,
-            n=40,
-            reps=4000,
-            seed=3,
-        )
+        cell = Cell.resolve(model, 40, 3, [("chisq", AlternativeSpec("single_spike", 0.0))])
+        rep = estimate_power(cell, 0.05, reps=4000)
         assert abs(rep.power_hat - rep.level_hat) <= 4 * rep.gap_se
         assert abs(rep.level_hat - 0.05) <= 4 * rep.level_se
 
     def test_np_power_matches_normal_oracle(self):
         model = normal_means_model()
         alt = AlternativeSpec("single_spike", 3.0, centered=False)
-        rep = estimate_power(
-            model, make_statistic("np", 100, alt=alt), alt, 0.05, 100, 10_000, seed=4
-        )
+        rep = estimate_power(Cell.resolve(model, 100, 4, [("np", alt)]), 0.05, 10_000)
         oracle = sps.norm.sf(sps.norm.ppf(0.95) - 3.0)
         assert oracle == pytest.approx(0.912, abs=5e-4)
         # allow for calibration-induced critical-value error
@@ -155,9 +143,7 @@ class TestEstimatePower:
         alt = AlternativeSpec("single_spike", 3.0, centered=False)
         gaps = {}
         for n in (100, 10_000):
-            rep = estimate_power(
-                model, make_statistic("chisq", n), alt, 0.05, n, 6000, seed=5
-            )
+            rep = estimate_power(Cell.resolve(model, n, 5, [("chisq", alt)]), 0.05, 6000)
             crit = sps.chi2.ppf(0.95, n)
             oracle_gap = sps.ncx2.sf(crit, n, 9.0) - 0.05
             assert abs(rep.gap - oracle_gap) < 4 * rep.gap_se + 0.01
@@ -166,41 +152,23 @@ class TestEstimatePower:
 
     def test_report_metadata(self):
         model = normal_means_model()
-        rep = estimate_power(
-            model,
-            make_statistic("chisq", 10),
-            AlternativeSpec("single_spike", 1.0),
-            0.1,
-            n=10,
-            reps=1000,
-            seed=6,
-        )
+        cell = Cell.resolve(model, 10, 6, [("chisq", AlternativeSpec("single_spike", 1.0))])
+        rep = estimate_power(cell, 0.1, reps=1000)
         assert rep.reps == 1000 and rep.seed == 6
         assert 0.0 <= rep.level_hat <= 1.0 and 0.0 <= rep.power_hat <= 1.0
         assert rep.level_se > 0 and rep.power_se > 0
 
     def test_reproducible(self):
         model = normal_means_model()
-        args = (
-            model,
-            make_statistic("chisq", 25),
-            AlternativeSpec("single_spike", 2.0),
-            0.05,
-            25,
-            2000,
-            7,
-        )
+        args = (Cell.resolve(model, 25, 7, [("chisq", AlternativeSpec("single_spike", 2.0))]), 0.05, 2000)
         assert estimate_power(*args) == estimate_power(*args)
 
     def test_workers_do_not_change_results(self):
         model = normal_means_model()
         alt = AlternativeSpec("single_spike", 2.0)
-        a = estimate_power(
-            model, make_statistic("chisq", 25), alt, 0.05, 25, 3000, 8, workers=1
-        )
-        b = estimate_power(
-            model, make_statistic("chisq", 25), alt, 0.05, 25, 3000, 8, workers=8
-        )
+        cell = Cell.resolve(model, 25, 8, [("chisq", alt)])
+        a = estimate_power(cell, 0.05, 3000, workers=1)
+        b = estimate_power(cell, 0.05, 3000, workers=8)
         assert a == b
 
 
@@ -222,22 +190,17 @@ _ENGINE_CASES = {
 }
 
 
-def _engine_tests(case):
-    model, specs = _ENGINE_CASES[case]
-    return model, [(make_statistic(name, _N, alt=alt, seed=_SEED), alt) for name, alt in specs]
-
-
 def _one_cell(model, tests, workers=1):
     """The reports of ``tests`` swept as one cell at ``_N`` and ``_SEED``."""
-    cell = experiments.Cell.resolve(model, _N, _SEED, tests)
+    cell = Cell.resolve(model, _N, _SEED, tests)
     ((_, reports, _),) = experiments._sweep_cells([cell], _REPS, 0.1, None, workers)
     return reports
 
 
 @functools.cache
 def _alone(case):
-    model, tests = _engine_tests(case)
-    return [estimate_power(model, stat, alt, 0.1, _N, _REPS, _SEED) for stat, alt in tests]
+    model, tests = _ENGINE_CASES[case]
+    return [estimate_power(Cell.resolve(model, _N, _SEED, [test]), 0.1, _REPS) for test in tests]
 
 
 class TestSharedDrawEngine:
@@ -251,7 +214,7 @@ class TestSharedDrawEngine:
         workers=st.sampled_from([1, 2]),
     )
     def test_report_independent_of_company_order_and_workers(self, case, order, size, workers):
-        model, tests = _engine_tests(case)
+        model, tests = _ENGINE_CASES[case]
         chosen = list(order[:size])
         reports = _one_cell(model, [tests[i] for i in chosen], workers)
         assert reports == [_alone(case)[i] for i in chosen]
@@ -259,11 +222,11 @@ class TestSharedDrawEngine:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_cells_match_each_cell_alone(self, workers):
         model = normal_means_model()
-        chisq = make_statistic("chisq", 30)
-        assert model.at(30, _SPIKE, 11).reduces(chisq)
+        point = model.at(30, _SPIKE, 11)
+        assert point.reduces(make_statistic("chisq", point))
         cells = [
-            experiments.Cell.resolve(model, 30, 11, [(chisq, _SPIKE), (make_statistic("variance", 30), _SPIKE)]),
-            experiments.Cell.resolve(model, 50, 12, [(make_statistic("variance", 50), _SMOOTH)]),
+            Cell.resolve(model, 30, 11, [("chisq", _SPIKE), ("variance", _SPIKE)]),
+            Cell.resolve(model, 50, 12, [("variance", _SMOOTH)]),
         ]
         swept = list(experiments._sweep_cells(cells, _REPS, 0.1, None, workers))
         assert [(cell.n, cell.seed) for cell, _, _ in swept] == [(30, 11), (50, 12)]
@@ -273,14 +236,14 @@ class TestSharedDrawEngine:
             assert reports == alone[1]
 
     def test_statistic_cannot_mutate_shared_block(self):
-        model, tests = _engine_tests("normal")
+        model, tests = _ENGINE_CASES["normal"]
 
         def doubling(x):
             x *= 2.0
             return x.sum(axis=-1)
 
         with pytest.raises(ValueError, match="read-only"):
-            _one_cell(model, [(NamedStatistic("doubling", doubling), _SPIKE), tests[0]])
+            _one_cell(model, [(lambda _: NamedStatistic("doubling", doubling), _SPIKE), tests[0]])
 
     def test_spacings_model_rejects_mean_alternative(self):
         with pytest.raises(ValueError, match="spacings model"):
@@ -302,16 +265,19 @@ def _chunk_digests(n: int) -> dict[str, list[str]]:
     spacings = models.sample_spacings_null_batch(n, count, rng)
     tables = rng.standard_normal((count, n, 2))
     h = models.cosine_profile({1: 2.0, 3: -0.5})
+    smooth = normal_means_model().at(n, _SMOOTH, 0)
+    null_spacings = SpacingsModel().at(n, NULL, 0)
+    null_tables = NeymanScottModel(nu=2).at(n, NULL, 0)
     cases = {
         **{
-            name: (make_statistic(name, n, _SMOOTH), vectors)
+            name: (make_statistic(name, smooth), vectors)
             for name in ("chisq", "variance", "np", "quadratic")
         },
         **{
-            name: (make_statistic(name, n), spacings)
+            name: (make_statistic(name, null_spacings), spacings)
             for name in ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
         },
-        **{name: (make_statistic(name, n), tables) for name in ("anova_f", "wilks")},
+        **{name: (make_statistic(name, null_tables), tables) for name in ("anova_f", "wilks")},
         "cellmean_chisq": (cellmean_chisq_statistic(n, 1.0), tables),
         "spacings_loglik_approx": (functools.partial(models.spacings_loglik_approx, h), spacings),
         "spacings_loglik_exact": (functools.partial(models.spacings_loglik_exact, h), spacings),
@@ -406,31 +372,34 @@ class TestReducedRoute:
     """Statistics read from a model's sufficient block.
 
     The reference is the vector path: the same statistic on whole data
-    vectors (or tables) drawn by the model's point (``Model.at``).
+    vectors (or tables) drawn by the model's point (``Model.at``).  Each
+    statistic is built from the point it tests (:meth:`Cell.resolve`); at
+    the null ``np`` projects on the unit-scale spike's direction.
     """
 
     N, NU, REPS = 40, 3, 20_000
     ALTS = {
         "null": NULL,
         "spike": AlternativeSpec("single_spike", 3.0),
+        "rescaled_spike": AlternativeSpec("single_spike", 0.5),
         "smooth": AlternativeSpec("smooth_profile", 2.0, profile=models.cosine_profile({1: 1.0})),
     }
 
     @classmethod
     def _case(cls, stat, alt):
+        """The ``(statistic, point)`` test of ``stat`` at ``alt``."""
         if stat in ("chisq", "np"):
-            return normal_means_model(), make_statistic(stat, cls.N, alt=alt, seed=1)
-        model = NeymanScottModel(nu=cls.NU, sigma=1.5)
-        if stat == "anova_f":
-            return model, make_statistic(stat, cls.N)
-        return model, cellmean_chisq_statistic(cls.N, 1.5)
+            model = normal_means_model()
+        else:
+            model = NeymanScottModel(nu=cls.NU, sigma=1.5)
+        if stat == "cellmean_chisq":
+            stat = lambda point: cellmean_chisq_statistic(point.n, 1.5)
+        return Cell.resolve(model, cls.N, 1, [(stat, alt)]).tests[0]
 
     @pytest.mark.parametrize("alt_name", sorted(ALTS))
     @pytest.mark.parametrize("stat", ["chisq", "np", "anova_f", "cellmean_chisq"])
     def test_matches_vector_path_in_distribution(self, stat, alt_name):
-        alt = self.ALTS[alt_name]
-        model, statistic = self._case(stat, alt)
-        point = model.at(self.N, alt, 1)
+        statistic, point = self._case(stat, self.ALTS[alt_name])
         assert point.reduces(statistic)
         block = point.sufficient(self.REPS, spawn_generator(41, 1))
         reduced = statistic.reduced.fn(block)
@@ -439,26 +408,19 @@ class TestReducedRoute:
         se = np.hypot(reduced.std(ddof=1), vector.std(ddof=1)) / np.sqrt(self.REPS)
         assert abs(reduced.mean() - vector.mean()) < 4 * se
 
-    def test_np_reads_only_its_own_direction(self):
-        model = normal_means_model()
-        spike, smooth = self.ALTS["spike"], self.ALTS["smooth"]
-        np_spike = make_statistic("np", self.N, alt=spike, seed=1)
-        assert model.at(self.N, spike, 1).reduces(np_spike)
-        assert model.at(self.N, replace(spike, scale=0.5), 1).reduces(np_spike)
-        assert model.at(self.N, NULL, 1).reduces(np_spike)
-        assert not model.at(self.N, smooth, 1).reduces(np_spike)
-        # Paired with another direction, np reads data vectors, as a
-        # statistic without a reduced form does.
-        vector_only = NamedStatistic("np", np_spike.fn)
-        report = estimate_power(model, np_spike, smooth, 0.05, self.N, 2000, 1)
-        assert report == estimate_power(model, vector_only, smooth, 0.05, self.N, 2000, 1)
+    def test_np_needs_a_point_off_the_null(self):
+        with pytest.raises(ValueError, match="off the null"):
+            make_statistic("np", normal_means_model().at(self.N, NULL, 1))
+        with pytest.raises(ValueError, match="off the null"):
+            make_statistic("np", SpacingsModel().at(self.N, NULL, 1))
 
     def test_vector_statistics_keep_their_stream(self):
         # A statistic with no reduced form reads the blocks of (seed, tag, b).
         model = normal_means_model()
-        variance = make_statistic("variance", self.N)
+        cell = Cell.resolve(model, self.N, 5, [("variance", NULL)])
+        ((variance, _),) = cell.tests
         assert variance.reduced is None
-        crit = estimate_power(model, variance, NULL, 0.1, self.N, 1000, 5, calib_reps=1024).critical_value
+        crit = estimate_power(cell, 0.1, 1000, calib_reps=1024).critical_value
         data = model.at(self.N, NULL, 5).sample(1024, spawn_generator(5, TAG_CALIBRATE, 0))
         assert crit == np.quantile(variance(data), 0.9, method="higher")
 
@@ -467,7 +429,7 @@ class TestReducedRoute:
         uncentered = AlternativeSpec("single_spike", 3.0, centered=False)
         block = model.at(1, uncentered, 1).sufficient(50, spawn_generator(3, 1))
         assert np.all(block[:, 1] == 0.0)
-        report = estimate_power(model, make_statistic("chisq", 1), NULL, 0.05, 1, 2000, 2)
+        report = estimate_power(Cell.resolve(model, 1, 2, [("chisq", NULL)]), 0.05, 2000)
         assert abs(report.level_hat - 0.05) <= 4 * report.level_se
 
 

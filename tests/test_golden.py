@@ -42,6 +42,8 @@ INVOCATIONS = {
     "clt_spike_law": "clt-sweep --model poisson --alt spike:1 --n-grid 20,50 --seed 16",
     "clt_vector_law": "clt-sweep --model normal --alt smooth:1 --n-grid 20 --seed 17",
     "coupling": "coupling --n-grid 20,50 --seed 18",
+    "power_normal_np_null": "power --model normal --stat np --alt spike:0 --n 20,40 --seed 19",
+    "clt_spike_outside_box": "clt-sweep --model poisson --alt spike:3 --n-grid 20,50 --seed 20",
 }
 
 REPS = "256"

@@ -525,9 +525,8 @@ class TestConvergenceSweep:
         return m * (1.0 / np.linalg.norm(m))
 
     def test_distances_decrease(self):
-        rows = theorem_convergence_sweep(
-            self._normal, self._spike_builder, (50, 500, 5000), 4000, seed=20
-        )
+        contrasts = [self._spike_builder(n) for n in (50, 500, 5000)]
+        rows = theorem_convergence_sweep(self._normal, contrasts, 4000, seed=20)
         for prev, cur in zip(rows, rows[1:]):
             for col, se_col in (
                 ("rho2_perm_boot", "se_rho2_perm_boot"),
@@ -555,9 +554,7 @@ class TestConvergenceSweep:
         assert se == np.std(vals, ddof=1) / np.sqrt(20)
 
     def test_zero_weights_give_zero_distances(self):
-        rows = theorem_convergence_sweep(
-            self._normal, lambda n: np.zeros(n), (50,), 500, seed=21
-        )
+        rows = theorem_convergence_sweep(self._normal, [np.zeros(50)], 500, seed=21)
         assert rows[0]["rho2_perm_boot"] == pytest.approx(0.0)
         assert rows[0]["rho2_perm_iid"] == pytest.approx(0.0)
 
@@ -594,7 +591,5 @@ class TestConvergenceSweep:
         assert rows[1]["rho2_perm_iid"] <= rows[0]["rho2_perm_iid"] + tol
 
     def test_diag_column_reports_mean_product(self):
-        rows = theorem_convergence_sweep(
-            self._normal, self._spike_builder, (50,), 200, seed=26
-        )
+        rows = theorem_convergence_sweep(self._normal, [self._spike_builder(50)], 200, seed=26)
         assert rows[0]["diag_nmx"] == pytest.approx(0.0, abs=1e-12)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from invlab import stats
-from invlab.experiments import make_statistic
+from invlab.experiments import NULL, SpacingsModel, make_statistic
 from invlab.models import (
     cosine_profile,
     sample_spacings_alternative_batch,
@@ -196,7 +196,7 @@ class TestOnePassSpacingsForms:
         d = _spacings_rows(n, kind)
         residual = (n + 1) * d - 1.0
         if n + 1 >= default_quadratic_spec().num_terms:
-            spec, got = default_quadratic_spec(), make_statistic("quadratic_spacings", n)(d)
+            spec, got = default_quadratic_spec(), make_statistic("quadratic_spacings", SpacingsModel().at(n, NULL, 0))(d)
         else:
             spec = QuadraticTestSpec(lambdas=(0.5,) * (n + 1))
             got = quadratic_statistic(spec, d, scale=n + 1, shift=1.0)
