@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, models, orbit, permclt
-from .rng import TAG_MODEL, spawn_generator
+from .rng import TAG_LBAR, TAG_MODEL, spawn_generator
 
 ENV_SEED = "INVLAB_SEED"
 
@@ -337,7 +337,7 @@ def run_lbar(cfg: dict) -> list[dict]:
         vals = orbit.null_lbar_samples(null_orbit, cfg["reps"], workers=cfg["workers"])
         bound, bound_se = orbit.power_level_bound(vals)
         var_diag = (
-            orbit.perm_variance_diagnostic(m.entries, mc_reps=cfg["mc_reps"], seed=cfg["seed"])
+            orbit.perm_variance_diagnostic(m, cfg["mc_reps"], spawn_generator(cfg["seed"], TAG_LBAR))
             if null_orbit.radial is None else float("nan")
         )
         rows.append(

@@ -28,7 +28,6 @@ from .rng import (
     TAG_LEVEL,
     TAG_POWER,
     TAG_SUFFICIENT,
-    as_generator,
     blocks,
     map_blocks,
     row_chunks,
@@ -59,8 +58,9 @@ class AlternativeSpec:
 
     ``kind`` is one of ``single_spike``, ``smooth_profile``, ``random_signs``,
     ``spacings_h``, ``matrix_variate``; ``scale`` is the centered norm (or the
-    profile multiplier for spacings).  ``profile`` carries the smooth shape or
-    the spacings density perturbation.
+    profile multiplier for spacings).  ``profile`` carries the smooth shape
+    (any callable on [0, 1]) or the spacings density perturbation (a
+    :class:`~invlab.models.Profile`).
     """
 
     kind: str
@@ -75,8 +75,10 @@ class AlternativeSpec:
             raise ValueError(f"unknown alternative kind {self.kind!r}")
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
-        if self.kind in ("smooth_profile", "spacings_h") and self.profile is None:
-            raise ValueError(f"{self.kind} requires a profile")
+        if self.kind == "smooth_profile" and self.profile is None:
+            raise ValueError("smooth_profile requires a profile")
+        if self.kind == "spacings_h" and not isinstance(self.profile, Profile):
+            raise ValueError("spacings_h requires a Profile, whose sup bounds the density perturbation")
 
     def mean_entries(self, n: int, seed: int) -> np.ndarray:
         """The alternative parameter vector of length ``n``, a deviation from the null parameter 0.
@@ -233,7 +235,7 @@ class SpacingsModel(Model):
     @staticmethod
     def _profile(alt: AlternativeSpec) -> Profile:
         """The density perturbation ``h`` of the alternative, times its scale."""
-        base = models._as_profile(alt.profile)
+        base = alt.profile
         if alt.scale == 1.0:
             return base
         return Profile(
@@ -434,7 +436,7 @@ class _Pass:
         """
         fns = list(self.reads.values())
         values: list[list[np.ndarray]] = [[] for _ in fns]
-        for chunk in self.chunks(count, as_generator(self.seed, *self.tags, b)):
+        for chunk in self.chunks(count, spawn_generator(self.seed, *self.tags, b)):
             chunk.flags.writeable = False
             for out, fn in zip(values, fns):
                 out.append(np.asarray(fn(chunk), dtype=float))
@@ -583,7 +585,8 @@ class Cell:
 
         Each distinct alternative is resolved once (:meth:`Model.at`).  At
         scale 0 ``np``'s projection direction is degenerate, so it is built
-        from the unit-scale point (power equals level either way).
+        from the unit-scale point (power equals level either way); where that
+        point is refused, the refusal names ``np``.
         """
         points = {alt: model.at(n, alt, seed) for alt in dict.fromkeys(a for _, a in tests)}
 
@@ -591,7 +594,13 @@ class Cell:
             if callable(test):
                 return test(points[alt])
             if test == "np" and alt.scale == 0.0:
-                return make_statistic(test, model.at(n, replace(alt, scale=1.0), seed))
+                try:
+                    unit = model.at(n, replace(alt, scale=1.0), seed)
+                except ValueError as exc:
+                    raise ValueError(
+                        "np at the null projects on the unit-scale direction, which is degenerate at this n"
+                    ) from exc
+                return make_statistic(test, unit)
             return make_statistic(test, points[alt])
 
         return cls(model.at(n, NULL, seed), seed, [(statistic(t, a), points[a]) for t, a in tests])

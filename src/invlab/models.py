@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from ._num import simpson
-from .rng import CHUNK_ELEMENTS, TAG_MODEL, TAG_SPACINGS, as_generator, jumped, row_chunks
+from .rng import CHUNK_ELEMENTS, jumped, row_chunks
 
 #: Default compact parameter box, safely interior to every built-in family's
 #: natural-parameter domain.
@@ -110,7 +110,7 @@ class ExpFamilySpec:
 
     ``beta`` is the cumulant (log-normalizer) function; ``beta1`` and
     ``beta2`` are its first two derivatives, i.e. the mean and variance of
-    one observation.  ``carrier_sampler(rng, m, size)`` draws observations
+    one observation.  ``sampler(rng, m, size)`` draws observations
     with natural parameter ``m`` (vectorised over ``m``).
     ``convolution(rng, m, k, size)`` draws the sum of ``k`` independent
     observations at natural parameter ``m`` from its exact law (vectorised
@@ -121,7 +121,7 @@ class ExpFamilySpec:
     beta: Callable[[np.ndarray], np.ndarray]
     beta1: Callable[[np.ndarray], np.ndarray]
     beta2: Callable[[np.ndarray], np.ndarray]
-    carrier_sampler: Callable[[np.random.Generator, np.ndarray, tuple], np.ndarray]
+    sampler: Callable[[np.random.Generator, np.ndarray, tuple], np.ndarray]
     convolution: Callable[[np.random.Generator, np.ndarray, np.ndarray, tuple], np.ndarray]
 
 
@@ -174,7 +174,7 @@ def normal_family() -> ExpFamilySpec:
         beta=lambda m: np.square(m) / 2.0,
         beta1=lambda m: np.asarray(m, dtype=float),
         beta2=lambda m: np.ones_like(np.asarray(m, dtype=float)),
-        carrier_sampler=_normal_carrier,
+        sampler=_normal_carrier,
         convolution=lambda rng, m, k, size: np.sqrt(k) * rng.standard_normal(size) + k * m,
     )
 
@@ -186,7 +186,7 @@ def poisson_family() -> ExpFamilySpec:
         beta=np.exp,
         beta1=np.exp,
         beta2=np.exp,
-        carrier_sampler=lambda rng, m, size: rng.poisson(lam=np.exp(m), size=size).astype(float),
+        sampler=lambda rng, m, size: rng.poisson(lam=np.exp(m), size=size).astype(float),
         convolution=lambda rng, m, k, size: rng.poisson(lam=k * np.exp(m), size=size).astype(float),
     )
 
@@ -206,7 +206,7 @@ def bernoulli_logit_family() -> ExpFamilySpec:
         beta=lambda m: np.logaddexp(0.0, m),
         beta1=_sigmoid,
         beta2=lambda m: _sigmoid(m) * (1.0 - _sigmoid(m)),
-        carrier_sampler=_sample,
+        sampler=_sample,
         convolution=lambda rng, m, k, size: rng.binomial(k, _sigmoid(m), size=size).astype(float),
     )
 
@@ -255,19 +255,17 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 def sample_model(
     family: ExpFamilySpec | GeneralFamilySpec,
     m: MeanVector,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     reps: int,
 ) -> np.ndarray:
-    """``(reps, n)`` independent coordinates, coordinate ``i`` under parameter ``m_i``.
+    """``(reps, n)`` independent coordinates from ``rng``, coordinate ``i`` under parameter ``m_i``.
 
     A constant ``m`` (every null point) is passed to the sampler as one
     scalar parameter, which draws the same numbers as the vector.
     """
-    rng = as_generator(seed, TAG_MODEL)
-    sampler = family.carrier_sampler if isinstance(family, ExpFamilySpec) else family.sampler
     entries = m.entries
     param = entries[0] if np.all(entries == entries[0]) else entries
-    return sampler(rng, param, (reps, m.n))
+    return family.sampler(rng, param, (reps, m.n))
 
 
 def loglik_ratio(
@@ -296,13 +294,12 @@ def loglik_ratio(
 def sample_neyman_scott(
     layout: NeymanScottLayout,
     m: MeanVector,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     reps: int,
 ) -> np.ndarray:
-    """``reps`` draws of the ``n x nu`` replicate table, row ``i`` centered at ``m_i``."""
+    """``reps`` draws from ``rng`` of the ``n x nu`` replicate table, row ``i`` centered at ``m_i``."""
     if m.n != layout.n:
         raise ValueError("mean vector length must match the number of groups")
-    rng = as_generator(seed, TAG_MODEL)
     return layout.sigma * rng.standard_normal((reps, layout.n, layout.nu)) + m.entries[:, None]
 
 
@@ -347,13 +344,10 @@ def sample_neyman_scott_mean_squares(
 # --------------------------------------------------------------------- #
 
 
-def sample_spacings_null_batch(
-    n: int, reps: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Null spacings, shape ``(reps, n + 1)``: iid standard exponentials divided by their sum."""
+def sample_spacings_null_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Null spacings, shape ``(reps, n + 1)``: iid standard exponentials from ``rng`` over their row sum."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(seed, TAG_SPACINGS)
     e = rng.standard_exponential(size=(reps, n + 1))
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -364,10 +358,10 @@ class Profile:
     """A bounded mean-zero profile on [0, 1] used as a spacings alternative.
 
     Built from a finite cosine combination ``sum_k c_k * sqrt(2) cos(2 pi k x)``
-    via :func:`cosine_profile`, or from any callable via :func:`profile_from_callable`
-    (sup and integrals then estimated on a fine grid).  ``sup_certified`` says
-    that ``sup`` is a proven bound on ``|h|`` (a cosine combination's
-    ``sum |c_k| sqrt(2)``), not a grid estimate.
+    via :func:`cosine_profile`, or from any callable with its sup and
+    ``integral(h^2)`` given.  ``sup_certified`` says that ``sup`` is a proven
+    bound on ``|h|`` (a cosine combination's ``sum |c_k| sqrt(2)``), not an
+    estimate.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -401,25 +395,6 @@ def cosine_profile(coeffs: dict[int, float], label: str | None = None) -> Profil
     return Profile(fn=fn, sup=sup, l2_norm_sq=l2, label=label, sup_certified=True)
 
 
-def profile_from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str = "h") -> Profile:
-    """Wrap an arbitrary callable; sup and L2 norm estimated on a fine grid."""
-    xs = np.linspace(0.0, 1.0, _PROFILE_GRID)
-    vals = np.asarray(fn(xs), dtype=float)
-    mean = simpson(vals, x=xs)
-    if abs(mean) > 1e-6:
-        raise ValueError("profile must integrate to 0 within 1e-6")
-    return Profile(
-        fn=fn,
-        sup=float(np.abs(vals).max()),
-        l2_norm_sq=float(simpson(vals**2, x=xs)),
-        label=label,
-    )
-
-
-def _as_profile(h: Profile | Callable[[np.ndarray], np.ndarray]) -> Profile:
-    return h if isinstance(h, Profile) else profile_from_callable(h)
-
-
 def check_spacings_profile(n: int, prof: Profile) -> None:
     """Raise ``ValueError`` unless ``1 + h / sqrt(n)`` is a positive density."""
     if prof.sup > 0.99 * np.sqrt(n):
@@ -430,7 +405,7 @@ def check_spacings_profile(n: int, prof: Profile) -> None:
 
 
 def sample_spacings_alternative_batch(
-    n: int, h: Profile | Callable, reps: int, seed: int | np.random.Generator
+    n: int, h: Profile, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Spacings of ``n`` ordered draws from the density ``1 + h(x) / sqrt(n)``.
 
@@ -442,20 +417,18 @@ def sample_spacings_alternative_batch(
     :data:`~invlab.rng.CHUNK_ELEMENTS` proposals, ``v`` from a copy
     :func:`~invlab.rng.jumped` ``k`` draws ahead, and stops once enough points
     are accepted.  Where ``sup`` is certified, ``v`` below the squeeze
-    (:func:`_acceptance_floor`) accepts without evaluating ``h``.  A
-    generator passed as ``seed`` must run on Philox.
+    (:func:`_acceptance_floor`) accepts without evaluating ``h``.  ``rng``
+    must run on Philox.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    prof = _as_profile(h)
-    check_spacings_profile(n, prof)
+    check_spacings_profile(n, h)
     root_n = np.sqrt(n)
     xs = np.linspace(0.0, 1.0, _PROFILE_GRID)
-    if abs(simpson(np.asarray(prof(xs), float), x=xs)) > 1e-6:
+    if abs(simpson(np.asarray(h(xs), float), x=xs)) > 1e-6:
         raise ValueError("h must integrate to 0 within 1e-6")
-    rng = as_generator(seed, TAG_SPACINGS)
-    envelope = 1.0 + prof.sup / root_n
-    floor = _acceptance_floor(prof, root_n)
+    envelope = 1.0 + h.sup / root_n
+    floor = _acceptance_floor(h, root_n)
     need = reps * n
     out = np.empty((reps, n + 1))
     # Accepted points fill the head of ``out`` in order, row i at [i n, (i + 1) n).
@@ -470,7 +443,7 @@ def sample_spacings_alternative_batch(
             keep = w <= floor
             test = np.flatnonzero(~keep)
             if test.size:
-                keep[test] = w[test] <= 1.0 + prof(u[test]) / root_n
+                keep[test] = w[test] <= 1.0 + h(u[test]) / root_n
             take = u[keep][: need - got]
             points[got : got + take.size] = take
             got += take.size
@@ -518,7 +491,7 @@ def _linear_llr_terms(prof: Profile, n: int) -> tuple[np.ndarray, float, float]:
     return grid, float(grid.sum()) / (n + 1), half_l2
 
 
-def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
+def spacings_loglik_approx(h: Profile, d: np.ndarray) -> np.ndarray:
     """Linear spacings approximation to the log-likelihood ratio.
 
     ``-(n+1)/sqrt(n) * sum_i h(i/(n+1)) (d_i - 1/(n+1)) - integral(h^2)/2``,
@@ -528,15 +501,14 @@ def spacings_loglik_approx(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
     """
     dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
-    hi, mean_h, half_l2 = _linear_llr_terms(_as_profile(h), n)
+    hi, mean_h, half_l2 = _linear_llr_terms(h, n)
     residual = np.einsum("...i,i->...", dv, hi) - mean_h
     return -(n + 1) / np.sqrt(n) * residual - half_l2
 
 
-def spacings_loglik_exact(h: Profile | Callable, d: np.ndarray) -> np.ndarray:
+def spacings_loglik_exact(h: Profile, d: np.ndarray) -> np.ndarray:
     """Exact log-likelihood ratio of the density ``1 + h/sqrt(n)`` to uniform."""
     dv = np.asarray(d, dtype=float)
     n = dv.shape[-1] - 1
-    prof = _as_profile(h)
     points = np.cumsum(dv, axis=-1)[..., :-1]
-    return np.sum(np.log1p(prof(points) / np.sqrt(n)), axis=-1)
+    return np.sum(np.log1p(h(points) / np.sqrt(n)), axis=-1)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._num import logsumexp
 from .models import ExpFamilySpec, MeanVector, sample_model, spike_levels
-from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, as_generator, map_blocks, uniform_permutations
+from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, blocks, map_blocks, spawn_generator, uniform_permutations
 from .stats import verify_invariance
 
 #: Largest dimension for exhaustive permutation averaging (8! = 40320).
@@ -94,7 +94,7 @@ class OrbitSpec:
             if self.group is Group.PERMUTATION_EXHAUSTIVE and m.n > EXHAUSTIVE_LIMIT:
                 raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}, got {m.n}")
             null, radial = np.full(m.n, m.mean), None
-            average = lambda x, b: lbar_permutation(family, m, x, self, as_generator(seed, TAG_LBAR, b))
+            average = lambda x, b: lbar_permutation(family, m, x, self, spawn_generator(seed, TAG_LBAR, b))
         else:
             if family.name != "normal":
                 group = self.group.value
@@ -126,7 +126,7 @@ class NullOrbit:
 
     def draw(self, b: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Block ``b`` of null data ``x`` (stream ``(seed, TAG_MODEL, b)``) and ``Lbar(x)``."""
-        x = sample_model(self.family, self.null, as_generator(self.seed, TAG_MODEL, b), reps=count)
+        x = sample_model(self.family, self.null, spawn_generator(self.seed, TAG_MODEL, b), reps=count)
         return x, np.asarray(self.average(x, b))
 
     def lbar(self, b: int, count: int) -> np.ndarray:
@@ -134,7 +134,7 @@ class NullOrbit:
         if self.radial is None:
             return self.draw(b, count)[1]
         norm_m, dof = self.radial
-        radii = np.sqrt(as_generator(self.seed, TAG_ORBIT, b).chisquare(dof, count))
+        radii = np.sqrt(spawn_generator(self.seed, TAG_ORBIT, b).chisquare(dof, count))
         return lbar_orthogonal_from_norms(norm_m, radii, dof)
 
 
@@ -240,11 +240,7 @@ def h_integral_log(t: float, n: int) -> float:
 # --------------------------------------------------------------------- #
 
 
-def _entries(m: MeanVector | np.ndarray) -> np.ndarray:
-    return m.entries if isinstance(m, MeanVector) else np.asarray(m, dtype=float)
-
-
-def lbar_orthogonal(m: MeanVector | np.ndarray, x: np.ndarray) -> np.ndarray:
+def lbar_orthogonal(m: MeanVector, x: np.ndarray) -> np.ndarray:
     """Likelihood ratio of mean ``m`` to 0 averaged over the orthogonal group.
 
     Depends on the data only through its norm:
@@ -316,29 +312,28 @@ def _spike_log_avg(c: float, x: np.ndarray) -> np.ndarray:
 
 
 def _perm_log_avg(
-    m: np.ndarray, x: np.ndarray, exhaustive: bool, mc_reps: int, seed: int | np.random.Generator
+    m: np.ndarray, x: np.ndarray, exhaustive: bool, mc_reps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``log avg_P exp((m - mbar)' P x)`` per replicate of ``x``.
 
     Over all permutations when ``exhaustive``; else exact over the ``n``
     orbit points of a spike ``m = b 1 + c e_j`` (found on the uncentred
-    ``m``), and otherwise over ``mc_reps`` uniform permutations from the
-    stream ``(seed, TAG_LBAR)``.
+    ``m``), and otherwise over ``mc_reps`` uniform permutations from ``rng``.
     """
     w = m - m.mean()
     if exhaustive:
         return _perm_log_avg_exhaustive(w, x)
     if (spike := spike_levels(m)) is not None:
         return _spike_log_avg(spike[0] - spike[1], x)
-    return _perm_log_avg_mc(w, x, mc_reps, as_generator(seed, TAG_LBAR))
+    return _perm_log_avg_mc(w, x, mc_reps, rng)
 
 
 def lbar_permutation(
     family: ExpFamilySpec,
-    m: MeanVector | np.ndarray,
+    m: MeanVector,
     x: np.ndarray,
     spec: OrbitSpec,
-    seed: int | np.random.Generator = 0,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Likelihood ratio averaged over permutations of the alternative vector.
 
@@ -346,11 +341,10 @@ def lbar_permutation(
     exhaustively for ``group=permutation_exhaustive`` (``n <= 8``).  For
     ``group=permutation`` a spike ``m = b 1 + c e_j`` takes the exact
     average over its ``n`` orbit points and draws nothing; any other ``m``
-    averages over ``spec.mc_reps`` uniform permutations from the stream
-    ``(seed, TAG_LBAR)``, the same ones for every replicate of ``x``.
-    Accumulation is in log space.
+    averages over ``spec.mc_reps`` uniform permutations from ``rng``, the
+    same ones for every replicate of ``x``.  Accumulation is in log space.
     """
-    mv = _entries(m)
+    mv = m.entries
     x = np.asarray(x, dtype=float)
     n = mv.size
     if x.shape[-1] != n:
@@ -361,11 +355,11 @@ def lbar_permutation(
     if exhaustive and n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive averaging requires n <= {EXHAUSTIVE_LIMIT}")
     prefactor = -float(np.sum(family.beta(mv) - family.beta(mv.mean())))
-    log_avg = _perm_log_avg(mv, x, exhaustive, spec.mc_reps, seed)
+    log_avg = _perm_log_avg(mv, x, exhaustive, spec.mc_reps, rng)
     return np.exp(prefactor + log_avg).reshape(x.shape[:-1])[()]
 
 
-def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _design_reduction(m: MeanVector, design: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Orthonormal basis ``q`` of the design columns, ``||m_r||`` and the residual dimension ``n - p``.
 
     ``m_r`` is the part of ``m`` off the design columns; a design with no
@@ -373,7 +367,7 @@ def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[n
     ``n - p >= 3``, the design has full column rank and ``X'm = 0`` (the
     testing problem is identifiable only for such ``m``).
     """
-    mv = _entries(m)
+    mv = m.entries
     design = np.atleast_2d(np.asarray(design, dtype=float))
     n, p = design.shape
     if n - p < MIN_RADIAL_DIM:
@@ -392,7 +386,7 @@ def _design_reduction(m: MeanVector | np.ndarray, design: np.ndarray) -> tuple[n
 
 
 def lbar_design_orthogonal(
-    m: MeanVector | np.ndarray, x_design: np.ndarray, y: np.ndarray
+    m: MeanVector, x_design: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Orbit average over the orthogonal subgroup fixing the design columns.
 
@@ -408,20 +402,18 @@ def lbar_design_orthogonal(
     return lbar_orthogonal_from_norms(norm_m_res, r_norms, dim).reshape(y.shape[:-1])[()]
 
 
-def perm_variance_diagnostic(
-    m: MeanVector | np.ndarray, mc_reps: int = 10_000, seed: int | np.random.Generator = 0
-) -> float:
+def perm_variance_diagnostic(m: MeanVector, mc_reps: int, rng: np.random.Generator) -> float:
     """Variance heuristic ``avg_P exp((m - mbar)' P (m - mbar)) - 1``.
 
     Exhaustive for ``n <= 8``; above that, exact for a spike ``m = b 1 + c e_j``
     (``e^{c^2 (1 - 1/n)} / n + (1 - 1/n) e^{-c^2/n} - 1``) and a Monte Carlo
-    average over ``mc_reps`` permutations otherwise.  Reported as a
+    average over ``mc_reps`` permutations from ``rng`` otherwise.  Reported as a
     diagnostic only; the underlying approximation cannot be made rigorous
     without extra control of the largest entries.
     """
-    mv = _entries(m)
+    mv = m.entries
     w = mv - mv.mean()
-    (log_avg,) = _perm_log_avg(mv, w[None, :], mv.size <= EXHAUSTIVE_LIMIT, mc_reps, seed)
+    (log_avg,) = _perm_log_avg(mv, w[None, :], mv.size <= EXHAUSTIVE_LIMIT, mc_reps, rng)
     # An overflow is returned as inf, for the caller to refuse.
     with np.errstate(over="ignore"):
         return float(np.expm1(log_avg))
@@ -455,7 +447,7 @@ def null_lbar_samples(null_orbit: NullOrbit, reps: int, workers: int = 1) -> np.
     one such chi-square draw from stream ``(seed, TAG_ORBIT, block)``.  The
     permutation averages need the whole null vector.
     """
-    return np.concatenate(map_blocks(null_orbit.lbar, reps, workers=workers))
+    return np.concatenate(map_blocks(null_orbit.lbar, blocks(reps), workers=workers))
 
 
 @dataclass(frozen=True)
@@ -495,12 +487,12 @@ def identity_check(
     """
     null_orbit = spec.null_orbit(family, m, seed)
     if invariance_sampler is not None:
-        probe = sample_model(family, m, as_generator(seed, TAG_MODEL, 1_000_003), reps=1)[0]
-        if not verify_invariance(statistic, invariance_sampler, probe, seed=seed):
+        probe = sample_model(family, m, spawn_generator(seed, TAG_MODEL, 1_000_003), reps=1)[0]
+        if not verify_invariance(statistic, invariance_sampler, probe, spawn_generator(seed)):
             raise ValueError("statistic is not invariant under the requested group")
 
     def lhs_block(b: int, count: int) -> np.ndarray:
-        rng = as_generator(seed, TAG_POWER_LHS, b)
+        rng = spawn_generator(seed, TAG_POWER_LHS, b)
         x = sample_model(family, m, rng, reps=count)
         return np.asarray(statistic(x), dtype=float)
 
@@ -508,8 +500,8 @@ def identity_check(
         x, lbar = null_orbit.draw(b, count)
         return np.asarray(statistic(x), dtype=float) * lbar
 
-    lhs = np.concatenate(map_blocks(lhs_block, reps, workers=workers))
-    rhs = np.concatenate(map_blocks(rhs_block, reps, workers=workers))
+    lhs = np.concatenate(map_blocks(lhs_block, blocks(reps), workers=workers))
+    rhs = np.concatenate(map_blocks(rhs_block, blocks(reps), workers=workers))
     return IdentityCheck(
         lhs=float(lhs.mean()),
         lhs_se=float(lhs.std(ddof=1) / np.sqrt(lhs.size)),

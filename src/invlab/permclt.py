@@ -54,9 +54,10 @@ from .rng import (
     TAG_MODEL,
     TAG_PERM_LAW,
     TAG_SUFFICIENT,
-    as_generator,
+    blocks,
     map_blocks,
     row_chunks,
+    spawn_generator,
     uniform_permutations,
 )
 
@@ -72,39 +73,16 @@ SWEEP_BATCHES = 20
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class EmpiricalLaw:
-    """A sorted sample standing in for the law of a real statistic."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.sort(np.asarray(self.values, dtype=float).ravel())
-        if values.size == 0:
-            raise ValueError("law must contain at least one value")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("law values must be finite")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-def _law_values(a: EmpiricalLaw | np.ndarray) -> np.ndarray:
-    if isinstance(a, EmpiricalLaw):
-        return a.values
+def _law_values(a: np.ndarray) -> np.ndarray:
+    """The sample ``a`` sorted: an empirical law read by its quantiles."""
     v = np.sort(np.asarray(a, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("law must contain at least one value")
     return v
 
 
-def rho2(a: EmpiricalLaw | np.ndarray, b: EmpiricalLaw | np.ndarray) -> float:
-    """Order-2 Wasserstein distance between two one-dimensional samples.
+def rho2(a: np.ndarray, b: np.ndarray) -> float:
+    """Order-2 Wasserstein distance between two one-dimensional samples, in any order.
 
     Equal sizes use the exact sorted pairing; otherwise both laws are read
     at a common grid of ``RHO2_QUANTILES`` midpoint quantile levels.
@@ -118,8 +96,8 @@ def rho2(a: EmpiricalLaw | np.ndarray, b: EmpiricalLaw | np.ndarray) -> float:
     return float(np.sqrt(np.mean((aq - bq) ** 2)))
 
 
-def rho0(a: EmpiricalLaw | np.ndarray, b: EmpiricalLaw | np.ndarray) -> float:
-    """Kolmogorov (sup-CDF) distance between two empirical laws."""
+def rho0(a: np.ndarray, b: np.ndarray) -> float:
+    """Kolmogorov (sup-CDF) distance between the empirical laws of two samples, in any order."""
     av, bv = _law_values(a), _law_values(b)
     grid = np.concatenate([av, bv])
     fa = np.searchsorted(av, grid, side="right") / av.size
@@ -170,8 +148,8 @@ def sample_perm_law(
     seed: int,
     workers: int = 1,
     stream: tuple[int, ...] = (),
-) -> EmpiricalLaw:
-    """``reps`` draws of ``m' P x`` over uniform random permutations.
+) -> np.ndarray:
+    """``reps`` draws of ``m' P x`` over uniform random permutations, in replicate order.
 
     For a spike ``m = b 1 + (a - b) e_j`` the contrast is
     ``(a - b) x_J + b sum(x)`` with ``J`` uniform on ``{0..n-1}``: one index
@@ -187,17 +165,13 @@ def sample_perm_law(
     if spike is not None:
         a, b = spike
         total = b * x.sum()
-        return EmpiricalLaw(
-            _chunked_law(
-                (TAG_SUFFICIENT, TAG_PERM_LAW, *stream), reps, seed, workers, 1,
-                lambda rng, c: (a - b) * x[rng.integers(0, m.size, size=c)] + total,
-            )
+        return _chunked_law(
+            (TAG_SUFFICIENT, TAG_PERM_LAW, *stream), reps, seed, workers, 1,
+            lambda rng, c: (a - b) * x[rng.integers(0, m.size, size=c)] + total,
         )
-    return EmpiricalLaw(
-        _chunked_law(
-            (TAG_PERM_LAW, *stream), reps, seed, workers, m.size,
-            lambda rng, c: x[uniform_permutations(rng, c, m.size)] @ m,
-        )
+    return _chunked_law(
+        (TAG_PERM_LAW, *stream), reps, seed, workers, m.size,
+        lambda rng, c: x[uniform_permutations(rng, c, m.size)] @ m,
     )
 
 
@@ -208,8 +182,8 @@ def sample_boot_law(
     seed: int,
     workers: int = 1,
     stream: tuple[int, ...] = (),
-) -> EmpiricalLaw:
-    """``reps`` draws of ``sum_i m_i x(J*_i)`` with iid uniform indices.
+) -> np.ndarray:
+    """``reps`` draws of ``sum_i m_i x(J*_i)`` with iid uniform indices, in replicate order.
 
     For a spike ``m = b 1 + (a - b) e_j`` on data with ``k`` distinct values
     ``v``, ``k^2 <= n`` (:func:`_value_counts`), the contrast is
@@ -235,17 +209,12 @@ def sample_boot_law(
             rest = rng.multinomial(x.size - 1, freqs, size=c) @ values
             return a * own + b * rest
 
-        return EmpiricalLaw(
-            _chunked_law(
-                (TAG_SUFFICIENT, TAG_BOOT_LAW, *stream), reps, seed, workers, values.size,
-                spike_values,
-            )
+        return _chunked_law(
+            (TAG_SUFFICIENT, TAG_BOOT_LAW, *stream), reps, seed, workers, values.size, spike_values
         )
-    return EmpiricalLaw(
-        _chunked_law(
-            (TAG_BOOT_LAW, *stream), reps, seed, workers, m.size,
-            lambda rng, c: x[rng.integers(0, m.size, size=(c, m.size))] @ m,
-        )
+    return _chunked_law(
+        (TAG_BOOT_LAW, *stream), reps, seed, workers, m.size,
+        lambda rng, c: x[rng.integers(0, m.size, size=(c, m.size))] @ m,
     )
 
 
@@ -443,9 +412,9 @@ def hajek_coupling(
     sorted_x = np.sort(x)
 
     def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _coupled_block(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
+        return _coupled_block(sorted_x, m, count, spawn_generator(seed, TAG_COUPLING, b))
 
-    parts = map_blocks(block, reps, workers=workers)
+    parts = map_blocks(block, blocks(reps), workers=workers)
     without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*parts))
     _, s_sq = perm_law_moments(m, x)
     s = float(np.sqrt(s_sq))
@@ -526,18 +495,19 @@ def theorem_convergence_sweep(
         m = np.asarray(m, dtype=float)
         n = m.size
         null = model.at(n, NULL, seed)
-        x = null.sample(1, as_generator(seed, TAG_MODEL, gi))[0]
-        perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
-        boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,)).values
+        x = null.sample(1, spawn_generator(seed, TAG_MODEL, gi))[0]
+        perm = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,))
+        boot = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,))
         spike = spike_levels(m)
         if spike is not None and isinstance(model.family, ExpFamilySpec):
             iid = _iid_spike_law(model.family, spike, m.size, reps, seed, workers=workers, stream=(gi,))
         else:
             null_sampler = lambda _, count, rng: null.sample(count, rng)
             iid = _iid_law(null_sampler, m, reps, seed, workers=workers, stream=(gi,))
-        # EmpiricalLaw sorts its values, so each of the SE batches of perm
-        # and boot is a quantile slice, not a random subset of replicates:
-        # the se_* columns are the spread of rho2 over those slices.
+        # Sorting makes each SE batch of perm and boot a quantile slice, not a
+        # random subset of replicates: the se_* columns are the spread of rho2
+        # over those slices.
+        perm, boot = np.sort(perm), np.sort(boot)
         distances = _law_distances(perm, boot, iid, rho2)
         rows.append({"n": n, **distances, "diag_nmx": float(abs(n * m.mean() * x.mean()))})
     return rows
@@ -574,7 +544,7 @@ def theorem_convergence_sweep_matrix(
     for gi, n in enumerate(n_grid):
         n = int(n)
         mm = np.asarray(m_builder(n), dtype=float)
-        x = row_sampler(n, 1, as_generator(seed, TAG_MODEL, gi))[0]
+        x = row_sampler(n, 1, spawn_generator(seed, TAG_MODEL, gi))[0]
 
         def law(tag: int, draw: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
             return _chunked_law(

@@ -1,8 +1,10 @@
 """Deterministic random-stream management for reproducible Monte Carlo.
 
-Every stochastic routine in this package derives its generator from
-``(seed, stream tag, block index)``, so a run is bit-identical for a
-given seed no matter how replicate blocks are scheduled across workers.
+Every stochastic routine in this package takes a generator, and the caller
+that holds the integer seed names its stream: ``spawn_generator(seed,
+*tags)``, most often ``(seed, stream tag, block index)``.  So a run is
+bit-identical for a given seed no matter how replicate blocks are scheduled
+across workers, and each number can be traced to its stream.
 
 Pinned algorithm: numpy's Philox 4x64 counter-based bit generator,
 keyed through ``numpy.random.SeedSequence`` with the tag tuple as the
@@ -38,7 +40,7 @@ TAG_PERM_LAW = 6
 TAG_BOOT_LAW = 7
 TAG_COUPLING = 8
 TAG_IID_LAW = 9
-TAG_SPACINGS = 11
+# 11 is the spacings samplers' stream in the tests (``tests/oracles.py``).
 TAG_ALTERNATIVE = 12
 TAG_LBAR = 13
 #: Prefix of the sufficient-block streams: ``(seed, TAG_SUFFICIENT, tag, block)``
@@ -61,13 +63,6 @@ def spawn_generator(seed: int, *tags: int) -> np.random.Generator:
     key = tuple(int(t) & _MASK64 for t in tags)
     ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def as_generator(seed: int | np.random.Generator, *tags: int) -> np.random.Generator:
-    """Coerce an integer seed (via :func:`spawn_generator`) or pass a generator through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return spawn_generator(int(seed), *tags)
 
 
 def uniform_permutations(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -133,19 +128,17 @@ def row_slices(data: np.ndarray) -> list[np.ndarray]:
 
 def map_blocks(
     fn: Callable[[Hashable, int], T],
-    total: int | Sequence[tuple[Hashable, int]],
+    plan: Sequence[tuple[Hashable, int]],
     workers: int = 1,
 ) -> list[T]:
-    """Evaluate ``fn(block, count)`` for every block of a plan, in plan order.
+    """Evaluate ``fn(block, count)`` for every ``(block, count)`` pair of ``plan``, in plan order.
 
-    The plan is ``total`` itself when it is a list of ``(block, count)``
-    pairs (``block`` any key ``fn`` understands), else :func:`blocks` of
-    ``total`` replicates.  With ``workers > 1`` the blocks run on a thread
-    pool and start in plan order; results are still returned in plan order,
-    so any order-sensitive reduction by the caller is independent of the
-    worker count.  A block's exception is raised here.
+    ``block`` is any key ``fn`` understands; :func:`blocks` of a replicate
+    count is the plain plan.  With ``workers > 1`` the blocks run on a
+    thread pool and start in plan order; results are still returned in plan
+    order, so any order-sensitive reduction by the caller is independent of
+    the worker count.  A block's exception is raised here.
     """
-    plan = list(total) if isinstance(total, Sequence) else blocks(total)
     if workers <= 1 or len(plan) <= 1:
         return [fn(b, c) for b, c in plan]
     # Imported here: concurrent.futures pulls in logging, which single-worker

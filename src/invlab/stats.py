@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import as_generator
-
 
 # --------------------------------------------------------------------- #
 # Core statistics
@@ -219,11 +217,10 @@ def verify_invariance(
     statistic: Callable[[np.ndarray], float],
     group_element_sampler: Callable[[np.random.Generator], object],
     x: np.ndarray,
+    rng: np.random.Generator,
     reps: int = 32,
-    seed: int | np.random.Generator = 0,
 ) -> bool:
-    """True iff ``|T(gx) - T(x)| <= 1e-9 (1 + |T(x)|)`` for all sampled ``g``."""
-    rng = as_generator(seed)
+    """True iff ``|T(gx) - T(x)| <= 1e-9 (1 + |T(x)|)`` for ``reps`` elements ``g`` drawn from ``rng``."""
     x = np.asarray(x, dtype=float)
     base = float(statistic(x))
     tol = 1e-9 * (1.0 + abs(base))

@@ -8,7 +8,8 @@ whole block at a time, the reference for the row-chunked laws, and
 :func:`one_shot_coupling` is the coupling with every array of a row chunk
 allocated afresh, the reference for the buffered coupling kernel; and
 :func:`one_shot_spacings_alternative` is the reference for the chunked
-spacings rejection sampler.  :func:`trend_slope` is the slope test of the
+spacings rejection sampler, which :func:`profile_from_callable` feeds
+profiles with no certified sup.  :func:`trend_slope` is the slope test of the
 sweeps' "no positive growth" checks, and :func:`load_expectations` reads
 their pass thresholds.
 """
@@ -22,18 +23,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from invlab import experiments, models
+from invlab._num import simpson
 from invlab.rng import (
     TAG_BOOT_LAW,
     TAG_COUPLING,
     TAG_IID_LAW,
     TAG_PERM_LAW,
-    TAG_SPACINGS,
-    as_generator,
     blocks,
     row_chunks,
     spawn_generator,
     uniform_permutations,
 )
+
+#: Stream tag of the spacings samplers in the tests (no package stream uses 11).
+TAG_SPACINGS = 11
 
 
 def permutation_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:
@@ -41,7 +44,7 @@ def permutation_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:
     return lambda rng: rng.permutation(n)
 
 
-def haar_orthogonal(n: int, seed: int | np.random.Generator) -> np.ndarray:
+def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform orthogonal matrix via sign-corrected QR of a Gaussian matrix.
 
     The sign correction (making the R diagonal positive) is mandatory: the
@@ -49,7 +52,6 @@ def haar_orthogonal(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
     z = rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     d = np.sign(np.diag(r))
@@ -57,9 +59,7 @@ def haar_orthogonal(n: int, seed: int | np.random.Generator) -> np.ndarray:
     return q * d
 
 
-def haar_orthogonal_fixing_design(
-    design: np.ndarray, seed: int | np.random.Generator
-) -> np.ndarray:
+def haar_orthogonal_fixing_design(design: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Haar element of the subgroup fixing every column of ``design``.
 
     Acts as the identity on the column space and as a Haar orthogonal
@@ -70,7 +70,7 @@ def haar_orthogonal_fixing_design(
     q_full, _ = np.linalg.qr(design, mode="complete")
     col = q_full[:, :p]
     res = q_full[:, p:]
-    q = haar_orthogonal(n - p, seed)
+    q = haar_orthogonal(n - p, rng)
     return col @ col.T + res @ q @ res.T
 
 
@@ -123,7 +123,7 @@ def one_shot_coupling(
     sorted_x = np.sort(x)
     parts = []
     for b, count in blocks(reps):
-        rng = as_generator(seed, TAG_COUPLING, b)
+        rng = spawn_generator(seed, TAG_COUPLING, b)
         parts += [coupled_block_rank(sorted_x, m, c, rng) for c in row_chunks(count, m.size)]
     without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*parts))
     return without, with_r, matched
@@ -136,7 +136,7 @@ def one_shot_boot(m: np.ndarray, x: np.ndarray, reps: int, seed: int) -> np.ndar
     """
     n = m.size
     return np.concatenate(
-        [x[as_generator(seed, TAG_BOOT_LAW, b).integers(0, n, size=(count, n))] @ m for b, count in blocks(reps)]
+        [x[spawn_generator(seed, TAG_BOOT_LAW, b).integers(0, n, size=(count, n))] @ m for b, count in blocks(reps)]
     )
 
 
@@ -151,17 +151,17 @@ def one_shot_laws(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
     keys = ("perm", "without", "with", "matched", "iid")
     out: dict[str, list[np.ndarray]] = {k: [] for k in keys}
     for b, count in blocks(reps):
-        rng = as_generator(seed, TAG_PERM_LAW, b)
+        rng = spawn_generator(seed, TAG_PERM_LAW, b)
         out["perm"].append(x[uniform_permutations(rng, count, n)] @ m)
-        coupled = coupled_block_rank(sorted_x, m, count, as_generator(seed, TAG_COUPLING, b))
+        coupled = coupled_block_rank(sorted_x, m, count, spawn_generator(seed, TAG_COUPLING, b))
         for key, part in zip(("without", "with", "matched"), coupled):
             out[key].append(part)
-        out["iid"].append(poisson_null(n, count, as_generator(seed, TAG_IID_LAW, b)) @ m)
+        out["iid"].append(poisson_null(n, count, spawn_generator(seed, TAG_IID_LAW, b)) @ m)
     return {k: np.concatenate(v) for k, v in out.items()} | {"boot": one_shot_boot(m, x, reps, seed)}
 
 
 def one_shot_spacings_alternative(
-    n: int, h: models.Profile, reps: int, seed: int | np.random.Generator
+    n: int, h: models.Profile, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """:func:`invlab.models.sample_spacings_alternative_batch` drawn one whole round at a time.
 
@@ -169,7 +169,6 @@ def one_shot_spacings_alternative(
     and evaluates ``h`` at every proposal; the accepted points are
     concatenated, sorted and padded with 0 and 1 before differencing.
     """
-    rng = as_generator(seed, TAG_SPACINGS)
     root_n = np.sqrt(n)
     envelope = 1.0 + h.sup / root_n
     need = reps * n
@@ -186,6 +185,17 @@ def one_shot_spacings_alternative(
     pts.sort(axis=1)
     padded = np.concatenate([np.zeros((reps, 1)), pts, np.ones((reps, 1))], axis=1)
     return np.diff(padded, axis=1)
+
+
+def profile_from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str = "h") -> models.Profile:
+    """A :class:`invlab.models.Profile` of any callable; sup and L2 norm estimated on a fine grid."""
+    xs = np.linspace(0.0, 1.0, models._PROFILE_GRID)
+    vals = np.asarray(fn(xs), dtype=float)
+    if abs(simpson(vals, x=xs)) > 1e-6:
+        raise ValueError("profile must integrate to 0 within 1e-6")
+    return models.Profile(
+        fn=fn, sup=float(np.abs(vals).max()), l2_norm_sq=float(simpson(vals**2, x=xs)), label=label
+    )
 
 
 def load_expectations() -> dict:

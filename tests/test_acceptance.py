@@ -19,7 +19,7 @@ from invlab.models import MeanVector
 from invlab.rng import spawn_generator
 
 from conftest import record_acceptance
-from oracles import haar_orthogonal, load_expectations, permutation_sampler, trend_slope
+from oracles import TAG_SPACINGS, haar_orthogonal, load_expectations, permutation_sampler, trend_slope
 
 SEED = 20240801
 
@@ -82,7 +82,7 @@ class TestCriterion2LbarNormalization:
         dev -= q @ (q.T @ dev)
         dev *= 2.0 / np.linalg.norm(dev)
         y = rng.normal(size=(10_000, 100))
-        vals = orbit.lbar_design_orthogonal(dev, design, y)
+        vals = orbit.lbar_design_orthogonal(MeanVector(dev), design, y)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         ok &= abs(vals.mean() - 1.0) <= 4 * se
         details.append(f"design-fixing {vals.mean():.4f}±{se:.4f}")
@@ -275,7 +275,7 @@ class TestCriterion9InvarianceSuite:
         # chisq invariant under the orthogonal group
         x = rng.normal(size=15)
         ok &= stats.verify_invariance(
-            stats.chisq_statistic, lambda r: haar_orthogonal(15, r), x, 32, seed=1
+            stats.chisq_statistic, lambda r: haar_orthogonal(15, r), x, spawn_generator(1), 32
         )
 
         # ANOVA F invariant under row permutation, shift, and scale
@@ -285,32 +285,32 @@ class TestCriterion9InvarianceSuite:
         ok &= stats.verify_invariance(
             flat_stat,
             lambda r: (lambda v: v.reshape(8, 4)[r.permutation(8)].ravel()),
-            flat, 32, seed=2,
+            flat, spawn_generator(2), 32,
         )
         ok &= stats.verify_invariance(
-            flat_stat, lambda r: (lambda v: v + r.normal()), flat, 32, seed=3
+            flat_stat, lambda r: (lambda v: v + r.normal()), flat, spawn_generator(3), 32
         )
         ok &= stats.verify_invariance(
             flat_stat,
             lambda r: (lambda v: v * float(np.exp(r.normal()))),
-            flat, 32, seed=4,
+            flat, spawn_generator(4), 32,
         )
 
         # Greenwood and Moran invariant under permutations of the spacings
-        d = models.sample_spacings_null_batch(10, 1, SEED + 13)[0]
-        ok &= stats.verify_invariance(stats.greenwood, permutation_sampler(11), d, 64, seed=5)
-        ok &= stats.verify_invariance(stats.moran, permutation_sampler(11), d, 64, seed=6)
+        d = models.sample_spacings_null_batch(10, 1, spawn_generator(SEED + 13, TAG_SPACINGS))[0]
+        ok &= stats.verify_invariance(stats.greenwood, permutation_sampler(11), d, spawn_generator(5), 64)
+        ok &= stats.verify_invariance(stats.moran, permutation_sampler(11), d, spawn_generator(6), 64)
 
         # NP statistic NOT permutation invariant
         m = rng.normal(size=12)
         xv = rng.normal(size=12)
         ok &= not stats.verify_invariance(
-            lambda v: stats.np_statistic(m, v), permutation_sampler(12), xv, 64, seed=7
+            lambda v: stats.np_statistic(m, v), permutation_sampler(12), xv, spawn_generator(7), 64
         )
 
         # 2-spacings statistic NOT invariant under spacings permutation
         ok &= not stats.verify_invariance(
-            stats.two_spacings_statistic, permutation_sampler(11), d, 64, seed=8
+            stats.two_spacings_statistic, permutation_sampler(11), d, spawn_generator(8), 64
         )
 
         check("criterion 09 (invariance pass/fail suite)", ok)

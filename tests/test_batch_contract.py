@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from invlab import cli, experiments, models, orbit
-from invlab.rng import spawn_generator
+from invlab.rng import TAG_LBAR, spawn_generator
 
 _N, _REPS, _SEED = 12, 5, 3
 _SPIKE = experiments.AlternativeSpec("single_spike", 1.0)
@@ -37,7 +37,8 @@ def _design_case():
     design = spawn_generator(_SEED, 2).normal(size=(_N, 2))
     q, _ = np.linalg.qr(design)
     m = _m(_N).entries
-    return lambda y: orbit.lbar_design_orthogonal(m - q @ (q.T @ m), design, y)
+    m = models.MeanVector(m - q @ (q.T @ m))
+    return lambda y: orbit.lbar_design_orthogonal(m, design, y)
 
 
 #: Every statistic is built at one normal spike point, whose mean ``np`` projects on.
@@ -64,15 +65,18 @@ _CASES = [
     ("lbar_design_orthogonal", _design_case(), _model_data("normal"), _BLAS),
     ("lbar_permutation/exhaustive",
      lambda x: orbit.lbar_permutation(
-         models.poisson_family(), _m(6), x, orbit.OrbitSpec("permutation_exhaustive")),
+         models.poisson_family(), _m(6), x, orbit.OrbitSpec("permutation_exhaustive"),
+         spawn_generator(0, TAG_LBAR)),
      _model_data("poisson")[:, :6], _BLAS),
     ("lbar_permutation/spike",
      lambda x: orbit.lbar_permutation(
-         models.poisson_family(), _SPIKE.mean_entries(_N, _SEED), x, orbit.OrbitSpec("permutation")),
+         models.poisson_family(), models.MeanVector(_SPIKE.mean_entries(_N, _SEED)), x,
+         orbit.OrbitSpec("permutation"), spawn_generator(0, TAG_LBAR)),
      _model_data("poisson"), 0),
     ("lbar_permutation/monte_carlo",
      lambda x: orbit.lbar_permutation(
-         models.poisson_family(), _m(_N), x, orbit.OrbitSpec("permutation", mc_reps=500), seed=_SEED),
+         models.poisson_family(), _m(_N), x, orbit.OrbitSpec("permutation", mc_reps=500),
+         spawn_generator(_SEED, TAG_LBAR)),
      _model_data("poisson"), _BLAS),
 ]
 

@@ -487,6 +487,22 @@ class TestIncompatibleConfigurations:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["normal", "poisson"])
+    def test_np_at_the_null_names_its_direction(self, tmp_path, monkeypatch, capsys, model):
+        # At the null np projects on the unit-scale spike, which centering zeroes at n = 1.
+        from invlab import experiments
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(experiments, "estimate_power", no_sampling)
+        code, out = run(tmp_path, "power", "--model", model, "--stat", "np", "--alt", "null", "--n", "1")
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"the {model} model at n = 1: np at the null projects on the unit-scale direction" in err
+        assert "alternative" not in err
+
     @pytest.mark.parametrize(
         "args",
         [

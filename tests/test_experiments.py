@@ -36,7 +36,7 @@ from invlab.experiments import (
 )
 from invlab.rng import BLOCK_REPS, TAG_CALIBRATE, row_chunks, row_slices, spawn_generator
 
-from oracles import load_expectations, trend_slope
+from oracles import load_expectations, profile_from_callable, trend_slope
 
 
 class TestAlternatives:
@@ -72,6 +72,11 @@ class TestAlternatives:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             AlternativeSpec(kind="bogus", scale=1.0)
+
+    def test_spacings_h_needs_a_profile(self):
+        # The rejection sampler's envelope reads the profile's sup.
+        with pytest.raises(ValueError, match="requires a Profile"):
+            AlternativeSpec(kind="spacings_h", scale=1.0, profile=lambda x: np.cos(2 * np.pi * x))
 
 
 class TestCalibration:
@@ -546,7 +551,7 @@ class TestSpacingsSweep:
             assert row["quadratic_gap"] > floor
 
     def test_zero_profile(self):
-        zero = models.profile_from_callable(lambda x: np.zeros_like(x), label="0")
+        zero = profile_from_callable(lambda x: np.zeros_like(x), label="0")
         rows = spacings_sweep(zero, (100,), reps=2000, seed=21)
         assert abs(rows[0]["greenwood_gap"]) <= 4 * rows[0]["greenwood_gap_se"]
         assert abs(rows[0]["moran_gap"]) <= 4 * rows[0]["moran_gap_se"]

@@ -2,8 +2,9 @@
 
 Each invocation covers a subcommand and a drawing route (the radial and
 mean-squares sufficient blocks, data vectors, the chunked spacings null,
-the spike and vector fresh-draw laws, the exact, Monte Carlo and design
-orbits, and a sign pattern drawn from the seed).  A table must match its
+the spike and vector fresh-draw laws, the spike bootstrap on lattice
+(Bernoulli) data, the exact, Monte Carlo and design orbits, and a sign
+pattern drawn from the seed).  A table must match its
 file byte for byte at one and two workers, so a refactor that moves any
 value, column or stream shows here.
 
@@ -44,6 +45,8 @@ INVOCATIONS = {
     "coupling": "coupling --n-grid 20,50 --seed 18",
     "power_normal_np_null": "power --model normal --stat np --alt spike:0 --n 20,40 --seed 19",
     "clt_spike_outside_box": "clt-sweep --model poisson --alt spike:3 --n-grid 20,50 --seed 20",
+    "sweep_theorem2_bernoulli": "sweep-theorem2 --model bernoulli --n-grid 30,60 --seed 21",
+    "clt_bernoulli_lattice": "clt-sweep --model bernoulli --alt spike:1 --n-grid 20,50 --seed 22",
 }
 
 REPS = "256"

@@ -1,10 +1,14 @@
-"""Layout guard: every module-level function, class and constant of ``invlab`` has a reader in the package.
+"""Layout guards of ``invlab``.
 
-A name counts as used when some module of ``src/invlab`` refers to it (as a
-bare name or an attribute) outside its own definition.  The exceptions are
-the names ``perfbench/tracer.py`` wraps, which its ``CATEGORIES`` lists per
-module, and the console entry point ``cli.main``.  Code that only tests read
-belongs in ``tests/``.
+Every module-level function, class and constant has a reader in the
+package: a name counts as used when some module of ``src/invlab`` refers to
+it (as a bare name or an attribute) outside its own definition.  The
+exceptions are the names ``perfbench/tracer.py`` wraps, which its
+``CATEGORIES`` lists per module, and the console entry point ``cli.main``.
+Code that only tests read belongs in ``tests/``.
+
+Only ``rng`` calls into ``np.random``, so every generator comes from its
+``spawn_generator`` or ``jumped`` and every stream is named by its caller.
 """
 
 import ast
@@ -90,3 +94,29 @@ def test_tracer_names_are_read():
 
 def test_every_definition_has_a_caller_in_the_package():
     assert _unused() == []
+
+
+def _random_calls(tree: ast.AST) -> list[str]:
+    """``np.random.<name>(...)`` or ``numpy.random.<name>(...)`` calls in ``tree``, as source text."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (
+                isinstance(owner, ast.Attribute)
+                and owner.attr == "random"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in ("np", "numpy")
+            ):
+                calls.append(ast.unparse(node.func))
+    return calls
+
+
+def test_only_rng_calls_numpy_random():
+    calls = {
+        path.stem: _random_calls(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "rng"
+    }
+    assert {module: found for module, found in calls.items() if found} == {}
+    assert _random_calls(ast.parse((PACKAGE / "rng.py").read_text()))  # the guard sees rng's own calls

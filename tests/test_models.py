@@ -26,8 +26,8 @@ from invlab.models import (
     spacings_loglik_exact,
 )
 from invlab.experiments import AlternativeSpec, SpacingsModel
-from invlab.rng import jumped, spawn_generator
-from oracles import one_shot_spacings_alternative
+from invlab.rng import TAG_MODEL, jumped, spawn_generator
+from oracles import TAG_SPACINGS, one_shot_spacings_alternative, profile_from_callable
 
 
 def mv(*entries, lo=-2.0, hi=2.0):
@@ -93,13 +93,13 @@ class TestSampleModel:
     def test_normal_null_mean(self):
         family = normal_family()
         m = MeanVector(np.zeros(100_000))
-        draws = sample_model(family, m, 0, reps=1)
+        draws = sample_model(family, m, spawn_generator(0, TAG_MODEL), reps=1)
         assert abs(draws.mean()) < 4 / np.sqrt(100_000)
 
     def test_poisson_mean_two(self):
         family = poisson_family()
         m = MeanVector(np.full(100_000, np.log(2.0)))
-        draws = sample_model(family, m, 1, reps=1)
+        draws = sample_model(family, m, spawn_generator(1, TAG_MODEL), reps=1)
         assert abs(draws.mean() - 2.0) < 4 * np.sqrt(2.0 / 100_000)
 
     def test_spike_coordinate_mean(self):
@@ -107,13 +107,13 @@ class TestSampleModel:
         entries = np.zeros(50)
         entries[0] = 3.0
         m = MeanVector(entries, compact_lo=None, compact_hi=None)
-        draws = sample_model(family, m, 2, reps=20_000)
+        draws = sample_model(family, m, spawn_generator(2, TAG_MODEL), reps=20_000)
         assert abs(draws[:, 0].mean() - 3.0) < 4 / np.sqrt(20_000)
         assert abs(draws[:, 1:].mean()) < 4 / np.sqrt(49 * 20_000)
 
     def test_rejects_outside_box(self):
         with pytest.raises(ValueError):
-            sample_model(normal_family(), mv(2.5), 0, reps=1)
+            sample_model(normal_family(), mv(2.5), spawn_generator(0, TAG_MODEL), reps=1)
 
     def test_normal_draws_bit_identical_to_location_sampler(self):
         # standard_normal() + m must reproduce Generator.normal(loc=m) bit for bit.
@@ -144,8 +144,7 @@ class TestSampleModel:
         reps, n = shape
         m = MeanVector(np.full(n, level))
         draws = sample_model(family, m, spawn_generator(11, n), reps=reps)
-        sampler = family.sampler if family.name == "logistic" else family.carrier_sampler
-        ref = sampler(spawn_generator(11, n), m.entries, shape)
+        ref = family.sampler(spawn_generator(11, n), m.entries, shape)
         assert np.array_equal(draws, ref)
 
     def test_neyman_scott_draws_bit_identical_to_location_scale_sampler(self):
@@ -218,31 +217,31 @@ class TestLoglikRatio:
 
 class TestSpacings:
     def test_null_sums_to_one(self):
-        d = sample_spacings_null_batch(64, 1, 0)[0]
+        d = sample_spacings_null_batch(64, 1, spawn_generator(0, TAG_SPACINGS))[0]
         assert abs(d.sum() - 1.0) <= 1e-12
 
     def test_scaled_first_spacing_mean(self):
         n = 100_000
-        d = sample_spacings_null_batch(n, 1, 1)[0]
+        d = sample_spacings_null_batch(n, 1, spawn_generator(1, TAG_SPACINGS))[0]
         # each spacing has mean 1/(n+1); average over all for a tight check
         scaled = (n + 1) * d
         assert abs(scaled.mean() - 1.0) < 1e-12  # exact by normalization
         # and the first spacing over replicates
-        batch = sample_spacings_null_batch(1000, 2000, 2)
+        batch = sample_spacings_null_batch(1000, 2000, spawn_generator(2, TAG_SPACINGS))
         first = 1001 * batch[:, 0]
         assert abs(first.mean() - 1.0) < 4 * first.std() / np.sqrt(2000)
 
     def test_greenwood_null_mean_matches_dirichlet_moment(self):
         # E sum D_i^2 = 2 / (n + 2) by Dirichlet(1,...,1) second moments.
         n = 50
-        batch = sample_spacings_null_batch(n, 10_000, 3)
+        batch = sample_spacings_null_batch(n, 10_000, spawn_generator(3, TAG_SPACINGS))
         g = np.sum(batch**2, axis=1)
         expect = 2.0 / (n + 2)
         assert abs(g.mean() - expect) < 4 * g.std() / np.sqrt(10_000)
 
     def test_exchangeability_of_null_spacings(self):
         # Swapped-coordinate empirical law agrees with the original.
-        batch = sample_spacings_null_batch(5, 100_000, 4)
+        batch = sample_spacings_null_batch(5, 100_000, spawn_generator(4, TAG_SPACINGS))
         a = np.sort(batch[:, 0])
         b = np.sort(batch[:, 1])
         grid = np.concatenate([a, b])
@@ -265,9 +264,9 @@ class TestSpacings:
 
 class TestSpacingsAlternative:
     def test_zero_profile_matches_null(self):
-        zero = models.profile_from_callable(lambda x: np.zeros_like(x), label="0")
-        alt = sample_spacings_alternative_batch(20, zero, 4000, 5)
-        null = sample_spacings_null_batch(20, 4000, 6)
+        zero = profile_from_callable(lambda x: np.zeros_like(x), label="0")
+        alt = sample_spacings_alternative_batch(20, zero, 4000, spawn_generator(5, TAG_SPACINGS))
+        null = sample_spacings_null_batch(20, 4000, spawn_generator(6, TAG_SPACINGS))
         a = np.sort(alt[:, 0])
         b = np.sort(null[:, 0])
         grid = np.concatenate([a, b])
@@ -277,24 +276,23 @@ class TestSpacingsAlternative:
 
     def test_cdf_at_half_for_cosine(self):
         # CDF(1/2) = 1/2 + sin(pi)/(2 pi sqrt(n)) = 1/2 exactly for h = cos(2 pi x).
-        prof = models.profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
         n = 400
-        batch = sample_spacings_alternative_batch(n, prof, 200, 7)
+        batch = sample_spacings_alternative_batch(n, prof, 200, spawn_generator(7, TAG_SPACINGS))
         pts = np.cumsum(batch, axis=1)[:, :-1]
         frac = (pts <= 0.5).mean()
         se = np.sqrt(0.25 / (200 * n))  # crude; draws within a row are dependent
         assert abs(frac - 0.5) < 8 * se
 
     def test_rejects_unnormalized_profile(self):
+        half = models.Profile(lambda x: np.ones_like(x) * 0.5, sup=0.5, l2_norm_sq=0.25)
         with pytest.raises(ValueError, match="integrate"):
-            sample_spacings_alternative_batch(
-                100, lambda x: np.ones_like(x) * 0.5, 10, 0
-            )
+            sample_spacings_alternative_batch(100, half, 10, spawn_generator(0, TAG_SPACINGS))
 
     def test_rejects_oversized_profile(self):
         big = cosine_profile({1: 10.0})
         with pytest.raises(ValueError, match="sup"):
-            sample_spacings_alternative_batch(4, big, 10, 0)
+            sample_spacings_alternative_batch(4, big, 10, spawn_generator(0, TAG_SPACINGS))
 
     def test_acceptance_rate_matches_envelope_ratio(self):
         # Proposals are accepted at rate 1 / (1 + sup|h| / sqrt(n)).
@@ -337,7 +335,7 @@ class TestChunkedSpacingsSampler:
     PROFILES = {
         "cos1": lambda n: cosine_profile({1: 1.0}),
         "cos3": lambda n: cosine_profile({1: 0.5, 2: -0.7, 5: 0.3}),
-        "callable": lambda n: models.profile_from_callable(
+        "callable": lambda n: profile_from_callable(
             lambda x: np.sqrt(2.0) * (0.5 * np.cos(2 * np.pi * x) - 0.7 * np.cos(4 * np.pi * x)),
             label="callable",
         ),
@@ -433,26 +431,26 @@ class TestSqueeze:
         assert 1.0 - prof.sup / root_n - floor < 1e-8
 
     def test_grid_estimated_sup_has_no_squeeze(self):
-        prof = models.profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
         assert models._acceptance_floor(prof, 10.0) == -np.inf
 
 
 class TestSpacingsLoglik:
     def test_zero_profile(self):
-        d = sample_spacings_null_batch(30, 1, 8)[0]
-        zero = models.profile_from_callable(lambda x: np.zeros_like(x), label="0")
+        d = sample_spacings_null_batch(30, 1, spawn_generator(8, TAG_SPACINGS))[0]
+        zero = profile_from_callable(lambda x: np.zeros_like(x), label="0")
         assert spacings_loglik_approx(zero, d) == pytest.approx(0.0)
 
     def test_equal_spacings_cosine(self):
         n = 63
         d = np.full(n + 1, 1.0 / (n + 1))
-        prof = models.profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
         assert spacings_loglik_approx(prof, d) == pytest.approx(-0.25, abs=1e-6)
 
     def test_constant_one_profile(self):
         # sum(d_i) - 1 = 0 exactly, so only the -1/2 integral survives.
         n = 20
-        d = sample_spacings_null_batch(n, 1, 9)[0]
+        d = sample_spacings_null_batch(n, 1, spawn_generator(9, TAG_SPACINGS))[0]
         val = (d - 1.0 / (n + 1)) @ np.ones(n + 1) - 0.5
         assert val == pytest.approx(-0.5, abs=1e-12)
 
@@ -475,7 +473,7 @@ class TestSpacingsLoglik:
         calls = []
         base = cosine_profile({1: 2.0, 2: -0.5})
         prof = replace(base, fn=lambda x: calls.append(np.size(x)) or base.fn(x))
-        d = sample_spacings_null_batch(50, 40, 11)
+        d = sample_spacings_null_batch(50, 40, spawn_generator(11, TAG_SPACINGS))
         whole = spacings_loglik_approx(prof, d)
         evaluated = len(calls)
         chunks = [spacings_loglik_approx(prof, d[lo : lo + 8]) for lo in range(0, 40, 8)]
@@ -486,7 +484,7 @@ class TestSpacingsLoglik:
 
     def test_exact_loglik_matches_direct_sum(self):
         prof = cosine_profile({1: 1.0})
-        d = sample_spacings_null_batch(50, 1, 10)[0]
+        d = sample_spacings_null_batch(50, 1, spawn_generator(10, TAG_SPACINGS))[0]
         pts = np.cumsum(d)[:-1]
         oracle = np.sum(np.log1p(prof(pts) / np.sqrt(50)))
         assert spacings_loglik_exact(prof, d) == pytest.approx(oracle, rel=1e-12)

@@ -30,10 +30,15 @@ from invlab.orbit import (
     perm_variance_diagnostic,
     power_level_bound,
 )
-from invlab.rng import BLOCK_REPS, TAG_ORBIT, spawn_generator
+from invlab.rng import BLOCK_REPS, TAG_LBAR, TAG_ORBIT, spawn_generator
 from invlab.stats import chisq_statistic
 
 from oracles import haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
+
+
+def free(entries) -> MeanVector:
+    """``entries`` as a mean vector with no compact box."""
+    return MeanVector(np.asarray(entries, dtype=float), compact_lo=None, compact_hi=None)
 
 
 def log_h_bessel(t: float, n: int) -> float:
@@ -204,18 +209,18 @@ class TestHIntegral:
 class TestLbarOrthogonal:
     def test_null_m_gives_one(self):
         x = spawn_generator(4, 1).normal(size=10)
-        assert lbar_orthogonal(np.zeros(10), x) == pytest.approx(1.0)
+        assert lbar_orthogonal(MeanVector(np.zeros(10)), x) == pytest.approx(1.0)
 
     def test_depends_on_x_only_through_norm(self):
         rng = spawn_generator(5, 1)
-        m = rng.normal(size=8)
+        m = free(rng.normal(size=8))
         x = rng.normal(size=8)
         q = haar_orthogonal(8, rng)
         assert lbar_orthogonal(m, x) == pytest.approx(lbar_orthogonal(m, q @ x), rel=1e-12)
 
     def test_radial_value_at_n3(self):
         # With the likelihood-ratio normalizer, the radial part is sinh(t)/t.
-        m = np.array([0.5, 0.0, 0.0])
+        m = MeanVector(np.array([0.5, 0.0, 0.0]))
         x = np.array([2.0, 0.0, 0.0])  # t = |m||x| = 1
         expect = np.exp(-0.125) * np.sinh(1.0)
         assert lbar_orthogonal(m, x) == pytest.approx(expect, rel=1e-8)
@@ -226,7 +231,7 @@ class TestLbarOrthogonal:
         m = np.zeros(n)
         m[0] = 3.0
         x = rng.normal(size=(10_000, n))
-        vals = lbar_orthogonal(m, x)
+        vals = lbar_orthogonal(free(m), x)
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se
 
@@ -237,12 +242,13 @@ class TestLbarPermutation:
         spec = OrbitSpec(group="permutation_exhaustive")
         m = MeanVector(np.full(5, 0.4))
         x = spawn_generator(7, 1).normal(size=5)
-        assert lbar_permutation(fam, m, x, spec) == pytest.approx(1.0)
+        assert lbar_permutation(fam, m, x, spec, spawn_generator(0, TAG_LBAR)) == pytest.approx(1.0)
 
     def test_hand_enumeration_n3(self):
         fam = normal_family()
         spec = OrbitSpec(group="permutation_exhaustive")
-        val = lbar_permutation(fam, np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 4.0]), spec)
+        m = MeanVector(np.array([-1.0, 0.0, 1.0]))
+        val = lbar_permutation(fam, m, np.array([1.0, 2.0, 4.0]), spec, spawn_generator(0, TAG_LBAR))
         terms = [np.exp(b - a) for a in (1.0, 2.0, 4.0) for b in (1.0, 2.0, 4.0) if a != b]
         expect = np.exp(-1.0) * sum(terms) / 6.0
         assert val == pytest.approx(expect, rel=1e-12)
@@ -253,10 +259,11 @@ class TestLbarPermutation:
         rng = spawn_generator(8, 1)
         m = MeanVector(rng.uniform(-0.5, 0.5, 6))
         x = rng.poisson(1.0, 6).astype(float)
-        base = lbar_permutation(fam, m, x, spec)
+        base = lbar_permutation(fam, m, x, spec, spawn_generator(0, TAG_LBAR))
         for _ in range(5):
             perm = rng.permutation(6)
-            assert lbar_permutation(fam, m, x[perm], spec) == pytest.approx(base, rel=1e-12)
+            got = lbar_permutation(fam, m, x[perm], spec, spawn_generator(0, TAG_LBAR))
+            assert got == pytest.approx(base, rel=1e-12)
 
     def test_mc_matches_exhaustive(self):
         fam = normal_family()
@@ -264,9 +271,11 @@ class TestLbarPermutation:
         n = 6
         m = MeanVector(rng.uniform(-0.8, 0.8, n))
         x = rng.normal(size=n)
-        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation_exhaustive"))
+        exhaustive = OrbitSpec(group="permutation_exhaustive")
+        exact = lbar_permutation(fam, m, x, exhaustive, spawn_generator(0, TAG_LBAR))
         mc_reps = 1_000_000
-        mc = lbar_permutation(fam, m, x, OrbitSpec(group="permutation", mc_reps=mc_reps), seed=5)
+        monte_carlo = OrbitSpec(group="permutation", mc_reps=mc_reps)
+        mc = lbar_permutation(fam, m, x, monte_carlo, spawn_generator(5, TAG_LBAR))
         # SE of the exponential-average estimator, computed in linear space
         # over the (small) exhaustive set of permutation values.
         import itertools as it
@@ -281,7 +290,7 @@ class TestLbarPermutation:
         fam = normal_family()
         spec = OrbitSpec(group="permutation_exhaustive")
         with pytest.raises(ValueError, match="n <= 8"):
-            lbar_permutation(fam, MeanVector(np.zeros(9)), np.zeros(9), spec)
+            lbar_permutation(fam, MeanVector(np.zeros(9)), np.zeros(9), spec, spawn_generator(0, TAG_LBAR))
 
     def test_null_expectation_exhaustive_poisson(self):
         fam = poisson_family()
@@ -345,7 +354,7 @@ class TestSpikeOrbitAverage:
     def _case(cls, family, alt, n, reps, seed):
         fam = cls.FAMILIES[family]()
         entries = cls.ALTS[alt].mean_entries(n, seed)
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        m = free(entries)
         x = sample_model(fam, MeanVector(np.zeros(n)), spawn_generator(seed, n), reps)
         return fam, m, x
 
@@ -354,15 +363,16 @@ class TestSpikeOrbitAverage:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_exhaustive(self, family, alt, n):
         fam, m, x = self._case(family, alt, n, 100, 60)
-        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation"))
-        oracle = lbar_permutation(fam, m, x, OrbitSpec(group="permutation_exhaustive"))
+        rng = spawn_generator(0, TAG_LBAR)
+        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation"), rng)
+        oracle = lbar_permutation(fam, m, x, OrbitSpec(group="permutation_exhaustive"), rng)
         np.testing.assert_allclose(exact, oracle, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("alt", ["spike:1", "spike:3"])
     def test_monte_carlo_average_within_four_se(self, alt):
         n, mc_reps = 50, 20_000
         fam, m, x = self._case("poisson", alt, n, 20, 61)
-        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation"))
+        exact = lbar_permutation(fam, m, x, OrbitSpec(group="permutation"), spawn_generator(0, TAG_LBAR))
         prefactor = np.exp(-np.sum(fam.beta(m.entries) - fam.beta(np.float64(m.mean))))
         mc = prefactor * np.exp(orbit._perm_log_avg_mc(m.centered, x, mc_reps, spawn_generator(62, 1)))
         # w'Px is c (x_k - xbar) with k uniform on the n coordinates.
@@ -376,10 +386,10 @@ class TestSpikeOrbitAverage:
         fam, m, x = self._case("poisson", "spike:1", 50, 10, 63)
         spec = OrbitSpec(group="permutation", mc_reps=7)
         gen = spawn_generator(64, 1)
-        by_gen = lbar_permutation(fam, m, x, spec, seed=gen)
+        by_gen = lbar_permutation(fam, m, x, spec, gen)
         assert gen.random() == spawn_generator(64, 1).random()
-        by_int = [lbar_permutation(fam, m, x, spec, seed=s) for s in (0, 1)]
-        assert by_gen.tobytes() == by_int[0].tobytes() == by_int[1].tobytes()
+        others = [lbar_permutation(fam, m, x, spec, spawn_generator(s, TAG_LBAR)) for s in (0, 1)]
+        assert by_gen.tobytes() == others[0].tobytes() == others[1].tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 8, 9, 50, 1000])
     def test_variance_diagnostic_closed_form(self, n):
@@ -389,7 +399,7 @@ class TestSpikeOrbitAverage:
             a, b = spike_levels(entries)
             c2 = (a - b) ** 2
             want = np.exp(c2 * (1 - 1 / n)) / n + (1 - 1 / n) * np.exp(-c2 / n) - 1
-            got = perm_variance_diagnostic(entries, mc_reps=1, seed=0)
+            got = perm_variance_diagnostic(free(entries), 1, spawn_generator(0, TAG_LBAR))
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -398,7 +408,7 @@ class TestLbarDesign:
         rng = spawn_generator(12, 1)
         design = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        assert lbar_design_orthogonal(np.zeros(20), design, y) == pytest.approx(1.0)
+        assert lbar_design_orthogonal(MeanVector(np.zeros(20)), design, y) == pytest.approx(1.0)
 
     def test_reduces_to_centered_orthogonal_for_ones_design(self):
         rng = spawn_generator(13, 1)
@@ -406,7 +416,7 @@ class TestLbarDesign:
         m = rng.normal(size=n)
         m -= m.mean()
         y = rng.normal(size=n)
-        v1 = lbar_design_orthogonal(m, np.ones((n, 1)), y)
+        v1 = lbar_design_orthogonal(free(m), np.ones((n, 1)), y)
         v2 = orbit.lbar_orthogonal_from_norms(np.linalg.norm(m), np.linalg.norm(y - y.mean()), n - 1)[0]
         assert v1 == pytest.approx(v2, rel=1e-9)
 
@@ -419,7 +429,7 @@ class TestLbarDesign:
         m -= q @ (q.T @ m)  # X'm = 0
         m *= 2.0 / np.linalg.norm(m)
         y = rng.normal(size=(10_000, n))
-        vals = lbar_design_orthogonal(m, design, y)
+        vals = lbar_design_orthogonal(free(m), design, y)
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se
 
@@ -428,12 +438,12 @@ class TestLbarDesign:
         design = rng.normal(size=(15, 2))
         m = design[:, 0].copy()  # in the column space
         with pytest.raises(ValueError, match="identifiab"):
-            lbar_design_orthogonal(m, design, rng.normal(size=15))
+            lbar_design_orthogonal(free(m), design, rng.normal(size=15))
 
     def test_rank_deficient_design_rejected(self):
         design = np.ones((10, 2))
         with pytest.raises(ValueError, match="rank"):
-            lbar_design_orthogonal(np.zeros(10), design, np.zeros(10))
+            lbar_design_orthogonal(MeanVector(np.zeros(10)), design, np.zeros(10))
 
 
 class TestPowerLevelBound:
@@ -476,7 +486,7 @@ class TestNullPointPerGroup:
             entries = 0.5 + 0.2 * rng.normal(size=20)
             entries -= q @ (q.T @ entries)
             assert abs(entries.mean()) > 0.3  # mean(m) * 1 is not a null point
-            m = MeanVector(entries, compact_lo=None, compact_hi=None)
+            m = free(entries)
             return normal_family(), m, OrbitSpec(group=group, design=design)
         if group == "permutation_exhaustive":
             entries = np.array([0.9, 0.1, 0.5, 0.3, 0.6, 0.2])
@@ -519,15 +529,15 @@ class TestRadialNullDraw:
         entries[0] = cls.NORM_M
         if group == "full_orthogonal":
             spec = OrbitSpec(group=group)
-            vector = lambda x: lbar_orthogonal(entries, x)
+            vector = lambda x: lbar_orthogonal(free(entries), x)
         else:
             design = spawn_generator(40, 1).normal(size=(cls.N, cls.P))
             q, _ = np.linalg.qr(design)
             entries -= q @ (q.T @ entries)
             entries *= cls.NORM_M / np.linalg.norm(entries)
             spec = OrbitSpec(group=group, design=design)
-            vector = lambda x: lbar_design_orthogonal(entries, design, x)
-        return MeanVector(entries, compact_lo=None, compact_hi=None), spec, vector
+            vector = lambda x: lbar_design_orthogonal(free(entries), design, x)
+        return free(entries), spec, vector
 
     @pytest.mark.parametrize("group", ORTHOGONAL_GROUPS)
     def test_matches_vector_path_in_distribution(self, group):
@@ -582,7 +592,7 @@ class TestIdentityCheck:
         fam = normal_family()
         entries = np.zeros(n)
         entries[0] = 2.0
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        m = free(entries)
         crit = sps.chi2.ppf(0.95, df=n)
         stat = lambda x: (chisq_statistic(x) > crit).astype(float)
         res = identity_check(
@@ -601,7 +611,7 @@ class TestIdentityCheck:
         entries[0] = 1.0
         entries -= q @ (q.T @ entries)
         entries *= 2.0 / np.linalg.norm(entries)
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        m = free(entries)
         crit = sps.chi2.ppf(0.95, df=n - p)
 
         def stat(x):
@@ -659,7 +669,7 @@ class TestHeuristic:
         dev = rng.normal(size=300)
         dev -= dev.mean()
         dev /= np.linalg.norm(dev)
-        val = perm_variance_diagnostic(dev, mc_reps=5000, seed=25)
+        val = perm_variance_diagnostic(MeanVector(dev), 5000, spawn_generator(25, TAG_LBAR))
         assert val == pytest.approx(0.0, abs=0.1)
 
 
@@ -686,7 +696,7 @@ class TestBoundChain:
         scaled = cell_means * np.sqrt(nu) / sigma
         m_scaled = MeanVector(dev * np.sqrt(nu) / sigma, compact_lo=None, compact_hi=None)
         lbars = lbar_permutation(
-            fam, m_scaled, scaled, OrbitSpec(group="permutation_exhaustive")
+            fam, m_scaled, scaled, OrbitSpec(group="permutation_exhaustive"), spawn_generator(0, TAG_LBAR)
         )
         bound, bound_se = power_level_bound(lbars)
         mc_se = np.sqrt(2 * 0.25 / reps)
@@ -699,7 +709,7 @@ class TestBoundChain:
         rng = spawn_generator(26, 1)
         entries = np.zeros(n)
         entries[0] = 1.5
-        m = MeanVector(entries, compact_lo=None, compact_hi=None)
+        m = free(entries)
         crit = sps.chi2.ppf(0.95, df=n)
         reps = 20_000
         x_alt = rng.normal(size=(reps, n)) + entries

@@ -15,7 +15,6 @@ import invlab
 from invlab import models, permclt
 from invlab.experiments import NULL, FamilyModel, normal_means_model
 from invlab.permclt import (
-    EmpiricalLaw,
     cf_inequality_check,
     hajek_coupling,
     perm_law_moments,
@@ -64,17 +63,17 @@ class TestPermLawMoments:
 class TestSampledLaws:
     def test_two_point_perm_law(self):
         law = sample_perm_law(np.array([1.0, -1.0]), np.array([0.0, 1.0]), 10_000, seed=0)
-        plus = (law.values > 0).mean()
+        plus = (law > 0).mean()
         assert abs(plus - 0.5) < 0.02
-        assert set(np.unique(law.values)) == {-1.0, 1.0}
+        assert set(np.unique(law)) == {-1.0, 1.0}
 
     def test_zero_weights_are_point_mass(self):
         m = np.zeros(5)
         x = np.arange(5.0)
         perm = sample_perm_law(m, x, 100, seed=1)
         boot = sample_boot_law(m, x, 100, seed=1)
-        assert np.all(perm.values == 0.0)
-        assert np.all(boot.values == 0.0)
+        assert np.all(perm == 0.0)
+        assert np.all(boot == 0.0)
 
     def test_perm_law_matches_moment_formula(self):
         rng = spawn_generator(2, 1)
@@ -83,9 +82,9 @@ class TestSampledLaws:
         law = sample_perm_law(m, x, 20_000, seed=3)
         mean, var = perm_law_moments(m, x)
         se_mean = np.sqrt(var / 20_000)
-        assert abs(law.mean - mean) < 4 * se_mean
-        v = law.values.var()
-        se_var = np.sqrt(np.mean((law.values - law.values.mean()) ** 4) / 20_000)
+        assert abs(law.mean() - mean) < 4 * se_mean
+        v = law.var()
+        se_var = np.sqrt(np.mean((law - law.mean()) ** 4) / 20_000)
         assert abs(v - var) < 4 * se_var
 
 
@@ -201,8 +200,8 @@ class TestCoupling:
         res = hajek_coupling(m, x, 10_000, seed=16)
         perm = sample_perm_law(m, x, 10_000, seed=17)
         boot = sample_boot_law(m, x, 10_000, seed=18)
-        assert rho0(res.without_repl, perm.values) < 0.02
-        assert rho0(res.with_repl, boot.values) < 0.02
+        assert rho0(res.without_repl, perm) < 0.02
+        assert rho0(res.with_repl, boot) < 0.02
 
     def test_uncentered_weights_rejected(self):
         with pytest.raises(ValueError, match="centered"):
@@ -328,8 +327,8 @@ class TestRowChunkedLaws:
         boot = sample_boot_law(m, x, self.REPS, self.SEED, workers=workers)
         coupled = hajek_coupling(m, x, self.REPS, self.SEED, workers=workers)
         iid = permclt._iid_law(poisson_null, m, self.REPS, self.SEED, workers=workers)
-        assert np.array_equal(perm.values, np.sort(want["perm"]))
-        assert np.array_equal(boot.values, np.sort(want["boot"]))
+        assert np.array_equal(perm, want["perm"])
+        assert np.array_equal(boot, want["boot"])
         assert np.array_equal(coupled.without_repl, want["without"])
         assert np.array_equal(coupled.with_repl, want["with"])
         assert np.array_equal(coupled.matched, want["matched"])
@@ -405,7 +404,7 @@ class TestSpikeRoute:
         n, reps = 5, 20_000
         m = self._spike(n)
         x = spawn_generator(50, 1).normal(size=n)
-        values = sample_perm_law(m, x, reps, seed=51).values
+        values = sample_perm_law(m, x, reps, seed=51)
         a, b = m[0], m[1]
         atoms = (a - b) * x + b * x.sum()
         # Each atom is the vector contrast with x_j on the spike's coordinate.
@@ -424,7 +423,7 @@ class TestSpikeRoute:
             want.append((m[0] - m[1]) * x[rng.integers(0, n, size=count)] + m[1] * x.sum())
         for workers in (1, 2):
             law = sample_perm_law(m, x, reps, seed, workers=workers, stream=(gi,))
-            assert np.array_equal(law.values, np.sort(np.concatenate(want)))
+            assert np.array_equal(law, np.concatenate(want))
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -432,7 +431,7 @@ class TestSpikeRoute:
         n, centered = self.SHAPES[shape]
         m = self._spike(n, centered)
         x = self._null(self.FAMILIES[family], n, 1, 54)[0]
-        reduced = sample_perm_law(m, x, self.REPS, seed=55).values
+        reduced = sample_perm_law(m, x, self.REPS, seed=55)
         vector = x[uniform_permutations(spawn_generator(56, 1), self.REPS, n)] @ m
         self._assert_same_law(reduced, vector)
 
@@ -459,7 +458,7 @@ class TestSpikeRoute:
     @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
     def test_boot_law_matches_vector_form(self, family, shape):
         m, x = self._lattice_input(family, shape, 59)
-        reduced = sample_boot_law(m, x, self.REPS, seed=60).values
+        reduced = sample_boot_law(m, x, self.REPS, seed=60)
         vector = x[spawn_generator(61, 1).integers(0, x.size, size=(self.REPS, x.size))] @ m
         self._assert_same_law(reduced, vector)
 
@@ -468,7 +467,7 @@ class TestSpikeRoute:
     def test_boot_law_exact_moments(self, family, shape):
         # E = sum(m) xbar and Var = sum(m^2) (1/n) sum (x - xbar)^2, each within 4 SE.
         m, x = self._lattice_input(family, shape, 62)
-        values = sample_boot_law(m, x, self.REPS, seed=63).values
+        values = sample_boot_law(m, x, self.REPS, seed=63)
         mean, var = m.sum() * x.mean(), np.sum(m**2) * x.var()
         dev = values - values.mean()
         assert abs(values.mean() - mean) <= 4 * np.sqrt(var / self.REPS)
@@ -489,7 +488,7 @@ class TestSpikeRoute:
             want.append(m[0] * own + m[1] * rest)
         for workers in (1, 2):
             law = sample_boot_law(m, x, reps, seed, workers=workers, stream=(gi,))
-            assert np.array_equal(law.values, np.sort(np.concatenate(want)))
+            assert np.array_equal(law, np.concatenate(want))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_boot_law_keeps_the_vector_route_elsewhere(self, workers):
@@ -500,18 +499,21 @@ class TestSpikeRoute:
         lattice_x = self._null(self.FAMILIES["poisson"], n, 1, 67)[0]
         assert permclt._value_counts(lattice_x) is not None
         for m, x in ((self._spike(n), normal_x), (law_m, lattice_x), (law_m, normal_x)):
-            got = sample_boot_law(m, x, reps, seed, workers=workers).values
-            assert np.array_equal(got, np.sort(one_shot_boot(m, x, reps, seed)))
+            got = sample_boot_law(m, x, reps, seed, workers=workers)
+            assert np.array_equal(got, one_shot_boot(m, x, reps, seed))
 
 
-class TestEmpiricalLaw:
-    def test_sorted_and_finite(self):
-        law = EmpiricalLaw(np.array([3.0, 1.0, 2.0]))
-        assert np.all(np.diff(law.values) >= 0)
-        with pytest.raises(ValueError):
-            EmpiricalLaw(np.array([np.inf]))
-        with pytest.raises(ValueError):
-            EmpiricalLaw(np.array([]))
+class TestMetricInputs:
+    @pytest.mark.parametrize("dist", [rho2, rho0])
+    def test_samples_in_any_order(self, dist):
+        rng = spawn_generator(68, 1)
+        a, b = rng.normal(size=50), rng.normal(size=70)
+        assert dist(a, b) == dist(np.sort(a), np.sort(b)) == dist(a[::-1], b)
+
+    @pytest.mark.parametrize("dist", [rho2, rho0])
+    def test_empty_sample_refused(self, dist):
+        with pytest.raises(ValueError, match="at least one value"):
+            dist(np.array([]), np.array([1.0]))
 
 
 class TestConvergenceSweep:
@@ -566,9 +568,9 @@ class TestConvergenceSweep:
         m = self._spike_builder(n)
         perm = sample_perm_law(m, x, reps, seed=23)
         boot = sample_boot_law(m, x, reps, seed=24)
-        gap = abs(np.mean(perm.values**2) - np.mean(boot.values**2))
+        gap = abs(np.mean(perm**2) - np.mean(boot**2))
         se = np.sqrt(
-            perm.values.var() * 2 / reps + boot.values.var() * 2 / reps
+            perm.var() * 2 / reps + boot.var() * 2 / reps
         ) * np.sqrt(2.0)
         assert gap < 3 * max(se, 0.05)
 

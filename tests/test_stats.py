@@ -29,7 +29,7 @@ from invlab.stats import (
     verify_invariance,
 )
 
-from oracles import haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
+from oracles import TAG_SPACINGS, haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
 
 
 class TestNpStatistic:
@@ -116,7 +116,7 @@ class TestSpacingsStatistics:
             moran(d)
 
     def test_greenwood_null_mean(self):
-        batch = sample_spacings_null_batch(50, 10_000, 4)
+        batch = sample_spacings_null_batch(50, 10_000, spawn_generator(4, TAG_SPACINGS))
         g = greenwood(batch)
         assert abs(g.mean() - 2.0 / 52.0) < 4 * g.std() / np.sqrt(10_000)
 
@@ -158,9 +158,9 @@ class TestTwoSpacings:
         np.testing.assert_allclose(got, two_spacings_statistic(d), rtol=1e-12, atol=0.0)
 
     def test_not_invariant_under_spacings_permutation(self):
-        d = sample_spacings_null_batch(12, 1, 5)[0]
+        d = sample_spacings_null_batch(12, 1, spawn_generator(5, TAG_SPACINGS))[0]
         assert not verify_invariance(
-            two_spacings_statistic, permutation_sampler(13), d, reps=64, seed=1
+            two_spacings_statistic, permutation_sampler(13), d, spawn_generator(1), reps=64
         )
 
 
@@ -251,21 +251,21 @@ class TestVerifyInvariance:
         rng = spawn_generator(6, 1)
         x = rng.normal(size=12)
         ok = verify_invariance(
-            chisq_statistic, lambda r: haar_orthogonal(12, r), x, reps=32, seed=2
+            chisq_statistic, lambda r: haar_orthogonal(12, r), x, spawn_generator(2), reps=32
         )
         assert ok
 
     def test_greenwood_under_spacings_permutation(self):
-        d = sample_spacings_null_batch(10, 1, 7)[0]
-        assert verify_invariance(greenwood, permutation_sampler(11), d, reps=64, seed=3)
-        assert verify_invariance(moran, permutation_sampler(11), d, reps=64, seed=3)
+        d = sample_spacings_null_batch(10, 1, spawn_generator(7, TAG_SPACINGS))[0]
+        assert verify_invariance(greenwood, permutation_sampler(11), d, spawn_generator(3), reps=64)
+        assert verify_invariance(moran, permutation_sampler(11), d, spawn_generator(3), reps=64)
 
     def test_np_statistic_not_permutation_invariant(self):
         rng = spawn_generator(7, 1)
         m = rng.normal(size=10)
         x = rng.normal(size=10)
         ok = verify_invariance(
-            lambda v: np_statistic(m, v), permutation_sampler(10), x, reps=64, seed=4
+            lambda v: np_statistic(m, v), permutation_sampler(10), x, spawn_generator(4), reps=64
         )
         assert not ok
 
@@ -276,8 +276,8 @@ class TestVerifyInvariance:
             lambda v: float(np.var(v)),
             lambda rng: (lambda vec: vec + rng.normal()),
             x,
+            spawn_generator(5),
             reps=16,
-            seed=5,
         )
         assert ok
 
@@ -374,10 +374,10 @@ class TestInvarianceProperties:
     @given(n=st.integers(20, 40), seed=st.integers(0, 2**32 - 1))
     def test_documented_group_passes(self, name, n, seed):
         t, x, group, _ = _INVARIANCE_CASES[name](n, np.random.default_rng(seed))
-        assert verify_invariance(t, group, x, reps=16, seed=seed)
+        assert verify_invariance(t, group, x, spawn_generator(seed), reps=16)
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(20, 40), seed=st.integers(0, 2**32 - 1))
     def test_other_group_fails(self, name, n, seed):
         t, x, _, other = _INVARIANCE_CASES[name](n, np.random.default_rng(seed))
-        assert not verify_invariance(t, other, x, reps=16, seed=seed)
+        assert not verify_invariance(t, other, x, spawn_generator(seed), reps=16)
