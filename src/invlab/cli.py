@@ -188,9 +188,9 @@ _ALT_FIELDS = {
 def parse_alternative(text: str) -> experiments.AlternativeSpec:
     """``kind:scale`` alternatives, e.g. ``spike:3``, ``smooth:1.5``, ``h:cos1:2``.
 
-    ``h:cosK:SCALE`` selects the mean-zero cosine profile of frequency K for
-    the spacings model.  A kind with too many or too few fields, or a
-    number that is not finite, raises :class:`ConfigError`.
+    ``h:cosK:SCALE`` selects the spacings model's density perturbation
+    ``SCALE sqrt(2) cos(2 pi K x)``.  A kind with too many or too few fields,
+    or a number that is not finite, raises :class:`ConfigError`.
     """
     kind, *fields = text.split(":")
     if kind not in _ALT_FIELDS:
@@ -272,22 +272,15 @@ def run_power(cfg: dict) -> list[dict]:
                 "power_se": rep.power_se,
             }
         )
-    return _with_run_columns(rows, cfg)
-
-
-def _with_run_columns(rows: list[dict], cfg: dict) -> list[dict]:
-    """Each row's columns, then the run's reps, seed and config hash."""
-    run = {"reps": cfg["reps"], "seed": cfg["seed"], "config_hash": config_hash(cfg)}
-    return [row | run for row in rows]
+    return rows
 
 
 def _run_sweep(sweep, cfg: dict, *args, **kwargs) -> list[dict]:
     """Table of ``sweep(*args, reps, seed, level=, calib_reps=, workers=, **kwargs)``."""
-    rows = sweep(
+    return sweep(
         *args, cfg["reps"], cfg["seed"], level=cfg["level"], calib_reps=cfg["calib_reps"],
         workers=cfg["workers"], **kwargs,
     )
-    return _with_run_columns(rows, cfg)
 
 
 def run_theorem1(cfg: dict) -> list[dict]:
@@ -353,7 +346,7 @@ def run_lbar(cfg: dict) -> list[dict]:
                 "var_diag": var_diag,
             }
         )
-    return _with_run_columns(rows, cfg)
+    return rows
 
 
 def run_clt_sweep(cfg: dict) -> list[dict]:
@@ -367,10 +360,9 @@ def run_clt_sweep(cfg: dict) -> list[dict]:
     contrasts = experiments.per_n(
         cfg["subcommand"], cfg["n_grid"], lambda n, _: alt.mean_entries(n, cfg["seed"])
     )
-    rows = permclt.theorem_convergence_sweep(
+    return permclt.theorem_convergence_sweep(
         model, contrasts, cfg["reps"], cfg["seed"], workers=cfg["workers"]
     )
-    return _with_run_columns(rows, cfg)
 
 
 def run_coupling(cfg: dict) -> list[dict]:
@@ -398,7 +390,7 @@ def run_coupling(cfg: dict) -> list[dict]:
                 res.without_repl, res.with_repl, t
             )
         rows.append(row)
-    return _with_run_columns(rows, cfg)
+    return rows
 
 
 # --------------------------------------------------------------------- #
@@ -586,8 +578,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = build_config(args)
-        rows = _RUNNERS[cfg["subcommand"]](cfg)
-        write_output(rows, cfg, started)
+        # Every table ends with the run's reps, seed and config hash.
+        run = {"reps": cfg["reps"], "seed": cfg["seed"], "config_hash": config_hash(cfg)}
+        write_output([row | run for row in _RUNNERS[cfg["subcommand"]](cfg)], cfg, started)
     except (ConfigError, experiments.IncompatibleConfiguration) as exc:
         print(f"invlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -57,15 +57,15 @@ class AlternativeSpec:
     """A named family of alternatives at a given scale.
 
     ``kind`` is one of ``single_spike``, ``smooth_profile``, ``random_signs``,
-    ``spacings_h``, ``matrix_variate``; ``scale`` is the centered norm (or the
-    profile multiplier for spacings).  ``profile`` carries the smooth shape
-    (any callable on [0, 1]) or the spacings density perturbation (a
-    :class:`~invlab.models.Profile`).
+    ``spacings_h``, ``matrix_variate``; ``scale`` is the centered norm, and
+    1 for ``spacings_h``, whose profile carries its own size.  ``profile`` is
+    a :class:`~invlab.models.Profile`: the smooth shape, or the spacings
+    density perturbation ``h``.
     """
 
     kind: str
     scale: float
-    profile: Profile | Callable[[np.ndarray], np.ndarray] | None = None
+    profile: Profile | None = None
     centered: bool = True
 
     _KINDS = ("single_spike", "smooth_profile", "random_signs", "spacings_h", "matrix_variate")
@@ -75,10 +75,10 @@ class AlternativeSpec:
             raise ValueError(f"unknown alternative kind {self.kind!r}")
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
-        if self.kind == "smooth_profile" and self.profile is None:
-            raise ValueError("smooth_profile requires a profile")
-        if self.kind == "spacings_h" and not isinstance(self.profile, Profile):
-            raise ValueError("spacings_h requires a Profile, whose sup bounds the density perturbation")
+        if self.kind in ("smooth_profile", "spacings_h") and not isinstance(self.profile, Profile):
+            raise ValueError(f"{self.kind} requires a Profile")
+        if self.kind == "spacings_h" and self.scale != 1.0:
+            raise ValueError("spacings_h takes scale 1: its profile carries the size of h")
 
     def mean_entries(self, n: int, seed: int) -> np.ndarray:
         """The alternative parameter vector of length ``n``, a deviation from the null parameter 0.
@@ -232,20 +232,6 @@ class SpacingsModel(Model):
 
     name = "spacings"
 
-    @staticmethod
-    def _profile(alt: AlternativeSpec) -> Profile:
-        """The density perturbation ``h`` of the alternative, times its scale."""
-        base = alt.profile
-        if alt.scale == 1.0:
-            return base
-        return Profile(
-            fn=lambda x: alt.scale * base.fn(x),
-            sup=alt.scale * base.sup,
-            l2_norm_sq=alt.scale**2 * base.l2_norm_sq,
-            label=f"{alt.scale:g}*{base.label}",
-            sup_certified=base.sup_certified,
-        )
-
     def at(self, n, alt, seed):
         if alt.scale == 0.0:
             # The null fills its rows in stream order, so each chunk is one
@@ -259,11 +245,10 @@ class SpacingsModel(Model):
             )
         if alt.kind != "spacings_h":
             raise ValueError(f"the spacings model takes a density perturbation h, not {alt.kind}")
-        h = self._profile(alt)
-        models.check_spacings_profile(n, h)
+        models.check_spacings_profile(n, alt.profile)
         # The alternative's rejection rounds size themselves from reps * n, so
         # it is drawn whole.
-        return Point(n, lambda reps, rng: models.sample_spacings_alternative_batch(n, h, reps, rng))
+        return Point(n, lambda reps, rng: models.sample_spacings_alternative_batch(n, alt.profile, reps, rng))
 
 
 # --------------------------------------------------------------------- #
@@ -334,16 +319,14 @@ def make_statistic(name: str, point: Point) -> NamedStatistic:
     if name == "two_spacings_sq":
         return NamedStatistic("two_spacings_sq", stats.two_spacings_statistic)
     if name in ("quadratic", "quadratic_spacings"):
-        spec = stats.default_quadratic_spec()
         size = n if name == "quadratic" else n + 1
-        if size < spec.num_terms:
-            raise ValueError(f"{name} needs at least {spec.num_terms} observations, got {size}")
+        if size < stats.QUADRATIC_WEIGHTS.size:
+            raise ValueError(f"{name} needs at least {stats.QUADRATIC_WEIGHTS.size} observations, got {size}")
     if name == "quadratic":
-        return NamedStatistic("quadratic", lambda x: stats.quadratic_statistic(spec, x))
+        return NamedStatistic("quadratic", stats.quadratic_statistic)
     if name == "quadratic_spacings":
         return NamedStatistic(
-            "quadratic_spacings",
-            lambda d: stats.quadratic_statistic(spec, d, scale=np.shape(d)[-1], shift=1.0),
+            "quadratic_spacings", lambda d: stats.quadratic_statistic(d, scale=np.shape(d)[-1], shift=1.0)
         )
     if name == "wilks":
         if n < 3:
@@ -757,9 +740,8 @@ def theorem2_sweep(
     profile ``sqrt(2) cos(2 pi x)`` of the same norm.
     """
     model = FamilyModel(family)
-    profile = lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * x)
     spike = AlternativeSpec(kind="single_spike", scale=delta)
-    smooth = AlternativeSpec(kind="smooth_profile", scale=delta, profile=profile)
+    smooth = AlternativeSpec(kind="smooth_profile", scale=delta, profile=models.cosine_profile({1: 1.0}))
     labels = ("invariant", "quadratic")
     cells = _grid_cells(model, [("variance", spike), ("quadratic", smooth)], n_grid, seed)
     # The audit columns are the spike's, the invariant test's point.

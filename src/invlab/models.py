@@ -108,9 +108,9 @@ def spike_levels(m: np.ndarray) -> tuple[float, float] | None:
 class ExpFamilySpec:
     """A one-parameter exponential family in its natural parametrisation.
 
-    ``beta`` is the cumulant (log-normalizer) function; ``beta1`` and
-    ``beta2`` are its first two derivatives, i.e. the mean and variance of
-    one observation.  ``sampler(rng, m, size)`` draws observations
+    ``beta`` is the cumulant (log-normalizer) function, whose first two
+    derivatives are the mean and variance of one observation.
+    ``sampler(rng, m, size)`` draws observations
     with natural parameter ``m`` (vectorised over ``m``).
     ``convolution(rng, m, k, size)`` draws the sum of ``k`` independent
     observations at natural parameter ``m`` from its exact law (vectorised
@@ -119,8 +119,6 @@ class ExpFamilySpec:
 
     name: str
     beta: Callable[[np.ndarray], np.ndarray]
-    beta1: Callable[[np.ndarray], np.ndarray]
-    beta2: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[np.random.Generator, np.ndarray, tuple], np.ndarray]
     convolution: Callable[[np.random.Generator, np.ndarray, np.ndarray, tuple], np.ndarray]
 
@@ -172,8 +170,6 @@ def normal_family() -> ExpFamilySpec:
     return ExpFamilySpec(
         name="normal",
         beta=lambda m: np.square(m) / 2.0,
-        beta1=lambda m: np.asarray(m, dtype=float),
-        beta2=lambda m: np.ones_like(np.asarray(m, dtype=float)),
         sampler=_normal_carrier,
         convolution=lambda rng, m, k, size: np.sqrt(k) * rng.standard_normal(size) + k * m,
     )
@@ -184,8 +180,6 @@ def poisson_family() -> ExpFamilySpec:
     return ExpFamilySpec(
         name="poisson",
         beta=np.exp,
-        beta1=np.exp,
-        beta2=np.exp,
         sampler=lambda rng, m, size: rng.poisson(lam=np.exp(m), size=size).astype(float),
         convolution=lambda rng, m, k, size: rng.poisson(lam=k * np.exp(m), size=size).astype(float),
     )
@@ -204,8 +198,6 @@ def bernoulli_logit_family() -> ExpFamilySpec:
     return ExpFamilySpec(
         name="bernoulli",
         beta=lambda m: np.logaddexp(0.0, m),
-        beta1=_sigmoid,
-        beta2=lambda m: _sigmoid(m) * (1.0 - _sigmoid(m)),
         sampler=_sample,
         convolution=lambda rng, m, k, size: rng.binomial(k, _sigmoid(m), size=size).astype(float),
     )
@@ -358,23 +350,20 @@ class Profile:
     """A bounded mean-zero profile on [0, 1] used as a spacings alternative.
 
     Built from a finite cosine combination ``sum_k c_k * sqrt(2) cos(2 pi k x)``
-    via :func:`cosine_profile`, or from any callable with its sup and
-    ``integral(h^2)`` given.  ``sup_certified`` says that ``sup`` is a proven
-    bound on ``|h|`` (a cosine combination's ``sum |c_k| sqrt(2)``), not an
-    estimate.
+    via :func:`cosine_profile`, or from any callable with its sup given.
+    ``sup_certified`` says that ``sup`` is a proven bound on ``|h|`` (a
+    cosine combination's ``sum |c_k| sqrt(2)``), not an estimate.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     sup: float
-    l2_norm_sq: float
-    label: str = "h"
     sup_certified: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
 
 
-def cosine_profile(coeffs: dict[int, float], label: str | None = None) -> Profile:
+def cosine_profile(coeffs: dict[int, float]) -> Profile:
     """Mean-zero profile ``sum_k c_k * sqrt(2) cos(2 pi k x)`` (orthonormal terms)."""
     if not coeffs or any(k < 1 for k in coeffs):
         raise ValueError("coeffs must map frequencies >= 1 to weights")
@@ -388,11 +377,7 @@ def cosine_profile(coeffs: dict[int, float], label: str | None = None) -> Profil
             out = out + c * np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x)
         return out
 
-    sup = float(sum(abs(c) for _, c in items) * np.sqrt(2.0))
-    l2 = float(sum(c * c for _, c in items))
-    if label is None:
-        label = "+".join(f"{c:g}*cos{k}" for k, c in items)
-    return Profile(fn=fn, sup=sup, l2_norm_sq=l2, label=label, sup_certified=True)
+    return Profile(fn=fn, sup=float(sum(abs(c) for _, c in items) * np.sqrt(2.0)), sup_certified=True)
 
 
 def check_spacings_profile(n: int, prof: Profile) -> None:

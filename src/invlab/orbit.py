@@ -57,7 +57,11 @@ class Group(str, enum.Enum):
 
 @dataclass(frozen=True)
 class OrbitSpec:
-    """Group choice plus averaging strategy for the orbit average."""
+    """Group choice plus averaging strategy for the orbit average.
+
+    ``design`` is the matrix whose columns ``orthogonal_fixing_design``
+    fixes; that group needs one and no other group takes one.
+    """
 
     group: Group
     design: np.ndarray | None = None
@@ -65,6 +69,8 @@ class OrbitSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group", Group(self.group))
+        if (self.group is Group.ORTHOGONAL_FIXING_DESIGN) != (self.design is not None):
+            raise ValueError("a design matrix goes with orthogonal_fixing_design and no other group")
         if self.design is not None:
             design = np.atleast_2d(np.asarray(self.design, dtype=float))
             n, p = design.shape
@@ -73,8 +79,6 @@ class OrbitSpec:
             if np.linalg.matrix_rank(design) < p:
                 raise ValueError("design must have full column rank")
             object.__setattr__(self, "design", design)
-        if self.group is Group.ORTHOGONAL_FIXING_DESIGN and self.design is None:
-            raise ValueError("orthogonal_fixing_design requires a design matrix")
         if self.mc_reps < 1:
             raise ValueError("mc_reps must be positive")
 

@@ -302,7 +302,6 @@ class CouplingResult:
     without_repl: np.ndarray
     with_repl: np.ndarray
     matched: np.ndarray
-    s: float
     bound: float
     gap_sq_mean: float
     gap_sq_se: float
@@ -417,14 +416,12 @@ def hajek_coupling(
     parts = map_blocks(block, blocks(reps), workers=workers)
     without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*parts))
     _, s_sq = perm_law_moments(m, x)
-    s = float(np.sqrt(s_sq))
-    bound = float(3.0 * s * np.max(np.abs(x - x.mean())) / np.sqrt(n - 1))
+    bound = float(3.0 * np.sqrt(s_sq) * np.max(np.abs(x - x.mean())) / np.sqrt(n - 1))
     gap_sq = (without - with_r) ** 2
     return CouplingResult(
         without_repl=without,
         with_repl=with_r,
         matched=matched,
-        s=s,
         bound=bound,
         gap_sq_mean=float(gap_sq.mean()),
         gap_sq_se=float(gap_sq.std(ddof=1) / np.sqrt(reps)),
@@ -436,9 +433,9 @@ def hajek_coupling(
 # --------------------------------------------------------------------- #
 
 
-def _batched(values: np.ndarray, batches: int = SWEEP_BATCHES) -> list[np.ndarray]:
-    """Contiguous slices of the rows of ``values``: ``batches`` of them, fewer below ``2 batches`` rows."""
-    batches = max(2, min(batches, len(values) // 2))
+def _batched(values: np.ndarray) -> list[np.ndarray]:
+    """:data:`SWEEP_BATCHES` contiguous slices of the rows of ``values``, fewer below twice as many rows."""
+    batches = max(2, min(SWEEP_BATCHES, len(values) // 2))
     size = len(values) // batches
     return [values[i * size : (i + 1) * size] for i in range(batches)]
 

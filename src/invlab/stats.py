@@ -11,7 +11,6 @@ BLAS thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -114,87 +113,45 @@ def points_from_spacings(d: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def cosine_basis(num_terms: int) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-    """The orthonormal basis ``sqrt(2) cos(2 pi i x)``, i = 1..K."""
-
-    def make(i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * i * np.asarray(x, float))
-
-    return tuple(make(i) for i in range(1, num_terms + 1))
+#: Weights ``2^-i`` of the quadratic statistic on the cosines ``i = 1..8``.
+QUADRATIC_WEIGHTS = 2.0 ** -np.arange(1, 9)
+QUADRATIC_WEIGHTS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class QuadraticTestSpec:
-    """Weights of the quadratic goodness-of-fit statistic on the cosine basis.
+# Row-chunked evaluation asks for the same grid, norms and sums once per chunk.
+@lru_cache(maxsize=8)
+def _quadratic_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis ``sqrt(2) cos(2 pi i x)``, ``i = 1..8``, on the grid ``j/n``, ``j = 1..n``.
 
-    The statistic sums ``lambda_i Z_i^2`` over the standardized projections
-    ``Z_i`` on the first ``len(lambdas)`` functions of :func:`cosine_basis`.
+    Returns the ``8 x n`` values, their row norms and their row sums, all
+    read-only.  Each norm is positive: every cosine is ``sqrt(2)`` at ``j = n``.
     """
-
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        lambdas = tuple(float(v) for v in self.lambdas)
-        if not lambdas or any(v <= 0 for v in lambdas):
-            raise ValueError("all weights must be positive")
-        object.__setattr__(self, "lambdas", lambdas)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.lambdas)
-
-    # Row-chunked evaluation asks for the same grid and norms once per chunk.
-    @lru_cache(maxsize=8)
-    def grid_matrix(self, n: int) -> np.ndarray:
-        """Basis values on the grid ``j/n``, ``j = 1..n`` (shape ``K x n``, read-only)."""
-        grid = np.arange(1, n + 1, dtype=float) / n
-        values = np.stack([np.asarray(g(grid), float) for g in cosine_basis(self.num_terms)])
-        values.flags.writeable = False
-        return values
-
-    @lru_cache(maxsize=8)
-    def grid_norms(self, n: int) -> np.ndarray:
-        """Euclidean norms of the rows of :meth:`grid_matrix` (read-only).
-
-        Each is positive: every cosine is ``sqrt(2)`` at ``j = n``.
-        """
-        g = self.grid_matrix(n)
-        norms = np.sqrt(np.sum(g * g, axis=1))
-        norms.flags.writeable = False
-        return norms
-
-    @lru_cache(maxsize=8)
-    def grid_sums(self, n: int) -> np.ndarray:
-        """Sums of the rows of :meth:`grid_matrix` (read-only)."""
-        sums = self.grid_matrix(n).sum(axis=1)
-        sums.flags.writeable = False
-        return sums
+    grid = np.arange(1, n + 1, dtype=float) / n
+    terms = range(1, QUADRATIC_WEIGHTS.size + 1)
+    values = np.stack([np.sqrt(2.0) * np.cos(2.0 * np.pi * i * grid) for i in terms])
+    norms = np.sqrt(np.sum(values * values, axis=1))
+    sums = values.sum(axis=1)
+    for a in (values, norms, sums):
+        a.flags.writeable = False
+    return values, norms, sums
 
 
-def default_quadratic_spec(num_terms: int = 8) -> QuadraticTestSpec:
-    """Weights ``2^-i`` on the cosine basis."""
-    return QuadraticTestSpec(lambdas=tuple(2.0**-i for i in range(1, num_terms + 1)))
+def quadratic_statistic(x: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> np.ndarray:
+    """Weighted sum ``sum 2^-i Z_i^2`` of the standardized cosine projections of ``scale * x - shift``.
 
-
-def quadratic_statistic(
-    spec: QuadraticTestSpec, x: np.ndarray, scale: float = 1.0, shift: float = 0.0
-) -> np.ndarray:
-    """Weighted sum of squared standardized basis projections of ``scale * x - shift``.
-
-    The projection on a basis vector ``g`` is taken as
-    ``(scale (x . g) - shift sum(g)) / ||g||``, so the residuals are never
+    The projection on a basis vector ``g`` of :func:`_quadratic_grid` is taken
+    as ``(scale (x . g) - shift sum(g)) / ||g||``, so the residuals are never
     formed; the defaults project ``x`` itself.  Invariant under the
     orthogonal maps that fix every basis vector on the grid, not under
     permutations.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    if n < spec.num_terms:
+    if n < QUADRATIC_WEIGHTS.size:
         raise ValueError("need at least as many observations as basis terms")
-    dots = np.einsum("...j,kj->...k", x, spec.grid_matrix(n))
-    z = (scale * dots - shift * spec.grid_sums(n)) / spec.grid_norms(n)
-    lam = np.asarray(spec.lambdas)
-    return np.sum(z * z * lam, axis=-1)
+    values, norms, sums = _quadratic_grid(n)
+    z = (scale * np.einsum("...j,kj->...k", x, values) - shift * sums) / norms
+    return np.sum(z * z * QUADRATIC_WEIGHTS, axis=-1)
 
 
 # --------------------------------------------------------------------- #

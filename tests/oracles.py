@@ -187,15 +187,13 @@ def one_shot_spacings_alternative(
     return np.diff(padded, axis=1)
 
 
-def profile_from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str = "h") -> models.Profile:
-    """A :class:`invlab.models.Profile` of any callable; sup and L2 norm estimated on a fine grid."""
+def profile_from_callable(fn: Callable[[np.ndarray], np.ndarray]) -> models.Profile:
+    """A :class:`invlab.models.Profile` of any callable; its sup estimated on a fine grid."""
     xs = np.linspace(0.0, 1.0, models._PROFILE_GRID)
     vals = np.asarray(fn(xs), dtype=float)
     if abs(simpson(vals, x=xs)) > 1e-6:
         raise ValueError("profile must integrate to 0 within 1e-6")
-    return models.Profile(
-        fn=fn, sup=float(np.abs(vals).max()), l2_norm_sq=float(simpson(vals**2, x=xs)), label=label
-    )
+    return models.Profile(fn=fn, sup=float(np.abs(vals).max()))
 
 
 def load_expectations() -> dict:

@@ -852,7 +852,7 @@ class TestAlternativeParsing:
         assert parse_alternative("smooth:1.5").kind == "smooth_profile"
         assert parse_alternative("signs:2").kind == "random_signs"
         h = parse_alternative("h:cos2:1.5")
-        assert h.kind == "spacings_h" and h.profile.l2_norm_sq == pytest.approx(2.25)
+        assert h.kind == "spacings_h" and h.scale == 1.0 and h.profile.sup == pytest.approx(1.5 * np.sqrt(2.0))
 
     def test_bad_alternatives(self):
         with pytest.raises(ConfigError):

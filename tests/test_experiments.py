@@ -53,11 +53,7 @@ class TestAlternatives:
         assert np.all(m[1:] == 0.0)
 
     def test_smooth_profile_norm(self):
-        alt = AlternativeSpec(
-            kind="smooth_profile",
-            scale=1.5,
-            profile=lambda x: np.sqrt(2) * np.cos(2 * np.pi * x),
-        )
+        alt = AlternativeSpec(kind="smooth_profile", scale=1.5, profile=models.cosine_profile({1: 1.0}))
         m = alt.mean_entries(200, seed=0)
         assert np.linalg.norm(m - m.mean()) == pytest.approx(1.5)
 
@@ -77,6 +73,15 @@ class TestAlternatives:
         # The rejection sampler's envelope reads the profile's sup.
         with pytest.raises(ValueError, match="requires a Profile"):
             AlternativeSpec(kind="spacings_h", scale=1.0, profile=lambda x: np.cos(2 * np.pi * x))
+
+    def test_smooth_profile_needs_a_profile(self):
+        with pytest.raises(ValueError, match="requires a Profile"):
+            AlternativeSpec(kind="smooth_profile", scale=1.5, profile=lambda x: np.cos(2 * np.pi * x))
+
+    def test_spacings_h_takes_scale_one(self):
+        # The profile's coefficients carry the size of h; the CLI's h:cosK:S is coefficient S.
+        with pytest.raises(ValueError, match="scale 1"):
+            AlternativeSpec(kind="spacings_h", scale=2.5, profile=models.cosine_profile({1: 1.0}))
 
 
 class TestCalibration:
@@ -551,7 +556,7 @@ class TestSpacingsSweep:
             assert row["quadratic_gap"] > floor
 
     def test_zero_profile(self):
-        zero = profile_from_callable(lambda x: np.zeros_like(x), label="0")
+        zero = profile_from_callable(lambda x: np.zeros_like(x))
         rows = spacings_sweep(zero, (100,), reps=2000, seed=21)
         assert abs(rows[0]["greenwood_gap"]) <= 4 * rows[0]["greenwood_gap_se"]
         assert abs(rows[0]["moran_gap"]) <= 4 * rows[0]["moran_gap_se"]

@@ -47,6 +47,7 @@ INVOCATIONS = {
     "clt_spike_outside_box": "clt-sweep --model poisson --alt spike:3 --n-grid 20,50 --seed 20",
     "sweep_theorem2_bernoulli": "sweep-theorem2 --model bernoulli --n-grid 30,60 --seed 21",
     "clt_bernoulli_lattice": "clt-sweep --model bernoulli --alt spike:1 --n-grid 20,50 --seed 22",
+    "sweep_theorem2_normal": "sweep-theorem2 --model normal --n-grid 30,60 --seed 23",
 }
 
 REPS = "256"

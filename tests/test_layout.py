@@ -5,7 +5,9 @@ package: a name counts as used when some module of ``src/invlab`` refers to
 it (as a bare name or an attribute) outside its own definition.  The
 exceptions are the names ``perfbench/tracer.py`` wraps, which its
 ``CATEGORIES`` lists per module, and the console entry point ``cli.main``.
-Code that only tests read belongs in ``tests/``.
+Code that only tests read belongs in ``tests/``.  Likewise every field a
+dataclass of the package declares is read as an attribute somewhere in the
+package.
 
 Only ``rng`` calls into ``np.random``, so every generator comes from its
 ``spawn_generator`` or ``jumped`` and every stream is named by its caller.
@@ -94,6 +96,40 @@ def test_tracer_names_are_read():
 
 def test_every_definition_has_a_caller_in_the_package():
     assert _unused() == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated with ``dataclass``, called or not, bare or as an attribute."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(trees: list[ast.AST]) -> set[str]:
+    """``Class.field`` for every field a dataclass in ``trees`` declares."""
+    return {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    declared = _dataclass_fields(trees)
+    assert {"OrbitSpec.design", "Profile.sup", "Key.unset"} <= declared  # the scan sees them
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(f for f in declared if f.split(".")[1] not in read) == []
 
 
 def _random_calls(tree: ast.AST) -> list[str]:

@@ -25,7 +25,6 @@ from invlab.models import (
     spacings_loglik_approx,
     spacings_loglik_exact,
 )
-from invlab.experiments import AlternativeSpec, SpacingsModel
 from invlab.rng import TAG_MODEL, jumped, spawn_generator
 from oracles import TAG_SPACINGS, one_shot_spacings_alternative, profile_from_callable
 
@@ -54,26 +53,35 @@ class TestMeanVector:
         assert m.centered_norm == pytest.approx(np.sqrt(50.0))
 
 
+def _cumulant_derivatives(family, theta, step=1e-4):
+    """``beta'`` and ``beta''`` of the family's cumulant, from central differences."""
+    lo, mid, hi = (float(family.beta(theta + k * step)) for k in (-1, 0, 1))
+    return (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2
+
+
 class TestFamilies:
     @pytest.mark.parametrize("factory", [normal_family, poisson_family, bernoulli_logit_family])
     def test_carrier_matches_cumulant_derivatives(self, factory):
-        # MC mean/variance of the sampler must match beta'(m), beta''(m).
+        # MC mean/variance of the sampler must match beta'(m), beta''(m) of the
+        # cumulant beta that the likelihood ratios read.
         family = factory()
         reps = 200_000
         for theta in (-0.5, 0.3):
+            mean, variance = _cumulant_derivatives(family, theta)
             m = MeanVector(np.array([theta]))
             draws = sample_model(family, m, spawn_generator(5, 1), reps=reps).ravel()
             mean_se = draws.std() / np.sqrt(reps)
-            assert abs(draws.mean() - family.beta1(theta)) < 4 * mean_se
+            assert abs(draws.mean() - mean) < 4 * mean_se
             var = draws.var()
             var_se = np.sqrt(max(np.mean((draws - draws.mean()) ** 4) - var**2, 0) / reps)
-            assert abs(var - family.beta2(theta)) < 4 * var_se
+            assert abs(var - variance) < 4 * var_se
 
     def test_beta2_positive_on_box(self):
+        # The cumulant is strictly convex: positive second differences across the box.
         for factory in (normal_family, poisson_family, bernoulli_logit_family):
             family = factory()
             ts = np.linspace(-2, 2, 101)
-            assert np.all(family.beta2(ts) > 0)
+            assert all(_cumulant_derivatives(family, t)[1] > 0 for t in ts)
 
     def test_logistic_score_identities(self):
         # E phi1 = 0 and E phi2 = -iota = -1/3 under the true parameter, with the
@@ -264,7 +272,7 @@ class TestSpacings:
 
 class TestSpacingsAlternative:
     def test_zero_profile_matches_null(self):
-        zero = profile_from_callable(lambda x: np.zeros_like(x), label="0")
+        zero = profile_from_callable(lambda x: np.zeros_like(x))
         alt = sample_spacings_alternative_batch(20, zero, 4000, spawn_generator(5, TAG_SPACINGS))
         null = sample_spacings_null_batch(20, 4000, spawn_generator(6, TAG_SPACINGS))
         a = np.sort(alt[:, 0])
@@ -276,7 +284,7 @@ class TestSpacingsAlternative:
 
     def test_cdf_at_half_for_cosine(self):
         # CDF(1/2) = 1/2 + sin(pi)/(2 pi sqrt(n)) = 1/2 exactly for h = cos(2 pi x).
-        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x))
         n = 400
         batch = sample_spacings_alternative_batch(n, prof, 200, spawn_generator(7, TAG_SPACINGS))
         pts = np.cumsum(batch, axis=1)[:, :-1]
@@ -285,7 +293,7 @@ class TestSpacingsAlternative:
         assert abs(frac - 0.5) < 8 * se
 
     def test_rejects_unnormalized_profile(self):
-        half = models.Profile(lambda x: np.ones_like(x) * 0.5, sup=0.5, l2_norm_sq=0.25)
+        half = models.Profile(lambda x: np.ones_like(x) * 0.5, sup=0.5)
         with pytest.raises(ValueError, match="integrate"):
             sample_spacings_alternative_batch(100, half, 10, spawn_generator(0, TAG_SPACINGS))
 
@@ -318,8 +326,6 @@ def _grid_blind_profile(n: int, certified: bool) -> models.Profile:
     return models.Profile(
         fn=lambda x: np.where((4096.0 * x) % 1.0 == 0.0, 0.0, -depth),
         sup=depth,
-        l2_norm_sq=depth**2,
-        label="grid-blind",
         sup_certified=certified,
     )
 
@@ -336,8 +342,7 @@ class TestChunkedSpacingsSampler:
         "cos1": lambda n: cosine_profile({1: 1.0}),
         "cos3": lambda n: cosine_profile({1: 0.5, 2: -0.7, 5: 0.3}),
         "callable": lambda n: profile_from_callable(
-            lambda x: np.sqrt(2.0) * (0.5 * np.cos(2 * np.pi * x) - 0.7 * np.cos(4 * np.pi * x)),
-            label="callable",
+            lambda x: np.sqrt(2.0) * (0.5 * np.cos(2 * np.pi * x) - 0.7 * np.cos(4 * np.pi * x))
         ),
         "second_round_certified": lambda n: _grid_blind_profile(n, True),
         "second_round_grid": lambda n: _grid_blind_profile(n, False),
@@ -380,7 +385,7 @@ class TestChunkedSpacingsSampler:
 
 @st.composite
 def _certified_profiles(draw):
-    """A cosine profile, maybe scaled as the spacings model scales it, and an ``n`` it is valid at."""
+    """A cosine profile, its weights maybe scaled by a common factor, and an ``n`` it is valid at."""
     freqs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
     weights = draw(
         st.lists(
@@ -389,9 +394,8 @@ def _certified_profiles(draw):
             max_size=len(freqs),
         )
     )
-    base = cosine_profile(dict(zip(freqs, weights)))
     scale = draw(st.sampled_from([1.0, 0.37, 2.5]))
-    prof = SpacingsModel._profile(AlternativeSpec(kind="spacings_h", scale=scale, profile=base))
+    prof = cosine_profile({k: scale * w for k, w in zip(freqs, weights)})
     # The smallest n the sampler takes, up to rounding, plus an offset.
     n = int(np.ceil((prof.sup / 0.99) ** 2)) + 1 + draw(st.sampled_from([0, 1, 50, 10_000]))
     return prof, n
@@ -431,20 +435,20 @@ class TestSqueeze:
         assert 1.0 - prof.sup / root_n - floor < 1e-8
 
     def test_grid_estimated_sup_has_no_squeeze(self):
-        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x))
         assert models._acceptance_floor(prof, 10.0) == -np.inf
 
 
 class TestSpacingsLoglik:
     def test_zero_profile(self):
         d = sample_spacings_null_batch(30, 1, spawn_generator(8, TAG_SPACINGS))[0]
-        zero = profile_from_callable(lambda x: np.zeros_like(x), label="0")
+        zero = profile_from_callable(lambda x: np.zeros_like(x))
         assert spacings_loglik_approx(zero, d) == pytest.approx(0.0)
 
     def test_equal_spacings_cosine(self):
         n = 63
         d = np.full(n + 1, 1.0 / (n + 1))
-        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x), label="cos")
+        prof = profile_from_callable(lambda x: np.cos(2 * np.pi * x))
         assert spacings_loglik_approx(prof, d) == pytest.approx(-0.25, abs=1e-6)
 
     def test_constant_one_profile(self):
@@ -495,9 +499,10 @@ class TestProfiles:
         prof = cosine_profile({1: 2.0})
         xs = np.linspace(0, 1, 4097)
         assert abs(simpson(prof(xs), x=xs)) < 1e-9
-        assert prof.l2_norm_sq == pytest.approx(4.0)
+        assert simpson(prof(xs) ** 2, x=xs) == pytest.approx(4.0)
         assert prof.sup == pytest.approx(2.0 * np.sqrt(2.0))
 
     def test_combination_profile(self):
         prof = cosine_profile({1: 1.0, 3: -0.5})
-        assert prof.l2_norm_sq == pytest.approx(1.25)
+        xs = np.linspace(0, 1, 4097)
+        assert simpson(prof(xs) ** 2, x=xs) == pytest.approx(1.25)

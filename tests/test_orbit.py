@@ -471,6 +471,32 @@ class TestPowerLevelBound:
         assert out[10_000][0] < out[100][0]
 
 
+class TestOrbitSpecDesign:
+    """A design matrix belongs to ``orthogonal_fixing_design`` and to no other group.
+
+    A design given to the full orthogonal group would make it the design
+    group (at n = 12 with 3 columns its radial dof would read 9, not 12), and
+    the permutation groups would ignore it.
+    """
+
+    DESIGN = spawn_generator(41, 1).normal(size=(12, 3))
+
+    @pytest.mark.parametrize("group", ["full_orthogonal", "permutation", "permutation_exhaustive"])
+    def test_other_groups_refuse_a_design(self, group):
+        with pytest.raises(ValueError, match="design matrix"):
+            OrbitSpec(group=group, design=self.DESIGN)
+
+    def test_fixing_group_needs_a_design(self):
+        with pytest.raises(ValueError, match="design matrix"):
+            OrbitSpec(group="orthogonal_fixing_design")
+
+    def test_radial_dof_per_group(self):
+        m = free(np.zeros(12))
+        full = OrbitSpec(group="full_orthogonal").null_orbit(normal_family(), m, 0)
+        fixing = OrbitSpec(group="orthogonal_fixing_design", design=self.DESIGN).null_orbit(normal_family(), m, 0)
+        assert (full.radial[1], fixing.radial[1]) == (12, 9)
+
+
 class TestNullPointPerGroup:
     """E_0 Lbar = 1 at an uncentered m, with each group's own null point."""
 

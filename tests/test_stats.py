@@ -15,11 +15,10 @@ from invlab.models import (
 )
 from invlab.rng import spawn_generator
 from invlab.stats import (
-    QuadraticTestSpec,
+    QUADRATIC_WEIGHTS,
+    _quadratic_grid,
     anova_f,
     chisq_statistic,
-    cosine_basis,
-    default_quadratic_spec,
     greenwood,
     moran,
     np_statistic,
@@ -171,11 +170,10 @@ def _spacings_rows(n: int, kind: str) -> np.ndarray:
     return sample_spacings_alternative_batch(n, cosine_profile({1: 0.5, 2: 0.1}), 300, rng)
 
 
-def _direct_quadratic(spec: QuadraticTestSpec, residual: np.ndarray) -> np.ndarray:
-    size = residual.shape[-1]
-    g = np.stack([f(np.arange(1, size + 1) / size) for f in cosine_basis(spec.num_terms)])
+def _direct_quadratic(residual: np.ndarray) -> np.ndarray:
+    g, _, _ = _quadratic_grid(residual.shape[-1])
     z = np.sum(residual[:, None, :] * g, axis=-1) / np.sqrt(np.sum(g * g, axis=-1))
-    return np.sum(np.asarray(spec.lambdas) * z * z, axis=-1)
+    return np.sum(QUADRATIC_WEIGHTS * z * z, axis=-1)
 
 
 @pytest.mark.parametrize("kind", ["null", "alternative"])
@@ -193,57 +191,51 @@ class TestOnePassSpacingsForms:
         np.testing.assert_allclose(two_spacings_statistic(d), direct, rtol=1e-12, atol=0)
 
     def test_quadratic_spacings(self, n, kind):
+        point = SpacingsModel().at(n, NULL, 0)
+        if n + 1 < QUADRATIC_WEIGHTS.size:
+            with pytest.raises(ValueError, match="at least 8 observations"):
+                make_statistic("quadratic_spacings", point)
+            return
         d = _spacings_rows(n, kind)
-        residual = (n + 1) * d - 1.0
-        if n + 1 >= default_quadratic_spec().num_terms:
-            spec, got = default_quadratic_spec(), make_statistic("quadratic_spacings", SpacingsModel().at(n, NULL, 0))(d)
-        else:
-            spec = QuadraticTestSpec(lambdas=(0.5,) * (n + 1))
-            got = quadratic_statistic(spec, d, scale=n + 1, shift=1.0)
-        np.testing.assert_allclose(got, _direct_quadratic(spec, residual), rtol=1e-12, atol=0)
+        got = make_statistic("quadratic_spacings", point)(d)
+        np.testing.assert_allclose(got, _direct_quadratic((n + 1) * d - 1.0), rtol=1e-12, atol=0)
 
 
 class TestQuadraticStatistic:
     def test_zero_input(self):
-        spec = default_quadratic_spec(4)
-        assert quadratic_statistic(spec, np.zeros(64)) == pytest.approx(0.0)
+        assert quadratic_statistic(np.zeros(64)) == pytest.approx(0.0)
 
     def test_cosine_basis_is_standardized(self):
         # x_j = sqrt(2) cos(2 pi k j / n) has squared norm n and is orthogonal to
         # the other basis vectors on the grid, so only Z_k = sqrt(n) is nonzero.
-        spec = default_quadratic_spec(4)
         n = 64
-        for k in range(1, 5):
+        for k in range(1, QUADRATIC_WEIGHTS.size + 1):
             x = np.sqrt(2.0) * np.cos(2.0 * np.pi * k * np.arange(1, n + 1) / n)
-            assert quadratic_statistic(spec, x) == pytest.approx(spec.lambdas[k - 1] * n)
+            assert quadratic_statistic(x) == pytest.approx(QUADRATIC_WEIGHTS[k - 1] * n)
 
     def test_null_mean_is_sum_of_weights(self):
-        spec = default_quadratic_spec(8)
         rng = spawn_generator(4, 1)
         x = rng.normal(size=(10_000, 200))
-        vals = quadratic_statistic(spec, x)
-        target = sum(spec.lambdas)
+        vals = quadratic_statistic(x)
+        target = QUADRATIC_WEIGHTS.sum()
         assert target == pytest.approx(0.99609375)
         assert abs(vals.mean() - target) < 4 * vals.std() / np.sqrt(10_000)
 
     def test_nonnegative_when_squared(self):
-        spec = default_quadratic_spec(5)
         rng = spawn_generator(5, 1)
-        vals = quadratic_statistic(spec, rng.normal(size=(100, 40)))
+        vals = quadratic_statistic(rng.normal(size=(100, 40)))
         assert np.all(vals >= 0)
 
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            QuadraticTestSpec(lambdas=(1.0, 0.0))
-
     def test_needs_enough_observations(self):
-        spec = default_quadratic_spec(8)
         with pytest.raises(ValueError):
-            quadratic_statistic(spec, np.zeros(4))
+            quadratic_statistic(np.zeros(4))
 
     def test_cosine_basis_values(self):
-        (g1,) = cosine_basis(1)
-        assert g1(np.array([0.0]))[0] == pytest.approx(np.sqrt(2.0))
+        # Every cosine is sqrt(2) at the last grid point j = n.
+        values, norms, sums = _quadratic_grid(16)
+        assert values.shape == (QUADRATIC_WEIGHTS.size, 16)
+        np.testing.assert_allclose(values[:, -1], np.sqrt(2.0), rtol=1e-15)
+        assert not (values.flags.writeable or norms.flags.writeable or sums.flags.writeable)
 
 
 class TestVerifyInvariance:
@@ -324,11 +316,10 @@ def _np_case(n, gen):
 
 
 def _quadratic_case(n, gen):
-    spec = default_quadratic_spec()
     return (
-        lambda v: quadratic_statistic(spec, v),
+        quadratic_statistic,
         gen.normal(size=n),
-        lambda r: haar_orthogonal_fixing_design(spec.grid_matrix(n).T, r),
+        lambda r: haar_orthogonal_fixing_design(_quadratic_grid(n)[0].T, r),
         permutation_sampler(n),
     )
 
