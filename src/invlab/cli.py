@@ -511,7 +511,12 @@ def _shown(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else _fmt_cell(value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(selected: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of ``selected`` only when one is named.
+
+    Every subcommand is registered either way, so the top-level help, usage
+    and errors do not depend on ``selected``.
+    """
     parser = argparse.ArgumentParser(
         prog="invlab",
         description="Monte Carlo laboratory for the power of group-invariant tests.",
@@ -520,6 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
+        if selected not in (None, name):
+            continue
         p.add_argument("--config", help="flat key=value config file of the keys below; flags override it")
         for key in spec.keys:
             flag = spec.flags.get(key, "--" + key.replace("_", "-"))
@@ -571,7 +578,10 @@ def build_config(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     started = time.time()
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A run parses one subcommand's arguments; help, version and a missing
+    # or unknown name build them all.
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message

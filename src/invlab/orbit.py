@@ -41,6 +41,15 @@ EXHAUSTIVE_LIMIT = 8
 #: Smallest dimension of the radial kernel ``H`` (the ``sin^(n-2)`` weight).
 MIN_RADIAL_DIM = 3
 
+#: Elements of one chunk of the ``log H`` kernel.
+LOG_H_CHUNK = 2**22
+
+#: A null radius, the norm of a standard normal vector in ``d`` dimensions, is
+#: 1-Lipschitz with mean below ``sqrt(d)``, so it exceeds ``sqrt(d) + s`` with
+#: probability below ``exp(-s^2 / 2)``; this ``s`` makes that ``2^-60``, the
+#: share of a sum the ``log H`` series leaves in its tail.
+RADIUS_SLACK = math.sqrt(120.0 * math.log(2.0))
+
 #: Stream tag local to this module (alternative-draw side of the identity).
 TAG_POWER_LHS = 14
 
@@ -91,8 +100,9 @@ class OrbitSpec:
         which is the case of a design with no columns.  Raises ``ValueError``
         where the average is undefined: exhaustive averaging above
         ``n = 8``, an orthogonal group outside the normal model (its average
-        is the closed form of the normal model's ratio), ``n - p < 3`` or
-        ``X'm != 0``.
+        is the closed form of the normal model's ratio), ``n - p < 3``,
+        ``X'm != 0`` or an ``||m||`` past the ``log H`` limit
+        (:func:`max_log_h_argument`) at the null radius bound.
         """
         if self.group in (Group.PERMUTATION, Group.PERMUTATION_EXHAUSTIVE):
             if self.group is Group.PERMUTATION_EXHAUSTIVE and m.n > EXHAUSTIVE_LIMIT:
@@ -105,6 +115,7 @@ class OrbitSpec:
                 raise ValueError(f"the {group} average needs the normal model, got {family.name}")
             design = self.design if self.design is not None else np.empty((m.n, 0))
             q, norm_m, dof = _design_reduction(m, design)
+            _check_radial_size(norm_m, dof)
             null, radial = q @ (q.T @ m.entries), (norm_m, dof)
             average = lambda x, b: lbar_design_orthogonal(m, design, x)
         null_m = MeanVector(null, compact_lo=m.compact_lo, compact_hi=m.compact_hi)
@@ -175,6 +186,29 @@ def _series_length(x: float, nu: float) -> int:
     return k
 
 
+def max_log_h_argument(n: int) -> float:
+    """Largest ``t`` at which the ``log H`` series peaks within the ``LOG_H_CHUNK - 1`` terms a chunk holds.
+
+    The term ratio ``r_k`` falls through 1 at ``k (k + nu) = t^2 / 4``, so
+    past ``t = 2 sqrt(K (K + nu))`` with ``K = LOG_H_CHUNK - 1`` the terms
+    still grow at index ``K``: one argument's series outgrows a chunk, and
+    :func:`_series_length` takes about ``t / 2`` steps to find its length.
+    """
+    k = LOG_H_CHUNK - 1
+    return 2.0 * math.sqrt(k * (k + n / 2 - 1))
+
+
+def _check_radial_size(norm_m: float, dof: int) -> None:
+    """Refuse an ``||m||`` whose ``log H`` arguments at the null radius bound pass :func:`max_log_h_argument`."""
+    limit = max_log_h_argument(dof) / (math.sqrt(dof) + RADIUS_SLACK)
+    if not norm_m <= limit:
+        raise ValueError(
+            f"||m|| = {norm_m:.6g} is past the log H limit {limit:.6g} in dimension {dof} "
+            f"(at a null radius of sqrt({dof}) + {RADIUS_SLACK:.3g}, the series would outgrow "
+            f"one {LOG_H_CHUNK}-element chunk)"
+        )
+
+
 def _log_h0(n: int) -> float:
     """``log H(0) = log(sqrt(pi) Gamma(a - 1/2) / Gamma(a))`` with ``a = n / 2``.
 
@@ -209,8 +243,11 @@ def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"n must be >= {MIN_RADIAL_DIM}")
     if np.any(ts < 0) or not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite and >= 0")
+    t_top = float(ts.max(initial=0.0))
+    if t_top > max_log_h_argument(n):
+        raise ValueError(f"t must be <= {max_log_h_argument(n):.6g} at n = {n}")
     nu = n / 2 - 1
-    length = _series_length(0.25 * float(ts.max(initial=0.0)) ** 2, nu)
+    length = _series_length(0.25 * t_top**2, nu)
     # log (k! (n/2)_k) for k = 1..K, a cumulative sum with each step's
     # rounding error carried along (TwoSum): it reaches ~3e4 at n = 5 and
     # t = 4096, where plain rounding costs up to 6e-11 in log H.
@@ -222,15 +259,23 @@ def h_integral_log_many(ts: np.ndarray, n: int) -> np.ndarray:
     log_den += np.cumsum((prev - (log_den - step_part)) + (steps - step_part))
     log_h0 = _log_h0(n)
     out = np.empty(ts.size)
-    chunk = max(1, 2**22 // (length + 1))
+    chunk = max(1, LOG_H_CHUNK // (length + 1))
+    # One buffer for every chunk, its head reshaped to (K + 1, arguments):
+    # log term k of each argument in row k, then its exponential scaled by
+    # the argument's peak, then the running sum over k.
+    buf = np.empty((length + 1) * min(chunk, ts.size))
     for lo in range(0, ts.size, chunk):
         with np.errstate(divide="ignore"):
             log_x = 2.0 * np.log(0.5 * ts[lo : lo + chunk])
-        log_terms = np.zeros((log_x.size, length + 1))
-        log_terms[:, 1:] = np.multiply.outer(log_x, ks) - log_den
-        peak = log_terms.max(axis=1)
-        scaled = np.cumsum(np.exp(log_terms - peak[:, None]), axis=1)[:, -1]
-        out[lo : lo + chunk] = log_h0 + peak + np.log(scaled)
+        terms = buf[: (length + 1) * log_x.size].reshape(length + 1, log_x.size)
+        terms[0] = 0.0
+        np.multiply.outer(ks, log_x, out=terms[1:])
+        np.subtract(terms[1:], log_den[:, None], out=terms[1:])
+        peak = terms.max(axis=0)
+        np.subtract(terms, peak, out=terms)
+        np.exp(terms, out=terms)
+        np.cumsum(terms, axis=0, out=terms)
+        out[lo : lo + chunk] = log_h0 + peak + np.log(terms[-1])
     return out
 
 

@@ -9,7 +9,8 @@ whole block at a time, the reference for the row-chunked laws, and
 allocated afresh, the reference for the buffered coupling kernel; and
 :func:`one_shot_spacings_alternative` is the reference for the chunked
 spacings rejection sampler, which :func:`profile_from_callable` feeds
-profiles with no certified sup.  :func:`trend_slope` is the slope test of the
+profiles with no certified sup.  :func:`allocating_log_h` is the
+reference for the radial kernel's reused buffer.  :func:`trend_slope` is the slope test of the
 sweeps' "no positive growth" checks, and :func:`load_expectations` reads
 their pass thresholds.
 """
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from invlab import experiments, models
+from invlab import experiments, models, orbit
 from invlab._num import simpson
 from invlab.rng import (
     TAG_BOOT_LAW,
@@ -194,6 +195,34 @@ def profile_from_callable(fn: Callable[[np.ndarray], np.ndarray]) -> models.Prof
     if abs(simpson(vals, x=xs)) > 1e-6:
         raise ValueError("profile must integrate to 0 within 1e-6")
     return models.Profile(fn=fn, sup=float(np.abs(vals).max()))
+
+
+def allocating_log_h(ts: np.ndarray, n: int) -> np.ndarray:
+    """``orbit.h_integral_log_many`` with fresh arrays for every step of every chunk.
+
+    The reference for the kernel's one reused buffer: the same operations in
+    the same order, so the two agree to the bit.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    nu = n / 2 - 1
+    length = orbit._series_length(0.25 * float(ts.max(initial=0.0)) ** 2, nu)
+    ks = np.arange(1.0, length + 1.0)
+    steps = np.log(ks * (ks + nu))
+    log_den = np.cumsum(steps)
+    prev = np.concatenate([[0.0], log_den])[:-1]
+    step_part = log_den - prev
+    log_den += np.cumsum((prev - (log_den - step_part)) + (steps - step_part))
+    out = np.empty(ts.size)
+    chunk = max(1, 2**22 // (length + 1))
+    for lo in range(0, ts.size, chunk):
+        with np.errstate(divide="ignore"):
+            log_x = 2.0 * np.log(0.5 * ts[lo : lo + chunk])
+        log_terms = np.zeros((log_x.size, length + 1))
+        log_terms[:, 1:] = np.multiply.outer(log_x, ks) - log_den
+        peak = log_terms.max(axis=1)
+        scaled = np.cumsum(np.exp(log_terms - peak[:, None]), axis=1)[:, -1]
+        out[lo : lo + chunk] = orbit._log_h0(n) + peak + np.log(scaled)
+    return out
 
 
 def load_expectations() -> dict:

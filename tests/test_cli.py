@@ -540,6 +540,29 @@ class TestIncompatibleConfigurations:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["sweep-theorem1", "--delta", d, "--n-grid", "100"] for d in ("1e150", "1e160", "1e300")),
+            *(["lbar", "--group", g, "--model", "normal", "--alt", a, "--n", "100"]
+              for g in ("full_orthogonal", "orthogonal_fixing_design") for a in ("spike:1e150", "spike:1e300")),
+        ],
+    )
+    def test_radial_alternatives_past_the_log_h_limit(self, tmp_path, monkeypatch, capsys, argv):
+        # Sizing the series takes ~t/2 Python steps (unending at 1e150), and ||m|| overflows past ~1e154.
+        from invlab import experiments, orbit
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(experiments, "_sweep_cells", no_sampling)
+        monkeypatch.setattr(orbit, "null_lbar_samples", no_sampling)
+        with np.errstate(over="ignore"):
+            code, out = run(tmp_path, *argv, "--reps", "64", "--seed", "1")
+        assert code == 2
+        assert not out.exists()
+        assert "is past the log H limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["poisson", "bernoulli"])
     def test_lbar_keeps_the_family_in_its_compact_box(self, tmp_path, monkeypatch, model):
         from invlab import orbit
@@ -843,6 +866,82 @@ class TestConfigKeys:
         code, out = run(tmp_path, name, "--config", str(cfg))
         assert code == 2
         assert not out.exists()
+
+
+def _outcome(call, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``call(argv)``, which returns a code or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return int(code or 0), out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    from invlab import cli
+
+    cli._build_parser().parse_args(argv)
+
+
+def _parser_error_argvs() -> list[list[str]]:
+    """Per subcommand: help, an unknown flag, each flag's value off its choices, each flag with no value."""
+    argvs = [["--help"], ["-h"], ["--version"], [], ["no-such-command"], ["no-such-command", "--help"]]
+    for name, parser in sorted(_subparsers().items()):
+        argvs += [[name, "--help"], [name, "--no-such-flag", "1"]]
+        for a in parser._actions:
+            if a.option_strings and a.dest != "help":
+                argvs += [[name, a.option_strings[0], "bogus"]] if a.choices is not None else []
+                argvs += [[name, a.option_strings[0]]] if a.nargs is None else []
+    return argvs
+
+
+class TestParserContract:
+    """A run builds the arguments of its own subcommand only, and reads as if it built them all."""
+
+    @pytest.mark.parametrize("argv", _parser_error_argvs(), ids=" ".join)
+    def test_same_bytes_and_code_as_the_full_parser(self, argv):
+        from invlab import cli
+
+        assert _outcome(cli.main, argv) == _outcome(_full_parse, argv)
+
+    def test_argv_from_the_command_line(self, monkeypatch):
+        from invlab import cli
+
+        monkeypatch.setattr(sys, "argv", ["invlab", "coupling", "--help"])
+        assert _outcome(lambda _: cli.main(), None) == _outcome(_full_parse, ["coupling", "--help"])
+
+    @staticmethod
+    def _arguments_added(monkeypatch, argv) -> dict[str, int]:
+        """``add_argument`` calls per parser ``prog`` made by ``main(argv)``, help flags aside."""
+        from invlab import cli
+
+        counts: dict[str, int] = {}
+        add = argparse.ArgumentParser.add_argument
+
+        def counting(parser, *args, **kwargs):
+            if "-h" not in args:
+                counts[parser.prog] = counts.get(parser.prog, 0) + 1
+            return add(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        _outcome(cli.main, argv)
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_one_subcommand_adds_its_arguments_only(self, monkeypatch, name):
+        from invlab import cli
+
+        counts = self._arguments_added(monkeypatch, [name, "--reps", "bogus"])
+        # --version, and --config with the subcommand's keys.
+        assert counts == {"invlab": 1, f"invlab {name}": 1 + len(cli._SUBCOMMANDS[name].keys)}
+
+    def test_no_subcommand_adds_every_argument(self, monkeypatch):
+        from invlab import cli
+
+        counts = self._arguments_added(monkeypatch, ["--help"])
+        assert counts == {"invlab": 1} | {f"invlab {n}": 1 + len(s.keys) for n, s in cli._SUBCOMMANDS.items()}
 
 
 class TestAlternativeParsing:

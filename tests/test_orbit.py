@@ -33,7 +33,7 @@ from invlab.orbit import (
 from invlab.rng import BLOCK_REPS, TAG_LBAR, TAG_ORBIT, spawn_generator
 from invlab.stats import chisq_statistic
 
-from oracles import haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
+from oracles import allocating_log_h, haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
 
 
 def free(entries) -> MeanVector:
@@ -204,6 +204,86 @@ class TestHIntegral:
             h_integral_log(-1.0, 5)
         with pytest.raises(ValueError):
             h_integral_log(1.0, 2)
+
+
+class TestLogHBuffer:
+    """The kernel's one reused buffer gives the bits of fresh arrays per step (:func:`oracles.allocating_log_h`)."""
+
+    @staticmethod
+    def _same(ts, n):
+        got = h_integral_log_many(ts, n)
+        assert np.array_equal(got, allocating_log_h(ts, n))
+        return got
+
+    def test_orthogonal_workload_arguments(self, tmp_path, monkeypatch):
+        # The four calls of the benchmark's orthogonal workload at seed 0.
+        from invlab import cli
+
+        calls = []
+        kernel = orbit.h_integral_log_many
+        monkeypatch.setattr(orbit, "h_integral_log_many", lambda ts, n: calls.append((ts, n)) or kernel(ts, n))
+        argvs = [
+            "sweep-theorem1 --delta 3 --n-grid 100,10000 --reps 512 --lbar-reps 1024",
+            "lbar --group full_orthogonal --model normal --alt spike:3 --n 1000,10000 --reps 1024",
+        ]
+        for i, argv in enumerate(argvs):
+            assert cli.main([*argv.split(), "--seed", "0", "--out", str(tmp_path / f"{i}.csv")]) == 0
+        assert [(ts.size, n) for ts, n in calls] == [(1025, 100), (1025, 10_000), (1025, 1000), (1025, 10_000)]
+        for ts, n in calls:
+            self._same(ts, n)
+
+    def test_several_chunks_with_a_shorter_last(self):
+        n, t_max = 5, 4096.0
+        chunk = orbit.LOG_H_CHUNK // (orbit._series_length(0.25 * t_max**2, n / 2 - 1) + 1)
+        ts = spawn_generator(3, 1).uniform(0.0, t_max, 2 * chunk + chunk // 3)
+        ts[1] = t_max
+        assert ts.size % chunk and ts.size > 2 * chunk
+        self._same(ts, n)
+
+    def test_all_zero(self):
+        # K = 0: each row is the single term 1.
+        assert np.all(self._same(np.zeros(5), 7) == h_integral_log(0.0, 7))
+
+    def test_zeros_among_positive(self):
+        # log x = -inf for a zero argument: every term past the first is 0.
+        ts = np.array([0.0, 2.5, 0.0, 40.0, 0.0])
+        got = self._same(ts, 12)
+        assert np.all(got[ts == 0] == h_integral_log(0.0, 12))
+
+    def test_empty(self):
+        assert self._same(np.empty(0), 9).shape == (0,)
+
+
+class TestLogHLimit:
+    """Arguments whose series outgrows a chunk are refused, by the kernel and, up front, by the orbit."""
+
+    @pytest.mark.parametrize("n", [3, 100, 10_000])
+    def test_terms_stop_growing_at_the_limit(self, n):
+        t = orbit.max_log_h_argument(n)
+        k, nu = orbit.LOG_H_CHUNK - 1, n / 2 - 1
+        assert (t / 2) ** 2 / (k * (k + nu)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_kernel_refuses_past_the_limit(self):
+        with pytest.raises(ValueError, match="t must be <="):
+            h_integral_log_many(np.array([1.0, 1.001 * orbit.max_log_h_argument(5)]), 5)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_orbit_refuses_past_the_radius_bound(self, p):
+        n = 100
+        design = spawn_generator(2, 1).normal(size=(n, p))
+        group = orbit.Group.ORTHOGONAL_FIXING_DESIGN if p else orbit.Group.FULL_ORTHOGONAL
+        spec = OrbitSpec(group, design=design if p else None)
+        q, _ = np.linalg.qr(design)
+        e = np.eye(n)[0] - q @ q[0]  # e_0 off the design columns
+        e /= np.linalg.norm(e)
+        limit = orbit.max_log_h_argument(n - p) / (math.sqrt(n - p) + orbit.RADIUS_SLACK)
+        spec.null_orbit(normal_family(), free(0.999 * limit * e), 0)
+        for norm in (1.001 * limit, 1e300):  # ||m|| overflows to inf at 1e300
+            with pytest.raises(ValueError, match="past the log H limit"), np.errstate(over="ignore"):
+                spec.null_orbit(normal_family(), free(norm * e), 0)
+
+    def test_radius_bound_tail_is_the_series_tail(self):
+        assert math.exp(-(orbit.RADIUS_SLACK**2) / 2) == pytest.approx(2.0**-60, rel=1e-12)
 
 
 class TestLbarOrthogonal:
