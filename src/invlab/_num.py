@@ -1,10 +1,11 @@
-"""The two numerical routines invlab needs beyond numpy.
+"""The numerical routines invlab needs beyond numpy.
 
-Composite Simpson quadrature on uniform odd-point grids and a max-shifted
+Composite Simpson quadrature on uniform odd-point grids, a max-shifted
 log-sum-exp that follows scipy's algorithm step for step (so results are
-bit-identical to ``scipy.special.logsumexp``).  Keeping them here keeps
-scipy off the import path of the package; the tests use scipy as their
-oracle.
+bit-identical to ``scipy.special.logsumexp``), a Euclidean norm that stays
+finite where the sum of squares overflows, and a sample mean with its
+standard error.  Keeping them here keeps scipy off the import path of the
+package; the tests use scipy as their oracle.
 """
 
 from __future__ import annotations
@@ -49,3 +50,17 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
+
+def norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``; where the squares of finite entries overflow, ``max|x| * norm(x / max|x|)``."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(x))
+    if out == np.inf and np.isfinite(x).all():
+        top = float(np.abs(x).max())
+        return top * float(np.linalg.norm(x / top))
+    return out
+
+
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """The mean of the sample ``values`` and its standard error ``std(ddof=1) / sqrt(size)``."""
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))

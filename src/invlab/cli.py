@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, models, orbit, permclt
-from .rng import TAG_LBAR, TAG_MODEL, spawn_generator
+from . import __version__, _num, experiments, models, orbit, permclt
+from .rng import TAG_LBAR, TAG_MODEL, draw_passes, spawn_generator
 
 ENV_SEED = "INVLAB_SEED"
 
@@ -325,27 +325,30 @@ def run_lbar(cfg: dict) -> list[dict]:
         spec = orbit.OrbitSpec(group=group, design=design, mc_reps=cfg["mc_reps"])
         return n, m, spec.null_orbit(model.family, m, cfg["seed"])
 
+    grid = experiments.per_n(cfg["subcommand"], cfg["n_grid"], setup)
+    # Every n's samples in one plan, keyed by grid index.
+    passes = [null_orbit.lbar_pass(cfg["reps"], {gi: orbit.LBAR}) for gi, (_, _, null_orbit) in enumerate(grid)]
+    samples = draw_passes(passes, cfg["workers"])
     rows = []
-    for n, m, null_orbit in experiments.per_n(cfg["subcommand"], cfg["n_grid"], setup):
-        vals = orbit.null_lbar_samples(null_orbit, cfg["reps"], workers=cfg["workers"])
+    for gi, (n, m, null_orbit) in enumerate(grid):
+        vals = samples[gi]
+        e0, e0_se = _num.mean_se(vals)
         bound, bound_se = orbit.power_level_bound(vals)
         var_diag = (
             orbit.perm_variance_diagnostic(m, cfg["mc_reps"], spawn_generator(cfg["seed"], TAG_LBAR))
             if null_orbit.radial is None else float("nan")
         )
-        rows.append(
-            {
-                "group": group.value,
-                "model": cfg["model"],
-                "n": n,
-                "e0_lbar": float(vals.mean()),
-                "se_e0_lbar": float(vals.std(ddof=1) / np.sqrt(vals.size)),
-                "abs_dev_bound": bound,
-                "se_abs_dev_bound": bound_se,
-                "var_lbar": float(vals.var(ddof=1)),
-                "var_diag": var_diag,
-            }
-        )
+        rows.append({
+            "group": group.value,
+            "model": cfg["model"],
+            "n": n,
+            "e0_lbar": e0,
+            "se_e0_lbar": e0_se,
+            "abs_dev_bound": bound,
+            "se_abs_dev_bound": bound_se,
+            "var_lbar": float(vals.var(ddof=1)),
+            "var_diag": var_diag,
+        })
     return rows
 
 

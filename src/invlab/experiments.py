@@ -14,7 +14,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from . import models, orbit, stats
+from . import _num, models, orbit, stats
 from .models import (
     ExpFamilySpec,
     GeneralFamilySpec,
@@ -28,8 +28,9 @@ from .rng import (
     TAG_LEVEL,
     TAG_POWER,
     TAG_SUFFICIENT,
-    blocks,
-    map_blocks,
+    Pass,
+    draw_passes,
+    map_blocks,  # not called here: perfbench/test_perfbench.py::test_wrappers_leave_invlab_unpatched reads it
     row_chunks,
     row_slices,
     spawn_generator,
@@ -192,7 +193,7 @@ class FamilyModel(Model):
         sample = lambda reps, rng: models.sample_model(self.family, m, rng, reps=reps)
         if self.family.name != "normal":
             return Point(n, sample, mean=m)
-        norm = float(np.linalg.norm(m.entries))
+        norm = _num.norm(m.entries)
         radial = lambda reps, rng: models.sample_normal_radial(norm, n, rng, reps)
         return Point(n, sample, block=NORMAL_RADIAL, sufficient=radial, mean=m)
 
@@ -392,79 +393,13 @@ class PowerReport:
         return float(np.hypot(self.level_se, self.power_se))
 
 
-@dataclass(frozen=True, eq=False)
-class _Pass:
-    """Functions ``reads`` of ``reps`` replicates, drawn block by block.
-
-    Block ``b`` is ``chunks(count, rng)`` on the stream ``(seed, *tags, b)``:
-    its rows in consecutive row chunks (:func:`invlab.rng.row_chunks`).
-    ``reads`` maps each key to the function whose values it names.
-    ``row_size`` is the sample size ``n`` of a data block and 0 for a
-    sufficient block; it orders the blocks of a plan (:func:`_draw_passes`).
-    """
-
-    chunks: Callable[[int, np.random.Generator], Iterable[np.ndarray]]
-    reads: dict[Hashable, Callable[[np.ndarray], np.ndarray]]
-    reps: int
-    seed: int
-    tags: tuple[int, ...]
-    row_size: int = 0
-
-    def block(self, b: int, count: int) -> list[np.ndarray]:
-        """Every function on block ``b``, in the order of ``reads``.
-
-        Each chunk is made read-only and read by every function before the
-        next one is taken, so temporaries stay cache-sized; every function is
-        computed row by row, so the values are those of one whole-block call.
-        """
-        fns = list(self.reads.values())
-        values: list[list[np.ndarray]] = [[] for _ in fns]
-        for chunk in self.chunks(count, spawn_generator(self.seed, *self.tags, b)):
-            chunk.flags.writeable = False
-            for out, fn in zip(values, fns):
-                out.append(np.asarray(fn(chunk), dtype=float))
-        return [np.concatenate(v) for v in values]
-
-
-#: Start rank of a pass's blocks at equal row size, by its last stream tag
-#: (other tags rank last): power blocks, rejection-sampled on spacings, are
-#: the slowest.
-_STAGE_RANK = {TAG_POWER: 0, TAG_LEVEL: 1, TAG_CALIBRATE: 2}
-
-
-def _draw_passes(passes: Sequence[_Pass], workers: int) -> dict[Hashable, np.ndarray]:
-    """Each key's values in replicate order, every pass drawn in one :func:`map_blocks` call.
-
-    The plan holds every block of every pass and starts the largest row size
-    first; at equal size, power blocks go before level blocks and level
-    blocks before calibration blocks, so the slowest blocks do not trail at
-    the end of the call.  A block's values come from its own stream, so the
-    order changes no value.
-    """
-    ranks = [(-p.row_size, _STAGE_RANK.get(p.tags[-1], len(_STAGE_RANK))) for p in passes]
-    plan = sorted(
-        (((i, b), count) for i, p in enumerate(passes) for b, count in blocks(p.reps)),
-        key=lambda item: ranks[item[0][0]],
-    )
-    results = map_blocks(lambda key, count: passes[key[0]].block(key[1], count), plan, workers)
-    parts: list[list[list[np.ndarray]]] = [[] for _ in passes]
-    # The sort is stable, so each pass's blocks arrive in block order.
-    for ((i, _), _), values in zip(plan, results):
-        parts[i].append(values)
-    return {
-        key: np.concatenate(v)
-        for p, block_values in zip(passes, parts)
-        for key, v in zip(p.reads, zip(*block_values))
-    }
-
-
 def _route_passes(
     point: Point,
     reads: dict[Hashable, Callable[[np.ndarray], np.ndarray] | Reduced],
     reps: int,
     seed: int,
     tag: int,
-) -> list[_Pass]:
+) -> list[Pass]:
     """The passes that read ``reps`` draws at ``point``.
 
     A :class:`Reduced` read is its ``fn`` on the point's sufficient block,
@@ -477,10 +412,11 @@ def _route_passes(
     sufficient = {key: fn.fn for key, fn in reads.items() if isinstance(fn, Reduced)}
     out = []
     if data:
-        out.append(_Pass(point.chunks, data, reps, seed, (tag,), point.n))
+        chunks = lambda count, rng, _: point.chunks(count, rng)
+        out.append(Pass(chunks, data, reps, seed, (tag,), point.n))
     if sufficient:
-        chunks = lambda count, rng: row_slices(point.sufficient(count, rng))
-        out.append(_Pass(chunks, sufficient, reps, seed, (TAG_SUFFICIENT, tag)))
+        chunks = lambda count, rng, _: row_slices(point.sufficient(count, rng))
+        out.append(Pass(chunks, sufficient, reps, seed, (TAG_SUFFICIENT, tag)))
     return out
 
 
@@ -537,13 +473,8 @@ def estimate_power(
 # Theorem sweeps
 #
 # A sweep returns one dict per grid point whose keys are its table's
-# columns, in order.  Its tests are (statistic, alternative) pairs, the
-# statistic a make_statistic name or a function of the point; a grid point
-# is one cell of them, each statistic built from the point it tests
-# (Cell.resolve).  _sweep_cells draws every cell's blocks in one plan and
-# reduces each cell to its reports (estimate_power is one cell of one
-# test).  A sweep labels its gap tests next to their list, and _gap_columns
-# names each report's (gap, gap_se) pair after its label.
+# columns, in order; a grid point is one Cell of its tests, and
+# _sweep_cells draws every cell's blocks in one plan.
 # --------------------------------------------------------------------- #
 
 
@@ -621,21 +552,24 @@ def _sweep_cells(
     calib_reps: int | None,
     workers: int,
     level_reads: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+    own: Sequence[Pass] = (),
 ) -> Iterator[tuple[Cell, list[PowerReport], list[np.ndarray]]]:
     """Per cell, ``(cell, reports, reads)``: its tests on shared draws.
 
     Value ``(c, "calibrate", i)`` is test ``i`` of cell ``c`` on ``calib_reps``
     draws at the null point, ``(c, "level", i)`` on ``reps`` more, and
-    ``(c, "power", i)`` on ``reps`` draws at its own point; ``(c, "read", j)``,
-    returned as ``reads``, is function ``j`` of ``level_reads`` on the level's
-    null data.  A test takes the route its own point takes for its statistic
+    ``(c, "power", i)`` on ``reps`` draws at its own point; ``(c, "read", j)``
+    is function ``j`` of ``level_reads`` on the level's null data.  ``own``,
+    when given, holds one more pass per cell, its keys unlike these; a cell's
+    ``reads`` are its level reads, then the values of its own pass.  A test
+    takes the route its own point takes for its statistic
     (:meth:`Point.reduces`), for calibration, level and power alike.  Per
     cell and route the null is drawn once for calibration and once for the
-    level, and each distinct point once for power; the
-    blocks of every cell are drawn in one plan (:func:`_draw_passes`) before
-    any cell is reduced, and a cell's critical values are the quantiles
-    :func:`calibrate_critical` takes of its calibration values.  Too few
-    calibration replicates are refused before anything is drawn.
+    level, and each distinct point once for power.  Every pass is drawn in
+    one plan (:func:`~invlab.rng.draw_passes`) before any cell is reduced,
+    and a cell's critical values are the quantiles :func:`calibrate_critical`
+    takes of its calibration values.  Too few calibration replicates are
+    refused before anything is drawn.
     """
     calib = calibration_reps(reps, calib_reps)
     _check_calibration(level, calib)
@@ -650,7 +584,7 @@ def _sweep_cells(
         for point in dict.fromkeys(p for _, p in cell.tests):
             sharing = [i for i, (_, p) in enumerate(cell.tests) if p is point]
             passes += _route_passes(point, stage("power", sharing), reps, cell.seed, TAG_POWER)
-    values = _draw_passes(passes, workers)
+    values = draw_passes([*passes, *own], workers)
     for c, cell in enumerate(cells):
         every = range(len(cell.tests))
         criticals = calibrate_critical([values[c, "calibrate", i] for i in every], level, calib)
@@ -663,7 +597,8 @@ def _sweep_cells(
             )
             for i, ((statistic, _), critical) in enumerate(zip(cell.tests, criticals))
         ]
-        yield cell, reports, [values[c, "read", j] for j in range(len(level_reads))]
+        reads = [values[c, "read", j] for j in range(len(level_reads))]
+        yield cell, reports, reads + [values[key] for key in (own[c].reads if own else ())]
 
 
 def _gap_columns(labels: Sequence[str], reports: Sequence[PowerReport]) -> dict[str, float]:
@@ -701,16 +636,15 @@ def theorem1_sweep(
     orthogonal = orbit.OrbitSpec(orbit.Group.FULL_ORTHOGONAL)
     cells = _grid_cells(model, [("chisq", alt), ("np", alt)], n_grid, seed)
     spike = lambda cell: cell.tests[0][1].mean
-    # The bound's orbit average at each cell's spike.
+    # The bound's orbit average at each cell's spike, drawn in the cells' plan.
     orbits = per_n(
         f"the {model.name} model", n_grid,
-        lambda _, gi: orthogonal.null_orbit(model.family, spike(cells[gi]), cells[gi].seed),
+        lambda _, gi: orthogonal.null_orbit(model.family, spike(cells[gi]), cells[gi].seed)
+        .lbar_pass(lbar_reps, {("lbar", gi): orbit.LBAR}),
     )
     rows = []
-    for (cell, (chisq, np_rep), _), null_orbit in zip(
-        _sweep_cells(cells, reps, level, calib_reps, workers), orbits
-    ):
-        bound, bound_se = orbit.power_level_bound(orbit.null_lbar_samples(null_orbit, lbar_reps, workers))
+    for cell, (chisq, np_rep), (lbar,) in _sweep_cells(cells, reps, level, calib_reps, workers, own=orbits):
+        bound, bound_se = orbit.power_level_bound(lbar)
         rows.append({
             "n": cell.n,
             **_gap_columns(("chisq",), (chisq,)),

@@ -24,15 +24,16 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Hashable
 
 import numpy as np
 
-from ._num import logsumexp
+from ._num import logsumexp, mean_se, norm
 from .models import ExpFamilySpec, MeanVector, sample_model, spike_levels
-from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, blocks, map_blocks, spawn_generator, uniform_permutations
+from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, Pass, draw_passes, spawn_generator, uniform_permutations
 from .stats import verify_invariance
 
 #: Largest dimension for exhaustive permutation averaging (8! = 40320).
@@ -139,18 +140,29 @@ class NullOrbit:
     seed: int
     radial: tuple[float, int] | None = None
 
-    def draw(self, b: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``b`` of null data ``x`` (stream ``(seed, TAG_MODEL, b)``) and ``Lbar(x)``."""
-        x = sample_model(self.family, self.null, spawn_generator(self.seed, TAG_MODEL, b), reps=count)
-        return x, np.asarray(self.average(x, b))
+    def lbar_pass(self, reps: int, reads: dict[Hashable, Callable]) -> Pass:
+        """``reads`` of ``reps`` null replicates, each a row that ends in its ``Lbar``.
 
-    def lbar(self, b: int, count: int) -> np.ndarray:
-        """Block ``b`` of null samples of ``Lbar``, one chi-square radius per replicate where radial."""
-        if self.radial is None:
-            return self.draw(b, count)[1]
-        norm_m, dof = self.radial
-        radii = np.sqrt(spawn_generator(self.seed, TAG_ORBIT, b).chisquare(dof, count))
-        return lbar_orthogonal_from_norms(norm_m, radii, dof)
+        A radial row is ``Lbar`` alone: block ``b`` is one ``chisquare(dof,
+        count)`` draw of radii on ``(seed, TAG_ORBIT, b)``.  Any other row is
+        a null vector ``x`` and ``Lbar(x)``: block ``b`` is one chunk, drawn
+        on ``(seed, TAG_MODEL, b)`` and averaged whole.
+        """
+        if self.radial is not None:
+            norm_m, dof = self.radial
+            radii = lambda rng, count: np.sqrt(rng.chisquare(dof, count))
+            chunks = lambda count, rng, _: [lbar_orthogonal_from_norms(norm_m, radii(rng, count), dof)[:, None]]
+            return Pass(chunks, reads, reps, self.seed, (TAG_ORBIT,))
+
+        def chunks(count: int, rng: np.random.Generator, b: int) -> list[np.ndarray]:
+            x = sample_model(self.family, self.null, rng, reps=count)
+            return [np.column_stack([x, self.average(x, b)])]
+
+        return Pass(chunks, reads, reps, self.seed, (TAG_MODEL,), self.null.n)
+
+
+#: The read of :meth:`NullOrbit.lbar_pass` that names ``Lbar``, its rows' last entry.
+LBAR = itemgetter((slice(None), -1))
 
 
 # --------------------------------------------------------------------- #
@@ -428,10 +440,10 @@ def _design_reduction(m: MeanVector, design: np.ndarray) -> tuple[np.ndarray, fl
         q, r = np.linalg.qr(design)
         if np.min(np.abs(np.diag(r))) <= 1e-12 * max(n, p) * np.max(np.abs(r)):
             raise ValueError("design must have full column rank")
-    scale = float(np.linalg.norm(mv))
-    if float(np.linalg.norm(q.T @ mv)) > 1e-8 * max(1.0, scale):
+    scale = norm(mv)
+    if norm(q.T @ mv) > 1e-8 * max(1.0, scale):
         raise ValueError("m violates identifiability (X'm != 0)")
-    return q, float(np.linalg.norm(mv - q @ (q.T @ mv))), n - p
+    return q, norm(mv - q @ (q.T @ mv)), n - p
 
 
 def lbar_design_orthogonal(
@@ -482,21 +494,12 @@ def power_level_bound(lbar_samples: np.ndarray) -> tuple[float, float]:
     samples = np.asarray(lbar_samples, dtype=float)
     if samples.size < 2:
         raise ValueError("need at least two samples for a standard error")
-    dev = np.abs(samples - 1.0)
-    return float(dev.mean()), float(dev.std(ddof=1) / np.sqrt(dev.size))
+    return mean_se(np.abs(samples - 1.0))
 
 
 def null_lbar_samples(null_orbit: NullOrbit, reps: int, workers: int = 1) -> np.ndarray:
-    """``reps`` null-draw samples of the orbit average ``null_orbit`` (:meth:`OrbitSpec.null_orbit`).
-
-    The orthogonal averages (normal model only) depend on null data only
-    through the norm of its part off the group's fixed subspace, the square
-    root of a chi-square with ``n`` degrees of freedom for the full group and
-    ``n - p`` for the group fixing a ``p``-column design.  Each replicate is
-    one such chi-square draw from stream ``(seed, TAG_ORBIT, block)``.  The
-    permutation averages need the whole null vector.
-    """
-    return np.concatenate(map_blocks(null_orbit.lbar, blocks(reps), workers=workers))
+    """``reps`` null samples of the orbit average of ``null_orbit`` (:meth:`NullOrbit.lbar_pass`)."""
+    return draw_passes([null_orbit.lbar_pass(reps, {"lbar": LBAR})], workers)["lbar"]
 
 
 @dataclass(frozen=True)
@@ -532,7 +535,8 @@ def identity_check(
     ``statistic`` must accept a batch ``(reps, n)``.  When an
     ``invariance_sampler`` is supplied the statistic is first checked to be
     invariant under the group (the identity need not hold otherwise).  The
-    null side draws whole vectors for every group, since ``T`` reads all of ``x``.
+    null side draws whole vectors for every group, radial or not, since
+    ``T`` reads all of ``x``.
     """
     null_orbit = spec.null_orbit(family, m, seed)
     if invariance_sampler is not None:
@@ -540,20 +544,9 @@ def identity_check(
         if not verify_invariance(statistic, invariance_sampler, probe, spawn_generator(seed)):
             raise ValueError("statistic is not invariant under the requested group")
 
-    def lhs_block(b: int, count: int) -> np.ndarray:
-        rng = spawn_generator(seed, TAG_POWER_LHS, b)
-        x = sample_model(family, m, rng, reps=count)
-        return np.asarray(statistic(x), dtype=float)
-
-    def rhs_block(b: int, count: int) -> np.ndarray:
-        x, lbar = null_orbit.draw(b, count)
-        return np.asarray(statistic(x), dtype=float) * lbar
-
-    lhs = np.concatenate(map_blocks(lhs_block, blocks(reps), workers=workers))
-    rhs = np.concatenate(map_blocks(rhs_block, blocks(reps), workers=workers))
-    return IdentityCheck(
-        lhs=float(lhs.mean()),
-        lhs_se=float(lhs.std(ddof=1) / np.sqrt(lhs.size)),
-        rhs=float(rhs.mean()),
-        rhs_se=float(rhs.std(ddof=1) / np.sqrt(rhs.size)),
-    )
+    # Both sides read whole blocks: the lhs at ``m`` on ``(seed, TAG_POWER_LHS, b)``.
+    lhs_chunks = lambda count, rng, _: [sample_model(family, m, rng, reps=count)]
+    rhs = lambda c: np.asarray(statistic(c[:, :-1]), dtype=float) * c[:, -1]
+    lhs = Pass(lhs_chunks, {"lhs": statistic}, reps, seed, (TAG_POWER_LHS,), m.n)
+    values = draw_passes([lhs, replace(null_orbit, radial=None).lbar_pass(reps, {"rhs": rhs})], workers)
+    return IdentityCheck(*mean_se(values["lhs"]), *mean_se(values["rhs"]))

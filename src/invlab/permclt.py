@@ -14,15 +14,10 @@ with-replacement sample reads the value at position ``ceil(n U_i)``.
 Ranks track ``n U_i`` within an empirical-process fluctuation, which is
 what makes the weighted sums close for centered weights.
 
-Every law runs in bounded memory.  A 1024-replicate block is the stream
-unit, and each block is drawn and reduced in row chunks of a fixed element
-budget (:func:`invlab.rng.row_chunks`), one after another from the
-block's generator, which changes no stream.  The coupling draws its
-chunks into buffers it allocates once per block and writes each chunk's
-contrasts into the block's result arrays.  It orders each row of
-uniforms by one sort of ``int64`` keys (value bits above the column index)
-instead of an argsort, which gives the same order, and inverts the order
-into ranks by one 1-D scatter per row.
+Every law and the coupling are passes of :func:`invlab.rng.draw_passes`,
+so they run in bounded memory, one row chunk at a time.  The coupling
+reuses its buffers across a block's chunks (:func:`_coupled_chunks`) and
+orders uniforms by one integer sort (:func:`_uniform_order`).
 
 A spike contrast ``m = b 1 + (a - b) e_j`` (two distinct values, one of
 them on the single coordinate ``j``) takes a reduced route for the
@@ -41,11 +36,13 @@ more distinct values, reads whole vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .experiments import NULL, FamilyModel, _draw_passes, _Pass
+from ._num import mean_se
+from .experiments import NULL, FamilyModel
 from .models import ExpFamilySpec, spike_levels
 from .rng import (
     TAG_BOOT_LAW,
@@ -54,8 +51,8 @@ from .rng import (
     TAG_MODEL,
     TAG_PERM_LAW,
     TAG_SUFFICIENT,
-    blocks,
-    map_blocks,
+    Pass,
+    draw_passes,
     row_chunks,
     spawn_generator,
     uniform_permutations,
@@ -286,8 +283,8 @@ def _chunked_law(
     Block ``b`` reads the stream ``(seed, *tags, b)``; ``values`` draws ``c``
     replicates of ``row_size`` elements each from ``rng`` and reduces them.
     """
-    chunks = lambda count, rng: (values(rng, c) for c in row_chunks(count, row_size))
-    return _draw_passes([_Pass(chunks, {"law": np.asarray}, reps, seed, tags)], workers)["law"]
+    chunks = lambda count, rng, _: (values(rng, c) for c in row_chunks(count, row_size))
+    return draw_passes([Pass(chunks, {"law": np.asarray}, reps, seed, tags)], workers)["law"]
 
 
 # --------------------------------------------------------------------- #
@@ -346,16 +343,17 @@ def _uniform_order(u: np.ndarray, keys: np.ndarray, scratch: np.ndarray) -> np.n
     return keys
 
 
-def _coupled_block(
+def _coupled_chunks(
     sorted_x: np.ndarray, m: np.ndarray, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` coupled replicates: without- and with-replacement contrasts and matched positions.
+) -> Iterator[np.ndarray]:
+    """``count`` coupled replicates, one row chunk (:func:`invlab.rng.row_chunks`) at a time.
 
-    Drawn in the row chunks of :func:`invlab.rng.row_chunks` into buffers
-    allocated once per block: the uniforms ``u``, the sort keys, the ranks
-    and the matches.  ``u`` is read by the sort and the quantile positions
-    and then holds the gathered values; the keys hold the sort order and,
-    once it is inverted into the ranks, the quantile positions ``star``.
+    A chunk of ``c`` replicates is a ``(3, c)`` view of the block's results:
+    the without- and with-replacement contrasts and the matched positions.
+    Buffers are allocated once per block: the results, the uniforms ``u``,
+    the sort keys, the ranks and the matches.  ``u`` is read by the sort and
+    the quantile positions and then holds the gathered values; the keys hold
+    the sort order and, once it is inverted into the ranks, ``star``.
     """
     n = m.size
     sizes = row_chunks(count, n)
@@ -364,11 +362,9 @@ def _coupled_block(
     ranks = np.empty((sizes[0], n), dtype=np.intp)
     hits = np.empty((sizes[0], n), dtype=bool)
     positions = np.arange(n)
-    without, with_r = np.empty(count), np.empty(count)
-    matched = np.empty(count, dtype=np.int_)
-    lo = 0
-    for c in sizes:
-        rows, uc, kc, rc = slice(lo, lo + c), u[:c], keys[:c], ranks[:c]
+    results = np.empty((3, count))
+    for lo, c in zip(np.cumsum([0, *sizes]), sizes):
+        chunk, uc, kc, rc = results[:, lo : lo + c], u[:c], keys[:c], ranks[:c]
         rng.random(out=uc)
         # Ranks invert the sorting order, one row at a time.
         for rank_row, order_row in zip(rc, _uniform_order(uc, kc, rc.view(np.int64))):
@@ -377,11 +373,10 @@ def _coupled_block(
         np.multiply(uc, n, out=uc)
         np.copyto(star, uc, casting="unsafe")  # truncation: floor(n u)
         np.minimum(star, n - 1, out=star)
-        np.sum(np.equal(rc, star, out=hits[:c]), axis=1, out=matched[rows])
-        np.matmul(np.take(sorted_x, rc, out=uc, mode="clip"), m, out=without[rows])
-        np.matmul(np.take(sorted_x, star, out=uc, mode="clip"), m, out=with_r[rows])
-        lo += c
-    return without, with_r, matched
+        np.sum(np.equal(rc, star, out=hits[:c]), axis=1, out=chunk[2])
+        np.matmul(np.take(sorted_x, rc, out=uc, mode="clip"), m, out=chunk[0])
+        np.matmul(np.take(sorted_x, star, out=uc, mode="clip"), m, out=chunk[1])
+        yield chunk
 
 
 def hajek_coupling(
@@ -409,23 +404,13 @@ def hajek_coupling(
     if reps < 2:
         raise ValueError("need reps >= 2 for the standard error of the squared gap")
     sorted_x = np.sort(x)
-
-    def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _coupled_block(sorted_x, m, count, spawn_generator(seed, TAG_COUPLING, b))
-
-    parts = map_blocks(block, blocks(reps), workers=workers)
-    without, with_r, matched = (np.concatenate(arrays) for arrays in zip(*parts))
+    chunks = lambda count, rng, _: _coupled_chunks(sorted_x, m, count, rng)
+    reads = {key: itemgetter(i) for i, key in enumerate(("without", "with", "matched"))}
+    values = draw_passes([Pass(chunks, reads, reps, seed, (TAG_COUPLING,), n)], workers)
+    without, with_r, matched = values["without"], values["with"], values["matched"].astype(np.int_)
     _, s_sq = perm_law_moments(m, x)
     bound = float(3.0 * np.sqrt(s_sq) * np.max(np.abs(x - x.mean())) / np.sqrt(n - 1))
-    gap_sq = (without - with_r) ** 2
-    return CouplingResult(
-        without_repl=without,
-        with_repl=with_r,
-        matched=matched,
-        bound=bound,
-        gap_sq_mean=float(gap_sq.mean()),
-        gap_sq_se=float(gap_sq.std(ddof=1) / np.sqrt(reps)),
-    )
+    return CouplingResult(without, with_r, matched, bound, *mean_se((without - with_r) ** 2))
 
 
 # --------------------------------------------------------------------- #

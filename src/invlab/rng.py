@@ -8,21 +8,21 @@ across workers, and each number can be traced to its stream.
 
 Pinned algorithm: numpy's Philox 4x64 counter-based bit generator,
 keyed through ``numpy.random.SeedSequence`` with the tag tuple as the
-spawn key.  Replicate loops are split into fixed-size blocks; each
-block owns an independent substream and partial results are always
-reduced in block order.
+spawn key.  Every Monte Carlo value is drawn by one executor: a
+:class:`Pass` splits its replicates into fixed-size blocks, each on its own
+substream, and :func:`draw_passes` draws the blocks of all its passes in
+one :func:`map_blocks` plan and reduces each pass in block order.
 
-A 1024-replicate block is the stream unit, and each block is drawn and
-reduced in row chunks of a fixed element budget (:func:`row_chunks`), one
-after another from the block's generator, which changes no stream: the
-generator fills every array in order, so the chunks hold the numbers one
-whole-block draw would.  A consumer that interleaves two runs of one stream
-reads the later run from a copy :func:`jumped` ahead.
+A block is drawn and reduced in row chunks (:func:`row_chunks`) one after
+another from its generator, which changes no stream.  A consumer that
+interleaves two runs of one stream reads the later run from a copy
+:func:`jumped` ahead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
+from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
@@ -133,11 +133,12 @@ def map_blocks(
 ) -> list[T]:
     """Evaluate ``fn(block, count)`` for every ``(block, count)`` pair of ``plan``, in plan order.
 
-    ``block`` is any key ``fn`` understands; :func:`blocks` of a replicate
-    count is the plain plan.  With ``workers > 1`` the blocks run on a
-    thread pool and start in plan order; results are still returned in plan
-    order, so any order-sensitive reduction by the caller is independent of
-    the worker count.  A block's exception is raised here.
+    ``block`` is any key ``fn`` understands; :func:`draw_passes`, the one
+    caller, keys each block by its pass and block index.  With
+    ``workers > 1`` the blocks run on a thread pool and start in plan order;
+    results are still returned in plan order, so any order-sensitive
+    reduction by the caller is independent of the worker count.  A block's
+    exception is raised here.
     """
     if workers <= 1 or len(plan) <= 1:
         return [fn(b, c) for b, c in plan]
@@ -147,3 +148,70 @@ def map_blocks(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda bc: fn(bc[0], bc[1]), plan))
+
+
+@dataclass(frozen=True, eq=False)
+class Pass:
+    """Functions ``reads`` of ``reps`` replicates, drawn block by block.
+
+    Block ``b`` is ``chunks(count, rng, b)`` with ``rng`` the stream
+    ``(seed, *tags, b)``: its rows in consecutive row chunks
+    (:func:`row_chunks`), or one chunk where a value reads the block whole;
+    ``b`` names its other streams, as the Monte Carlo permutation orbit's
+    ``(seed, TAG_LBAR, b)``.  ``row_size`` is the sample size ``n`` of a data
+    block and 0 for a block of a few numbers per replicate; it orders the
+    blocks of a plan (:func:`draw_passes`).
+    """
+
+    chunks: Callable[[int, np.random.Generator, int], Iterable[np.ndarray]]
+    reads: dict[Hashable, Callable[[np.ndarray], np.ndarray]]
+    reps: int
+    seed: int
+    tags: tuple[int, ...]
+    row_size: int = 0
+
+    def block(self, b: int, count: int) -> list[np.ndarray]:
+        """Every function on block ``b``, in the order of ``reads``.
+
+        Each chunk is made read-only and read by every function before the
+        next one is taken, so temporaries stay cache-sized; every function is
+        computed row by row, so the values are those of one whole-block call.
+        """
+        fns = list(self.reads.values())
+        values: list[list[np.ndarray]] = [[] for _ in fns]
+        for chunk in self.chunks(count, spawn_generator(self.seed, *self.tags, b), b):
+            chunk.flags.writeable = False
+            for out, fn in zip(values, fns):
+                out.append(np.asarray(fn(chunk), dtype=float))
+        return [np.concatenate(v) for v in values]
+
+
+#: Start rank of a pass's blocks at equal row size, by its last stream tag
+#: (others last): power blocks, rejection-sampled on spacings, are the slowest.
+_STAGE_RANK = {TAG_POWER: 0, TAG_LEVEL: 1, TAG_CALIBRATE: 2}
+
+
+def draw_passes(passes: Sequence[Pass], workers: int) -> dict[Hashable, np.ndarray]:
+    """Each key's values in replicate order, every pass drawn in one :func:`map_blocks` call.
+
+    The plan holds every block of every pass and starts the largest row size
+    first; at equal size, power blocks go before level blocks and level
+    blocks before calibration blocks, so the slowest blocks do not trail at
+    the end of the call.  A block's values come from its own stream, so the
+    order changes no value.
+    """
+    ranks = [(-p.row_size, _STAGE_RANK.get(p.tags[-1], len(_STAGE_RANK))) for p in passes]
+    plan = sorted(
+        (((i, b), count) for i, p in enumerate(passes) for b, count in blocks(p.reps)),
+        key=lambda item: ranks[item[0][0]],
+    )
+    results = map_blocks(lambda key, count: passes[key[0]].block(key[1], count), plan, workers)
+    parts: list[list[list[np.ndarray]]] = [[] for _ in passes]
+    # The sort is stable, so each pass's blocks arrive in block order.
+    for ((i, _), _), values in zip(plan, results):
+        parts[i].append(values)
+    return {
+        key: np.concatenate(v)
+        for p, block_values in zip(passes, parts)
+        for key, v in zip(p.reads, zip(*block_values))
+    }

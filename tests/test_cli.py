@@ -528,12 +528,12 @@ class TestIncompatibleConfigurations:
 
     @pytest.mark.parametrize("group", ["full_orthogonal", "orthogonal_fixing_design"])
     def test_lbar_orthogonal_groups_need_the_normal_model(self, tmp_path, monkeypatch, group):
-        from invlab import orbit
+        from invlab import rng
 
         def no_sampling(*_args, **_kwargs):
             raise RuntimeError("sampled an incompatible configuration")
 
-        monkeypatch.setattr(orbit, "null_lbar_samples", no_sampling)
+        monkeypatch.setattr(rng, "map_blocks", no_sampling)
         code, out = run(
             tmp_path, "lbar", "--group", group, "--model", "poisson", "--n", "50", "--reps", "200", "--seed", "1"
         )
@@ -549,28 +549,44 @@ class TestIncompatibleConfigurations:
         ],
     )
     def test_radial_alternatives_past_the_log_h_limit(self, tmp_path, monkeypatch, capsys, argv):
-        # Sizing the series takes ~t/2 Python steps (unending at 1e150), and ||m|| overflows past ~1e154.
-        from invlab import experiments, orbit
+        # Sizing the series takes ~t/2 Python steps (unending at 1e150), and ||m||^2 overflows past ~1e154.
+        from invlab import rng
 
         def no_sampling(*_args, **_kwargs):
             raise RuntimeError("sampled an incompatible configuration")
 
-        monkeypatch.setattr(experiments, "_sweep_cells", no_sampling)
-        monkeypatch.setattr(orbit, "null_lbar_samples", no_sampling)
-        with np.errstate(over="ignore"):
-            code, out = run(tmp_path, *argv, "--reps", "64", "--seed", "1")
+        monkeypatch.setattr(rng, "map_blocks", no_sampling)
+        code, out = run(tmp_path, *argv, "--reps", "64", "--seed", "1")
         assert code == 2
         assert not out.exists()
         assert "is past the log H limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-theorem1", "--delta", "1e160", "--n-grid", "20", "--reps", "64"],
+            ["lbar", "--group", "full_orthogonal", "--alt", "spike:1e160"],
+        ],
+    )
+    def test_a_norm_whose_square_overflows_is_named(self, tmp_path, argv):
+        # A fresh interpreter, so that stderr is exactly what a shell would show.
+        script = "import sys; from invlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out.csv")],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert "||m|| = 1e+160 is past the log H limit" in line
+
     @pytest.mark.parametrize("model", ["poisson", "bernoulli"])
     def test_lbar_keeps_the_family_in_its_compact_box(self, tmp_path, monkeypatch, model):
-        from invlab import orbit
+        from invlab import rng
 
         def no_sampling(*_args, **_kwargs):
             raise RuntimeError("sampled an incompatible configuration")
 
-        monkeypatch.setattr(orbit, "null_lbar_samples", no_sampling)
+        monkeypatch.setattr(rng, "map_blocks", no_sampling)
         code, out = run(
             tmp_path, "lbar", "--group", "permutation", "--model", model, "--alt", "spike:10",
             "--n", "50", "--reps", "64", "--seed", "1",

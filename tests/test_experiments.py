@@ -34,7 +34,7 @@ from invlab.experiments import (
     theorem1_sweep,
     theorem2_sweep,
 )
-from invlab.rng import BLOCK_REPS, TAG_CALIBRATE, row_chunks, row_slices, spawn_generator
+from invlab.rng import BLOCK_REPS, TAG_CALIBRATE, Pass, draw_passes, row_chunks, row_slices, spawn_generator
 
 from oracles import load_expectations, profile_from_callable, trend_slope
 
@@ -264,7 +264,7 @@ _PARTIAL_BLOCK = 476
 
 
 def _chunk_digests(n: int) -> dict[str, list[str]]:
-    """Digests of each statistic on a 476-row block: whole, by ``_draw_passes``, and ragged.
+    """Digests of each statistic on a 476-row block: whole, by ``draw_passes``, and ragged.
 
     Covers every ``make_statistic`` name, ``cellmean_chisq`` and the two
     spacings log-likelihoods.  The ragged split has chunks of 1, 2 and 5 rows.
@@ -296,8 +296,8 @@ def _chunk_digests(n: int) -> dict[str, list[str]]:
     out = {}
     for name, (fn, data) in cases.items():
         whole = np.asarray(fn(data), dtype=float)
-        passes = [experiments._Pass(lambda c, rng: row_slices(data), {name: fn}, count, 0, (0,))]
-        chunked = experiments._draw_passes(passes, 1)[name]
+        passes = [Pass(lambda c, rng, b: row_slices(data), {name: fn}, count, 0, (0,))]
+        chunked = draw_passes(passes, 1)[name]
         ragged = np.concatenate([fn(data[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
         out[name] = [hashlib.sha256(v.tobytes()).hexdigest() for v in (whole, chunked, ragged)]
     return out
@@ -369,8 +369,8 @@ class TestChunkedNullDraws:
         # 1500 replicates: a full block and a 476-row partial one, each on its own stream.
         reps, seed, tags = BLOCK_REPS + _PARTIAL_BLOCK, 55, (TAG_CALIBRATE,)
         chunks = SpacingsModel().at(n, NULL, seed).chunks
-        passes = [experiments._Pass(chunks, {"null": lambda d: d}, reps, seed, tags)]
-        got = experiments._draw_passes(passes, workers)["null"]
+        passes = [Pass(lambda c, rng, b: chunks(c, rng), {"null": lambda d: d}, reps, seed, tags)]
+        got = draw_passes(passes, workers)["null"]
         want = [
             _whole_null_block(n, count, spawn_generator(seed, *tags, b))
             for b, count in enumerate((BLOCK_REPS, _PARTIAL_BLOCK))

@@ -11,6 +11,9 @@ package.
 
 Only ``rng`` calls into ``np.random``, so every generator comes from its
 ``spawn_generator`` or ``jumped`` and every stream is named by its caller.
+Only ``rng.draw_passes`` calls ``map_blocks``, so every Monte Carlo draw is a
+pass of one plan.  No module imports an underscore name from another, so
+what one module keeps private no other builds on.
 """
 
 import ast
@@ -156,3 +159,39 @@ def test_only_rng_calls_numpy_random():
     }
     assert {module: found for module, found in calls.items() if found} == {}
     assert _random_calls(ast.parse((PACKAGE / "rng.py").read_text()))  # the guard sees rng's own calls
+
+
+def _callers(tree: ast.AST, name: str, scope: tuple[str, ...] = ()) -> list[str]:
+    """The dotted enclosing definitions of each call of ``name`` (bare or as an attribute) in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = (*scope, node.name) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append(".".join(scope))
+        found += _callers(node, name, inner)
+    return found
+
+
+def test_map_blocks_runs_only_under_draw_passes():
+    callers = [
+        f"{path.stem}.{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _callers(ast.parse(path.read_text()), "map_blocks")
+    ]
+    assert callers == ["rng.draw_passes"]
+
+
+def test_no_module_imports_another_modules_private_names():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    private = [
+        f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("invlab"))
+        for alias in node.names
+        # A module (``_num``) and a dunder (``__version__``) are not a module's private name.
+        if alias.name.startswith("_") and not alias.name.startswith("__") and alias.name not in modules
+    ]
+    assert private == []

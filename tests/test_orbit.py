@@ -30,7 +30,7 @@ from invlab.orbit import (
     perm_variance_diagnostic,
     power_level_bound,
 )
-from invlab.rng import BLOCK_REPS, TAG_LBAR, TAG_ORBIT, spawn_generator
+from invlab.rng import BLOCK_REPS, TAG_LBAR, TAG_MODEL, TAG_ORBIT, spawn_generator
 from invlab.stats import chisq_statistic
 
 from oracles import allocating_log_h, haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
@@ -739,7 +739,8 @@ class TestIdentityCheck:
         spec = OrbitSpec(group="permutation", mc_reps=500)
         res = identity_check(fam, m, stat, spec, reps=20_000, seed=46)
         assert res.agrees, res
-        x, _ = spec.null_orbit(fam, m, seed=46).draw(0, 20_000)
+        null = spec.null_orbit(fam, m, seed=46).null
+        x = sample_model(fam, null, spawn_generator(46, TAG_MODEL, 0), reps=20_000)
         assert abs(res.lhs - stat(x).mean()) > 4 * res.se  # Lbar carries the whole gap
 
     def test_poisson_variance_threshold_exhaustive(self):
@@ -765,6 +766,34 @@ class TestIdentityCheck:
                 seed=20,
                 invariance_sampler=permutation_sampler(3),
             )
+
+
+class TestMonteCarloOrbitStreams:
+    """A Monte Carlo permutation orbit reads block ``b`` from its own streams, at any worker count.
+
+    3000 replicates are three blocks, the last a partial one; block ``b``'s
+    null data come from ``(seed, TAG_MODEL, b)`` and its permutations from
+    ``(seed, TAG_LBAR, b)``, the whole block as one chunk.
+    """
+
+    FAMILY = poisson_family()
+    M = MeanVector(np.linspace(0.2, 1.0, 12))  # no spike: the average is a Monte Carlo one
+    SPEC = OrbitSpec(group="permutation", mc_reps=50)
+
+    def test_second_block_reads_its_streams(self):
+        null_orbit = self.SPEC.null_orbit(self.FAMILY, self.M, 61)
+        one = null_lbar_samples(null_orbit, 3000, workers=1)
+        assert np.array_equal(one, null_lbar_samples(null_orbit, 3000, workers=2))
+        x = sample_model(self.FAMILY, null_orbit.null, spawn_generator(61, TAG_MODEL, 1), reps=BLOCK_REPS)
+        want = lbar_permutation(self.FAMILY, self.M, x, self.SPEC, spawn_generator(61, TAG_LBAR, 1))
+        assert np.array_equal(one[BLOCK_REPS : 2 * BLOCK_REPS], want)
+
+    def test_identity_check_does_not_depend_on_workers(self):
+        stat = lambda x: (np.asarray(x).var(axis=-1) > 0.8).astype(float)
+        one, two = (
+            identity_check(self.FAMILY, self.M, stat, self.SPEC, reps=3000, seed=62, workers=w) for w in (1, 2)
+        )
+        assert one == two
 
 
 class TestHeuristic:

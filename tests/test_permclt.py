@@ -221,7 +221,8 @@ class TestCoupledRankKernel:
         m = gen.normal(size=n)
         m -= m.mean()
         count = 257
-        got = permclt._coupled_block(sorted_x, m, count, spawn_generator(42, n))
+        # Rows: the without- and with-replacement contrasts and the matches.
+        got = np.concatenate(list(permclt._coupled_chunks(sorted_x, m, count, spawn_generator(42, n))), axis=1)
         # The direct formulation: ranks as the argsort of the argsort.  The
         # kernel multiplies row chunk by row chunk, and so does the reference:
         # a product's rows are summed in BLAS groups that follow its shape.

@@ -6,7 +6,11 @@ import time
 import numpy as np
 import pytest
 
+from invlab import cli, rng
+from invlab.models import MeanVector, normal_family
+from invlab.orbit import OrbitSpec, identity_check
 from invlab.rng import BLOCK_REPS, CHUNK_ELEMENTS, jumped, map_blocks, row_chunks, spawn_generator
+from invlab.stats import chisq_statistic
 
 #: Every generator method a block function draws in row chunks.
 DRAWS = {
@@ -99,3 +103,37 @@ def test_plan_reraises_a_task_exception(workers):
 
     with pytest.raises(ZeroDivisionError, match="block bad"):
         map_blocks(fn, [("a", 1), ("bad", 2), ("c", 3)], workers)
+
+
+class TestOnePlan:
+    """Each run below draws all of its blocks in one ``map_blocks`` call, through ``draw_passes``."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """The block count of every ``map_blocks`` call."""
+        sizes, original = [], rng.map_blocks
+
+        def counted(fn, plan, workers=1):
+            sizes.append(len(plan))
+            return original(fn, plan, workers)
+
+        monkeypatch.setattr(rng, "map_blocks", counted)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-theorem1", "--n-grid", "20,50", "--reps", "64", "--lbar-reps", "64"],
+            ["lbar", "--group", "full_orthogonal", "--n", "20,50", "--reps", "64"],
+            ["lbar", "--group", "permutation", "--alt", "smooth:1", "--mc-reps", "50", "--n", "20,50",
+             "--reps", "64"],
+        ],
+    )
+    def test_cli_run(self, tmp_path, plans, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(plans) == 1
+
+    def test_identity_check(self, plans):
+        m = MeanVector(np.array([1.0, -0.5, 0.0, 0.5, -1.0]))
+        identity_check(normal_family(), m, chisq_statistic, OrbitSpec("full_orthogonal"), reps=2000, seed=3)
+        assert plans == [4]  # two blocks a side
