@@ -297,17 +297,12 @@ def run_theorem2(cfg: dict) -> list[dict]:
 def run_neyman_scott(cfg: dict) -> list[dict]:
     if cfg["matrix"]:
         return _run_sweep(experiments.matrix_variate_sweep, cfg, cfg["n_grid"], cfg["delta"])
-    return _run_sweep(
-        experiments.neyman_scott_sweep, cfg, cfg["n_grid"], cfg["nu"], cfg["delta"],
-        sigma=cfg["sigma"], profile=cfg["profile"],
-    )
+    alt = experiments.AlternativeSpec(cfg["profile"], cfg["delta"])
+    return _run_sweep(experiments.neyman_scott_sweep, cfg, alt, cfg["n_grid"], cfg["nu"], sigma=cfg["sigma"])
 
 
 def run_spacings(cfg: dict) -> list[dict]:
-    alt = parse_alternative(cfg["alt"])
-    if alt.profile is None:
-        raise ConfigError("sweep-spacings requires an h:... alternative")
-    return _run_sweep(experiments.spacings_sweep, cfg, alt.profile, cfg["n_grid"])
+    return _run_sweep(experiments.spacings_sweep, cfg, parse_alternative(cfg["alt"]), cfg["n_grid"])
 
 
 def run_lbar(cfg: dict) -> list[dict]:

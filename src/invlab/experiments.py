@@ -57,8 +57,8 @@ class IncompatibleConfiguration(ValueError):
 class AlternativeSpec:
     """A named family of alternatives at a given scale.
 
-    ``kind`` is one of ``single_spike``, ``smooth_profile``, ``random_signs``,
-    ``spacings_h``, ``matrix_variate``; ``scale`` is the centered norm, and
+    ``kind`` is one of ``single_spike``, ``smooth_profile``, ``random_signs``
+    and ``spacings_h``; ``scale`` is the centered norm, and
     1 for ``spacings_h``, whose profile carries its own size.  ``profile`` is
     a :class:`~invlab.models.Profile`: the smooth shape, or the spacings
     density perturbation ``h``.
@@ -69,7 +69,7 @@ class AlternativeSpec:
     profile: Profile | None = None
     centered: bool = True
 
-    _KINDS = ("single_spike", "smooth_profile", "random_signs", "spacings_h", "matrix_variate")
+    _KINDS = ("single_spike", "smooth_profile", "random_signs", "spacings_h")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -293,8 +293,12 @@ def make_statistic(name: str, point: Point) -> NamedStatistic:
     mean model's point off the null (:meth:`Cell.resolve` builds it at the
     null from the unit-scale point); ``quadratic`` and ``quadratic_spacings``
     use the cosine-basis quadratic statistic, the latter on centered spacings
-    residuals ``(n+1) d_i - 1``.  ``chisq`` and ``np`` also read the normal
-    model's radial block, and ``anova_f`` the Neyman-Scott mean squares.
+    residuals ``(n+1) d_i - 1``.  ``cellmean_chisq`` is ``nu ||ybar -
+    mean(ybar)||^2`` on the cell means ``ybar`` of an ``n x nu`` table, the
+    known-sigma test without its ``1/sigma^2``: a critical value calibrated
+    at the model's sigma makes a known positive factor irrelevant.
+    ``chisq`` and ``np`` also read the normal model's radial block, and
+    ``anova_f`` and ``cellmean_chisq`` the Neyman-Scott mean squares.
     """
     n = point.n
     if name == "chisq":
@@ -313,6 +317,10 @@ def make_statistic(name: str, point: Point) -> NamedStatistic:
     if name == "anova_f":
         ratio = Reduced(ANOVA_MEAN_SQUARES, lambda s: s[:, 0] / s[:, 1])
         return NamedStatistic("anova_f", stats.anova_f, ratio)
+    if name == "cellmean_chisq":
+        # The between mean square is nu ||ybar - mean(ybar)||^2 / (n - 1).
+        between = Reduced(ANOVA_MEAN_SQUARES, lambda s: (n - 1) * s[:, 0])
+        return NamedStatistic("cellmean_chisq", _cellmean_chisq, between)
     if name == "greenwood":
         return NamedStatistic("greenwood", stats.greenwood)
     if name == "moran":
@@ -336,21 +344,12 @@ def make_statistic(name: str, point: Point) -> NamedStatistic:
     raise ValueError(f"unknown statistic {name!r}")
 
 
-def cellmean_chisq_statistic(n: int, sigma: float) -> NamedStatistic:
-    """Known-``sigma`` test of ``n`` groups: ``nu ||ybar - mean(ybar)||^2 / sigma^2``.
-
-    ``ybar`` holds the cell means of an ``n x nu`` table; the reduced form
-    reads the Neyman-Scott between mean square ``nu B / (n - 1)``.
-    """
-
-    def cellmean_chisq(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        means = x.mean(axis=-1)
-        centered = means - means.mean(axis=-1, keepdims=True)
-        return np.sum(centered**2, axis=-1) * x.shape[-1] / sigma**2
-
-    between = Reduced(ANOVA_MEAN_SQUARES, lambda s: (n - 1) * s[:, 0] / sigma**2)
-    return NamedStatistic("cellmean_chisq", cellmean_chisq, between)
+def _cellmean_chisq(x: np.ndarray) -> np.ndarray:
+    """``nu ||ybar - mean(ybar)||^2`` of each ``n x nu`` table, ``ybar`` its cell means (batched)."""
+    x = np.asarray(x, dtype=float)
+    means = x.mean(axis=-1)
+    centered = means - means.mean(axis=-1, keepdims=True)
+    return np.sum(centered**2, axis=-1) * x.shape[-1]
 
 
 def _wilks_generalized_variance(x: np.ndarray) -> np.ndarray:
@@ -478,7 +477,8 @@ def estimate_power(
 # --------------------------------------------------------------------- #
 
 
-Tests = Sequence[tuple[str | Callable[[Point], NamedStatistic], AlternativeSpec]]
+#: A grid point's tests: ``(statistic name, alternative)`` pairs.
+Tests = Sequence[tuple[str, AlternativeSpec]]
 
 
 @dataclass(frozen=True)
@@ -504,9 +504,7 @@ class Cell:
         """
         points = {alt: model.at(n, alt, seed) for alt in dict.fromkeys(a for _, a in tests)}
 
-        def statistic(test, alt: AlternativeSpec) -> NamedStatistic:
-            if callable(test):
-                return test(points[alt])
+        def statistic(test: str, alt: AlternativeSpec) -> NamedStatistic:
             if test == "np" and alt.scale == 0.0:
                 try:
                     unit = model.at(n, replace(alt, scale=1.0), seed)
@@ -686,27 +684,24 @@ def theorem2_sweep(
 
 
 def neyman_scott_sweep(
+    alt: AlternativeSpec,
     n_grid: Sequence[int],
     nu: int,
-    delta: float,
     reps: int,
     seed: int,
     sigma: float = 1.0,
     level: float = DEFAULT_LEVEL,
-    profile: str = "single_spike",
     calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[dict]:
-    """ANOVA-F collapse in the replicated many-means problem.
+    """ANOVA-F collapse in the replicated many-means problem, at the cell means ``alt``.
 
     ``sigma`` is unknown to the F test; the same table reports the known-
-    sigma squared-norm test on standardized centered cell means.
+    sigma squared-norm test on centered cell means, calibrated at ``sigma``.
     """
     model = NeymanScottModel(nu=nu, sigma=sigma)
-    alt = AlternativeSpec(kind=profile, scale=delta)
     labels = ("f", "cellmean_chisq")
-    tests = [("anova_f", alt), (lambda point: cellmean_chisq_statistic(point.n, sigma), alt)]
-    cells = _grid_cells(model, tests, n_grid, seed)
+    cells = _grid_cells(model, [("anova_f", alt), ("cellmean_chisq", alt)], n_grid, seed)
     return [
         {"n": cell.n, "nu": nu, **_gap_columns(labels, reports), **_audit_columns(cell.tests[0][1])}
         for cell, reports, _ in _sweep_cells(cells, reps, level, calib_reps, workers)
@@ -733,15 +728,10 @@ def matrix_variate_sweep(
 
         def at(self, n, alt_, seed_):
             dev = np.zeros((n, 2))
-            spike = np.zeros(n)
-            spike[0] = 1.0
-            spike -= spike.mean()
-            dev[:, 0] = spike / np.linalg.norm(spike) * alt_.scale
+            dev[:, 0] = alt_.mean_entries(n, seed_)
             return Point(n, lambda reps_, rng: rng.normal(size=(reps_, n, 2)) + dev)
 
-    model = _MatrixModel()
-    alt = AlternativeSpec(kind="matrix_variate", scale=delta)
-    cells = _grid_cells(model, [("wilks", alt)], n_grid, seed)
+    cells = _grid_cells(_MatrixModel(), [("wilks", AlternativeSpec("single_spike", delta))], n_grid, seed)
     return [
         {"n": cell.n, **_gap_columns(("wilks",), reports)}
         for cell, reports, _ in _sweep_cells(cells, reps, level, calib_reps, workers)
@@ -749,7 +739,7 @@ def matrix_variate_sweep(
 
 
 def spacings_sweep(
-    h: Profile,
+    alt: AlternativeSpec,
     n_grid: Sequence[int],
     reps: int,
     seed: int,
@@ -757,16 +747,18 @@ def spacings_sweep(
     calib_reps: int | None = None,
     workers: int = 1,
 ) -> list[dict]:
-    """Spacings tests under the contiguous density ``1 + h/sqrt(n)``.
+    """Spacings tests under the contiguous density ``1 + h/sqrt(n)``, ``h`` the profile of ``alt``.
 
     Gaps for Greenwood, Moran, the overlapping 2-spacings statistic, and the
     quadratic statistic on centered spacings residuals, plus the 95th
     percentile of |linear approximation - exact log-likelihood ratio| on the
     level pass's null replicates (its trend across n is the boundedness
-    diagnostic).
+    diagnostic).  An ``alt`` of any kind but ``spacings_h`` is refused
+    before anything is resolved or drawn.
     """
-    model = SpacingsModel()
-    alt = AlternativeSpec(kind="spacings_h", scale=1.0, profile=h)
+    if alt.kind != "spacings_h":
+        raise IncompatibleConfiguration(f"the spacings sweep takes a density perturbation h, not {alt.kind}")
+    model, h = SpacingsModel(), alt.profile
     # Each test's column label and the statistic it runs.
     names = {"greenwood": "greenwood", "moran": "moran", "two_spacings": "two_spacings_sq",
              "quadratic": "quadratic_spacings"}

@@ -34,7 +34,6 @@ import numpy as np
 from ._num import logsumexp, mean_se, norm
 from .models import ExpFamilySpec, MeanVector, sample_model, spike_levels
 from .rng import TAG_LBAR, TAG_MODEL, TAG_ORBIT, Pass, draw_passes, spawn_generator, uniform_permutations
-from .stats import verify_invariance
 
 #: Largest dimension for exhaustive permutation averaging (8! = 40320).
 EXHAUSTIVE_LIMIT = 8
@@ -70,7 +69,8 @@ class OrbitSpec:
     """Group choice plus averaging strategy for the orbit average.
 
     ``design`` is the matrix whose columns ``orthogonal_fixing_design``
-    fixes; that group needs one and no other group takes one.
+    fixes; that group needs one and no other group takes one.  Its shape
+    and rank are checked by :meth:`null_orbit`.
     """
 
     group: Group
@@ -81,14 +81,6 @@ class OrbitSpec:
         object.__setattr__(self, "group", Group(self.group))
         if (self.group is Group.ORTHOGONAL_FIXING_DESIGN) != (self.design is not None):
             raise ValueError("a design matrix goes with orthogonal_fixing_design and no other group")
-        if self.design is not None:
-            design = np.atleast_2d(np.asarray(self.design, dtype=float))
-            n, p = design.shape
-            if p >= n:
-                raise ValueError("design must have fewer columns than rows")
-            if np.linalg.matrix_rank(design) < p:
-                raise ValueError("design must have full column rank")
-            object.__setattr__(self, "design", design)
         if self.mc_reps < 1:
             raise ValueError("mc_reps must be positive")
 
@@ -101,9 +93,10 @@ class OrbitSpec:
         which is the case of a design with no columns.  Raises ``ValueError``
         where the average is undefined: exhaustive averaging above
         ``n = 8``, an orthogonal group outside the normal model (its average
-        is the closed form of the normal model's ratio), ``n - p < 3``,
-        ``X'm != 0`` or an ``||m||`` past the ``log H`` limit
-        (:func:`max_log_h_argument`) at the null radius bound.
+        is the closed form of the normal model's ratio), ``n - p < 3``, a
+        design short of full column rank, ``X'm != 0`` or an ``||m||`` past
+        the ``log H`` limit (:func:`max_log_h_argument`) at the null radius
+        bound.
         """
         if self.group in (Group.PERMUTATION, Group.PERMUTATION_EXHAUSTIVE):
             if self.group is Group.PERMUTATION_EXHAUSTIVE and m.n > EXHAUSTIVE_LIMIT:
@@ -528,22 +521,15 @@ def identity_check(
     reps: int,
     seed: int,
     workers: int = 1,
-    invariance_sampler=None,
 ) -> IdentityCheck:
     """Monte Carlo check of ``E_m T(X) = E_0 T(X) Lbar(X)``.
 
-    ``statistic`` must accept a batch ``(reps, n)``.  When an
-    ``invariance_sampler`` is supplied the statistic is first checked to be
-    invariant under the group (the identity need not hold otherwise).  The
-    null side draws whole vectors for every group, radial or not, since
-    ``T`` reads all of ``x``.
+    ``statistic`` must accept a batch ``(reps, n)`` and be invariant under
+    the group (the identity need not hold otherwise).  The null side draws
+    whole vectors for every group, radial or not, since ``T`` reads all of
+    ``x``.
     """
     null_orbit = spec.null_orbit(family, m, seed)
-    if invariance_sampler is not None:
-        probe = sample_model(family, m, spawn_generator(seed, TAG_MODEL, 1_000_003), reps=1)[0]
-        if not verify_invariance(statistic, invariance_sampler, probe, spawn_generator(seed)):
-            raise ValueError("statistic is not invariant under the requested group")
-
     # Both sides read whole blocks: the lhs at ``m`` on ``(seed, TAG_POWER_LHS, b)``.
     lhs_chunks = lambda count, rng, _: [sample_model(family, m, rng, reps=count)]
     rhs = lambda c: np.asarray(statistic(c[:, :-1]), dtype=float) * c[:, -1]

@@ -1,5 +1,5 @@
 """Test statistics: projections, quadratic norms, ANOVA F, spacings
-statistics, the quadratic-basis statistic, and an invariance checker.
+statistics and the quadratic-basis statistic.
 
 Every statistic reads the last axis of its data (the last two for an ANOVA
 table) and treats any leading axes as replicates: a ``(reps, n)`` batch gives
@@ -12,7 +12,6 @@ BLAS thread count.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -152,37 +151,3 @@ def quadratic_statistic(x: np.ndarray, scale: float = 1.0, shift: float = 0.0) -
     values, norms, sums = _quadratic_grid(n)
     z = (scale * np.einsum("...j,kj->...k", x, values) - shift * sums) / norms
     return np.sum(z * z * QUADRATIC_WEIGHTS, axis=-1)
-
-
-# --------------------------------------------------------------------- #
-# Invariance checking
-# --------------------------------------------------------------------- #
-
-def apply_group_element(g, x: np.ndarray) -> np.ndarray:
-    """Apply a permutation (1-D index array), matrix (2-D), or callable to ``x``."""
-    if callable(g):
-        return g(x)
-    g = np.asarray(g)
-    if g.ndim == 1:
-        return np.asarray(x)[..., g]
-    if g.ndim == 2:
-        return np.asarray(x) @ g.T
-    raise TypeError("group element must be a permutation, a matrix, or a callable")
-
-
-def verify_invariance(
-    statistic: Callable[[np.ndarray], float],
-    group_element_sampler: Callable[[np.random.Generator], object],
-    x: np.ndarray,
-    rng: np.random.Generator,
-    reps: int = 32,
-) -> bool:
-    """True iff ``|T(gx) - T(x)| <= 1e-9 (1 + |T(x)|)`` for ``reps`` elements ``g`` drawn from ``rng``."""
-    x = np.asarray(x, dtype=float)
-    base = float(statistic(x))
-    tol = 1e-9 * (1.0 + abs(base))
-    for _ in range(reps):
-        g = group_element_sampler(rng)
-        if abs(float(statistic(apply_group_element(g, x))) - base) > tol:
-            return False
-    return True

@@ -1,18 +1,19 @@
 """Samplers and reference forms that only the tests read.
 
-The invariance checks (``stats.verify_invariance``, ``orbit.identity_check``)
-take a sampler of group elements; the first three functions are the ones
-the tests pass.  :func:`one_shot_laws` draws the permutation-CLT laws one
-whole block at a time, the reference for the row-chunked laws, and
-:func:`one_shot_boot` is its bootstrap law for any contrast and data;
-:func:`one_shot_coupling` is the coupling with every array of a row chunk
-allocated afresh, the reference for the buffered coupling kernel; and
-:func:`one_shot_spacings_alternative` is the reference for the chunked
-spacings rejection sampler, which :func:`profile_from_callable` feeds
-profiles with no certified sup.  :func:`allocating_log_h` is the
-reference for the radial kernel's reused buffer.  :func:`trend_slope` is the slope test of the
-sweeps' "no positive growth" checks, and :func:`load_expectations` reads
-their pass thresholds.
+:func:`verify_invariance` checks that a statistic is unchanged by group
+elements drawn from a sampler, and :func:`permutation_sampler`,
+:func:`haar_orthogonal` and :func:`haar_orthogonal_fixing_design` are the
+samplers the tests pass it.  :func:`one_shot_laws` draws the
+permutation-CLT laws one whole block at a time, the reference for the
+row-chunked laws, and :func:`one_shot_boot` is its bootstrap law for any
+contrast and data; :func:`one_shot_coupling` is the coupling with every
+array of a row chunk allocated afresh, the reference for the buffered
+coupling kernel; and :func:`one_shot_spacings_alternative` is the reference
+for the chunked spacings rejection sampler, which
+:func:`profile_from_callable` feeds profiles with no certified sup.
+:func:`allocating_log_h` is the reference for the radial kernel's reused
+buffer.  :func:`trend_slope` is the slope test of the sweeps' "no positive
+growth" checks, and :func:`load_expectations` reads their pass thresholds.
 """
 
 from __future__ import annotations
@@ -38,6 +39,41 @@ from invlab.rng import (
 
 #: Stream tag of the spacings samplers in the tests (no package stream uses 11).
 TAG_SPACINGS = 11
+
+
+# --------------------------------------------------------------------- #
+# Invariance checking
+# --------------------------------------------------------------------- #
+
+
+def apply_group_element(g, x: np.ndarray) -> np.ndarray:
+    """Apply a permutation (1-D index array), matrix (2-D), or callable to ``x``."""
+    if callable(g):
+        return g(x)
+    g = np.asarray(g)
+    if g.ndim == 1:
+        return np.asarray(x)[..., g]
+    if g.ndim == 2:
+        return np.asarray(x) @ g.T
+    raise TypeError("group element must be a permutation, a matrix, or a callable")
+
+
+def verify_invariance(
+    statistic: Callable[[np.ndarray], float],
+    group_element_sampler: Callable[[np.random.Generator], object],
+    x: np.ndarray,
+    rng: np.random.Generator,
+    reps: int = 32,
+) -> bool:
+    """True iff ``|T(gx) - T(x)| <= 1e-9 (1 + |T(x)|)`` for ``reps`` elements ``g`` drawn from ``rng``."""
+    x = np.asarray(x, dtype=float)
+    base = float(statistic(x))
+    tol = 1e-9 * (1.0 + abs(base))
+    for _ in range(reps):
+        g = group_element_sampler(rng)
+        if abs(float(statistic(apply_group_element(g, x))) - base) > tol:
+            return False
+    return True
 
 
 def permutation_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:

@@ -19,7 +19,14 @@ from invlab.models import MeanVector
 from invlab.rng import spawn_generator
 
 from conftest import record_acceptance
-from oracles import TAG_SPACINGS, haar_orthogonal, load_expectations, permutation_sampler, trend_slope
+from oracles import (
+    TAG_SPACINGS,
+    haar_orthogonal,
+    load_expectations,
+    permutation_sampler,
+    trend_slope,
+    verify_invariance,
+)
 
 SEED = 20240801
 
@@ -222,7 +229,8 @@ class TestCriterion7NeymanScott:
     def test_f_gap_against_noncentral_oracle(self):
         nu, delta, sigma = 5, 3.0, 1.0
         rows = experiments.neyman_scott_sweep(
-            (100, 1000), nu=nu, delta=delta, reps=10_000, seed=SEED + 10, sigma=sigma
+            experiments.AlternativeSpec("single_spike", delta), (100, 1000), nu=nu, reps=10_000,
+            seed=SEED + 10, sigma=sigma,
         )
         ncp = nu * delta**2 / sigma**2  # oracle-computed noncentrality (45)
         ok = ncp == pytest.approx(45.0)
@@ -240,7 +248,8 @@ class TestCriterion8Spacings:
     def test_theorem9_sweep(self):
         h = models.cosine_profile({1: 2.0})  # 2 sqrt(2) cos(2 pi x)
         rows = experiments.spacings_sweep(
-            h, (100, 400, 1600), reps=10_000, seed=SEED + 11
+            experiments.AlternativeSpec("spacings_h", 1.0, profile=h), (100, 400, 1600), reps=10_000,
+            seed=SEED + 11,
         )
         ok = True
         for prev, cur in zip(rows, rows[1:]):
@@ -274,7 +283,7 @@ class TestCriterion9InvarianceSuite:
 
         # chisq invariant under the orthogonal group
         x = rng.normal(size=15)
-        ok &= stats.verify_invariance(
+        ok &= verify_invariance(
             stats.chisq_statistic, lambda r: haar_orthogonal(15, r), x, spawn_generator(1), 32
         )
 
@@ -282,15 +291,15 @@ class TestCriterion9InvarianceSuite:
         table = rng.normal(size=(8, 4))
         flat_stat = lambda v: stats.anova_f(v.reshape(8, 4))
         flat = table.ravel()
-        ok &= stats.verify_invariance(
+        ok &= verify_invariance(
             flat_stat,
             lambda r: (lambda v: v.reshape(8, 4)[r.permutation(8)].ravel()),
             flat, spawn_generator(2), 32,
         )
-        ok &= stats.verify_invariance(
+        ok &= verify_invariance(
             flat_stat, lambda r: (lambda v: v + r.normal()), flat, spawn_generator(3), 32
         )
-        ok &= stats.verify_invariance(
+        ok &= verify_invariance(
             flat_stat,
             lambda r: (lambda v: v * float(np.exp(r.normal()))),
             flat, spawn_generator(4), 32,
@@ -298,18 +307,18 @@ class TestCriterion9InvarianceSuite:
 
         # Greenwood and Moran invariant under permutations of the spacings
         d = models.sample_spacings_null_batch(10, 1, spawn_generator(SEED + 13, TAG_SPACINGS))[0]
-        ok &= stats.verify_invariance(stats.greenwood, permutation_sampler(11), d, spawn_generator(5), 64)
-        ok &= stats.verify_invariance(stats.moran, permutation_sampler(11), d, spawn_generator(6), 64)
+        ok &= verify_invariance(stats.greenwood, permutation_sampler(11), d, spawn_generator(5), 64)
+        ok &= verify_invariance(stats.moran, permutation_sampler(11), d, spawn_generator(6), 64)
 
         # NP statistic NOT permutation invariant
         m = rng.normal(size=12)
         xv = rng.normal(size=12)
-        ok &= not stats.verify_invariance(
+        ok &= not verify_invariance(
             lambda v: stats.np_statistic(m, v), permutation_sampler(12), xv, spawn_generator(7), 64
         )
 
         # 2-spacings statistic NOT invariant under spacings permutation
-        ok &= not stats.verify_invariance(
+        ok &= not verify_invariance(
             stats.two_spacings_statistic, permutation_sampler(11), d, spawn_generator(8), 64
         )
 

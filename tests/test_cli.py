@@ -526,6 +526,31 @@ class TestIncompatibleConfigurations:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("alt", ["smooth:1.5", "spike:3", "signs:2", "null"])
+    def test_sweep_spacings_takes_only_a_density_perturbation(self, tmp_path, monkeypatch, capsys, alt):
+        from invlab import rng
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(rng, "map_blocks", no_sampling)
+        code, out = run(tmp_path, "sweep-spacings", "--alt", alt, "--n-grid", "50", "--reps", "500", "--seed", "3")
+        assert code == 2
+        assert not out.exists()
+        assert "density perturbation h" in capsys.readouterr().err
+
+    def test_lbar_design_with_as_many_columns_as_rows(self, tmp_path, monkeypatch, capsys):
+        from invlab import rng
+
+        def no_sampling(*_args, **_kwargs):
+            raise RuntimeError("sampled an incompatible configuration")
+
+        monkeypatch.setattr(rng, "map_blocks", no_sampling)
+        code, out = run(tmp_path, "lbar", "--group", "orthogonal_fixing_design", "--n", "5", "--design-p", "5")
+        assert code == 2
+        assert not out.exists()
+        assert "n - p >= 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("group", ["full_orthogonal", "orthogonal_fixing_design"])
     def test_lbar_orthogonal_groups_need_the_normal_model(self, tmp_path, monkeypatch, group):
         from invlab import rng

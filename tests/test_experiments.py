@@ -24,7 +24,6 @@ from invlab.experiments import (
     NeymanScottModel,
     SpacingsModel,
     calibrate_critical,
-    cellmean_chisq_statistic,
     estimate_power,
     make_statistic,
     matrix_variate_sweep,
@@ -252,8 +251,11 @@ class TestSharedDrawEngine:
             x *= 2.0
             return x.sum(axis=-1)
 
+        cell = Cell.resolve(model, _N, _SEED, [tests[0]])
+        spike = cell.tests[0][1]
+        cell = Cell(cell.null, cell.seed, [(NamedStatistic("doubling", doubling), spike), *cell.tests])
         with pytest.raises(ValueError, match="read-only"):
-            _one_cell(model, [(lambda _: NamedStatistic("doubling", doubling), _SPIKE), tests[0]])
+            list(experiments._sweep_cells([cell], _REPS, 0.1, None, 1))
 
     def test_spacings_model_rejects_mean_alternative(self):
         with pytest.raises(ValueError, match="spacings model"):
@@ -266,8 +268,8 @@ _PARTIAL_BLOCK = 476
 def _chunk_digests(n: int) -> dict[str, list[str]]:
     """Digests of each statistic on a 476-row block: whole, by ``draw_passes``, and ragged.
 
-    Covers every ``make_statistic`` name, ``cellmean_chisq`` and the two
-    spacings log-likelihoods.  The ragged split has chunks of 1, 2 and 5 rows.
+    Covers every ``make_statistic`` name and the two spacings
+    log-likelihoods.  The ragged split has chunks of 1, 2 and 5 rows.
     """
     rng = spawn_generator(52, n)
     count = _PARTIAL_BLOCK
@@ -287,8 +289,10 @@ def _chunk_digests(n: int) -> dict[str, list[str]]:
             name: (make_statistic(name, null_spacings), spacings)
             for name in ("greenwood", "moran", "two_spacings_sq", "quadratic_spacings")
         },
-        **{name: (make_statistic(name, null_tables), tables) for name in ("anova_f", "wilks")},
-        "cellmean_chisq": (cellmean_chisq_statistic(n, 1.0), tables),
+        **{
+            name: (make_statistic(name, null_tables), tables)
+            for name in ("anova_f", "cellmean_chisq", "wilks")
+        },
         "spacings_loglik_approx": (functools.partial(models.spacings_loglik_approx, h), spacings),
         "spacings_loglik_exact": (functools.partial(models.spacings_loglik_exact, h), spacings),
     }
@@ -402,8 +406,6 @@ class TestReducedRoute:
             model = normal_means_model()
         else:
             model = NeymanScottModel(nu=cls.NU, sigma=1.5)
-        if stat == "cellmean_chisq":
-            stat = lambda point: cellmean_chisq_statistic(point.n, 1.5)
         return Cell.resolve(model, cls.N, 1, [(stat, alt)]).tests[0]
 
     @pytest.mark.parametrize("alt_name", sorted(ALTS))
@@ -527,7 +529,7 @@ class TestTheorem2Sweep:
 
 class TestNeymanScott:
     def test_f_gap_matches_noncentral_oracle(self):
-        rows = neyman_scott_sweep((100, 1000), nu=5, delta=3.0, reps=4000, seed=17)
+        rows = neyman_scott_sweep(AlternativeSpec("single_spike", 3.0), (100, 1000), nu=5, reps=4000, seed=17)
         for row in rows:
             ncp = 5 * 3.0**2  # nu * delta^2 / sigma^2
             crit = sps.f.ppf(0.95, row["n"] - 1, row["n"] * 4)
@@ -536,7 +538,7 @@ class TestNeymanScott:
         assert rows[1]["f_gap"] < rows[0]["f_gap"]
 
     def test_zero_delta(self):
-        rows = neyman_scott_sweep((50,), nu=3, delta=0.0, reps=2000, seed=18)
+        rows = neyman_scott_sweep(NULL, (50,), nu=3, reps=2000, seed=18)
         assert abs(rows[0]["f_gap"]) <= 4 * rows[0]["f_gap_se"]
 
     def test_matrix_variate_gap_decreases(self):
@@ -545,10 +547,14 @@ class TestNeymanScott:
         assert rows[1]["wilks_gap"] <= rows[0]["wilks_gap"] + tol
 
 
+def _spacings_h(h: models.Profile) -> AlternativeSpec:
+    return AlternativeSpec("spacings_h", 1.0, profile=h)
+
+
 class TestSpacingsSweep:
     def test_contiguous_cosine_alternative(self):
         h = models.cosine_profile({1: 2.0})
-        rows = spacings_sweep(h, (100, 400), reps=3000, seed=20)
+        rows = spacings_sweep(_spacings_h(h), (100, 400), reps=3000, seed=20)
         tol01 = 2 * (rows[0]["greenwood_gap_se"] + rows[1]["greenwood_gap_se"])
         assert rows[1]["greenwood_gap"] <= rows[0]["greenwood_gap"] + tol01
         floor = load_expectations()["spacings_quadratic_gap_floor"]
@@ -557,13 +563,13 @@ class TestSpacingsSweep:
 
     def test_zero_profile(self):
         zero = profile_from_callable(lambda x: np.zeros_like(x))
-        rows = spacings_sweep(zero, (100,), reps=2000, seed=21)
+        rows = spacings_sweep(_spacings_h(zero), (100,), reps=2000, seed=21)
         assert abs(rows[0]["greenwood_gap"]) <= 4 * rows[0]["greenwood_gap_se"]
         assert abs(rows[0]["moran_gap"]) <= 4 * rows[0]["moran_gap_se"]
 
     def test_llr_gap_bounded(self):
         h = models.cosine_profile({1: 2.0})
-        rows = spacings_sweep(h, (100, 400, 1600), reps=1500, seed=22)
+        rows = spacings_sweep(_spacings_h(h), (100, 400, 1600), reps=1500, seed=22)
         slope, se = trend_slope(
             [np.log(r["n"]) for r in rows],
             [r["llr_gap_p95"] for r in rows],

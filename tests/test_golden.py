@@ -9,7 +9,8 @@ file byte for byte at one and two workers, so a refactor that moves any
 value, column or stream shows here.
 
 To rewrite the files after an intended change of numbers, run
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [NAME ...]``: it records the
+named tables, or every table when no name is given.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ INVOCATIONS = {
     "sweep_theorem2_bernoulli": "sweep-theorem2 --model bernoulli --n-grid 30,60 --seed 21",
     "clt_bernoulli_lattice": "clt-sweep --model bernoulli --alt spike:1 --n-grid 20,50 --seed 22",
     "sweep_theorem2_normal": "sweep-theorem2 --model normal --n-grid 30,60 --seed 23",
+    "sweep_neyman_scott_sigma": "sweep-neyman-scott --n-grid 10,20 --nu 3 --sigma 2 --seed 24",
 }
 
 REPS = "256"
@@ -67,7 +69,11 @@ def test_table_matches_golden(tmp_path, name, workers):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for table in INVOCATIONS:
+    names = sys.argv[1:] or list(INVOCATIONS)
+    unknown = [name for name in names if name not in INVOCATIONS]
+    if unknown:
+        sys.exit(f"unknown table(s): {', '.join(unknown)}")
+    for table in names:
         path = GOLDEN / f"{table}.csv"
         _table(table, 1, path)
         Path(str(path) + ".meta.json").unlink()

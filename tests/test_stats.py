@@ -25,10 +25,15 @@ from invlab.stats import (
     points_from_spacings,
     quadratic_statistic,
     two_spacings_statistic,
-    verify_invariance,
 )
 
-from oracles import TAG_SPACINGS, haar_orthogonal, haar_orthogonal_fixing_design, permutation_sampler
+from oracles import (
+    TAG_SPACINGS,
+    haar_orthogonal,
+    haar_orthogonal_fixing_design,
+    permutation_sampler,
+    verify_invariance,
+)
 
 
 class TestNpStatistic:
